@@ -1,6 +1,7 @@
 """Pipeline driver: subcommands for each stage plus full runs and reports."""
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
@@ -58,7 +59,8 @@ CONFIG_DEFAULTS = {
 def load_config(path):
     """Flat key = value config file; '#' comments and blank lines skipped."""
     cfg = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    text = read_artifact(path, lambda p: Path(p).read_text(encoding="utf-8"))
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -86,7 +88,7 @@ def resolve_config(args, require_seed=True):
         if val is not None:
             cfg[key] = val
     if cfg.get("seed") is None:
-        if require_seed:
+        if require_seed or cfg.get("synth"):
             raise CliError("--seed is required (set it in the config or on the "
                            "command line)", EXIT_PARSE)
         cfg["seed"] = 0
@@ -107,65 +109,130 @@ def _write_json(path, obj):
                           encoding="utf-8")
 
 
-# ---------------------------------------------------------------- data loading
+# ---------------------------------------------------------------- artifacts
 
-def load_paradigm_store(path):
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    paradigms = [corpus.Paradigm(p["lexeme"], dict(p["entries"])) for p in obj["paradigms"]]
-    return obj["inventory"], paradigms
+def _text(parse):
+    """Loader that applies a stream parser to the UTF-8 file at a path."""
+    def load(path):
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    return load
 
 
-def ingest_lexicon(data_path, pos):
+_json = _text(json.load)
+
+
+def read_artifact(path, load):
+    """load(path) for an input file: a missing or unreadable file ends with
+    exit 3, one that does not parse or does not fit the other inputs with 2."""
     try:
-        with open(data_path, encoding="utf-8") as fh:
-            words, errors = corpus.parse_unimorph(fh)
+        return load(path)
     except OSError as e:
-        raise CliError("cannot read %s: %s" % (data_path, e), EXIT_NO_DATA)
+        raise CliError("cannot read %s: %s" % (path, e), EXIT_NO_DATA)
+    except (ValueError, KeyError, TypeError) as e:
+        reason = "missing or unknown key %s" % e if isinstance(e, KeyError) else e
+        raise CliError("cannot parse %s: %s" % (path, reason), EXIT_PARSE)
+
+
+def _load_store(path):
+    obj = _json(path)
+    return obj["inventory"], [corpus.Paradigm(p["lexeme"], dict(p["entries"]))
+                              for p in obj["paradigms"]]
+
+
+def _load_split(path):
+    return corpus.split_from_json(_json(path))
+
+
+def write_tree(cfg, tree, W, json_path, dot_path=None):
+    """Write tree.json (and tree.dot when asked); return the tree score."""
+    obj = tree.to_json()
+    obj["score_bits"] = structure.tree_score(tree, W)
+    obj["config_hash"] = config_hash(cfg)
+    obj["seed"] = cfg["seed"]
+    _write_json(json_path, obj)
+    if dot_path:
+        Path(dot_path).write_text(tree.to_dot(), encoding="utf-8")
+    return obj["score_bits"]
+
+
+def write_point(point, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        complexity.write_points_csv([point], fh)
+
+
+# ---------------------------------------------------------------- stages
+# Each subcommand reads its input artifacts, calls its stage and writes its
+# artifact; `run` chains the same stages in memory.
+
+def stage_ingest(cfg):
+    """(inventory, paradigms) from a lexicon or a synthetic generator config.
+    The slot inventory is decided here and nowhere else."""
+    if cfg.get("synth"):
+        system = read_artifact(cfg["synth"], lambda p: complexity.synth_system(_json(p)))
+        rng = random.Random(cfg["seed"])
+        return sorted(system.slots), system.sample_paradigms(cfg["synth_paradigms"], rng)
+    path = cfg.get("data")
+    if not path:
+        raise CliError("either a data file or a synthetic generator config is required",
+                       EXIT_NO_DATA)
+    words, errors = read_artifact(path, _text(corpus.parse_unimorph))
     for err in errors:
-        log.error("%s: %s", data_path, err)
+        log.error("%s: %s", path, err)
     if errors:
-        raise CliError("%d malformed lines in %s" % (len(errors), data_path), EXIT_PARSE)
-    inventory, paradigms = corpus.build_paradigms(words, pos_filter=pos)
+        raise CliError("%d malformed lines in %s" % (len(errors), path), EXIT_PARSE)
+    inventory, paradigms = corpus.build_paradigms(words, pos_filter=cfg["pos"])
     if not paradigms:
-        raise CliError("no paradigms for POS %r in %s" % (pos, data_path), EXIT_NO_DATA)
+        raise CliError("no paradigms for POS %r in %s" % (cfg["pos"], path), EXIT_NO_DATA)
     return inventory, paradigms
 
 
-def obtain_paradigms(cfg):
-    """Paradigms from a lexicon file or a synthetic generator config."""
-    if cfg.get("synth"):
-        spec = json.loads(Path(cfg["synth"]).read_text(encoding="utf-8"))
-        system = complexity.synth_system(spec)
-        rng = random.Random(cfg["seed"])
-        paradigms = system.sample_paradigms(cfg["synth_paradigms"], rng)
-        return sorted(system.slots), paradigms
-    if cfg.get("data"):
-        return ingest_lexicon(cfg["data"], cfg["pos"])
-    raise CliError("either a data file or a synthetic generator config is required",
-                   EXIT_NO_DATA)
+def stage_split(cfg, inventory, paradigms):
+    spec = corpus.SplitSpec(regime=cfg["regime"], paradigm_count=cfg["paradigm_count"],
+                            pair_count=cfg["pair_count"], dev_paradigms=cfg["dev_paradigms"],
+                            test_paradigms=cfg["test_paradigms"], seed=cfg["seed"])
+    try:
+        return corpus.make_split(paradigms, spec, inventory)
+    except corpus.InsufficientDataError as e:
+        raise CliError(str(e), EXIT_NO_DATA)
+    except ValueError as e:  # unknown regime
+        raise CliError(str(e), EXIT_PARSE)
 
 
-def build_scorer(cfg, split):
-    """Train the reference model, or load external scores when configured."""
+def stage_train(cfg, split):
+    """The reference model trained on the split, or the external scores
+    that replace it when configured."""
     if cfg.get("scores"):
-        with open(cfg["scores"], encoding="utf-8") as fh:
-            return strmodel.load_scores(fh)
+        return read_artifact(cfg["scores"], _text(strmodel.load_scores))
     return strmodel.train(split.train_pairs, dev_pairs=split.dev_pairs,
                           order=cfg["order"], alpha=cfg["alpha"],
                           lambda_grid=lambda_grid(cfg))
+
+
+def stage_weights(scorer, split):
+    return structure.compute_weights(scorer, split.dev_paradigms, split.inventory)
+
+
+def stage_measure(cfg, split, scorer, tree):
+    """The complexity point on the test paradigms (definitions: complexity.py)."""
+    i_total, i_per_form = complexity.i_complexity(scorer, tree, split.test_paradigms)
+    return complexity.ComplexityPoint(
+        language=cfg["language"], pos=cfg["pos"], regime=cfg["regime"],
+        e_complexity=len(tree.slots), i_total_bits=i_total, i_per_form_bits=i_per_form,
+        d=len(split.test_paradigms), seed=cfg["seed"])
 
 
 # ---------------------------------------------------------------- subcommands
 
 def cmd_ingest(args):
     cfg = resolve_config(args, require_seed=False)
-    inventory, paradigms = ingest_lexicon(cfg["data"], cfg["pos"])
+    inventory, paradigms = stage_ingest(cfg)
     full = sum(1 for p in paradigms if len(p.entries) == len(inventory))
     if len(paradigms) < PARADIGM_WARN_THRESHOLD:
         log.warning("only %d paradigms: below the %d-paradigm threshold",
                     len(paradigms), PARADIGM_WARN_THRESHOLD)
     store = {
-        "config_hash": config_hash(cfg), "seed": cfg.get("seed", 0),
+        "config_hash": config_hash(cfg), "seed": cfg["seed"],
         "language": cfg["language"], "pos": cfg["pos"],
         "inventory": inventory,
         "paradigms": [{"lexeme": p.lexeme, "entries": p.entries} for p in paradigms],
@@ -180,20 +247,9 @@ def cmd_ingest(args):
     return EXIT_OK
 
 
-def _make_split(cfg, paradigms):
-    spec = corpus.SplitSpec(regime=cfg["regime"], paradigm_count=cfg["paradigm_count"],
-                            pair_count=cfg["pair_count"], dev_paradigms=cfg["dev_paradigms"],
-                            test_paradigms=cfg["test_paradigms"], seed=cfg["seed"])
-    try:
-        return corpus.make_split(paradigms, spec)
-    except corpus.InsufficientDataError as e:
-        raise CliError(str(e), EXIT_NO_DATA)
-
-
 def cmd_split(args):
     cfg = resolve_config(args)
-    _, paradigms = load_paradigm_store(args.store)
-    split = _make_split(cfg, paradigms)
+    split = stage_split(cfg, *read_artifact(args.store, _load_store))
     obj = corpus.split_to_json(split)
     obj["config_hash"] = config_hash(cfg)
     _write_json(args.out, obj)
@@ -204,30 +260,20 @@ def cmd_split(args):
 
 def cmd_train(args):
     cfg = resolve_config(args)
-    split = corpus.load_split(args.split)
-    model = strmodel.train(split.train_pairs, dev_pairs=split.dev_pairs,
-                           order=cfg["order"], alpha=cfg["alpha"],
-                           lambda_grid=lambda_grid(cfg))
+    split = read_artifact(args.split, _load_split)
+    # external scores replace the model downstream; this stage always fits it
+    model = stage_train(dict(cfg, scores=None), split)
     model.save(args.out)
     print("trained on %d pairs; lambda=%g" % (len(split.train_pairs), model.lam))
     return EXIT_OK
 
 
-def _inventory_of(split):
-    slots = set()
-    for p in split.dev_paradigms + split.test_paradigms:
-        slots.update(p.entries)
-    for pair in split.train_pairs:
-        slots.add(pair.tgt_slot)
-    return sorted(slots)
-
-
 def cmd_weights(args):
     cfg = resolve_config(args)
-    split = corpus.load_split(args.split)
-    scorer = (strmodel.ConditionalParadigmModel.load(args.model) if args.model
-              else build_scorer(cfg, split))
-    W = structure.compute_weights(scorer, split.dev_paradigms, _inventory_of(split))
+    split = read_artifact(args.split, _load_split)
+    scorer = (read_artifact(args.model, strmodel.ConditionalParadigmModel.load) if args.model
+              else stage_train(cfg, split))
+    W = stage_weights(scorer, split)
     obj = W.to_json()
     obj["config_hash"] = config_hash(cfg)
     obj["seed"] = cfg["seed"]
@@ -238,63 +284,38 @@ def cmd_weights(args):
 
 def cmd_learn_tree(args):
     cfg = resolve_config(args, require_seed=False)
-    obj = json.loads(Path(args.weights).read_text(encoding="utf-8"))
-    W = structure.WeightMatrix.from_json(obj)
+    W = read_artifact(args.weights, lambda p: structure.WeightMatrix.from_json(_json(p)))
     tree = structure.max_arborescence(W)
-    out = tree.to_json()
-    out["score_bits"] = structure.tree_score(tree, W)
-    out["config_hash"] = config_hash(cfg)
-    out["seed"] = cfg["seed"]
-    _write_json(args.out, out)
-    if args.dot:
-        Path(args.dot).write_text(tree.to_dot(), encoding="utf-8")
-    print("root: %s, score: %.4f bits" % (tree.slots[tree.root], out["score_bits"]))
+    score = write_tree(cfg, tree, W, args.out, args.dot)
+    print("root: %s, score: %.4f bits" % (tree.slots[tree.root], score))
     return EXIT_OK
 
 
-def run_pipeline(cfg):
-    """split -> train -> weights -> tree -> measure, returning all artifacts."""
-    stage = "ingest"
-    try:
-        inventory, paradigms = obtain_paradigms(cfg)
-        stage = "split"
-        split = _make_split(cfg, paradigms)
-        stage = "train"
-        scorer = build_scorer(cfg, split)
-        stage = "weights"
-        W = structure.compute_weights(scorer, split.dev_paradigms, inventory)
-        stage = "learn-tree"
-        tree = structure.max_arborescence(W)
-        stage = "measure"
-        e_c = complexity.e_complexity(paradigms)
-        i_total, _ = complexity.i_complexity(scorer, tree, split.test_paradigms)
-        point = complexity.ComplexityPoint(
-            language=cfg["language"], pos=cfg["pos"], regime=cfg["regime"],
-            e_complexity=e_c, i_total_bits=i_total, i_per_form_bits=i_total / e_c,
-            d=len(split.test_paradigms), seed=cfg["seed"])
-    except CliError:
-        raise
-    except (ValueError, OSError) as e:
-        raise CliError("stage %s failed: %s" % (stage, e), EXIT_INTERNAL)
-    return point, tree, W, split, scorer
+def cmd_measure(args):
+    cfg = resolve_config(args)
+    split = read_artifact(args.split, _load_split)
+    model = read_artifact(args.model, strmodel.ConditionalParadigmModel.load)
+    tree = read_artifact(args.tree, lambda p: structure.Arborescence.from_json(
+        _json(p), split.inventory))
+    point = stage_measure(cfg, split, model, tree)
+    write_point(point, args.out)
+    print("i_total=%.4f bits over %d test paradigms" % (point.i_total_bits, point.d))
+    return EXIT_OK
 
 
 def cmd_run(args):
     cfg = resolve_config(args)
     out_dir = Path(cfg.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    point, tree, W, split, scorer = run_pipeline(cfg)
-    chash = config_hash(cfg)
+    split = stage_split(cfg, *stage_ingest(cfg))
+    scorer = stage_train(cfg, split)
+    W = stage_weights(scorer, split)
+    tree = structure.max_arborescence(W)
+    point = stage_measure(cfg, split, scorer, tree)
 
-    with open(out_dir / "point.csv", "w", encoding="utf-8", newline="") as fh:
-        complexity.write_points_csv([point], fh)
-    tree_obj = tree.to_json()
-    tree_obj["score_bits"] = structure.tree_score(tree, W)
-    tree_obj["config_hash"] = chash
-    tree_obj["seed"] = cfg["seed"]
-    _write_json(out_dir / "tree.json", tree_obj)
-    (out_dir / "tree.dot").write_text(tree.to_dot(), encoding="utf-8")
-    manifest = {"config": {k: cfg[k] for k in sorted(cfg)}, "config_hash": chash,
+    write_point(point, out_dir / "point.csv")
+    write_tree(cfg, tree, W, out_dir / "tree.json", out_dir / "tree.dot")
+    manifest = {"config": {k: cfg[k] for k in sorted(cfg)}, "config_hash": config_hash(cfg),
                 "seed": cfg["seed"], "format_version": strmodel.FORMAT_VERSION}
     _write_json(out_dir / "manifest.json", manifest)
     print("%s/%s (%s): e=%d, i_total=%.4f bits, i_per_form=%.4f bits"
@@ -303,46 +324,22 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def cmd_measure(args):
-    cfg = resolve_config(args)
-    split = corpus.load_split(args.split)
-    scorer = strmodel.ConditionalParadigmModel.load(args.model)
-    tree_obj = json.loads(Path(args.tree).read_text(encoding="utf-8"))
-    W_slots = _inventory_of(split)
-    tree = structure.Arborescence.from_json(tree_obj, W_slots)
-    e_c = len(W_slots)
-    i_total, _ = complexity.i_complexity(scorer, tree, split.test_paradigms)
-    point = complexity.ComplexityPoint(
-        language=cfg["language"], pos=cfg["pos"], regime=cfg["regime"],
-        e_complexity=e_c, i_total_bits=i_total, i_per_form_bits=i_total / e_c,
-        d=len(split.test_paradigms), seed=cfg["seed"])
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        complexity.write_points_csv([point], fh)
-    print("i_total=%.4f bits over %d test paradigms" % (i_total, point.d))
-    return EXIT_OK
-
-
-def _read_table2(path):
-    import csv as _csv
-    points = {"N": [], "V": []}
-    with open(path, encoding="utf-8") as fh:
-        for row in _csv.DictReader(fh):
-            points[row["pos"]].append((float(row["paradigm_size"]),
-                                       float(row["i_complexity"])))
-    return points
+def _read_points(fh):
+    """(paradigm size, i-complexity per form) pairs by POS, from a point CSV
+    or from a table with the columns of the bundled table 2."""
+    reader = csv.DictReader(fh)
+    if "i_per_form_bits" in (reader.fieldnames or ()):
+        by_pos, x, y = {}, "e_complexity", "i_per_form_bits"
+    else:
+        by_pos, x, y = {"N": [], "V": []}, "paradigm_size", "i_complexity"
+    for row in reader:
+        by_pos.setdefault(row["pos"], []).append((float(row[x]), float(row[y])))
+    return by_pos
 
 
 def cmd_pareto(args):
     cfg = resolve_config(args)
-    path = args.points or str(bundled("table2_green.csv"))
-    if args.points and _is_point_csv(path):
-        by_pos = {}
-        with open(path, encoding="utf-8") as fh:
-            for pt in complexity.read_points_csv(fh):
-                by_pos.setdefault(pt.pos, []).append(
-                    (float(pt.e_complexity), pt.i_per_form_bits))
-    else:
-        by_pos = _read_table2(path)
+    by_pos = read_artifact(args.points or bundled("table2_green.csv"), _text(_read_points))
     out_dir = Path(cfg.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {"config_hash": config_hash(cfg), "seed": cfg["seed"], "per_pos": {}}
@@ -365,20 +362,9 @@ def cmd_pareto(args):
     return EXIT_OK
 
 
-def _is_point_csv(path):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-    return "i_per_form_bits" in header
-
-
 def cmd_plat(args):
     resolve_config(args, require_seed=False)
-    path = args.plat or str(bundled("greek_plat.tsv"))
-    try:
-        with open(path, encoding="utf-8") as fh:
-            plat = platbaseline.parse_plat(fh)
-    except (platbaseline.PlatError, OSError) as e:
-        raise CliError("bad plat file %s: %s" % (path, e), EXIT_PARSE)
+    plat = read_artifact(args.plat or bundled("greek_plat.tsv"), _text(platbaseline.parse_plat))
     print("plat: %d classes x %d slots" % (len(plat.classes), len(plat.slots)))
     for i in plat.slots:
         for j in plat.slots:
@@ -522,6 +508,10 @@ def main(argv=None):
     except corpus.LexiconFormatError as e:
         log.error("%s", e)
         return EXIT_PARSE
+    except (ValueError, OSError) as e:
+        # a stage rejected its inputs after they were read, e.g. an empty test set
+        log.error("%s failed: %s", args.command, e)
+        return EXIT_INTERNAL
     except Exception as e:  # pragma: no cover - internal failure path
         log.exception("internal error: %s", e)
         return EXIT_INTERNAL

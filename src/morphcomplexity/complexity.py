@@ -1,4 +1,14 @@
-"""The two complexity measures, plus synthetic systems with known entropy."""
+"""The two complexity measures, plus synthetic systems with known entropy.
+
+e-complexity is the slot count of the inventory decided at ingest: every
+slot observed for the part of speech, whether or not a sampled paradigm
+fills it.  The slot dependency tree spans that inventory, so e-complexity
+equals len(tree.slots).  i-complexity is the held-out cross-entropy of the
+tree-factored joint in bits per paradigm (i_total_bits); per form it is
+i_per_form_bits = i_total_bits / e-complexity, the second value that
+`i_complexity` returns.  Plotted against e-complexity (table 2's
+paradigm_size axis) it gives one point per language and part of speech.
+"""
 
 import csv
 import math
@@ -29,17 +39,10 @@ class ComplexityPoint:
         return d
 
 
-def e_complexity(paradigms):
-    """Maximum number of filled slots over the paradigms."""
-    if not paradigms:
-        raise ValueError("no paradigms")
-    return max(len(p.entries) for p in paradigms)
-
-
 def i_complexity(model, tree, test_paradigms):
     """Held-out cross-entropy of the tree-factored joint: mean negative
     log2-probability per test paradigm, and the same divided by the slot
-    count n of the tree."""
+    count n of the tree (the e-complexity)."""
     if not test_paradigms:
         raise ValueError("empty test set")
     d = len(test_paradigms)

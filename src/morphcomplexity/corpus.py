@@ -1,6 +1,5 @@
-"""Lexicon ingestion, paradigm grouping, pair encoding and train/dev/test splits."""
+"""Lexicon ingestion, paradigm grouping, pair expansion and train/dev/test splits."""
 
-import json
 import logging
 import random
 from dataclasses import dataclass, field
@@ -70,6 +69,7 @@ class DataSplit:
     train_pairs: list
     dev_paradigms: list
     test_paradigms: list
+    inventory: list                 # the ingested slot inventory, sorted
     spec: SplitSpec = field(default=None)
 
     @property
@@ -142,17 +142,6 @@ def build_paradigms(words, pos_filter=None):
     return inventory, paradigms
 
 
-def encode_pair(src_form, src_slot, tgt_slot):
-    """Token sequence for one mapping: source characters, then IN= tags
-    (omitted for the root context), then OUT= tags."""
-    tokens = []
-    if src_slot != ROOT:
-        tokens.extend(src_form)
-        tokens.extend("IN=" + f for f in src_slot.split(";"))
-    tokens.extend("OUT=" + f for f in tgt_slot.split(";"))
-    return tokens
-
-
 def expand_paradigm_pairs(paradigms):
     """All ordered non-identity slot-to-slot mappings plus one root mapping
     per filled slot, for each paradigm."""
@@ -169,8 +158,11 @@ def expand_paradigm_pairs(paradigms):
     return pairs
 
 
-def make_split(paradigms, spec):
+def make_split(paradigms, spec, inventory):
     """Partition paradigms into train pairs plus dev/test held-out paradigms.
+
+    The split carries the slot inventory decided at ingest unchanged,
+    including slots that no sampled paradigm fills.
 
     Dev/test are full random holdouts of paradigms with >= 2 filled slots.
     Purple regime: all mappings from `paradigm_count` sampled paradigms.
@@ -210,15 +202,8 @@ def make_split(paradigms, spec):
             train = rng.sample(pool, spec.pair_count)
     else:
         raise ValueError("unknown regime %r" % spec.regime)
-    return DataSplit(train_pairs=train, dev_paradigms=dev, test_paradigms=test, spec=spec)
-
-
-def build_alphabet(words):
-    """Set of characters observed in surface forms."""
-    chars = set()
-    for w in words:
-        chars.update(w.form)
-    return chars
+    return DataSplit(train_pairs=train, dev_paradigms=dev, test_paradigms=test,
+                     inventory=list(inventory), spec=spec)
 
 
 def _pair_record(p):
@@ -235,6 +220,7 @@ def split_to_json(split):
     return {
         "regime": split.spec.regime if split.spec else None,
         "seed": split.spec.seed if split.spec else None,
+        "inventory": split.inventory,
         "train_pairs": [_pair_record(p) for p in split.train_pairs],
         "dev_paradigms": [{"lexeme": p.lexeme, "entries": p.entries} for p in split.dev_paradigms],
         "test_paradigms": [{"lexeme": p.lexeme, "entries": p.entries} for p in split.test_paradigms],
@@ -242,20 +228,12 @@ def split_to_json(split):
 
 
 def split_from_json(obj):
+    if "inventory" not in obj:
+        raise ValueError("split has no slot inventory; re-run split")
     spec = SplitSpec(regime=obj.get("regime") or "purple", seed=obj.get("seed") or 0)
     return DataSplit(
         train_pairs=[_pair_from_record(r) for r in obj["train_pairs"]],
         dev_paradigms=[Paradigm(d["lexeme"], dict(d["entries"])) for d in obj["dev_paradigms"]],
         test_paradigms=[Paradigm(d["lexeme"], dict(d["entries"])) for d in obj["test_paradigms"]],
-        spec=spec,
+        inventory=obj["inventory"], spec=spec,
     )
-
-
-def save_split(split, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(split_to_json(split), fh, ensure_ascii=False, sort_keys=True)
-
-
-def load_split(path):
-    with open(path, encoding="utf-8") as fh:
-        return split_from_json(json.load(fh))

@@ -40,14 +40,17 @@ class Arborescence:
     parent: dict = field(default_factory=dict)   # child index -> parent index
 
     def validate(self):
+        """Raise ValueError unless every slot but the root has one parent
+        and following parents from any slot reaches the root."""
         n = len(self.slots)
-        assert 0 <= self.root < n
-        assert set(self.parent) == set(range(n)) - {self.root}
+        if not 0 <= self.root < n or set(self.parent) != set(range(n)) - {self.root}:
+            raise ValueError("tree does not span its %d slots from one root" % n)
         for child in self.parent:
             seen = set()
             node = child
             while node != self.root:
-                assert node not in seen, "cycle through %d" % node
+                if node in seen:
+                    raise ValueError("tree has a cycle through %s" % self.slots[node])
                 seen.add(node)
                 node = self.parent[node]
 
@@ -59,7 +62,9 @@ class Arborescence:
     def from_json(cls, obj, slots):
         index = {s: i for i, s in enumerate(slots)}
         parent = {index[c]: index[p] for c, p in obj["edges"].items()}
-        return cls(slots=list(slots), root=index[obj["root"]], parent=parent)
+        tree = cls(slots=list(slots), root=index[obj["root"]], parent=parent)
+        tree.validate()
+        return tree
 
     def to_dot(self):
         lines = ["digraph paradigm {"]

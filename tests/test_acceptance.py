@@ -30,7 +30,8 @@ def report(label, ok, detail):
 
 
 def table2_points():
-    return cli._read_table2(str(bundled("table2_green.csv")))
+    with open(bundled("table2_green.csv"), encoding="utf-8") as fh:
+        return cli._read_points(fh)
 
 
 # ------------------------------------------------------ criterion 1
@@ -203,7 +204,7 @@ def measure_synth(spec_name, seed, order=3, suffix_table=None):
     paradigms = system.sample_paradigms(600, rng)
     split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=500,
                                             dev_paradigms=50, test_paradigms=50,
-                                            seed=seed))
+                                            seed=seed), system.slots)
     model = strmodel.train(split.train_pairs, dev_pairs=split.dev_pairs, order=order)
     W = structure.compute_weights(model, split.dev_paradigms, system.slots)
     tree = max_arborescence(W)
@@ -308,7 +309,7 @@ def test_criterion_8_fixture_independence():
     if data_dir:
         ara = os.path.join(data_dir, "ara")
         if os.path.exists(ara):
-            inventory, _ = cli.ingest_lexicon(ara, "V")
+            inventory, _ = cli.stage_ingest({"data": ara, "pos": "V"})
             gated = "Arabic |slots|=%d (expect 112): %s" % (
                 len(inventory), len(inventory) == 112)
         else:

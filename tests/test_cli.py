@@ -1,5 +1,6 @@
 import itertools
 import json
+import logging
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -131,11 +132,15 @@ def test_run_reruns_byte_identical(tmp_path):
 
 def test_run_synthetic_source(tmp_path):
     out = tmp_path / "out"
-    code = main(["run", "--synth", str(cli.bundled("synth_two_class.json")),
-                 "--synth-paradigms", "200", "--seed", "0",
-                 "--out-dir", str(out)] + SMALL)
-    assert code == 0
+    synth = ["--synth", str(cli.bundled("synth_two_class.json")), "--synth-paradigms", "200"]
+    assert main(["run", "--seed", "0", "--out-dir", str(out)] + synth + SMALL) == 0
     assert (out / "point.csv").exists()
+    # the same generator also feeds the staged pipeline, and needs a seed there
+    store = str(tmp_path / "store.json")
+    assert main(["ingest", "--out", store] + synth) == 2
+    assert main(["ingest", "--seed", "0", "--out", store] + synth) == 0
+    assert main(["split", "--store", store, "--seed", "0",
+                 "--out", str(tmp_path / "split.json")] + SMALL) == 0
 
 
 def test_run_insufficient_data_exit_3(tmp_path, toy_lexicon_path):
@@ -145,27 +150,101 @@ def test_run_insufficient_data_exit_3(tmp_path, toy_lexicon_path):
 
 # ----------------------------------------------------------- staged pipeline
 
-def test_stagewise_pipeline_matches_run(tmp_path):
-    lex = write_lexicon(tmp_path / "lex.tsv")
-    store, split, model = tmp_path / "s.json", tmp_path / "sp.json", tmp_path / "m.json"
-    weights, tree, point = tmp_path / "w.json", tmp_path / "t.json", tmp_path / "p.csv"
-    assert main(["ingest", "--data", str(lex), "--out", str(store)]) == 0
-    assert main(["split", "--store", str(store), "--out", str(split),
-                 "--seed", "3"] + SMALL) == 0
-    assert main(["train", "--split", str(split), "--out", str(model),
-                 "--seed", "3"] + SMALL) == 0
-    assert main(["weights", "--split", str(split), "--model", str(model),
-                 "--out", str(weights), "--seed", "3"] + SMALL) == 0
-    assert main(["learn-tree", "--weights", str(weights), "--out", str(tree),
-                 "--dot", str(tmp_path / "t.dot")]) == 0
-    assert main(["measure", "--split", str(split), "--model", str(model),
-                 "--tree", str(tree), "--out", str(point), "--seed", "3"] + SMALL) == 0
+PARTIAL_SLOTS = ["N;NOM;SG", "N;NOM;PL", "N;DAT;SG", "N;DAT;PL", "N;GEN;SG"]
+RARE_SLOT = "N;VOC;SG"
+
+
+def write_partial_lexicon(path, count=120):
+    """Every paradigm lacks one of five slots; a sixth slot is filled only
+    by a one-form lexeme, which cannot be held out and which the purple
+    sampler may skip."""
+    import random
+    rng = random.Random(1)
+    lines = ["rare\trareo\t%s" % RARE_SLOT]
+    for i in range(count):
+        stem = "".join(rng.choice("abcd") for _ in range(rng.randint(3, 5)))
+        for k, slot in enumerate(PARTIAL_SLOTS):
+            if k != i % len(PARTIAL_SLOTS):
+                suffix = rng.choice(["", "e"]) + ["", "en", "es", "ern", "s"][k]
+                lines.append("lex%03d_%s\t%s\t%s" % (i, stem, stem + suffix, slot))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def partial_runs(tmp_path_factory):
+    """The staged chain and `run` on the partial lexicon, with the same flags."""
+    d = tmp_path_factory.mktemp("partial")
+    lex = write_partial_lexicon(d / "lex.tsv")
+    flags = ["--seed", "3", "--language", "partial"] + SMALL
+    for argv in (["ingest", "--data", lex, "--out", d / "store.json"],
+                 ["split", "--store", d / "store.json", "--out", d / "split.json"] + flags,
+                 ["train", "--split", d / "split.json", "--out", d / "model.json"] + flags,
+                 ["weights", "--split", d / "split.json", "--model", d / "model.json",
+                  "--out", d / "weights.json"] + flags,
+                 ["learn-tree", "--weights", d / "weights.json", "--out", d / "tree.json",
+                  "--dot", d / "tree.dot"],
+                 ["measure", "--split", d / "split.json", "--model", d / "model.json",
+                  "--tree", d / "tree.json", "--out", d / "point.csv"] + flags,
+                 ["run", "--data", lex, "--out-dir", d / "run"] + flags):
+        assert main([str(a) for a in argv]) == 0, argv[0]
+    return d
+
+
+def test_stagewise_pipeline_matches_run(partial_runs):
+    d = partial_runs
+    split = json.loads((d / "split.json").read_text())
+    sampled = {p["tgt_slot"] for p in split["train_pairs"]}
+    for p in split["dev_paradigms"] + split["test_paradigms"]:
+        sampled.update(p["entries"])
+    assert RARE_SLOT not in sampled   # the fixture's point: no sampled paradigm fills it
+    assert (d / "point.csv").read_bytes() == (d / "run" / "point.csv").read_bytes()
+    staged = json.loads((d / "tree.json").read_text())
+    run = json.loads((d / "run" / "tree.json").read_text())
+    for key in ("root", "edges", "score_bits"):
+        assert staged[key] == run[key], key
+    assert (d / "tree.dot").read_bytes() == (d / "run" / "tree.dot").read_bytes()
     from morphcomplexity.complexity import read_points_csv
-    with open(point, encoding="utf-8") as fh:
+    with open(d / "point.csv", encoding="utf-8") as fh:
         (pt,) = read_points_csv(fh)
-    assert pt.e_complexity == 3 and pt.i_total_bits > 0
-    dot = (tmp_path / "t.dot").read_text()
-    assert dot.startswith("digraph")
+    assert split["inventory"] == sorted(PARTIAL_SLOTS + [RARE_SLOT])
+    assert pt.e_complexity == 6 and pt.i_total_bits > 0
+    assert pt.i_per_form_bits * 6 == pytest.approx(pt.i_total_bits, abs=5e-6)
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("split --store {missing} --out {tmp}/o.json --seed 0", 3),
+    ("split --store {garbage} --out {tmp}/o.json --seed 0", 2),
+    ("train --split {no_inventory} --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {d}/split.json --model {missing} --out {tmp}/o.json --seed 0", 3),
+    ("learn-tree --weights {garbage} --out {tmp}/o.json", 2),
+    ("measure --split {d}/split.json --model {d}/model.json --tree {missing} "
+     "--out {tmp}/o.csv --seed 0", 3),
+    ("measure --split {d}/split.json --model {d}/model.json --tree {foreign_tree} "
+     "--out {tmp}/o.csv --seed 0", 2),
+    ("run --synth {missing} --seed 0 --out-dir {tmp}", 3),
+    ("run --data {d}/lex.tsv --scores {garbage} --seed 3 --out-dir {tmp} " + " ".join(SMALL), 2),
+    ("ingest", 3),
+])
+def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
+    """A missing input file exits 3; an unparsable one, or a tree over other
+    slots than the split's inventory, exits 2; either way with one ERROR line."""
+    garbage = tmp_path / "garbage"
+    garbage.write_text("not json {\n", encoding="utf-8")
+    split = json.loads((partial_runs / "split.json").read_text())
+    del split["inventory"]
+    (tmp_path / "no_inventory.json").write_text(json.dumps(split), encoding="utf-8")
+    # a tree over the five filled slots only, as the old staged chain learned it
+    tree = {"root": PARTIAL_SLOTS[0], "edges": {s: PARTIAL_SLOTS[0] for s in PARTIAL_SLOTS[1:]}}
+    (tmp_path / "foreign_tree.json").write_text(json.dumps(tree), encoding="utf-8")
+    paths = {"d": partial_runs, "tmp": tmp_path, "missing": tmp_path / "nope.json",
+             "garbage": garbage, "no_inventory": tmp_path / "no_inventory.json",
+             "foreign_tree": tmp_path / "foreign_tree.json"}
+    assert main(argv.format(**paths).split()) == code
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    if "no_inventory" in argv:
+        assert "re-run split" in errors[0].getMessage()
 
 
 def test_external_scores_pipeline(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from morphcomplexity import strmodel
 from morphcomplexity.complexity import (
-    ComplexityPoint, SyntheticSystem, e_complexity, i_complexity,
+    ComplexityPoint, SyntheticSystem, i_complexity,
     read_points_csv, synth_system, write_points_csv,
 )
 from morphcomplexity.corpus import (
@@ -29,25 +29,11 @@ def run_pipeline(system, seed, order=3):
     rng = random.Random(seed)
     paradigms = system.sample_paradigms(400, rng)
     split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=300,
-                                            seed=seed))
+                                            seed=seed), system.slots)
     model = strmodel.train(split.train_pairs, dev_pairs=split.dev_pairs, order=order)
     W = compute_weights(model, split.dev_paradigms, system.slots)
     tree = max_arborescence(W)
     return i_complexity(model, tree, split.test_paradigms)
-
-
-# ----------------------------------------------------------- e-complexity
-
-def test_e_complexity_is_max_filled():
-    ps = [Paradigm("a", {"S1": "x"}),
-          Paradigm("b", {"S1": "x", "S2": "y", "S3": "z"}),
-          Paradigm("c", {"S1": "x", "S2": "y"})]
-    assert e_complexity(ps) == 3
-
-
-def test_e_complexity_empty_errors():
-    with pytest.raises(ValueError):
-        e_complexity([])
 
 
 # ----------------------------------------------------------- i-complexity

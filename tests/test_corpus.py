@@ -2,12 +2,11 @@ import io
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
 
 from morphcomplexity import corpus
 from morphcomplexity.corpus import (
-    ROOT, EMPTY, Paradigm, SplitSpec, WordType,
-    build_paradigms, encode_pair, expand_paradigm_pairs, make_split,
+    ROOT, Paradigm, SplitSpec, WordType,
+    build_paradigms, expand_paradigm_pairs, make_split,
     parse_unimorph, split_from_json, split_to_json,
 )
 
@@ -94,28 +93,6 @@ def test_duplicate_cell_keeps_first(caplog):
     assert paradigms[0].entries["N;SG"] == "first"
 
 
-def test_encode_pair_feature_bundle_tokens():
-    assert encode_pair("Hand", "N;NOM;SG", "N;NOM;PL") == [
-        "H", "a", "n", "d", "IN=N", "IN=NOM", "IN=SG", "OUT=N", "OUT=NOM", "OUT=PL"]
-
-
-def test_encode_pair_root():
-    assert encode_pair(EMPTY, ROOT, "N;NOM;SG") == ["OUT=N", "OUT=NOM", "OUT=SG"]
-
-
-def test_encode_pair_single_feature():
-    assert encode_pair("a", "X", "X") == ["a", "IN=X", "OUT=X"]
-
-
-@given(st.lists(st.tuples(st.text("ab", max_size=4),
-                          st.sampled_from(["N;SG", "N;PL", "N;DU"]),
-                          st.sampled_from(["N;SG", "N;PL", "N;DU"])),
-                min_size=2, max_size=10, unique=True))
-def test_encode_pair_injective(triples):
-    encoded = [tuple(encode_pair(f, s, t)) for f, s, t in triples]
-    assert len(set(encoded)) == len(set(triples))
-
-
 def _full_paradigms(count, n=4):
     slots = ["N;S%d" % i for i in range(n)]
     return [Paradigm("lex%04d" % i, {s: "f%d_%d" % (i, k) for k, s in enumerate(slots)})
@@ -123,8 +100,8 @@ def _full_paradigms(count, n=4):
 
 
 def test_make_split_purple_counts():
-    paradigms, _ = _full_paradigms(700, n=4)
-    split = make_split(paradigms, SplitSpec(regime="purple", seed=3))
+    paradigms, slots = _full_paradigms(700, n=4)
+    split = make_split(paradigms, SplitSpec(regime="purple", seed=3), slots)
     # 600 paradigms x (4*3 slot pairs + 4 root pairs) = 600 * 16
     assert len(split.train_pairs) == 600 * 16
     assert sum(1 for p in split.train_pairs if p.src_slot == ROOT) == 600 * 4
@@ -136,25 +113,27 @@ def test_make_split_purple_counts():
 
 
 def test_make_split_deterministic():
-    paradigms, _ = _full_paradigms(250, n=3)
+    paradigms, slots = _full_paradigms(250, n=3)
     spec = SplitSpec(regime="green", pair_count=500, seed=11)
-    a = make_split(paradigms, spec)
-    b = make_split(paradigms, spec)
+    a = make_split(paradigms, spec, slots)
+    b = make_split(paradigms, spec, slots)
     assert a.train_pairs == b.train_pairs
     assert [p.lexeme for p in a.dev_paradigms] == [p.lexeme for p in b.dev_paradigms]
     assert [p.lexeme for p in a.test_paradigms] == [p.lexeme for p in b.test_paradigms]
 
 
 def test_make_split_green_takes_all_when_short():
-    paradigms, _ = _full_paradigms(160, n=4)
-    split = make_split(paradigms, SplitSpec(regime="green", pair_count=60000, seed=0))
+    paradigms, slots = _full_paradigms(160, n=4)
+    split = make_split(paradigms, SplitSpec(regime="green", pair_count=60000, seed=0),
+                       slots)
     # 60 non-held-out paradigms x 16 mappings each, far fewer than requested
     assert len(split.train_pairs) == 60 * 16
 
 
 def test_make_split_no_leakage():
-    paradigms, _ = _full_paradigms(300, n=3)
-    split = make_split(paradigms, SplitSpec(regime="green", pair_count=1000, seed=5))
+    paradigms, slots = _full_paradigms(300, n=3)
+    split = make_split(paradigms, SplitSpec(regime="green", pair_count=1000, seed=5),
+                       slots)
     held = {p.lexeme for p in split.dev_paradigms} | {p.lexeme for p in split.test_paradigms}
     assert not any(p.lexeme in held for p in split.train_pairs)
     assert not (set(p.lexeme for p in split.dev_paradigms)
@@ -162,16 +141,17 @@ def test_make_split_no_leakage():
 
 
 def test_make_split_no_identity_pairs():
-    paradigms, _ = _full_paradigms(150, n=3)
-    split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=40, seed=1))
+    paradigms, slots = _full_paradigms(150, n=3)
+    split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=40, seed=1),
+                       slots)
     for pair in itertools.chain(split.train_pairs, split.dev_pairs, split.test_pairs):
         assert pair.src_slot != pair.tgt_slot
 
 
 def test_make_split_too_few_paradigms():
-    paradigms, _ = _full_paradigms(60, n=3)
+    paradigms, slots = _full_paradigms(60, n=3)
     with pytest.raises(corpus.InsufficientDataError) as exc:
-        make_split(paradigms, SplitSpec(seed=0))
+        make_split(paradigms, SplitSpec(seed=0), slots)
     assert "101" in str(exc.value) and "60" in str(exc.value)
 
 
@@ -179,16 +159,23 @@ def test_make_split_holdout_needs_two_slots():
     paradigms, slots = _full_paradigms(140, n=3)
     for p in paradigms[:30]:
         p.entries = {slots[0]: p.entries[slots[0]]}
-    split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=10, seed=2))
+    split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=10, seed=2),
+                       slots)
     assert all(len(p.entries) >= 2 for p in split.dev_paradigms + split.test_paradigms)
 
 
 def test_split_json_roundtrip():
-    paradigms, _ = _full_paradigms(130, n=3)
-    split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=20, seed=9))
-    back = split_from_json(split_to_json(split))
+    paradigms, slots = _full_paradigms(130, n=3)
+    split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=20, seed=9),
+                       slots)
+    obj = split_to_json(split)
+    back = split_from_json(obj)
     assert back.train_pairs == split.train_pairs
     assert [p.entries for p in back.dev_paradigms] == [p.entries for p in split.dev_paradigms]
+    assert back.inventory == slots
+    del obj["inventory"]
+    with pytest.raises(ValueError, match="re-run split"):
+        split_from_json(obj)
 
 
 def test_expand_paradigm_pairs_counts():
