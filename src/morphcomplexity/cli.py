@@ -326,14 +326,17 @@ def cmd_run(args):
 
 def _read_points(fh):
     """(paradigm size, i-complexity per form) pairs by POS, from a point CSV
-    or from a table with the columns of the bundled table 2."""
+    or from a table with the columns of the bundled table 2; every point
+    must be one the Pareto curve accepts."""
     reader = csv.DictReader(fh)
     if "i_per_form_bits" in (reader.fieldnames or ()):
         by_pos, x, y = {}, "e_complexity", "i_per_form_bits"
     else:
         by_pos, x, y = {"N": [], "V": []}, "paradigm_size", "i_complexity"
     for row in reader:
-        by_pos.setdefault(row["pos"], []).append((float(row[x]), float(row[y])))
+        point = float(row[x]), float(row[y])
+        stats.check_point(*point)
+        by_pos.setdefault(row["pos"], []).append(point)
     return by_pos
 
 
@@ -357,7 +360,7 @@ def cmd_pareto(args):
         print("%s: area=%.3f, p=%.4f (%d permutations)"
               % (pos, res.observed_area, res.p_value, res.n_perm))
     _write_json(out_dir / "pareto_report.json", report)
-    if failures and len(failures) == len(by_pos):
+    if len(failures) == len(by_pos):
         raise CliError("no POS had enough points", EXIT_NO_DATA)
     return EXIT_OK
 

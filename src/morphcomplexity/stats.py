@@ -1,5 +1,6 @@
 """Pareto step curve, area under it, and the Monte Carlo permutation test."""
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -34,13 +35,18 @@ class PermTestResult:
                 "count_leq": self.count_leq, "p_value": self.p_value, "seed": self.seed}
 
 
+def check_point(x, y):
+    """Raise ValueError unless the point has finite x > 0 and y >= 0."""
+    if not (0 < x < math.inf and 0 <= y < math.inf):
+        raise ValueError("points must have finite x > 0 and y >= 0: (%g, %g)" % (x, y))
+
+
 def pareto_curve(points):
     """Tightest non-increasing step function upper-bounding all points."""
     if not points:
         raise ValueError("no points")
     for x, y in points:
-        if x <= 0 or y < 0:
-            raise ValueError("points must have x > 0 and y >= 0: (%g, %g)" % (x, y))
+        check_point(x, y)
     best = []
     height = 0.0
     for x, y in sorted(points, key=lambda p: -p[0]):

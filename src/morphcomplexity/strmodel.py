@@ -216,8 +216,10 @@ class ConditionalParadigmModel:
             "order": self.order,
             "alpha": self.alpha,
             "lambda": self.lam,
+            # rules in insertion order: a loaded model then sums each table
+            # in the same order as the trained one, to the last bit
             "rule_tables": [
-                [src_slot, tgt_slot, [[s, t, c] for (s, t), c in sorted(tbl.items())]]
+                [src_slot, tgt_slot, [[s, t, c] for (s, t), c in tbl.items()]]
                 for (src_slot, tgt_slot), tbl in sorted(self.rule_tables.items())
             ],
             "char_models": {slot: m.to_json() for slot, m in sorted(self.char_models.items())},
@@ -339,7 +341,7 @@ def load_scores(stream):
     """Parse a score TSV: src, src_slot, tgt_slot, tgt, log2prob per row.
 
     An empty src_slot field (or the literal ROOT sentinel) marks a root
-    mapping.  Positive log-probabilities are rejected.
+    mapping.  Positive and non-finite log-probabilities are rejected.
     """
     scores = {}
     for lineno, raw in enumerate(stream, start=1):
@@ -354,8 +356,8 @@ def load_scores(stream):
             lp = float(lp)
         except ValueError:
             raise ScoreTableError("line %d: bad log2prob %r" % (lineno, fields[4]))
-        if lp > 0:
-            raise ScoreTableError("line %d: log2prob %g > 0" % (lineno, lp))
+        if not -math.inf < lp <= 0:
+            raise ScoreTableError("line %d: log2prob %g is not finite and <= 0" % (lineno, lp))
         if not src_slot or src_slot == ROOT:
             src, src_slot = EMPTY, ROOT
         scores[(src, src_slot, tgt_slot, tgt)] = lp

@@ -2,12 +2,13 @@
 
 Weights follow the convention edge[i][j] = weight of the edge j -> i, i.e.
 how well slot j's form predicts slot i's form on dev data.  The optimum
-single-root tree is found by running Chu-Liu/Edmonds once per forced root
-and keeping the best total (root vertex weight plus edge weights).
+single-root tree (root vertex weight plus edge weights) is found by one
+Chu-Liu/Edmonds pass from an artificial root vertex whose edges are
+penalized so that exactly one of them is used; see `max_arborescence`.
 """
 
-import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 from .corpus import ROOT, EMPTY
@@ -20,6 +21,13 @@ class WeightMatrix:
     slots: list                 # slot names, index order
     edge: list                  # edge[i][j]: predict slot i from slot j (bits)
     root: list                  # root[i]: predict slot i from the empty context
+
+    def __post_init__(self):
+        n = len(self.slots)
+        if len(self.edge) != n or len(self.root) != n or any(len(r) != n for r in self.edge):
+            raise ValueError("weights must be %d x %d edges and %d root values" % (n, n, n))
+        if not all(math.isfinite(x) for x in self.root + [x for r in self.edge for x in r]):
+            raise ValueError("weights must be finite")
 
     @property
     def n(self):
@@ -123,120 +131,81 @@ def compute_weights(model, dev_paradigms, slots):
     return WeightMatrix(slots=list(slots), edge=edge, root=root)
 
 
-def _greedy_parents(nodes, root, w):
-    """Best incoming edge per non-root node; ties go to the smallest parent."""
-    pa = {}
-    for v in nodes:
-        if v == root:
-            continue
-        best = None
-        for u in nodes:
-            if u == v:
-                continue
-            if best is None or w[(v, u)] > w[(v, best)] or \
-                    (w[(v, u)] == w[(v, best)] and u < best):
-                best = u
-        pa[v] = best
-    return pa
+def _edmonds(w, root):
+    """Chu-Liu/Edmonds, maximizing, on a dense matrix w[child][parent] in
+    which -inf marks a missing edge; returns the parent list of the best
+    arborescence from `root` (the root's own entry is meaningless).
 
+    Every vertex takes its best parent, ties to the lowest index.  A cycle
+    is contracted into one vertex that is entered through the lowest-index
+    cycle vertex among equals; the smaller matrix is solved the same way
+    and the cycle expanded again.
+    """
+    def best(pairs):
+        return max(pairs, key=lambda p: (p[0], -p[1]))
 
-def _find_cycle(pa):
-    for start in sorted(pa):
-        path = []
-        seen = set()
-        node = start
-        while node in pa and node not in seen:
-            seen.add(node)
-            path.append(node)
-            node = pa[node]
-        if node in seen:
-            return path[path.index(node):]
-    return None
-
-
-def _cle(nodes, root, w, next_id):
-    """Chu-Liu/Edmonds on a dense weight map w[(child, parent)], maximizing."""
-    pa = _greedy_parents(nodes, root, w)
-    cycle = _find_cycle(pa)
-    if cycle is None:
+    m = len(w)
+    pa = [best((w[v][u], u) for u in range(m))[1] for v in range(m)]
+    done = {root}
+    for start in range(m):
+        path = {}
+        v = start
+        while v not in done and v not in path:
+            path[v] = len(path)
+            v = pa[v]
+        if v in path:
+            break
+        done.update(path)
+    else:
         return pa
-    cyc = set(cycle)
-    super_node = next_id
-    rest = [v for v in nodes if v not in cyc]
-    new_nodes = rest + [super_node]
-    w2 = {}
-    enter_choice = {}   # outside parent u -> cycle node whose edge is replaced
-    leave_choice = {}   # outside child v -> cycle node that parents it
-    for u in rest:
-        best_v, best_gain = None, None
-        for v in cycle:
-            gain = w[(v, u)] - w[(v, pa[v])]
-            if best_gain is None or gain > best_gain or (gain == best_gain and v < best_v):
-                best_v, best_gain = v, gain
-        w2[(super_node, u)] = best_gain
-        enter_choice[u] = best_v
-    for x in rest:
-        if x == root:
-            continue
-        best_u, best_w = None, None
-        for u in cycle:
-            if best_w is None or w[(x, u)] > best_w or (w[(x, u)] == best_w and u < best_u):
-                best_u, best_w = u, w[(x, u)]
-        w2[(x, super_node)] = best_w
-        leave_choice[x] = best_u
-        for u in rest:
-            if u != x:
-                w2[(x, u)] = w[(x, u)]
-    if root not in rest:
-        raise AssertionError("root contracted into a cycle")
-    pa2 = _cle(new_nodes, root, w2, next_id + 1)
-    parent = {}
-    entered_via = None
-    for v, u in pa2.items():
-        if v == super_node:
-            entered_via = enter_choice[u]
-            parent[entered_via] = u
-        elif u == super_node:
-            parent[v] = leave_choice[v]
-        else:
-            parent[v] = u
-    for v in cycle:
-        if v != entered_via:
-            parent[v] = pa[v]
+    cycle = list(path)[path[v]:]
+    rest = [u for u in range(m) if u not in cycle]
+    k = len(rest)   # index of the contracted vertex
+    # (weight, cycle parent) of the best edge from the cycle into each x, and
+    # (gain, cycle child) of the best edge from each u into the cycle
+    leave = [best((w[x][u], u) for u in cycle) for x in rest]
+    enter = [best((w[v][u] - w[v][pa[v]], v) for v in cycle) for u in rest]
+    w2 = [[w[x][u] for u in rest] + [leave[i][0]] for i, x in enumerate(rest)]
+    w2.append([gain for gain, _ in enter] + [-math.inf])
+    pa2 = _edmonds(w2, rest.index(root))
+    parent = pa[:]
+    for i, x in enumerate(rest):
+        parent[x] = leave[i][1] if pa2[i] == k else rest[pa2[i]]
+    parent[enter[pa2[k]][1]] = rest[pa2[k]]
     return parent
 
 
 def max_arborescence(W):
     """Single-root maximum spanning arborescence over the weight matrix.
 
-    Runs Edmonds once per forced root; the best total of root weight plus
-    edge weights wins.  Ties prefer the lowest root index, then the
-    lexicographically smallest parent vector among the per-root optima.
+    One Chu-Liu/Edmonds pass over n + 1 vertices: an artificial root n has
+    an edge to every slot i weighing root[i] minus a penalty of n times the
+    spread of all weights plus 1, so any tree with two root edges scores
+    below every tree with one, and the one child of n is the root.  Ties go
+    as in `_edmonds`: best parent with ties to the lowest index, and at a
+    contraction the lowest-index cycle vertex among equals.
     """
     n = W.n
     if n == 0:
         raise ValueError("empty weight matrix")
-    if n == 1:
-        return Arborescence(slots=list(W.slots), root=0, parent={})
-    w = {(i, j): W.edge[i][j] for i in range(n) for j in range(n) if i != j}
-    best = None
-    for r in range(n):
-        pa = _cle(list(range(n)), r, w, n)
-        tree = Arborescence(slots=list(W.slots), root=r, parent=pa)
-        score = tree_score(tree, W)
-        key = (-score, r, tuple(pa.get(i, -1) for i in range(n)))
-        if best is None or key < best[0]:
-            best = (key, tree)
-    tree = best[1]
+    weights = W.root + [W.edge[i][j] for i in range(n) for j in range(n) if i != j]
+    penalty = n * (max(weights) - min(weights)) + 1
+    w = [[W.edge[i][j] if i != j else -math.inf for j in range(n)] + [W.root[i] - penalty]
+         for i in range(n)]
+    w.append([-math.inf] * (n + 1))
+    parent = _edmonds(w, n)
+    (root,) = [i for i in range(n) if parent[i] == n]
+    tree = Arborescence(slots=list(W.slots), root=root,
+                        parent={i: parent[i] for i in range(n) if i != root})
     tree.validate()
     return tree
 
 
 def tree_score(tree, W):
-    """Root weight plus the sum of chosen edge weights, in bits."""
+    """Root weight plus the chosen edge weights in child-index order, in bits."""
     if len(tree.slots) != W.n:
         raise ValueError("tree has %d slots, matrix has %d" % (len(tree.slots), W.n))
     total = W.root[tree.root]
-    for child, par in tree.parent.items():
-        total += W.edge[child][par]
+    for child in sorted(tree.parent):
+        total += W.edge[child][tree.parent[child]]
     return total

@@ -225,12 +225,39 @@ def test_stagewise_pipeline_matches_run(partial_runs):
     ("run --synth {missing} --seed 0 --out-dir {tmp}", 3),
     ("run --data {d}/lex.tsv --scores {garbage} --seed 3 --out-dir {tmp} " + " ".join(SMALL), 2),
     ("ingest", 3),
+    ("learn-tree --weights {short_edge} --out {tmp}/o.json", 2),
+    ("learn-tree --weights {short_root} --out {tmp}/o.json", 2),
+    ("learn-tree --weights {nan_weight} --out {tmp}/o.json", 2),
+    ("run --data {d}/lex.tsv --scores {nan_scores} --seed 3 --out-dir {tmp} " + " ".join(SMALL),
+     2),
+    ("pareto --points {no_points} --seed 0 --out-dir {tmp}", 3),
+    ("pareto --points {zero_x} --seed 0 --out-dir {tmp}", 2),
+    ("pareto --points {negative_y} --seed 0 --out-dir {tmp}", 2),
+    ("pareto --points {nan_y} --seed 0 --out-dir {tmp}", 2),
 ])
 def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     """A missing input file exits 3; an unparsable one, or a tree over other
-    slots than the split's inventory, exits 2; either way with one ERROR line."""
+    slots than the split's inventory, exits 2; either way with one ERROR line.
+    Weights must be finite and n x n, scores finite, and Pareto points have
+    finite x > 0 and y >= 0; a points file without points exits 3."""
     garbage = tmp_path / "garbage"
     garbage.write_text("not json {\n", encoding="utf-8")
+    files = {
+        "short_edge": {"slots": ["A", "B"], "edge": [[0.0]], "root": [-1.0, -2.0]},
+        "short_root": {"slots": ["A", "B"], "edge": [[0.0, -1.0], [-1.0, 0.0]], "root": [-1.0]},
+        "nan_weight": {"slots": ["A", "B"], "edge": [[0.0, float("nan")], [-1.0, 0.0]],
+                       "root": [-1.0, -2.0]},
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    (tmp_path / "nan_scores").write_text("a\tS\tT\tb\tnan\n", encoding="utf-8")
+    header = "language,pos,regime,e_complexity,i_total_bits,i_per_form_bits,d,seed\n"
+    (tmp_path / "no_points").write_text(header, encoding="utf-8")
+    bad_points = {"zero_x": ("0", "1.0"), "negative_y": ("4", "-0.5"), "nan_y": ("4", "nan")}
+    for name, bad in bad_points.items():
+        points = [("2", "1.0"), ("3", "0.5"), ("5", "0.2"), bad]
+        (tmp_path / name).write_text(header + "".join(
+            "x,N,green,%s,1.0,%s,50,0\n" % p for p in points), encoding="utf-8")
     split = json.loads((partial_runs / "split.json").read_text())
     del split["inventory"]
     (tmp_path / "no_inventory.json").write_text(json.dumps(split), encoding="utf-8")
@@ -239,10 +266,13 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     (tmp_path / "foreign_tree.json").write_text(json.dumps(tree), encoding="utf-8")
     paths = {"d": partial_runs, "tmp": tmp_path, "missing": tmp_path / "nope.json",
              "garbage": garbage, "no_inventory": tmp_path / "no_inventory.json",
-             "foreign_tree": tmp_path / "foreign_tree.json"}
+             "foreign_tree": tmp_path / "foreign_tree.json",
+             **{name: tmp_path / name for name in [*files, "nan_scores", "no_points", *bad_points]}}
     assert main(argv.format(**paths).split()) == code
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
+    if code == 2 and argv.startswith("pareto"):   # rejected before any permutation
+        assert not (tmp_path / "pareto_report.json").exists()
     if "no_inventory" in argv:
         assert "re-run split" in errors[0].getMessage()
 

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphcomplexity import strmodel
+from morphcomplexity.complexity import SyntheticSystem
 from morphcomplexity.corpus import EMPTY, ROOT, PairExample
 from morphcomplexity.strmodel import (
     CharNGram, ConditionalParadigmModel, ScoreTable, ScoreTableError,
     cross_entropy, extract_rule, joint_logprob, load_scores, train,
 )
+from morphcomplexity.structure import compute_weights
 
 
 def mk_pairs(mappings, src_slot="S", tgt_slot="T"):
@@ -251,6 +253,23 @@ def test_model_json_roundtrip(tmp_path):
         assert back.logprob(EMPTY, ROOT, "T", tgt) == model.logprob(EMPTY, ROOT, "T", tgt)
 
 
+def test_model_json_roundtrip_weights_bit_for_bit():
+    # rule tables with several rules per context, so their sums depend on order
+    rng = random.Random(0)
+    slots = ["S%d" % i for i in range(6)]
+    suffixes = [[rng.choice(["", "a", "ab", "ba", "bb", "aba"]) for _ in slots]
+                for _ in range(5)]
+    system = SyntheticSystem(slots, [0.4, 0.2, 0.2, 0.1, 0.1], suffixes, stem_alphabet="ab")
+    paradigms = system.sample_paradigms(120, rng)
+    pairs = [PairExample(p.lexeme, p.entries[s] if s else EMPTY, s or ROOT, p.entries[t], t)
+             for p in paradigms[:100] for t in slots for s in [None] + slots if s != t]
+    model = train(pairs)
+    back = ConditionalParadigmModel.from_json(model.to_json())
+    trained = compute_weights(model, paradigms[100:], slots)
+    loaded = compute_weights(back, paradigms[100:], slots)
+    assert loaded.root == trained.root and loaded.edge == trained.edge
+
+
 def test_model_version_check():
     with pytest.raises(ValueError):
         ConditionalParadigmModel.from_json({"version": 999})
@@ -275,9 +294,10 @@ def test_score_lookup_missing_is_error():
     assert "('a', 'S', 'T', 'b')" in str(exc.value)
 
 
-def test_load_scores_rejects_positive_logprob():
+@pytest.mark.parametrize("logprob", ["0.5", "nan", "-inf", "-1e400"])
+def test_load_scores_rejects_positive_logprob(logprob):
     with pytest.raises(ScoreTableError):
-        load_scores(io.StringIO("a\tS\tT\tb\t0.5\n"))
+        load_scores(io.StringIO("a\tS\tT\tb\t%s\n" % logprob))
 
 
 def test_load_scores_rejects_bad_shape():

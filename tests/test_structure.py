@@ -54,6 +54,20 @@ def random_matrix(rng, n, lo=-5.0, hi=0.0):
     return WeightMatrix(slots=slots, edge=edge, root=root)
 
 
+def tied_matrix(rng, n):
+    """Small-integer weights, so many trees tie exactly."""
+    slots = ["S%d" % i for i in range(n)]
+    edge = [[float(rng.randint(-2, 0)) if i != j else 0.0 for j in range(n)] for i in range(n)]
+    return WeightMatrix(slots=slots, edge=edge, root=[float(rng.randint(-2, 0)) for _ in range(n)])
+
+
+def wide_matrix(rng, n):
+    """Every root weight above every edge weight: without the single-root
+    constraint the best tree would hang every slot from the root."""
+    W = random_matrix(rng, n, lo=-100.0, hi=-50.0)
+    return WeightMatrix(slots=W.slots, edge=W.edge, root=[rng.uniform(-10.0, 0.0) for _ in range(n)])
+
+
 # ----------------------------------------------------------- weights
 
 def test_compute_weights_mean(stub_scorer):
@@ -132,13 +146,14 @@ def test_two_vertices_hand_enumeration():
 @pytest.mark.parametrize("seed", range(10))
 def test_matches_brute_force(seed):
     rng = random.Random(seed)
-    for _ in range(20):
-        n = rng.randint(2, 6)
-        W = random_matrix(rng, n)
-        tree = max_arborescence(W)
-        tree.validate()
-        oracle_score, _ = brute_force_best(W)
-        assert tree_score(tree, W) == pytest.approx(oracle_score, abs=1e-12)
+    for make in (random_matrix, tied_matrix, wide_matrix):
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            W = make(rng, n)
+            tree = max_arborescence(W)
+            tree.validate()
+            oracle_score, _ = brute_force_best(W)
+            assert tree_score(tree, W) == pytest.approx(oracle_score, abs=1e-12)
 
 
 def test_invariants_on_random_inputs():
@@ -190,6 +205,14 @@ def test_tree_score_hand_chain():
                      root=[-1.0, -2.0, -3.0])
     chain = Arborescence(slots=["A", "B", "C"], root=0, parent={1: 0, 2: 1})
     assert tree_score(chain, W) == pytest.approx(-1.0 + -0.5 + -0.25)
+    # the same star built in two orders scores the same: edges add in child order
+    W = WeightMatrix(slots=["A", "B", "C", "D"],
+                     edge=[[0.0] * 4, [1e16, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                           [-1e16, 0.0, 0.0, 0.0]],
+                     root=[0.0] * 4)
+    for parent in ({1: 0, 2: 0, 3: 0}, {1: 0, 3: 0, 2: 0}):
+        star = Arborescence(slots=W.slots, root=0, parent=parent)
+        assert tree_score(star, W) == (1e16 + 1.0) - 1e16
 
 
 def test_tree_score_zero_matrix():
