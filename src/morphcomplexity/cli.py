@@ -136,8 +136,7 @@ def read_artifact(path, load):
 
 def _load_store(path):
     obj = _json(path)
-    return obj["inventory"], [corpus.Paradigm(p["lexeme"], dict(p["entries"]))
-                              for p in obj["paradigms"]]
+    return obj["inventory"], corpus.paradigms_from_json(obj["paradigms"])
 
 
 def _load_split(path):
@@ -235,7 +234,7 @@ def cmd_ingest(args):
         "config_hash": config_hash(cfg), "seed": cfg["seed"],
         "language": cfg["language"], "pos": cfg["pos"],
         "inventory": inventory,
-        "paradigms": [{"lexeme": p.lexeme, "entries": p.entries} for p in paradigms],
+        "paradigms": corpus.paradigms_to_json(paradigms),
     }
     if args.out:
         _write_json(args.out, store)
@@ -251,7 +250,7 @@ def cmd_split(args):
     cfg = resolve_config(args)
     split = stage_split(cfg, *read_artifact(args.store, _load_store))
     obj = corpus.split_to_json(split)
-    obj["config_hash"] = config_hash(cfg)
+    obj.update(regime=cfg["regime"], seed=cfg["seed"], config_hash=config_hash(cfg))
     _write_json(args.out, obj)
     print("train pairs: %d, dev paradigms: %d, test paradigms: %d"
           % (len(split.train_pairs), len(split.dev_paradigms), len(split.test_paradigms)))
@@ -359,9 +358,9 @@ def cmd_pareto(args):
         (out_dir / ("pareto_%s.svg" % pos)).write_text(svg, encoding="utf-8")
         print("%s: area=%.3f, p=%.4f (%d permutations)"
               % (pos, res.observed_area, res.p_value, res.n_perm))
-    _write_json(out_dir / "pareto_report.json", report)
     if len(failures) == len(by_pos):
         raise CliError("no POS had enough points", EXIT_NO_DATA)
+    _write_json(out_dir / "pareto_report.json", report)
     return EXIT_OK
 
 
@@ -423,11 +422,14 @@ def cmd_critique(args):
 
 # ---------------------------------------------------------------- entry point
 
-def _add_config_flags(sp, include=CONFIG_FIELDS):
+def _command(sub, name, func, help):
+    """A subcommand taking --config and one flag per config key."""
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(func=func)
     sp.add_argument("--config", help="flat key = value config file")
-    for key in include:
-        typ = CONFIG_FIELDS[key]
+    for key, typ in CONFIG_FIELDS.items():
         sp.add_argument("--" + key.replace("_", "-"), dest=key, type=typ, default=None)
+    return sp
 
 
 def build_parser():
@@ -437,64 +439,44 @@ def build_parser():
     ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("ingest", help="parse a lexicon into a paradigm store")
-    _add_config_flags(sp)
+    sp = _command(sub, "ingest", cmd_ingest, "parse a lexicon into a paradigm store")
     sp.add_argument("--out", help="paradigm store JSON to write")
-    sp.set_defaults(func=cmd_ingest)
 
-    sp = sub.add_parser("split", help="build the train/dev/test split")
-    _add_config_flags(sp)
+    sp = _command(sub, "split", cmd_split, "build the train/dev/test split")
     sp.add_argument("--store", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_split)
 
-    sp = sub.add_parser("train", help="fit the conditional string model")
-    _add_config_flags(sp)
+    sp = _command(sub, "train", cmd_train, "fit the conditional string model")
     sp.add_argument("--split", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_train)
 
-    sp = sub.add_parser("weights", help="compute the dev weight matrix")
-    _add_config_flags(sp)
+    sp = _command(sub, "weights", cmd_weights, "compute the dev weight matrix")
     sp.add_argument("--split", required=True)
     sp.add_argument("--model")
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_weights)
 
-    sp = sub.add_parser("learn-tree", help="maximum spanning arborescence")
-    _add_config_flags(sp)
+    sp = _command(sub, "learn-tree", cmd_learn_tree, "maximum spanning arborescence")
     sp.add_argument("--weights", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--dot")
-    sp.set_defaults(func=cmd_learn_tree)
 
-    sp = sub.add_parser("measure", help="held-out i-complexity from saved artifacts")
-    _add_config_flags(sp)
+    sp = _command(sub, "measure", cmd_measure, "held-out i-complexity from saved artifacts")
     sp.add_argument("--split", required=True)
     sp.add_argument("--model", required=True)
     sp.add_argument("--tree", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_measure)
 
-    sp = sub.add_parser("run", help="full pipeline for one language/POS")
-    _add_config_flags(sp)
-    sp.set_defaults(func=cmd_run)
+    _command(sub, "run", cmd_run, "full pipeline for one language/POS")
 
-    sp = sub.add_parser("pareto", help="Pareto curves, areas and permutation test")
-    _add_config_flags(sp)
+    sp = _command(sub, "pareto", cmd_pareto, "Pareto curves, areas and permutation test")
     sp.add_argument("--points", help="ComplexityPoint CSV (default: bundled reference table)")
-    sp.set_defaults(func=cmd_pareto)
 
-    sp = sub.add_parser("plat", help="conditional-entropy baseline over a plat")
-    _add_config_flags(sp)
+    sp = _command(sub, "plat", cmd_plat, "conditional-entropy baseline over a plat")
     sp.add_argument("--plat", help="plat TSV (default: bundled Greek plat)")
     sp.add_argument("--critique", action="store_true")
-    sp.set_defaults(func=cmd_plat)
 
-    sp = sub.add_parser("critique", help="baseline-vs-joint demonstrations")
-    _add_config_flags(sp)
+    sp = _command(sub, "critique", cmd_critique, "baseline-vs-joint demonstrations")
     sp.add_argument("--trials", type=int, default=100)
-    sp.set_defaults(func=cmd_critique)
 
     return ap
 

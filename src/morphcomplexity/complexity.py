@@ -61,18 +61,6 @@ def write_points_csv(points, fh):
         writer.writerow(pt.csv_row())
 
 
-def read_points_csv(fh):
-    points = []
-    for row in csv.DictReader(fh):
-        points.append(ComplexityPoint(
-            language=row["language"], pos=row["pos"], regime=row["regime"],
-            e_complexity=int(row["e_complexity"]),
-            i_total_bits=float(row["i_total_bits"]),
-            i_per_form_bits=float(row["i_per_form_bits"]),
-            d=int(row["d"]), seed=int(row["seed"])))
-    return points
-
-
 class SyntheticSystem:
     """Toy inflectional system with analytically known class entropy.
 

@@ -1,8 +1,10 @@
 """Lexicon ingestion, paradigm grouping, pair expansion and train/dev/test splits."""
 
+import bisect
+import itertools
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
 
@@ -65,20 +67,46 @@ class SplitSpec:
 
 
 @dataclass
+class PairView:
+    """Sized, lazy view of training pairs: every mapping of the paradigms in
+    expand_paradigm_pairs order (purple), or only the sampled (lexeme,
+    src_slot, tgt_slot) cells of them, in sample order (green)."""
+    paradigms: list
+    cells: list = None
+
+    def __len__(self):
+        if self.cells is None:
+            return sum(len(p) ** 2 for p in self.paradigms)
+        return len(self.cells)
+
+    def __iter__(self):
+        if self.cells is not None:
+            entries = {p.lexeme: p.entries for p in self.paradigms}
+            for lx, src_slot, tgt_slot in self.cells:
+                # ROOT is no slot, so a root cell's source is EMPTY
+                yield PairExample(lx, entries[lx].get(src_slot, EMPTY), src_slot,
+                                  entries[lx][tgt_slot], tgt_slot)
+            return
+        for p in self.paradigms:
+            slots = sorted(p.entries)
+            for tgt_slot in slots:
+                tgt = p.entries[tgt_slot]
+                yield PairExample(p.lexeme, EMPTY, ROOT, tgt, tgt_slot)
+                for src_slot in slots:
+                    if src_slot != tgt_slot:
+                        yield PairExample(p.lexeme, p.entries[src_slot], src_slot, tgt, tgt_slot)
+
+
+@dataclass
 class DataSplit:
-    train_pairs: list
+    train_pairs: PairView
     dev_paradigms: list
     test_paradigms: list
     inventory: list                 # the ingested slot inventory, sorted
-    spec: SplitSpec = field(default=None)
 
     @property
     def dev_pairs(self):
         return expand_paradigm_pairs(self.dev_paradigms)
-
-    @property
-    def test_pairs(self):
-        return expand_paradigm_pairs(self.test_paradigms)
 
 
 def parse_unimorph(stream, on_error="collect"):
@@ -145,17 +173,7 @@ def build_paradigms(words, pos_filter=None):
 def expand_paradigm_pairs(paradigms):
     """All ordered non-identity slot-to-slot mappings plus one root mapping
     per filled slot, for each paradigm."""
-    pairs = []
-    for p in paradigms:
-        slots = sorted(p.entries)
-        for tgt_slot in slots:
-            tgt = p.entries[tgt_slot]
-            pairs.append(PairExample(p.lexeme, EMPTY, ROOT, tgt, tgt_slot))
-            for src_slot in slots:
-                if src_slot == tgt_slot:
-                    continue
-                pairs.append(PairExample(p.lexeme, p.entries[src_slot], src_slot, tgt, tgt_slot))
-    return pairs
+    return list(PairView(paradigms))
 
 
 def make_split(paradigms, spec, inventory):
@@ -167,7 +185,8 @@ def make_split(paradigms, spec, inventory):
     Dev/test are full random holdouts of paradigms with >= 2 filled slots.
     Purple regime: all mappings from `paradigm_count` sampled paradigms.
     Green regime: `pair_count` mappings sampled without replacement from all
-    mappings of the non-held-out paradigms.
+    mappings of the non-held-out paradigms; the split keeps the paradigms
+    that the sampled cells come from.
     """
     rng = random.Random(spec.seed)
     eligible = [p for p in paradigms if len(p.entries) >= 2]
@@ -182,58 +201,65 @@ def make_split(paradigms, spec, inventory):
     held_lexemes = {p.lexeme for p in held}
     rest = [p for p in paradigms if p.lexeme not in held_lexemes]
 
+    cells = None
     if spec.regime == "purple":
-        if len(rest) <= spec.paradigm_count:
-            if len(rest) < spec.paradigm_count:
-                log.info("only %d training paradigms available (requested %d); using all",
-                         len(rest), spec.paradigm_count)
-            chosen = rest
-        else:
-            chosen = rng.sample(rest, spec.paradigm_count)
-        train = expand_paradigm_pairs(chosen)
+        if len(rest) < spec.paradigm_count:
+            log.info("only %d training paradigms available (requested %d); using all",
+                     len(rest), spec.paradigm_count)
+        train = rest if len(rest) <= spec.paradigm_count else rng.sample(rest, spec.paradigm_count)
     elif spec.regime == "green":
-        pool = expand_paradigm_pairs(rest)
-        if len(pool) <= spec.pair_count:
-            if len(pool) < spec.pair_count:
-                log.info("only %d training pairs available (requested %d); using all",
-                         len(pool), spec.pair_count)
-            train = pool
-        else:
-            train = rng.sample(pool, spec.pair_count)
+        # rng.sample draws by the population's length alone, so indices into
+        # the pool expand_paradigm_pairs(rest) would build pick the same pairs
+        slots = [sorted(p.entries) for p in rest]
+        ends = list(itertools.accumulate(len(s) ** 2 for s in slots))
+        draws = range(ends[-1])
+        if ends[-1] < spec.pair_count:
+            log.info("only %d training pairs available (requested %d); using all",
+                     ends[-1], spec.pair_count)
+        elif ends[-1] > spec.pair_count:
+            draws = rng.sample(draws, spec.pair_count)
+        cells = []
+        for i in draws:
+            j = bisect.bisect_right(ends, i)
+            # per target slot t of a paradigm: the root (k = 0), then the other slots
+            t, k = divmod(i - (ends[j - 1] if j else 0), len(slots[j]))
+            src_slot = ROOT if k == 0 else slots[j][k - 1 if k <= t else k]
+            cells.append((rest[j].lexeme, src_slot, slots[j][t]))
+        used = {lexeme for lexeme, _, _ in cells}
+        train = [p for p in rest if p.lexeme in used]
     else:
         raise ValueError("unknown regime %r" % spec.regime)
-    return DataSplit(train_pairs=train, dev_paradigms=dev, test_paradigms=test,
-                     inventory=list(inventory), spec=spec)
+    return DataSplit(train_pairs=PairView(train, cells), dev_paradigms=dev,
+                     test_paradigms=test, inventory=list(inventory))
 
 
-def _pair_record(p):
-    return {"src": p.src, "src_slot": None if p.src_slot == ROOT else p.src_slot,
-            "tgt": p.tgt, "tgt_slot": p.tgt_slot, "lexeme": p.lexeme}
+def paradigms_to_json(paradigms):
+    return [{"lexeme": p.lexeme, "entries": p.entries} for p in paradigms]
 
 
-def _pair_from_record(r):
-    src_slot = r["src_slot"] if r["src_slot"] is not None else ROOT
-    return PairExample(r.get("lexeme", ""), r["src"], src_slot, r["tgt"], r["tgt_slot"])
+def paradigms_from_json(records):
+    return [Paradigm(r["lexeme"], dict(r["entries"])) for r in records]
 
 
 def split_to_json(split):
     return {
-        "regime": split.spec.regime if split.spec else None,
-        "seed": split.spec.seed if split.spec else None,
         "inventory": split.inventory,
-        "train_pairs": [_pair_record(p) for p in split.train_pairs],
-        "dev_paradigms": [{"lexeme": p.lexeme, "entries": p.entries} for p in split.dev_paradigms],
-        "test_paradigms": [{"lexeme": p.lexeme, "entries": p.entries} for p in split.test_paradigms],
+        "train_paradigms": paradigms_to_json(split.train_pairs.paradigms),
+        "train_cells": split.train_pairs.cells,
+        "dev_paradigms": paradigms_to_json(split.dev_paradigms),
+        "test_paradigms": paradigms_to_json(split.test_paradigms),
     }
 
 
 def split_from_json(obj):
-    if "inventory" not in obj:
-        raise ValueError("split has no slot inventory; re-run split")
-    spec = SplitSpec(regime=obj.get("regime") or "purple", seed=obj.get("seed") or 0)
-    return DataSplit(
-        train_pairs=[_pair_from_record(r) for r in obj["train_pairs"]],
-        dev_paradigms=[Paradigm(d["lexeme"], dict(d["entries"])) for d in obj["dev_paradigms"]],
-        test_paradigms=[Paradigm(d["lexeme"], dict(d["entries"])) for d in obj["test_paradigms"]],
-        inventory=obj["inventory"], spec=spec,
-    )
+    if "inventory" not in obj or "train_pairs" in obj:
+        raise ValueError("split has an old layout (no inventory or a pair list); re-run split")
+    train, cells = paradigms_from_json(obj["train_paradigms"]), obj["train_cells"]
+    entries = {p.lexeme: p.entries for p in train}
+    if cells is not None and not all(tgt in entries[lx] and (src == ROOT or src in entries[lx])
+                                     for lx, src, tgt in cells):
+        raise ValueError("a training cell is not in its paradigm")
+    return DataSplit(train_pairs=PairView(train, cells),
+                     dev_paradigms=paradigms_from_json(obj["dev_paradigms"]),
+                     test_paradigms=paradigms_from_json(obj["test_paradigms"]),
+                     inventory=obj["inventory"])

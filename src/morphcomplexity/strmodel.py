@@ -64,10 +64,11 @@ class CharNGram:
             hist = (hist + (sym,))[-(self.order - 1):] if self.order > 1 else ()
         yield hist, EOS
 
-    def add(self, form):
+    def add(self, count, form):
+        """Count the form as seen `count` times."""
         for hist, sym in self._events(form):
-            self.counts[hist][sym] += 1
-            self._totals[hist] = self._totals.get(hist, 0) + 1
+            self.counts[hist][sym] += count
+            self._totals[hist] = self._totals.get(hist, 0) + count
 
     def prob(self, hist, sym):
         c = self.counts.get(hist)
@@ -262,21 +263,24 @@ def cross_entropy(scorer, pairs):
 def train(pairs, dev_pairs=None, order=3, alpha=0.1, lambda_grid=DEFAULT_LAMBDA_GRID):
     """Fit the shared conditional model by accumulating rule and n-gram
     counts from training pairs, then pick the mixture weight minimizing
-    dev cross-entropy."""
-    if not pairs:
-        raise ValueError("cannot train on an empty pair list")
-    alphabet = set()
+    dev cross-entropy.  `pairs` is iterated once."""
+    sources, targets, rule_tables = set(), Counter(), defaultdict(Counter)
     for p in pairs:
-        alphabet.update(p.src)
-        alphabet.update(p.tgt)
-    model = ConditionalParadigmModel(alphabet, order=order, alpha=alpha)
-    for p in pairs:
+        sources.add(p.src)
+        # in pair order: a table's insertion order fixes its float sums
         if p.src_slot != ROOT:
-            model.rule_tables[(p.src_slot, p.tgt_slot)][extract_rule(p.src, p.tgt)] += 1
-        if p.tgt_slot not in model.char_models:
-            model.char_models[p.tgt_slot] = CharNGram(order, alpha, model.alphabet)
-        model.char_models[p.tgt_slot].add(p.tgt)
-        model.fallback_char.add(p.tgt)
+            rule_tables[(p.src_slot, p.tgt_slot)][extract_rule(p.src, p.tgt)] += 1
+        targets[p.tgt_slot, p.tgt] += 1
+    if not targets:
+        raise ValueError("cannot train on an empty pair list")
+    alphabet = set().union(*sources, *(form for _, form in targets))
+    model = ConditionalParadigmModel(alphabet, order=order, alpha=alpha)
+    model.rule_tables = rule_tables
+    for (slot, form), count in targets.items():
+        if slot not in model.char_models:
+            model.char_models[slot] = CharNGram(order, alpha, model.alphabet)
+        model.char_models[slot].add(count, form)
+        model.fallback_char.add(count, form)
     if dev_pairs:
         comps = [model._components(p.src, p.src_slot, p.tgt_slot, p.tgt) for p in dev_pairs]
         best = None

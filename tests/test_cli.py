@@ -1,9 +1,11 @@
+import csv
 import itertools
 import json
 import logging
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from morphcomplexity import cli
 from morphcomplexity.cli import main
@@ -24,6 +26,13 @@ def write_lexicon(path, count=140):
             lines.append("%s\t%s\t%s" % (lexeme, stem + SUFFIX[slot], slot))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def read_point(path):
+    """The one row of a point.csv."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    return row
 
 
 SMALL = ["--paradigm-count", "40", "--dev-paradigms", "20",
@@ -107,12 +116,11 @@ def test_run_emits_artifacts(tmp_path, capsys):
     assert "e=3" in capsys.readouterr().out
     for name in ("point.csv", "tree.json", "tree.dot", "manifest.json"):
         assert (out / name).exists()
-    from morphcomplexity.complexity import read_points_csv
-    with open(out / "point.csv", encoding="utf-8") as fh:
-        (pt,) = read_points_csv(fh)
-    assert pt.language == "toy" and pt.e_complexity == 3 and pt.d == 20
+    pt = read_point(out / "point.csv")
+    assert pt["language"] == "toy" and pt["e_complexity"] == "3" and pt["d"] == "20"
     # the CSV keeps 6 decimals, so the invariant holds to rounding only
-    assert pt.i_per_form_bits * 3 == pytest.approx(pt.i_total_bits, abs=5e-6)
+    assert float(pt["i_per_form_bits"]) * 3 == pytest.approx(float(pt["i_total_bits"]),
+                                                             abs=5e-6)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 1 and manifest["config_hash"]
 
@@ -194,8 +202,8 @@ def partial_runs(tmp_path_factory):
 def test_stagewise_pipeline_matches_run(partial_runs):
     d = partial_runs
     split = json.loads((d / "split.json").read_text())
-    sampled = {p["tgt_slot"] for p in split["train_pairs"]}
-    for p in split["dev_paradigms"] + split["test_paradigms"]:
+    sampled = set()
+    for p in split["train_paradigms"] + split["dev_paradigms"] + split["test_paradigms"]:
         sampled.update(p["entries"])
     assert RARE_SLOT not in sampled   # the fixture's point: no sampled paradigm fills it
     assert (d / "point.csv").read_bytes() == (d / "run" / "point.csv").read_bytes()
@@ -204,18 +212,18 @@ def test_stagewise_pipeline_matches_run(partial_runs):
     for key in ("root", "edges", "score_bits"):
         assert staged[key] == run[key], key
     assert (d / "tree.dot").read_bytes() == (d / "run" / "tree.dot").read_bytes()
-    from morphcomplexity.complexity import read_points_csv
-    with open(d / "point.csv", encoding="utf-8") as fh:
-        (pt,) = read_points_csv(fh)
+    pt = read_point(d / "point.csv")
     assert split["inventory"] == sorted(PARTIAL_SLOTS + [RARE_SLOT])
-    assert pt.e_complexity == 6 and pt.i_total_bits > 0
-    assert pt.i_per_form_bits * 6 == pytest.approx(pt.i_total_bits, abs=5e-6)
+    assert pt["e_complexity"] == "6" and float(pt["i_total_bits"]) > 0
+    assert float(pt["i_per_form_bits"]) * 6 == pytest.approx(float(pt["i_total_bits"]),
+                                                             abs=5e-6)
 
 
 @pytest.mark.parametrize("argv, code", [
     ("split --store {missing} --out {tmp}/o.json --seed 0", 3),
     ("split --store {garbage} --out {tmp}/o.json --seed 0", 2),
     ("train --split {no_inventory} --out {tmp}/o.json --seed 0", 2),
+    ("train --split {pair_list} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {missing} --out {tmp}/o.json --seed 0", 3),
     ("learn-tree --weights {garbage} --out {tmp}/o.json", 2),
     ("measure --split {d}/split.json --model {d}/model.json --tree {missing} "
@@ -259,22 +267,55 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
         (tmp_path / name).write_text(header + "".join(
             "x,N,green,%s,1.0,%s,50,0\n" % p for p in points), encoding="utf-8")
     split = json.loads((partial_runs / "split.json").read_text())
-    del split["inventory"]
-    (tmp_path / "no_inventory.json").write_text(json.dumps(split), encoding="utf-8")
+    (tmp_path / "no_inventory.json").write_text(json.dumps(
+        {k: v for k, v in split.items() if k != "inventory"}), encoding="utf-8")
+    # the old layout: every training pair written out, no training paradigms
+    pair_list = {k: v for k, v in split.items() if not k.startswith("train_")}
+    pair_list["train_pairs"] = [{"lexeme": "x", "src": "", "src_slot": None, "tgt": "xo",
+                                 "tgt_slot": PARTIAL_SLOTS[0]}]
+    (tmp_path / "pair_list.json").write_text(json.dumps(pair_list), encoding="utf-8")
     # a tree over the five filled slots only, as the old staged chain learned it
     tree = {"root": PARTIAL_SLOTS[0], "edges": {s: PARTIAL_SLOTS[0] for s in PARTIAL_SLOTS[1:]}}
     (tmp_path / "foreign_tree.json").write_text(json.dumps(tree), encoding="utf-8")
     paths = {"d": partial_runs, "tmp": tmp_path, "missing": tmp_path / "nope.json",
              "garbage": garbage, "no_inventory": tmp_path / "no_inventory.json",
+             "pair_list": tmp_path / "pair_list.json",
              "foreign_tree": tmp_path / "foreign_tree.json",
              **{name: tmp_path / name for name in [*files, "nan_scores", "no_points", *bad_points]}}
     assert main(argv.format(**paths).split()) == code
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
-    if code == 2 and argv.startswith("pareto"):   # rejected before any permutation
+    if argv.startswith("pareto"):   # a failed call leaves no report behind
         assert not (tmp_path / "pareto_report.json").exists()
-    if "no_inventory" in argv:
+    if "no_inventory" in argv or "pair_list" in argv:
         assert "re-run split" in errors[0].getMessage()
+
+
+TRUNCATED = {
+    "store.json": "split --store {cut} --out {tmp}/o.json --seed 0",
+    "split.json": "train --split {cut} --out {tmp}/o.json --seed 0",
+    "model.json": "weights --split {d}/split.json --model {cut} --out {tmp}/o.json --seed 0",
+    "weights.json": "learn-tree --weights {cut} --out {tmp}/o.json",
+    "tree.json": "measure --split {d}/split.json --model {d}/model.json --tree {cut} "
+                 "--out {tmp}/o.csv --seed 0",
+}
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_truncated_artifact_exit_2(partial_runs, tmp_path, caplog, data):
+    """Any strict prefix of an artifact that drops its closing brace is
+    rejected by the subcommand that reads it: exit 2, one ERROR line, no
+    traceback."""
+    name = data.draw(st.sampled_from(sorted(TRUNCATED)))
+    blob = (partial_runs / name).read_bytes()
+    cut = tmp_path / ("cut-" + name)
+    cut.write_bytes(blob[:data.draw(st.integers(0, blob.rindex(b"}")))])
+    caplog.clear()
+    assert main(TRUNCATED[name].format(d=partial_runs, tmp=tmp_path, cut=cut).split()) == 2
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].exc_info is None
 
 
 def test_external_scores_pipeline(tmp_path):
@@ -300,10 +341,7 @@ def test_external_scores_pipeline(tmp_path):
     code = main(["run", "--data", str(lex), "--scores", str(scores),
                  "--seed", "2", "--out-dir", str(out)] + SMALL)
     assert code == 0
-    from morphcomplexity.complexity import read_points_csv
-    with open(out / "point.csv", encoding="utf-8") as fh:
-        (pt,) = read_points_csv(fh)
-    assert pt.i_total_bits == pytest.approx(3.0, abs=1e-9)
+    assert float(read_point(out / "point.csv")["i_total_bits"]) == pytest.approx(3.0, abs=1e-9)
 
 
 # ----------------------------------------------------------- pareto
@@ -362,6 +400,7 @@ def test_pareto_all_pos_too_small_exit_3(tmp_path):
         "a,X,green,5,1.0,0.2,50,0\n", encoding="utf-8")
     assert main(["pareto", "--points", str(csv_path), "--seed", "0",
                  "--out-dir", str(tmp_path)]) == 3
+    assert not (tmp_path / "pareto_report.json").exists()
 
 
 def test_pareto_svg_well_formed(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 from morphcomplexity import strmodel
 from morphcomplexity.complexity import (
     ComplexityPoint, SyntheticSystem, i_complexity,
-    read_points_csv, synth_system, write_points_csv,
+    synth_system, write_points_csv,
 )
 from morphcomplexity.corpus import (
     EMPTY, ROOT, Paradigm, SplitSpec, make_split,
@@ -167,10 +168,10 @@ def test_points_csv_roundtrip():
     buf = io.StringIO()
     write_points_csv(points, buf)
     buf.seek(0)
-    back = read_points_csv(buf)
-    assert [p.language for p in back] == ["german", "turkish"]
-    assert back[0].i_total_bits == pytest.approx(12.345678, abs=1e-6)
-    assert back[1].e_complexity == 120 and back[1].seed == 3
+    back = list(csv.DictReader(buf))
+    assert [row["language"] for row in back] == ["german", "turkish"]
+    assert float(back[0]["i_total_bits"]) == pytest.approx(12.345678, abs=1e-6)
+    assert back[1]["e_complexity"] == "120" and back[1]["seed"] == "3"
 
 
 def test_points_csv_header():

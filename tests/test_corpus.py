@@ -1,5 +1,6 @@
 import io
 import itertools
+import random
 
 import pytest
 
@@ -117,7 +118,7 @@ def test_make_split_deterministic():
     spec = SplitSpec(regime="green", pair_count=500, seed=11)
     a = make_split(paradigms, spec, slots)
     b = make_split(paradigms, spec, slots)
-    assert a.train_pairs == b.train_pairs
+    assert list(a.train_pairs) == list(b.train_pairs)
     assert [p.lexeme for p in a.dev_paradigms] == [p.lexeme for p in b.dev_paradigms]
     assert [p.lexeme for p in a.test_paradigms] == [p.lexeme for p in b.test_paradigms]
 
@@ -144,7 +145,8 @@ def test_make_split_no_identity_pairs():
     paradigms, slots = _full_paradigms(150, n=3)
     split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=40, seed=1),
                        slots)
-    for pair in itertools.chain(split.train_pairs, split.dev_pairs, split.test_pairs):
+    for pair in itertools.chain(split.train_pairs, split.dev_pairs,
+                                expand_paradigm_pairs(split.test_paradigms)):
         assert pair.src_slot != pair.tgt_slot
 
 
@@ -170,7 +172,7 @@ def test_split_json_roundtrip():
                        slots)
     obj = split_to_json(split)
     back = split_from_json(obj)
-    assert back.train_pairs == split.train_pairs
+    assert list(back.train_pairs) == list(split.train_pairs)
     assert [p.entries for p in back.dev_paradigms] == [p.entries for p in split.dev_paradigms]
     assert back.inventory == slots
     del obj["inventory"]
@@ -179,6 +181,32 @@ def test_split_json_roundtrip():
 
 
 def test_expand_paradigm_pairs_counts():
-    p = Paradigm("x", {"A": "fa", "B": "fb", "C": "fc"})
+    p = Paradigm("x", {"C": "fc", "A": "fa", "B": "fb"})
     pairs = expand_paradigm_pairs([p])
     assert len(pairs) == 3 * 2 + 3
+    # each target slot in sorted order: from the root, then from every other slot
+    assert [(q.src_slot, q.tgt_slot) for q in pairs] == [
+        (ROOT, "A"), ("B", "A"), ("C", "A"), (ROOT, "B"), ("A", "B"), ("C", "B"),
+        (ROOT, "C"), ("A", "C"), ("B", "C")]
+    assert [q.src for q in pairs[:3]] == ["", "fb", "fc"]
+
+
+@pytest.mark.parametrize("pair_count", [20, 500, 5000])
+def test_green_draws_match_pool_sample(pair_count):
+    """The green split draws the pairs that rng.sample over the expanded pool
+    drew, on both of random.sample's internal paths (20 of ~1,000 pairs picks
+    by set, 500 by a copied pool) and when the pool is short (5000)."""
+    rng = random.Random(4)
+    slots = ["N;S%d" % i for i in range(5)]
+    paradigms = [Paradigm("lex%03d" % i, {s: "f%d%s" % (i, s[-1]) for s in slots
+                                          if rng.random() < 0.7 or s == slots[i % 5]})
+                 for i in range(110)]
+    spec = SplitSpec(regime="green", pair_count=pair_count, dev_paradigms=30,
+                     test_paradigms=30, seed=8)
+    split = make_split(paradigms, spec, slots)
+    ref = random.Random(spec.seed)
+    held = {p.lexeme for p in ref.sample([p for p in paradigms if len(p) >= 2], 60)}
+    pool = expand_paradigm_pairs([p for p in paradigms if p.lexeme not in held])
+    want = pool if len(pool) <= pair_count else ref.sample(pool, pair_count)
+    assert list(split.train_pairs) == want and len(split.train_pairs) == len(want)
+    assert {p.lexeme for p in split.train_pairs.paradigms} == {p.lexeme for p in want}

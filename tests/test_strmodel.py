@@ -49,7 +49,7 @@ def test_extract_rule_roundtrip(src, tgt):
 def test_char_ngram_sums_to_one_per_history():
     m = CharNGram(order=2, alpha=0.5, alphabet="ab")
     for form in ["ab", "ba", "aab", ""]:
-        m.add(form)
+        m.add(1, form)
     for hist in list(m.counts) + [("x",)]:
         total = sum(m.prob(hist, sym) for sym in m.alphabet + ["</S>"])
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -59,7 +59,7 @@ def test_char_ngram_sums_to_one_per_history():
 def test_char_ngram_mass_matches_enumeration():
     m = CharNGram(order=2, alpha=0.3, alphabet="ab")
     for form in ["ab", "abb", "a", "bba"]:
-        m.add(form)
+        m.add(1, form)
     for L in (0, 1, 4, 8, 12):
         brute = sum(2.0 ** m.logprob(s) for s in all_strings("ab", L))
         assert m.mass_upto(L) == pytest.approx(brute, abs=1e-12)
@@ -67,7 +67,7 @@ def test_char_ngram_mass_matches_enumeration():
 
 def test_char_ngram_empty_string_valid():
     m = CharNGram(order=3, alpha=0.1, alphabet="ab")
-    m.add("")
+    m.add(1, "")
     assert m.logprob("") < 0
     assert math.isfinite(m.logprob(""))
 
