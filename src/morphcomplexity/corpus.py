@@ -68,9 +68,9 @@ class SplitSpec:
 
 @dataclass
 class PairView:
-    """Sized, lazy view of training pairs: every mapping of the paradigms in
-    expand_paradigm_pairs order (purple), or only the sampled (lexeme,
-    src_slot, tgt_slot) cells of them, in sample order (green)."""
+    """Sized, lazy view of training pairs: per paradigm and sorted target slot,
+    the root mapping, then one from every other slot in order (purple); or
+    only the sampled (lexeme, src_slot, tgt_slot) cells, in order (green)."""
     paradigms: list
     cells: list = None
 
