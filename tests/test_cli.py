@@ -224,6 +224,7 @@ def test_stagewise_pipeline_matches_run(partial_runs):
     ("split --store {garbage} --out {tmp}/o.json --seed 0", 2),
     ("train --split {no_inventory} --out {tmp}/o.json --seed 0", 2),
     ("train --split {pair_list} --out {tmp}/o.json --seed 0", 2),
+    ("train --split {foreign_cell} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {missing} --out {tmp}/o.json --seed 0", 3),
     ("learn-tree --weights {garbage} --out {tmp}/o.json", 2),
     ("measure --split {d}/split.json --model {d}/model.json --tree {missing} "
@@ -274,12 +275,17 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     pair_list["train_pairs"] = [{"lexeme": "x", "src": "", "src_slot": None, "tgt": "xo",
                                  "tgt_slot": PARTIAL_SLOTS[0]}]
     (tmp_path / "pair_list.json").write_text(json.dumps(pair_list), encoding="utf-8")
+    # a green cell from a slot its paradigm does not fill
+    lexeme = split["train_paradigms"][0]["lexeme"]
+    foreign_cell = dict(split, train_cells=[[lexeme, RARE_SLOT, PARTIAL_SLOTS[1]]])
+    (tmp_path / "foreign_cell.json").write_text(json.dumps(foreign_cell), encoding="utf-8")
     # a tree over the five filled slots only, as the old staged chain learned it
     tree = {"root": PARTIAL_SLOTS[0], "edges": {s: PARTIAL_SLOTS[0] for s in PARTIAL_SLOTS[1:]}}
     (tmp_path / "foreign_tree.json").write_text(json.dumps(tree), encoding="utf-8")
     paths = {"d": partial_runs, "tmp": tmp_path, "missing": tmp_path / "nope.json",
              "garbage": garbage, "no_inventory": tmp_path / "no_inventory.json",
              "pair_list": tmp_path / "pair_list.json",
+             "foreign_cell": tmp_path / "foreign_cell.json",
              "foreign_tree": tmp_path / "foreign_tree.json",
              **{name: tmp_path / name for name in [*files, "nan_scores", "no_points", *bad_points]}}
     assert main(argv.format(**paths).split()) == code
