@@ -101,6 +101,9 @@ def config_hash(cfg):
 
 
 def lambda_grid(cfg):
+    """The lambda grid of the dev pass; external scores have none."""
+    if cfg.get("scores"):
+        return None
     return tuple(float(x) for x in str(cfg["lambda_grid"]).split(","))
 
 
@@ -199,17 +202,17 @@ def stage_split(cfg, inventory, paradigms):
 
 
 def stage_train(cfg, split):
-    """The reference model trained on the split, or the external scores
-    that replace it when configured."""
+    """The reference model's counts from the split (its lambda is picked by
+    `stage_weights`), or the external scores that replace it when configured."""
     if cfg.get("scores"):
         return read_artifact(cfg["scores"], _text(strmodel.load_scores))
-    return strmodel.train(split.train_pairs, dev_pairs=split.dev_pairs,
-                          order=cfg["order"], alpha=cfg["alpha"],
-                          lambda_grid=lambda_grid(cfg))
+    return strmodel.train(split.train_pairs, order=cfg["order"], alpha=cfg["alpha"])
 
 
-def stage_weights(scorer, split):
-    return structure.compute_weights(scorer, split.dev_paradigms, split.inventory)
+def stage_weights(scorer, split, grid):
+    """The dev weight matrix, from one pass that also sets the reference
+    model's lambda from the grid (structure.compute_weights)."""
+    return structure.compute_weights(scorer, split.dev_paradigms, split.inventory, grid)
 
 
 def stage_measure(cfg, split, scorer, tree):
@@ -261,7 +264,9 @@ def cmd_train(args):
     cfg = resolve_config(args)
     split = read_artifact(args.split, _load_split)
     # external scores replace the model downstream; this stage always fits it
-    model = stage_train(dict(cfg, scores=None), split)
+    cfg = dict(cfg, scores=None)
+    model = stage_train(cfg, split)
+    stage_weights(model, split, lambda_grid(cfg))
     model.save(args.out)
     print("trained on %d pairs; lambda=%g" % (len(split.train_pairs), model.lam))
     return EXIT_OK
@@ -270,9 +275,12 @@ def cmd_train(args):
 def cmd_weights(args):
     cfg = resolve_config(args)
     split = read_artifact(args.split, _load_split)
-    scorer = (read_artifact(args.model, strmodel.ConditionalParadigmModel.load) if args.model
-              else stage_train(cfg, split))
-    W = stage_weights(scorer, split)
+    if args.model:
+        # the saved model keeps its own lambda
+        model = read_artifact(args.model, strmodel.ConditionalParadigmModel.load)
+        W = stage_weights(model, split, (model.lam,))
+    else:
+        W = stage_weights(stage_train(cfg, split), split, lambda_grid(cfg))
     obj = W.to_json()
     obj["config_hash"] = config_hash(cfg)
     obj["seed"] = cfg["seed"]
@@ -308,7 +316,7 @@ def cmd_run(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     split = stage_split(cfg, *stage_ingest(cfg))
     scorer = stage_train(cfg, split)
-    W = stage_weights(scorer, split)
+    W = stage_weights(scorer, split, lambda_grid(cfg))
     tree = structure.max_arborescence(W)
     point = stage_measure(cfg, split, scorer, tree)
 
@@ -388,7 +396,7 @@ def _critique(plat):
     dist = platbaseline.cond_dist(plat, plat.slots[0], plat.slots[1],
                                   plat.exponent[0][1])
     pairs = [corpus.PairExample("go", "go", "V;NFIN", "went", "V;PST")]
-    model = strmodel.train(pairs, dev_pairs=None)
+    model = strmodel.train(pairs)
     lp = model.logprob("fly", "V;NFIN", "V;PST", "flew")
     print("critique: plat support is only %r; string model gives an unseen "
           "irregular logprob %.2f bits (finite)" % (sorted(dist), lp))

@@ -104,10 +104,6 @@ class DataSplit:
     test_paradigms: list
     inventory: list                 # the ingested slot inventory, sorted
 
-    @property
-    def dev_pairs(self):
-        return expand_paradigm_pairs(self.dev_paradigms)
-
 
 def parse_unimorph(stream, on_error="collect"):
     """Parse UniMorph-style TSV lines (lemma, form, ;-joined features).
@@ -238,7 +234,12 @@ def paradigms_to_json(paradigms):
 
 
 def paradigms_from_json(records):
-    return [Paradigm(r["lexeme"], dict(r["entries"])) for r in records]
+    paradigms = [Paradigm(r["lexeme"], dict(r["entries"])) for r in records]
+    for p in paradigms:
+        if not isinstance(p.lexeme, str) or not all(
+                isinstance(s, str) and isinstance(f, str) for s, f in p.entries.items()):
+            raise ValueError("paradigm %r: lexeme, slots and forms must be strings" % (p.lexeme,))
+    return paradigms
 
 
 def split_to_json(split):

@@ -8,32 +8,17 @@ score table can stand in for the reference model anywhere a scorer is needed.
 """
 
 import json
-import logging
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 
 from .corpus import ROOT, EMPTY
 
-log = logging.getLogger(__name__)
-
 FORMAT_VERSION = 1
-DEFAULT_LAMBDA_GRID = (0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
 DEFAULT_LAMBDA = 0.05
 
 BOS = "<S>"
 EOS = "</S>"
 UNK = "<UNK>"
-
-
-def _log2add(a, b):
-    """log2(2^a + 2^b), tolerating -inf."""
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log2(1.0 + 2.0 ** (lo - hi))
 
 
 class CharNGram:
@@ -54,6 +39,7 @@ class CharNGram:
         self._known = set(self.alphabet)
         self.counts = defaultdict(Counter)   # history tuple -> next symbol counts
         self._totals = {}
+        self._logprobs = {}                  # form -> logprob; cleared by add, never saved
 
     def _events(self, form):
         hist = (BOS,) * (self.order - 1)
@@ -66,6 +52,7 @@ class CharNGram:
 
     def add(self, count, form):
         """Count the form as seen `count` times."""
+        self._logprobs.clear()
         for hist, sym in self._events(form):
             self.counts[hist][sym] += count
             self._totals[hist] = self._totals.get(hist, 0) + count
@@ -78,9 +65,12 @@ class CharNGram:
 
     def logprob(self, form):
         """log2 probability of generating the form and stopping."""
-        lp = 0.0
-        for hist, sym in self._events(form):
-            lp += math.log2(self.prob(hist, sym))
+        lp = self._logprobs.get(form)
+        if lp is None:
+            lp = 0.0
+            for hist, sym in self._events(form):
+                lp += math.log2(self.prob(hist, sym))
+            self._logprobs[form] = lp
         return lp
 
     def mass_upto(self, max_len):
@@ -165,19 +155,26 @@ class ConditionalParadigmModel:
         return True, hit / total
 
     def _components(self, src, src_slot, tgt_slot, tgt):
-        """(has_rules, rule prob, char log2prob) for one mapping."""
+        """(has_rules, rule log2prob or -inf, char log2prob) for one mapping."""
         lc = self.char_model(tgt_slot).logprob(tgt)
         if src_slot == ROOT:
-            return False, 0.0, lc
+            return False, -math.inf, lc
         has_rules, pr = self._rules_prob(src, src_slot, tgt_slot, tgt)
-        return has_rules, pr, lc
+        return has_rules, math.log2(pr) if pr > 0.0 else -math.inf, lc
 
     @staticmethod
-    def _mix(lam, has_rules, pr, lc):
+    def _mix(weights, has_rules, lr, lc):
+        """log2((1 - lam) 2^lr + lam 2^lc) in bits under each (log2(1 - lam),
+        log2(lam)) of `weights`, as the larger term plus log2(1 + 2^(smaller
+        - larger)); with no applicable rule, lc."""
         if not has_rules:
-            return lc
-        lr = math.log2(pr) + math.log2(1.0 - lam) if pr > 0.0 else -math.inf
-        return _log2add(lr, math.log2(lam) + lc)
+            return [lc] * len(weights)
+        out = []
+        for l1, ll in weights:
+            a, b = lr + l1, ll + lc
+            out.append(a + math.log2(1.0 + 2.0 ** (b - a)) if a >= b
+                       else b + math.log2(1.0 + 2.0 ** (a - b)))
+        return out
 
     def logprob(self, src, src_slot, tgt_slot, tgt):
         """log2 q(tgt | src, slot pair) in bits (<= 0, always finite).
@@ -185,7 +182,15 @@ class ConditionalParadigmModel:
         Root context (src_slot == ROOT) scores the target with the char
         model alone, as does any context with no applicable rewrite rule.
         """
-        return self._mix(self.lam, *self._components(src, src_slot, tgt_slot, tgt))
+        return self.grid_scorer((self.lam,))(src, src_slot, tgt_slot, tgt)[0]
+
+    def grid_scorer(self, lambda_grid):
+        """Function giving a mapping's log2 q under every lam of the grid,
+        each bit for bit what `logprob` gives with `lam` set to it; the
+        mapping's components are computed once."""
+        weights = [(math.log2(1.0 - lam), math.log2(lam)) for lam in lambda_grid]
+        components, mix = self._components, self._mix
+        return lambda *mapping: mix(weights, *components(*mapping))
 
     def mass_upto(self, src, src_slot, tgt_slot, max_len):
         """Total q(tgt | context) mass over strings of length <= max_len.
@@ -260,10 +265,11 @@ def cross_entropy(scorer, pairs):
     return total / len(pairs)
 
 
-def train(pairs, dev_pairs=None, order=3, alpha=0.1, lambda_grid=DEFAULT_LAMBDA_GRID):
+def train(pairs, order=3, alpha=0.1):
     """Fit the shared conditional model by accumulating rule and n-gram
-    counts from training pairs, then pick the mixture weight minimizing
-    dev cross-entropy.  `pairs` is iterated once."""
+    counts from training pairs; `pairs` is iterated once.  The mixture
+    weight stays DEFAULT_LAMBDA until the dev pass of
+    `structure.compute_weights` picks it."""
     sources, targets, rule_tables = set(), Counter(), defaultdict(Counter)
     for p in pairs:
         sources.add(p.src)
@@ -276,23 +282,14 @@ def train(pairs, dev_pairs=None, order=3, alpha=0.1, lambda_grid=DEFAULT_LAMBDA_
     alphabet = set().union(*sources, *(form for _, form in targets))
     model = ConditionalParadigmModel(alphabet, order=order, alpha=alpha)
     model.rule_tables = rule_tables
+    forms = Counter()
     for (slot, form), count in targets.items():
         if slot not in model.char_models:
             model.char_models[slot] = CharNGram(order, alpha, model.alphabet)
         model.char_models[slot].add(count, form)
+        forms[form] += count
+    for form, count in forms.items():
         model.fallback_char.add(count, form)
-    if dev_pairs:
-        comps = [model._components(p.src, p.src_slot, p.tgt_slot, p.tgt) for p in dev_pairs]
-        best = None
-        for lam in lambda_grid:
-            ce = -sum(model._mix(lam, *c) for c in comps) / len(comps)
-            if best is None or ce < best[0]:
-                best = (ce, lam)
-        model.lam = best[1]
-        log.info("selected lambda=%g (dev CE %.4f bits)", best[1], best[0])
-    else:
-        model.lam = DEFAULT_LAMBDA
-        log.info("empty dev set: lambda defaults to %g", DEFAULT_LAMBDA)
     return model
 
 

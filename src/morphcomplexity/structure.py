@@ -83,33 +83,57 @@ class Arborescence:
         return "\n".join(lines) + "\n"
 
 
-def compute_weights(model, dev_paradigms, slots):
-    """Average dev log2-probabilities for every slot pair and root context.
+def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
+    """Average dev log2-probabilities for every slot pair and root context,
+    from one pass that scores each dev mapping once.
+
+    The pass visits the mappings among the inventory's slots in the order of
+    `expand_paradigm_pairs`: per paradigm and sorted target slot, the root
+    context, then the sorted sources.  With a lambda grid the scorer is a
+    ConditionalParadigmModel, scored under every lambda at once; the lambda
+    of least dev cross-entropy (the first among equals) is set on the model
+    and the matrix is the one at that lambda.  Without a grid the scorer's
+    own `logprob` is used.
 
     Cell (i, j) averages over the dev paradigms where both slots are filled;
     root[i] over those where slot i is filled.  A slot never filled in dev
     gets the language-average root weight for all its entries and is flagged.
     """
-    n = len(slots)
-    edge_sum = [[0.0] * n for _ in range(n)]
-    edge_cnt = [[0] * n for _ in range(n)]
-    root_sum = [0.0] * n
-    root_cnt = [0] * n
+    if lambda_grid is None:
+        grid, score = [None], lambda *mapping: [scorer.logprob(*mapping)]
+    else:
+        grid, score = list(lambda_grid), scorer.grid_scorer(lambda_grid)
+    n, g = len(slots), len(grid)
+    index = {s: i for i, s in enumerate(slots)}
+    # per target i and source j, j == n for the root context: the mapping
+    # count and one sum per lambda; beside them the flat dev total per lambda
+    cnt = [[0] * (n + 1) for _ in range(n)]
+    cell_sum = [[[0.0] * g for _ in range(n + 1)] for _ in range(n)]
+    total = [0.0] * g
     for p in dev_paradigms:
-        filled = [i for i, s in enumerate(slots) if s in p.entries]
-        for i in filled:
-            tgt = p.entries[slots[i]]
-            root_sum[i] += model.logprob(EMPTY, ROOT, slots[i], tgt)
-            root_cnt[i] += 1
-            for j in filled:
-                if i == j:
-                    continue
-                edge_sum[i][j] += model.logprob(p.entries[slots[j]], slots[j], slots[i], tgt)
-                edge_cnt[i][j] += 1
-    root = [root_sum[i] / root_cnt[i] if root_cnt[i] else None for i in range(n)]
-    seen_roots = [r for r in root if r is not None]
-    if not seen_roots:
+        filled = sorted((s, index[s]) for s in p.entries if s in index)
+        for tgt_slot, i in filled:
+            tgt = p.entries[tgt_slot]
+            sources = [(EMPTY, ROOT, n)] + [(p.entries[s], s, j) for s, j in filled if j != i]
+            for src, src_slot, j in sources:
+                cnt[i][j] += 1
+                cell = cell_sum[i][j]
+                for k, lp in enumerate(score(src, src_slot, tgt_slot, tgt)):
+                    total[k] += lp
+                    cell[k] += lp
+    mappings = sum(map(sum, cnt))
+    if not mappings:
         raise ValueError("no slot of the inventory is filled in any dev paradigm")
+    k = 0
+    if lambda_grid is not None:
+        ces = [-t / mappings for t in total]
+        for lam, ce in zip(grid, ces):
+            log.info("lambda=%g: dev CE %.4f bits", lam, ce)
+        k = min(range(g), key=ces.__getitem__)
+        scorer.lam = grid[k]
+        log.info("selected lambda=%g (dev CE %.4f bits)", grid[k], ces[k])
+    root = [cell_sum[i][n][k] / cnt[i][n] if cnt[i][n] else None for i in range(n)]
+    seen_roots = [r for r in root if r is not None]
     fallback = sum(seen_roots) / len(seen_roots)
     edge = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -123,8 +147,8 @@ def compute_weights(model, dev_paradigms, slots):
         for j in range(n):
             if i == j:
                 continue
-            if edge_cnt[i][j]:
-                edge[i][j] = edge_sum[i][j] / edge_cnt[i][j]
+            if cnt[i][j]:
+                edge[i][j] = cell_sum[i][j][k] / cnt[i][j]
             else:
                 # pair never co-filled in dev: no evidence conditioning helps
                 edge[i][j] = root[i]

@@ -165,7 +165,7 @@ def test_criterion_4_normalization():
         src = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
         tgt = "".join(rng.choice("ab") for _ in range(rng.randint(0, 6)))
         pairs.append(PairExample("l%d" % i, src, "S", tgt, "T"))
-    model = strmodel.train(pairs, dev_pairs=None, order=2)
+    model = strmodel.train(pairs, order=2)
     contexts = [("a", "S", "T"), ("b", "S", "T"), ("ab", "S", "T"),
                 ("ba", "S", "T"), ("aab", "S", "T"), ("bba", "S", "T"),
                 ("abab", "S", "T"), ("", "S", "T"), (EMPTY, ROOT, "T"),
@@ -205,8 +205,9 @@ def measure_synth(spec_name, seed, order=3, suffix_table=None):
     split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=500,
                                             dev_paradigms=50, test_paradigms=50,
                                             seed=seed), system.slots)
-    model = strmodel.train(split.train_pairs, dev_pairs=split.dev_pairs, order=order)
-    W = structure.compute_weights(model, split.dev_paradigms, system.slots)
+    model = strmodel.train(split.train_pairs, order=order)
+    W = structure.compute_weights(model, split.dev_paradigms, system.slots,
+                                  cli.lambda_grid(cli.CONFIG_DEFAULTS))
     tree = max_arborescence(W)
     i_total, _ = complexity.i_complexity(model, tree, split.test_paradigms)
     return i_total

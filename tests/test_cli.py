@@ -2,7 +2,10 @@ import csv
 import itertools
 import json
 import logging
+import random
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,7 +19,6 @@ SUFFIX = {"N;NOM;SG": "", "N;NOM;PL": "en", "N;DAT;PL": "es"}
 
 
 def write_lexicon(path, count=140):
-    import random
     rng = random.Random(0)
     lines = []
     for i in range(count):
@@ -166,7 +168,6 @@ def write_partial_lexicon(path, count=120):
     """Every paradigm lacks one of five slots; a sixth slot is filled only
     by a one-form lexeme, which cannot be held out and which the purple
     sampler may skip."""
-    import random
     rng = random.Random(1)
     lines = ["rare\trareo\t%s" % RARE_SLOT]
     for i in range(count):
@@ -179,12 +180,8 @@ def write_partial_lexicon(path, count=120):
     return path
 
 
-@pytest.fixture(scope="module")
-def partial_runs(tmp_path_factory):
-    """The staged chain and `run` on the partial lexicon, with the same flags."""
-    d = tmp_path_factory.mktemp("partial")
-    lex = write_partial_lexicon(d / "lex.tsv")
-    flags = ["--seed", "3", "--language", "partial"] + SMALL
+def staged_and_run(d, lex, flags):
+    """Run the staged chain and `run` on one lexicon into `d` and `d/run`."""
     for argv in (["ingest", "--data", lex, "--out", d / "store.json"],
                  ["split", "--store", d / "store.json", "--out", d / "split.json"] + flags,
                  ["train", "--split", d / "split.json", "--out", d / "model.json"] + flags,
@@ -196,6 +193,14 @@ def partial_runs(tmp_path_factory):
                   "--tree", d / "tree.json", "--out", d / "point.csv"] + flags,
                  ["run", "--data", lex, "--out-dir", d / "run"] + flags):
         assert main([str(a) for a in argv]) == 0, argv[0]
+
+
+@pytest.fixture(scope="module")
+def partial_runs(tmp_path_factory):
+    """The staged chain and `run` on the partial lexicon, with the same flags."""
+    d = tmp_path_factory.mktemp("partial")
+    lex = write_partial_lexicon(d / "lex.tsv")
+    staged_and_run(d, lex, ["--seed", "3", "--language", "partial"] + SMALL)
     return d
 
 
@@ -217,6 +222,40 @@ def test_stagewise_pipeline_matches_run(partial_runs):
     assert pt["e_complexity"] == "6" and float(pt["i_total_bits"]) > 0
     assert float(pt["i_per_form_bits"]) * 6 == pytest.approx(float(pt["i_total_bits"]),
                                                              abs=5e-6)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_slots=st.integers(2, 5), n_lexemes=st.integers(14, 40),
+       fill=st.sampled_from([0.5, 0.8, 1.0]), regime=st.sampled_from(["purple", "green"]),
+       seed=st.integers(0, 2 ** 16))
+def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
+    """On random small partial lexicons the staged chain, which scores dev
+    in `train` and again in `weights`, gives the point and tree that `run`
+    gives from its one dev pass."""
+    rng = random.Random(seed)
+    slots = ["N;C%d" % i for i in range(n_slots)]
+    classes = [[rng.choice(["", "a", "en", "s", "ib"]) for _ in slots] for _ in range(3)]
+    lines = []
+    for i in range(n_lexemes):
+        stem = "".join(rng.choice("abcd") for _ in range(rng.randint(2, 5)))
+        suffix = rng.choice(classes)
+        kept = [k for k in range(n_slots) if rng.random() < fill]
+        kept = kept if len(kept) >= 2 else rng.sample(range(n_slots), 2)
+        lines += ["lx%d\t%s\t%s" % (i, stem + suffix[k], slots[k]) for k in kept]
+    flags = ["--seed", seed, "--regime", regime, "--paradigm-count", "30",
+             "--pair-count", "120", "--dev-paradigms", "5", "--test-paradigms", "5",
+             "--order", "2"]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        lex = d / "lex.tsv"
+        lex.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        staged_and_run(d, lex, flags)
+        assert (d / "point.csv").read_bytes() == (d / "run" / "point.csv").read_bytes()
+        staged = json.loads((d / "tree.json").read_text())
+        run = json.loads((d / "run" / "tree.json").read_text())
+        for key in ("root", "edges", "score_bits"):
+            assert staged[key] == run[key], key
+        assert (d / "tree.dot").read_bytes() == (d / "run" / "tree.dot").read_bytes()
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -243,6 +282,11 @@ def test_stagewise_pipeline_matches_run(partial_runs):
     ("pareto --points {zero_x} --seed 0 --out-dir {tmp}", 2),
     ("pareto --points {negative_y} --seed 0 --out-dir {tmp}", 2),
     ("pareto --points {nan_y} --seed 0 --out-dir {tmp}", 2),
+    ("split --store {int_form_store} --out {tmp}/o.json --seed 0", 2),
+    ("train --split {int_form_train} --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {int_lexeme_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
+    ("measure --split {int_slot_test} --model {d}/model.json --tree {d}/tree.json "
+     "--out {tmp}/o.csv --seed 0", 2),
 ])
 def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     """A missing input file exits 3; an unparsable one, or a tree over other
@@ -282,12 +326,24 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     # a tree over the five filled slots only, as the old staged chain learned it
     tree = {"root": PARTIAL_SLOTS[0], "edges": {s: PARTIAL_SLOTS[0] for s in PARTIAL_SLOTS[1:]}}
     (tmp_path / "foreign_tree.json").write_text(json.dumps(tree), encoding="utf-8")
+    # paradigm records whose form, lexeme or slot is not a string
+    store = json.loads((partial_runs / "store.json").read_text())
+    bad_records = {
+        "int_form_store": dict(store, paradigms=[{"lexeme": "x", "entries": {"A": 5}}]),
+        "int_form_train": dict(split, train_paradigms=[{"lexeme": "x", "entries": {"A": 5}}],
+                               train_cells=None),
+        "int_lexeme_dev": dict(split, dev_paradigms=[{"lexeme": 7, "entries": {"A": "a"}}]),
+        "int_slot_test": dict(split, test_paradigms=[{"lexeme": "x", "entries": [[1, "a"]]}]),
+    }
+    for name, obj in bad_records.items():
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     paths = {"d": partial_runs, "tmp": tmp_path, "missing": tmp_path / "nope.json",
              "garbage": garbage, "no_inventory": tmp_path / "no_inventory.json",
              "pair_list": tmp_path / "pair_list.json",
              "foreign_cell": tmp_path / "foreign_cell.json",
              "foreign_tree": tmp_path / "foreign_tree.json",
-             **{name: tmp_path / name for name in [*files, "nan_scores", "no_points", *bad_points]}}
+             **{name: tmp_path / name
+                for name in [*files, "nan_scores", "no_points", *bad_points, *bad_records]}}
     assert main(argv.format(**paths).split()) == code
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
@@ -329,7 +385,6 @@ def test_external_scores_pipeline(tmp_path):
     # score table covering every mapping at exactly -1 bit, so the measured
     # i-complexity must come out at 3 bits per paradigm
     lines = []
-    import random
     # regenerate identical stems from the lexicon writer's RNG stream
     rng = random.Random(0)
     for i in range(120):

@@ -6,7 +6,7 @@ import statistics
 
 import pytest
 
-from morphcomplexity import strmodel
+from morphcomplexity import cli, strmodel
 from morphcomplexity.complexity import (
     ComplexityPoint, SyntheticSystem, i_complexity,
     synth_system, write_points_csv,
@@ -16,6 +16,7 @@ from morphcomplexity.corpus import (
 )
 from morphcomplexity.structure import Arborescence, compute_weights, max_arborescence
 
+GRID = cli.lambda_grid(cli.CONFIG_DEFAULTS)
 
 TWO_CLASS = {
     "slots": ["X;A", "X;B", "X;C", "X;D"],
@@ -31,8 +32,8 @@ def run_pipeline(system, seed, order=3):
     paradigms = system.sample_paradigms(400, rng)
     split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=300,
                                             seed=seed), system.slots)
-    model = strmodel.train(split.train_pairs, dev_pairs=split.dev_pairs, order=order)
-    W = compute_weights(model, split.dev_paradigms, system.slots)
+    model = strmodel.train(split.train_pairs, order=order)
+    W = compute_weights(model, split.dev_paradigms, system.slots, GRID)
     tree = max_arborescence(W)
     return i_complexity(model, tree, split.test_paradigms)
 
@@ -141,9 +142,8 @@ def test_more_training_data_reduces_estimate():
     for size in (100, 800):
         from morphcomplexity.corpus import expand_paradigm_pairs
         train_pairs = expand_paradigm_pairs(paradigms[100:100 + size])
-        dev_pairs = expand_paradigm_pairs(dev)
-        model = strmodel.train(train_pairs, dev_pairs=dev_pairs)
-        W = compute_weights(model, dev, system.slots)
+        model = strmodel.train(train_pairs)
+        W = compute_weights(model, dev, system.slots, GRID)
         tree = max_arborescence(W)
         i_total, _ = i_complexity(model, tree, test)
         results.append(i_total)

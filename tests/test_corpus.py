@@ -108,7 +108,7 @@ def test_make_split_purple_counts():
     assert sum(1 for p in split.train_pairs if p.src_slot == ROOT) == 600 * 4
     assert len(split.dev_paradigms) == 50 and len(split.test_paradigms) == 50
     # dev expansion: n(n-1) non-identity pairs per full paradigm, plus n roots
-    dev_pairs = split.dev_pairs
+    dev_pairs = expand_paradigm_pairs(split.dev_paradigms)
     assert sum(1 for p in dev_pairs if p.src_slot != ROOT) == 50 * 4 * 3
     assert sum(1 for p in dev_pairs if p.src_slot == ROOT) == 50 * 4
 
@@ -145,7 +145,7 @@ def test_make_split_no_identity_pairs():
     paradigms, slots = _full_paradigms(150, n=3)
     split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=40, seed=1),
                        slots)
-    for pair in itertools.chain(split.train_pairs, split.dev_pairs,
+    for pair in itertools.chain(split.train_pairs, expand_paradigm_pairs(split.dev_paradigms),
                                 expand_paradigm_pairs(split.test_paradigms)):
         assert pair.src_slot != pair.tgt_slot
 

@@ -1,5 +1,7 @@
 import io
 import itertools
+import json
+import logging
 import math
 import random
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from morphcomplexity import strmodel
 from morphcomplexity.complexity import SyntheticSystem
-from morphcomplexity.corpus import EMPTY, ROOT, PairExample
+from morphcomplexity.corpus import EMPTY, ROOT, PairExample, Paradigm, expand_paradigm_pairs
 from morphcomplexity.strmodel import (
     CharNGram, ConditionalParadigmModel, ScoreTable, ScoreTableError,
     cross_entropy, extract_rule, joint_logprob, load_scores, train,
@@ -16,9 +18,23 @@ from morphcomplexity.strmodel import (
 from morphcomplexity.structure import compute_weights
 
 
+GRID = (0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
+
+
 def mk_pairs(mappings, src_slot="S", tgt_slot="T"):
     return [PairExample("lex%d" % i, s, src_slot, t, tgt_slot)
             for i, (s, t) in enumerate(mappings)]
+
+
+def mk_paradigms(mappings):
+    """One dev paradigm {S: src, T: tgt} per mapping."""
+    return [Paradigm("dev%d" % i, {"S": s, "T": t}) for i, (s, t) in enumerate(mappings)]
+
+
+def pick_lambda(model, dev_paradigms, grid=GRID):
+    """Set the model's lambda by the dev pass over slots S and T."""
+    compute_weights(model, dev_paradigms, ["S", "T"], grid)
+    return model
 
 
 def all_strings(alphabet, max_len):
@@ -140,9 +156,10 @@ def test_train_lambda_is_argmin_on_dev():
     rng = random.Random(4)
     stems = ["".join(rng.choice("abc") for _ in range(4)) for _ in range(200)]
     pairs = mk_pairs([(s, s + "s") for s in stems[:150]])
-    dev = mk_pairs([(s, s + "s") for s in stems[150:]])
+    dev_paradigms = mk_paradigms([(s, s + "s") for s in stems[150:]])
+    dev = expand_paradigm_pairs(dev_paradigms)
     grid = (0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
-    model = train(pairs, dev_pairs=dev, lambda_grid=grid)
+    model = pick_lambda(train(pairs), dev_paradigms, grid)
     selected = model.lam
     ces = {}
     for lam in grid:
@@ -152,7 +169,7 @@ def test_train_lambda_is_argmin_on_dev():
 
 
 def test_train_default_lambda_without_dev():
-    model = train(mk_pairs([("a", "b")]), dev_pairs=None)
+    model = train(mk_pairs([("a", "b")]))
     assert model.lam == strmodel.DEFAULT_LAMBDA
 
 
@@ -161,8 +178,8 @@ def test_train_suffix_rule_dominates():
     stems = ["".join(rng.choice("abcd") for _ in range(rng.randint(3, 6)))
              for _ in range(1000)]
     pairs = mk_pairs([(s, s + "s") for s in stems[:900]])
-    dev = mk_pairs([(s, s + "s") for s in stems[900:950]])
-    model = train(pairs, dev_pairs=dev)
+    dev = mk_paradigms([(s, s + "s") for s in stems[900:950]])
+    model = pick_lambda(train(pairs), dev)
     held = stems[950:]
     probs = [2.0 ** model.logprob(s, "S", "T", s + "s") for s in held]
     assert min(probs) > 0.9
@@ -183,7 +200,7 @@ def test_mle_more_data_improves_dev_ce():
         rng = random.Random(seed)
         data = gen(rng, 900)
         dev = mk_pairs(gen(rng, 200))
-        ces = [cross_entropy(train(mk_pairs(data[:size]), dev_pairs=None), dev)
+        ces = [cross_entropy(train(mk_pairs(data[:size])), dev)
                for size in (100, 300, 900)]
         deltas.append(ces[0] - ces[-1])
     assert sum(deltas) / len(deltas) > -0.05
@@ -241,8 +258,8 @@ def test_joint_logprob_partial_parent_missing(stub_scorer):
 # ----------------------------------------------------------- serialization
 
 def test_model_json_roundtrip(tmp_path):
-    model = train(mk_pairs([("hand", "hände"), ("gabel", "gabeln")]),
-                  dev_pairs=mk_pairs([("wand", "wände")]))
+    model = pick_lambda(train(mk_pairs([("hand", "hände"), ("gabel", "gabeln")])),
+                        mk_paradigms([("wand", "wände")]))
     path = tmp_path / "model.json"
     model.save(path)
     back = ConditionalParadigmModel.load(path)
@@ -253,8 +270,10 @@ def test_model_json_roundtrip(tmp_path):
         assert back.logprob(EMPTY, ROOT, "T", tgt) == model.logprob(EMPTY, ROOT, "T", tgt)
 
 
-def test_model_json_roundtrip_weights_bit_for_bit():
-    # rule tables with several rules per context, so their sums depend on order
+def six_slot_model():
+    """(model, dev paradigms, slots) over six slots whose rule tables hold
+    several rules per context, so their sums depend on order; every third
+    dev paradigm lacks a slot."""
     rng = random.Random(0)
     slots = ["S%d" % i for i in range(6)]
     suffixes = [[rng.choice(["", "a", "ab", "ba", "bb", "aba"]) for _ in slots]
@@ -263,11 +282,92 @@ def test_model_json_roundtrip_weights_bit_for_bit():
     paradigms = system.sample_paradigms(120, rng)
     pairs = [PairExample(p.lexeme, p.entries[s] if s else EMPTY, s or ROOT, p.entries[t], t)
              for p in paradigms[:100] for t in slots for s in [None] + slots if s != t]
-    model = train(pairs)
+    dev = [Paradigm(p.lexeme, {s: f for s, f in p.entries.items() if i % 3 or s != slots[i % 6]})
+           for i, p in enumerate(paradigms[100:])]
+    return train(pairs), dev, slots
+
+
+def test_model_json_roundtrip_weights_bit_for_bit():
+    model, dev, slots = six_slot_model()
     back = ConditionalParadigmModel.from_json(model.to_json())
-    trained = compute_weights(model, paradigms[100:], slots)
-    loaded = compute_weights(back, paradigms[100:], slots)
+    trained = compute_weights(model, dev, slots)
+    loaded = compute_weights(back, dev, slots)
     assert loaded.root == trained.root and loaded.edge == trained.edge
+
+
+def reference_logprob(model, lam, p):
+    """log2 q by the mixture's float operations written out one by one."""
+    lc = CharNGram.from_json(model.char_model(p.tgt_slot).to_json()).logprob(p.tgt)
+    has_rules, pr = (False, 0.0) if p.src_slot == ROOT else model._rules_prob(
+        p.src, p.src_slot, p.tgt_slot, p.tgt)
+    if not has_rules:
+        return lc
+    b = math.log2(lam) + lc
+    if pr == 0.0:
+        return b
+    a = math.log2(pr) + math.log2(1.0 - lam)
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log2(1.0 + 2.0 ** (lo - hi))
+
+
+def test_dev_pass_matches_cross_entropy_bit_for_bit(caplog):
+    """The dev pass scores each mapping once for the whole lambda grid: the
+    dev CE it logs for each lambda equals `cross_entropy` with `lam` set to
+    that lambda, and the written-out mixture, bit for bit; its matrix at the
+    chosen lambda equals the one staged `weights --model` computes from the
+    saved model, cell for cell."""
+    model, dev, slots = six_slot_model()
+    caplog.set_level(logging.INFO, logger="morphcomplexity.structure")
+    W = compute_weights(model, dev, slots, GRID)
+    logged = [r.args for r in caplog.records if r.msg.startswith("lambda=")]
+    assert [lam for lam, _ in logged] == list(GRID)
+    chosen = model.lam
+    assert chosen == min(logged, key=lambda r: r[1])[0]
+    pairs = expand_paradigm_pairs(dev)
+    for lam, ce in logged:
+        model.lam = lam
+        assert ce == cross_entropy(model, pairs)
+        total = 0.0
+        for p in pairs:
+            total -= reference_logprob(model, lam, p)
+        assert ce == total / len(pairs)
+    model.lam = chosen
+    back = ConditionalParadigmModel.from_json(json.loads(json.dumps(model.to_json())))
+    staged = compute_weights(back, dev, slots, (back.lam,))
+    assert back.lam == chosen
+    assert staged.root == W.root and staged.edge == W.edge
+
+
+def test_char_logprob_memo_follows_add_and_is_never_saved():
+    m = CharNGram(order=2, alpha=0.1, alphabet="ab")
+    m.add(1, "ab")
+    saved = json.dumps(m.to_json(), sort_keys=True)
+    first = m.logprob("ab")
+    assert json.dumps(m.to_json(), sort_keys=True) == saved
+    m.add(2, "ba")
+    fresh = CharNGram(order=2, alpha=0.1, alphabet="ab")
+    fresh.add(1, "ab")
+    fresh.add(2, "ba")
+    assert m.logprob("ab") == fresh.logprob("ab") != first
+    model, dev, slots = six_slot_model()
+    saved = json.dumps(model.to_json(), sort_keys=True)
+    compute_weights(model, dev, slots, GRID)
+    model.lam = strmodel.DEFAULT_LAMBDA
+    assert json.dumps(model.to_json(), sort_keys=True) == saved
+
+
+def test_train_adds_each_form_once_per_char_model(monkeypatch):
+    added = []
+    add = CharNGram.add
+    monkeypatch.setattr(CharNGram, "add",
+                        lambda self, count, form: added.append((id(self), form, count))
+                        or add(self, count, form))
+    # "" and "x" are forms of both slots
+    pairs = mk_pairs([("a", ""), ("b", "x")], "S", "T") + mk_pairs([("", "a"), ("x", "x")], "T", "S")
+    model = train(pairs)
+    assert len({(obj, form) for obj, form, _ in added}) == len(added)
+    fallback = {form: count for obj, form, count in added if obj == id(model.fallback_char)}
+    assert fallback == {"": 1, "x": 2, "a": 1}
 
 
 def test_model_version_check():
