@@ -100,10 +100,10 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
     gets the language-average root weight for all its entries and is flagged.
     """
     if lambda_grid is None:
-        grid, score = [None], lambda *mapping: [scorer.logprob(*mapping)]
+        score, g = (lambda *mapping: [scorer.logprob(*mapping)]), 1
     else:
-        grid, score = list(lambda_grid), scorer.grid_scorer(lambda_grid)
-    n, g = len(slots), len(grid)
+        score, g = scorer.grid_scorer(lambda_grid), len(lambda_grid)
+    n = len(slots)
     index = {s: i for i, s in enumerate(slots)}
     # per target i and source j, j == n for the root context: the mapping
     # count and one sum per lambda; beside them the flat dev total per lambda
@@ -127,11 +127,11 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
     k = 0
     if lambda_grid is not None:
         ces = [-t / mappings for t in total]
-        for lam, ce in zip(grid, ces):
+        for lam, ce in zip(lambda_grid, ces):
             log.info("lambda=%g: dev CE %.4f bits", lam, ce)
         k = min(range(g), key=ces.__getitem__)
-        scorer.lam = grid[k]
-        log.info("selected lambda=%g (dev CE %.4f bits)", grid[k], ces[k])
+        scorer.lam = lambda_grid[k]
+        log.info("selected lambda=%g (dev CE %.4f bits)", scorer.lam, ces[k])
     root = [cell_sum[i][n][k] / cnt[i][n] if cnt[i][n] else None for i in range(n)]
     seen_roots = [r for r in root if r is not None]
     fallback = sum(seen_roots) / len(seen_roots)
