@@ -101,10 +101,17 @@ def config_hash(cfg):
 
 
 def lambda_grid(cfg):
-    """The lambda grid of the dev pass; external scores have none."""
+    """The dev pass's lambda grid, each value in (0, 1); external scores have none."""
     if cfg.get("scores"):
         return None
-    return tuple(float(x) for x in str(cfg["lambda_grid"]).split(","))
+    try:
+        grid = tuple(float(x) for x in str(cfg["lambda_grid"]).split(","))
+    except ValueError:
+        grid = ()
+    if not grid or not all(0.0 < lam < 1.0 for lam in grid):
+        raise CliError("lambda grid must be comma-separated numbers in (0, 1), got %r"
+                       % cfg["lambda_grid"], EXIT_PARSE)
+    return grid
 
 
 def _write_json(path, obj):
@@ -312,11 +319,12 @@ def cmd_measure(args):
 
 def cmd_run(args):
     cfg = resolve_config(args)
+    grid = lambda_grid(cfg)
     out_dir = Path(cfg.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     split = stage_split(cfg, *stage_ingest(cfg))
     scorer = stage_train(cfg, split)
-    W = stage_weights(scorer, split, lambda_grid(cfg))
+    W = stage_weights(scorer, split, grid)
     tree = structure.max_arborescence(W)
     point = stage_measure(cfg, split, scorer, tree)
 
@@ -395,8 +403,7 @@ def _critique(plat):
     # suppletion: the plat gives 'went' zero probability, the string model does not
     dist = platbaseline.cond_dist(plat, plat.slots[0], plat.slots[1],
                                   plat.exponent[0][1])
-    pairs = [corpus.PairExample("go", "go", "V;NFIN", "went", "V;PST")]
-    model = strmodel.train(pairs)
+    model = strmodel.train([("go", "V;NFIN", "V;PST", "went")])
     lp = model.logprob("fly", "V;NFIN", "V;PST", "flew")
     print("critique: plat support is only %r; string model gives an unseen "
           "irregular logprob %.2f bits (finite)" % (sorted(dist), lp))
@@ -498,9 +505,6 @@ def main(argv=None):
     except CliError as e:
         log.error("%s", e)
         return e.code
-    except corpus.LexiconFormatError as e:
-        log.error("%s", e)
-        return EXIT_PARSE
     except (ValueError, OSError) as e:
         # a stage rejected its inputs after they were read, e.g. an empty test set
         log.error("%s failed: %s", args.command, e)

@@ -43,19 +43,6 @@ class Paradigm:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class PairExample:
-    """One directed mapping src_form@src_slot -> tgt_form@tgt_slot.
-
-    src_slot == ROOT (with src == EMPTY) marks a root mapping.
-    """
-    lexeme: str
-    src: str
-    src_slot: str
-    tgt: str
-    tgt_slot: str
-
-
 @dataclass
 class SplitSpec:
     regime: str = "purple"          # "purple" | "green"
@@ -66,11 +53,24 @@ class SplitSpec:
     seed: int = 0
 
 
+def mappings(entries):
+    """A paradigm's mappings as (src, src_slot, tgt_slot, tgt) tuples, in
+    `logprob`'s argument order: per sorted target slot, the root mapping
+    (EMPTY, ROOT), then one from every other filled slot in sorted order.
+    The order fixes the float sums of training counts and dev weights."""
+    slots = sorted(entries)
+    for tgt_slot in slots:
+        tgt = entries[tgt_slot]
+        yield EMPTY, ROOT, tgt_slot, tgt
+        for src_slot in slots:
+            if src_slot != tgt_slot:
+                yield entries[src_slot], src_slot, tgt_slot, tgt
+
+
 @dataclass
 class PairView:
-    """Sized, lazy view of training pairs: per paradigm and sorted target slot,
-    the root mapping, then one from every other slot in order (purple); or
-    only the sampled (lexeme, src_slot, tgt_slot) cells, in order (green)."""
+    """Sized, lazy view of training mappings: every paradigm's (purple), or
+    the sampled (lexeme, src_slot, tgt_slot) cells in order (green)."""
     paradigms: list
     cells: list = None
 
@@ -80,21 +80,14 @@ class PairView:
         return len(self.cells)
 
     def __iter__(self):
-        if self.cells is not None:
-            entries = {p.lexeme: p.entries for p in self.paradigms}
-            for lx, src_slot, tgt_slot in self.cells:
-                # ROOT is no slot, so a root cell's source is EMPTY
-                yield PairExample(lx, entries[lx].get(src_slot, EMPTY), src_slot,
-                                  entries[lx][tgt_slot], tgt_slot)
+        if self.cells is None:
+            for p in self.paradigms:
+                yield from mappings(p.entries)
             return
-        for p in self.paradigms:
-            slots = sorted(p.entries)
-            for tgt_slot in slots:
-                tgt = p.entries[tgt_slot]
-                yield PairExample(p.lexeme, EMPTY, ROOT, tgt, tgt_slot)
-                for src_slot in slots:
-                    if src_slot != tgt_slot:
-                        yield PairExample(p.lexeme, p.entries[src_slot], src_slot, tgt, tgt_slot)
+        entries = {p.lexeme: p.entries for p in self.paradigms}
+        for lx, src_slot, tgt_slot in self.cells:
+            # ROOT is no slot, so a root cell's source is EMPTY
+            yield entries[lx].get(src_slot, EMPTY), src_slot, tgt_slot, entries[lx][tgt_slot]
 
 
 @dataclass
@@ -105,12 +98,11 @@ class DataSplit:
     inventory: list                 # the ingested slot inventory, sorted
 
 
-def parse_unimorph(stream, on_error="collect"):
+def parse_unimorph(stream):
     """Parse UniMorph-style TSV lines (lemma, form, ;-joined features).
 
     Blank lines and '#'-comments are skipped.  Returns (words, errors) where
-    errors is a list of LexiconFormatError.  With on_error='raise', the first
-    malformed line raises instead.
+    errors is a list of LexiconFormatError, one per malformed line.
     """
     words = []
     errors = []
@@ -120,10 +112,7 @@ def parse_unimorph(stream, on_error="collect"):
             continue
         fields = line.split("\t")
         if len(fields) != 3 or not all(f.strip() for f in fields):
-            err = LexiconFormatError(lineno, line)
-            if on_error == "raise":
-                raise err
-            errors.append(err)
+            errors.append(LexiconFormatError(lineno, line))
             continue
         lemma, form, feats = (f.strip() for f in fields)
         words.append(WordType(lexeme=lemma, slot=feats, form=form))
@@ -167,8 +156,7 @@ def build_paradigms(words, pos_filter=None):
 
 
 def expand_paradigm_pairs(paradigms):
-    """All ordered non-identity slot-to-slot mappings plus one root mapping
-    per filled slot, for each paradigm."""
+    """The `mappings` of every paradigm, as a list."""
     return list(PairView(paradigms))
 
 

@@ -21,6 +21,11 @@ EOS = "</S>"
 UNK = "<UNK>"
 
 
+def _positive(alpha):
+    """Whether a smoothing constant is a finite number > 0."""
+    return isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0
+
+
 class CharNGram:
     """Add-alpha smoothed character n-gram over Sigma* (stop symbol included).
 
@@ -29,6 +34,9 @@ class CharNGram:
     """
 
     def __init__(self, order=3, alpha=0.1, alphabet=()):
+        if not (isinstance(order, int) and order >= 1 and _positive(alpha)):
+            raise ValueError("char model order %r is not an int >= 1 or alpha %r not > 0"
+                             % (order, alpha))
         self.order = order
         self.alpha = alpha
         self.alphabet = sorted(alphabet)
@@ -125,6 +133,8 @@ class ConditionalParadigmModel:
     """
 
     def __init__(self, alphabet, order=3, alpha=0.1, lam=DEFAULT_LAMBDA):
+        if not (isinstance(lam, float) and 0.0 < lam < 1.0):
+            raise ValueError("model lambda %r is not a number in (0, 1)" % (lam,))
         self.alphabet = sorted(alphabet)
         self.order = order
         self.alpha = alpha
@@ -256,27 +266,27 @@ class ConditionalParadigmModel:
 
 
 def cross_entropy(scorer, pairs):
-    """Mean negative log2 probability over a pair list, in bits."""
+    """Mean negative log2 probability over a list of mapping tuples, in bits."""
     if not pairs:
         raise ValueError("empty pair list")
     total = 0.0
-    for p in pairs:
-        total -= scorer.logprob(p.src, p.src_slot, p.tgt_slot, p.tgt)
+    for m in pairs:
+        total -= scorer.logprob(*m)
     return total / len(pairs)
 
 
 def train(pairs, order=3, alpha=0.1):
     """Fit the shared conditional model by accumulating rule and n-gram
-    counts from training pairs; `pairs` is iterated once.  The mixture
-    weight stays DEFAULT_LAMBDA until the dev pass of
-    `structure.compute_weights` picks it."""
+    counts from `corpus.mappings` tuples, iterated once.  The mixture weight
+    stays DEFAULT_LAMBDA until the dev pass of `structure.compute_weights`
+    picks it."""
     sources, targets, rule_tables = set(), Counter(), defaultdict(Counter)
-    for p in pairs:
-        sources.add(p.src)
+    for src, src_slot, tgt_slot, tgt in pairs:
+        sources.add(src)
         # in pair order: a table's insertion order fixes its float sums
-        if p.src_slot != ROOT:
-            rule_tables[(p.src_slot, p.tgt_slot)][extract_rule(p.src, p.tgt)] += 1
-        targets[p.tgt_slot, p.tgt] += 1
+        if src_slot != ROOT:
+            rule_tables[(src_slot, tgt_slot)][extract_rule(src, tgt)] += 1
+        targets[tgt_slot, tgt] += 1
     if not targets:
         raise ValueError("cannot train on an empty pair list")
     alphabet = set().union(*sources, *(form for _, form in targets))
@@ -305,15 +315,11 @@ def joint_logprob(model, tree, paradigm):
         if tgt is None:
             continue
         parent = tree.parent.get(i)
-        if parent is None:
+        src = None if parent is None else paradigm.entries.get(tree.slots[parent])
+        if src is None:
             total += model.logprob(EMPTY, ROOT, slot, tgt)
         else:
-            src_slot = tree.slots[parent]
-            src = paradigm.entries.get(src_slot)
-            if src is None:
-                total += model.logprob(EMPTY, ROOT, slot, tgt)
-            else:
-                total += model.logprob(src, src_slot, slot, tgt)
+            total += model.logprob(src, tree.slots[parent], slot, tgt)
     return total
 
 

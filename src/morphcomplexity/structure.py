@@ -11,7 +11,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .corpus import ROOT, EMPTY
+from .corpus import ROOT, mappings
 
 log = logging.getLogger(__name__)
 
@@ -28,6 +28,8 @@ class WeightMatrix:
             raise ValueError("weights must be %d x %d edges and %d root values" % (n, n, n))
         if not all(math.isfinite(x) for x in self.root + [x for r in self.edge for x in r]):
             raise ValueError("weights must be finite")
+        if len(set(self.slots)) != n:
+            raise ValueError("weights repeat a slot name")
 
     @property
     def n(self):
@@ -87,13 +89,11 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
     """Average dev log2-probabilities for every slot pair and root context,
     from one pass that scores each dev mapping once.
 
-    The pass visits the mappings among the inventory's slots in the order of
-    `expand_paradigm_pairs`: per paradigm and sorted target slot, the root
-    context, then the sorted sources.  With a lambda grid the scorer is a
-    ConditionalParadigmModel, scored under every lambda at once; the lambda
-    of least dev cross-entropy (the first among equals) is set on the model
-    and the matrix is the one at that lambda.  Without a grid the scorer's
-    own `logprob` is used.
+    The pass visits each dev paradigm's `mappings` among the inventory's
+    slots, in that order.  With a lambda grid the scorer's `grid_scorer`
+    scores each mapping under every lambda at once; the lambda of least dev
+    cross-entropy (the first among equals) is set on the scorer and the
+    matrix is the one at that lambda.  Without a grid its `logprob` is used.
 
     Cell (i, j) averages over the dev paradigms where both slots are filled;
     root[i] over those where slot i is filled.  A slot never filled in dev
@@ -105,28 +105,26 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
         score, g = scorer.grid_scorer(lambda_grid), len(lambda_grid)
     n = len(slots)
     index = {s: i for i, s in enumerate(slots)}
+    column = {**index, ROOT: n}
     # per target i and source j, j == n for the root context: the mapping
     # count and one sum per lambda; beside them the flat dev total per lambda
     cnt = [[0] * (n + 1) for _ in range(n)]
     cell_sum = [[[0.0] * g for _ in range(n + 1)] for _ in range(n)]
     total = [0.0] * g
     for p in dev_paradigms:
-        filled = sorted((s, index[s]) for s in p.entries if s in index)
-        for tgt_slot, i in filled:
-            tgt = p.entries[tgt_slot]
-            sources = [(EMPTY, ROOT, n)] + [(p.entries[s], s, j) for s, j in filled if j != i]
-            for src, src_slot, j in sources:
-                cnt[i][j] += 1
-                cell = cell_sum[i][j]
-                for k, lp in enumerate(score(src, src_slot, tgt_slot, tgt)):
-                    total[k] += lp
-                    cell[k] += lp
-    mappings = sum(map(sum, cnt))
-    if not mappings:
+        for m in mappings({s: f for s, f in p.entries.items() if s in index}):
+            i, j = index[m[2]], column[m[1]]
+            cnt[i][j] += 1
+            cell = cell_sum[i][j]
+            for k, lp in enumerate(score(*m)):
+                total[k] += lp
+                cell[k] += lp
+    scored = sum(map(sum, cnt))
+    if not scored:
         raise ValueError("no slot of the inventory is filled in any dev paradigm")
     k = 0
     if lambda_grid is not None:
-        ces = [-t / mappings for t in total]
+        ces = [-t / scored for t in total]
         for lam, ce in zip(lambda_grid, ces):
             log.info("lambda=%g: dev CE %.4f bits", lam, ce)
         k = min(range(g), key=ces.__getitem__)

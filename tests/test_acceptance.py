@@ -16,7 +16,7 @@ import pytest
 
 from morphcomplexity import cli, complexity, platbaseline, stats, strmodel, structure
 from morphcomplexity.cli import bundled, main
-from morphcomplexity.corpus import EMPTY, ROOT, PairExample, SplitSpec, make_split
+from morphcomplexity.corpus import EMPTY, ROOT, SplitSpec, make_split
 from morphcomplexity.platbaseline import (
     Plat, avg_cond_entropy, cond_dist, parse_plat,
 )
@@ -164,7 +164,7 @@ def test_criterion_4_normalization():
     for i in range(300):
         src = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
         tgt = "".join(rng.choice("ab") for _ in range(rng.randint(0, 6)))
-        pairs.append(PairExample("l%d" % i, src, "S", tgt, "T"))
+        pairs.append((src, "S", "T", tgt))
     model = strmodel.train(pairs, order=2)
     contexts = [("a", "S", "T"), ("b", "S", "T"), ("ab", "S", "T"),
                 ("ba", "S", "T"), ("aab", "S", "T"), ("bba", "S", "T"),

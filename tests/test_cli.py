@@ -287,12 +287,29 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("weights --split {int_lexeme_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
     ("measure --split {int_slot_test} --model {d}/model.json --tree {d}/tree.json "
      "--out {tmp}/o.csv --seed 0", 2),
+    ("train --split {d}/split.json --out {tmp}/o.json --seed 0 --lambda-grid 1.0,0.5", 2),
+    ("train --split {d}/split.json --out {tmp}/o.json --seed 0 --lambda-grid -0.2", 2),
+    ("train --split {d}/split.json --out {tmp}/o.json --seed 0 --lambda-grid 0.5,,0.2", 2),
+    ("train --split {d}/split.json --out {tmp}/o.json --seed 0 --config {empty_grid}", 2),
+    ("weights --split {d}/split.json --out {tmp}/o.json --seed 0 --lambda-grid abc", 2),
+    ("run --data {d}/lex.tsv --seed 3 --out-dir {tmp} --lambda-grid 0 " + " ".join(SMALL), 2),
+    ("weights --split {d}/split.json --model {lambda_big} --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {d}/split.json --model {lambda_zero} --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {d}/split.json --model {lambda_one} --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {d}/split.json --model {lambda_str} --out {tmp}/o.json --seed 0", 2),
+    ("measure --split {d}/split.json --model {neg_alpha} --tree {d}/tree.json "
+     "--out {tmp}/o.csv --seed 0", 2),
+    ("measure --split {d}/split.json --model {char_order_0} --tree {d}/tree.json "
+     "--out {tmp}/o.csv --seed 0", 2),
+    ("learn-tree --weights {dup_slot} --out {tmp}/o.json", 2),
 ])
 def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     """A missing input file exits 3; an unparsable one, or a tree over other
     slots than the split's inventory, exits 2; either way with one ERROR line.
-    Weights must be finite and n x n, scores finite, and Pareto points have
-    finite x > 0 and y >= 0; a points file without points exits 3."""
+    Weights must be finite and n x n over distinct slots, scores finite, and
+    Pareto points have finite x > 0 and y >= 0; a points file without points
+    exits 3.  A lambda grid, or a saved model's lambda, lies in (0, 1); a
+    saved alpha is finite and > 0, a char model's order an integer >= 1."""
     garbage = tmp_path / "garbage"
     garbage.write_text("not json {\n", encoding="utf-8")
     files = {
@@ -300,6 +317,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
         "short_root": {"slots": ["A", "B"], "edge": [[0.0, -1.0], [-1.0, 0.0]], "root": [-1.0]},
         "nan_weight": {"slots": ["A", "B"], "edge": [[0.0, float("nan")], [-1.0, 0.0]],
                        "root": [-1.0, -2.0]},
+        "dup_slot": {"slots": ["A", "A"], "edge": [[0.0, -1.0], [-1.0, 0.0]],
+                     "root": [-1.0, -2.0]},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
@@ -335,15 +354,22 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
         "int_lexeme_dev": dict(split, dev_paradigms=[{"lexeme": 7, "entries": {"A": "a"}}]),
         "int_slot_test": dict(split, test_paradigms=[{"lexeme": "x", "entries": [[1, "a"]]}]),
     }
+    model = json.loads((partial_runs / "model.json").read_text())
+    char_order_0 = dict(model, fallback_char=dict(model["fallback_char"], order=0))
+    bad_lambdas = {"lambda_big": 1.5, "lambda_zero": 0.0, "lambda_one": 1.0, "lambda_str": "x"}
+    bad_records.update({name: dict(model, **{"lambda": v}) for name, v in bad_lambdas.items()},
+                       neg_alpha=dict(model, alpha=-0.1), char_order_0=char_order_0)
     for name, obj in bad_records.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    (tmp_path / "empty_grid").write_text("lambda_grid =\n", encoding="utf-8")
     paths = {"d": partial_runs, "tmp": tmp_path, "missing": tmp_path / "nope.json",
              "garbage": garbage, "no_inventory": tmp_path / "no_inventory.json",
              "pair_list": tmp_path / "pair_list.json",
              "foreign_cell": tmp_path / "foreign_cell.json",
              "foreign_tree": tmp_path / "foreign_tree.json",
              **{name: tmp_path / name
-                for name in [*files, "nan_scores", "no_points", *bad_points, *bad_records]}}
+                for name in [*files, "nan_scores", "no_points", "empty_grid", *bad_points,
+                             *bad_records]}}
     assert main(argv.format(**paths).split()) == code
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
@@ -378,6 +404,26 @@ def test_truncated_artifact_exit_2(partial_runs, tmp_path, caplog, data):
     assert main(TRUNCATED[name].format(d=partial_runs, tmp=tmp_path, cut=cut).split()) == 2
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_byte_flipped_artifact_exit_0_2_or_3(partial_runs, tmp_path, caplog, data):
+    """An artifact with any one byte replaced by another is read by the
+    subcommand that consumes it without an internal failure: exit 0, 2 or 3,
+    no traceback and at most one ERROR line."""
+    name = data.draw(st.sampled_from(sorted(TRUNCATED)))
+    blob = bytearray((partial_runs / name).read_bytes())
+    at = data.draw(st.integers(0, len(blob) - 1))
+    blob[at] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
+    flipped = tmp_path / ("flipped-" + name)
+    flipped.write_bytes(blob)
+    caplog.clear()
+    argv = TRUNCATED[name].format(d=partial_runs, tmp=tmp_path, cut=flipped).split()
+    assert main(argv) in (0, 2, 3)
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) <= 1 and all(r.exc_info is None for r in caplog.records)
 
 
 def test_external_scores_pipeline(tmp_path):

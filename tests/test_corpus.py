@@ -44,8 +44,6 @@ def test_parse_reports_line_numbers():
     words, errors = parse_unimorph(stream)
     assert len(words) == 1
     assert len(errors) == 1 and errors[0].lineno == 2
-    with pytest.raises(corpus.LexiconFormatError):
-        parse_unimorph(io.StringIO("nope\n"), on_error="raise")
 
 
 def test_parse_skips_comments_and_blanks():
@@ -105,12 +103,12 @@ def test_make_split_purple_counts():
     split = make_split(paradigms, SplitSpec(regime="purple", seed=3), slots)
     # 600 paradigms x (4*3 slot pairs + 4 root pairs) = 600 * 16
     assert len(split.train_pairs) == 600 * 16
-    assert sum(1 for p in split.train_pairs if p.src_slot == ROOT) == 600 * 4
+    assert sum(1 for _, src_slot, _, _ in split.train_pairs if src_slot == ROOT) == 600 * 4
     assert len(split.dev_paradigms) == 50 and len(split.test_paradigms) == 50
     # dev expansion: n(n-1) non-identity pairs per full paradigm, plus n roots
     dev_pairs = expand_paradigm_pairs(split.dev_paradigms)
-    assert sum(1 for p in dev_pairs if p.src_slot != ROOT) == 50 * 4 * 3
-    assert sum(1 for p in dev_pairs if p.src_slot == ROOT) == 50 * 4
+    assert sum(1 for _, src_slot, _, _ in dev_pairs if src_slot != ROOT) == 50 * 4 * 3
+    assert sum(1 for _, src_slot, _, _ in dev_pairs if src_slot == ROOT) == 50 * 4
 
 
 def test_make_split_deterministic():
@@ -136,7 +134,7 @@ def test_make_split_no_leakage():
     split = make_split(paradigms, SplitSpec(regime="green", pair_count=1000, seed=5),
                        slots)
     held = {p.lexeme for p in split.dev_paradigms} | {p.lexeme for p in split.test_paradigms}
-    assert not any(p.lexeme in held for p in split.train_pairs)
+    assert not any(p.lexeme in held for p in split.train_pairs.paradigms)
     assert not (set(p.lexeme for p in split.dev_paradigms)
                 & set(p.lexeme for p in split.test_paradigms))
 
@@ -145,9 +143,10 @@ def test_make_split_no_identity_pairs():
     paradigms, slots = _full_paradigms(150, n=3)
     split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=40, seed=1),
                        slots)
-    for pair in itertools.chain(split.train_pairs, expand_paradigm_pairs(split.dev_paradigms),
-                                expand_paradigm_pairs(split.test_paradigms)):
-        assert pair.src_slot != pair.tgt_slot
+    for _, src_slot, tgt_slot, _ in itertools.chain(
+            split.train_pairs, expand_paradigm_pairs(split.dev_paradigms),
+            expand_paradigm_pairs(split.test_paradigms)):
+        assert src_slot != tgt_slot
 
 
 def test_make_split_too_few_paradigms():
@@ -185,10 +184,10 @@ def test_expand_paradigm_pairs_counts():
     pairs = expand_paradigm_pairs([p])
     assert len(pairs) == 3 * 2 + 3
     # each target slot in sorted order: from the root, then from every other slot
-    assert [(q.src_slot, q.tgt_slot) for q in pairs] == [
+    assert [(src_slot, tgt_slot) for _, src_slot, tgt_slot, _ in pairs] == [
         (ROOT, "A"), ("B", "A"), ("C", "A"), (ROOT, "B"), ("A", "B"), ("C", "B"),
         (ROOT, "C"), ("A", "C"), ("B", "C")]
-    assert [q.src for q in pairs[:3]] == ["", "fb", "fc"]
+    assert [src for src, _, _, _ in pairs[:3]] == ["", "fb", "fc"]
 
 
 @pytest.mark.parametrize("pair_count", [20, 500, 5000])
@@ -206,7 +205,10 @@ def test_green_draws_match_pool_sample(pair_count):
     split = make_split(paradigms, spec, slots)
     ref = random.Random(spec.seed)
     held = {p.lexeme for p in ref.sample([p for p in paradigms if len(p) >= 2], 60)}
-    pool = expand_paradigm_pairs([p for p in paradigms if p.lexeme not in held])
+    rest = [p for p in paradigms if p.lexeme not in held]
+    # each pool mapping beside its lexeme; rng.sample draws by length alone
+    pool = [(p.lexeme, m) for p in rest for m in expand_paradigm_pairs([p])]
     want = pool if len(pool) <= pair_count else ref.sample(pool, pair_count)
-    assert list(split.train_pairs) == want and len(split.train_pairs) == len(want)
-    assert {p.lexeme for p in split.train_pairs.paradigms} == {p.lexeme for p in want}
+    assert list(split.train_pairs) == [m for _, m in want]
+    assert len(split.train_pairs) == len(want)
+    assert {p.lexeme for p in split.train_pairs.paradigms} == {lx for lx, _ in want}

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from morphcomplexity import strmodel
 from morphcomplexity.complexity import SyntheticSystem
-from morphcomplexity.corpus import EMPTY, ROOT, PairExample, Paradigm, expand_paradigm_pairs
+from morphcomplexity.corpus import EMPTY, ROOT, Paradigm, expand_paradigm_pairs
 from morphcomplexity.strmodel import (
     CharNGram, ConditionalParadigmModel, ScoreTable, ScoreTableError,
     cross_entropy, extract_rule, joint_logprob, load_scores, train,
@@ -22,8 +22,7 @@ GRID = (0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
 
 
 def mk_pairs(mappings, src_slot="S", tgt_slot="T"):
-    return [PairExample("lex%d" % i, s, src_slot, t, tgt_slot)
-            for i, (s, t) in enumerate(mappings)]
+    return [(s, src_slot, tgt_slot, t) for s, t in mappings]
 
 
 def mk_paradigms(mappings):
@@ -280,8 +279,7 @@ def six_slot_model():
                 for _ in range(5)]
     system = SyntheticSystem(slots, [0.4, 0.2, 0.2, 0.1, 0.1], suffixes, stem_alphabet="ab")
     paradigms = system.sample_paradigms(120, rng)
-    pairs = [PairExample(p.lexeme, p.entries[s] if s else EMPTY, s or ROOT, p.entries[t], t)
-             for p in paradigms[:100] for t in slots for s in [None] + slots if s != t]
+    pairs = expand_paradigm_pairs(paradigms[:100])
     dev = [Paradigm(p.lexeme, {s: f for s, f in p.entries.items() if i % 3 or s != slots[i % 6]})
            for i, p in enumerate(paradigms[100:])]
     return train(pairs), dev, slots
@@ -295,11 +293,11 @@ def test_model_json_roundtrip_weights_bit_for_bit():
     assert loaded.root == trained.root and loaded.edge == trained.edge
 
 
-def reference_logprob(model, lam, p):
+def reference_logprob(model, lam, src, src_slot, tgt_slot, tgt):
     """log2 q by the mixture's float operations written out one by one."""
-    lc = CharNGram.from_json(model.char_model(p.tgt_slot).to_json()).logprob(p.tgt)
-    has_rules, pr = (False, 0.0) if p.src_slot == ROOT else model._rules_prob(
-        p.src, p.src_slot, p.tgt_slot, p.tgt)
+    lc = CharNGram.from_json(model.char_model(tgt_slot).to_json()).logprob(tgt)
+    has_rules, pr = (False, 0.0) if src_slot == ROOT else model._rules_prob(
+        src, src_slot, tgt_slot, tgt)
     if not has_rules:
         return lc
     b = math.log2(lam) + lc
@@ -329,7 +327,7 @@ def test_dev_pass_matches_cross_entropy_bit_for_bit(caplog):
         assert ce == cross_entropy(model, pairs)
         total = 0.0
         for p in pairs:
-            total -= reference_logprob(model, lam, p)
+            total -= reference_logprob(model, lam, *p)
         assert ce == total / len(pairs)
     model.lam = chosen
     back = ConditionalParadigmModel.from_json(json.loads(json.dumps(model.to_json())))
