@@ -79,7 +79,7 @@ def load_config(path):
 
 
 def resolve_config(args, require_seed=True):
-    """Defaults, then config file, then explicit CLI flags (flags win)."""
+    """Defaults, then config file, then explicit CLI flags (flags win), each checked."""
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(load_config(args.config))
@@ -92,6 +92,19 @@ def resolve_config(args, require_seed=True):
             raise CliError("--seed is required (set it in the config or on the "
                            "command line)", EXIT_PARSE)
         cfg["seed"] = 0
+    for key in ("synth_paradigms", "paradigm_count", "pair_count", "dev_paradigms",
+                "test_paradigms", "order", "n_perm"):
+        if cfg[key] < 1:
+            raise CliError("%s must be >= 1, got %r" % (key, cfg[key]), EXIT_PARSE)
+    if not 0.0 < cfg["alpha"] < float("inf"):
+        raise CliError("alpha must be finite and > 0, got %r" % cfg["alpha"], EXIT_PARSE)
+    try:
+        grid_ok = all(0.0 < lam < 1.0 for lam in lambda_grid(dict(cfg, scores=None)))
+    except ValueError:
+        grid_ok = False
+    if not grid_ok:
+        raise CliError("lambda grid must be comma-separated numbers in (0, 1), got %r"
+                       % cfg["lambda_grid"], EXIT_PARSE)
     return cfg
 
 
@@ -101,17 +114,10 @@ def config_hash(cfg):
 
 
 def lambda_grid(cfg):
-    """The dev pass's lambda grid, each value in (0, 1); external scores have none."""
+    """The dev pass's lambda grid; external scores have none."""
     if cfg.get("scores"):
         return None
-    try:
-        grid = tuple(float(x) for x in str(cfg["lambda_grid"]).split(","))
-    except ValueError:
-        grid = ()
-    if not grid or not all(0.0 < lam < 1.0 for lam in grid):
-        raise CliError("lambda grid must be comma-separated numbers in (0, 1), got %r"
-                       % cfg["lambda_grid"], EXIT_PARSE)
-    return grid
+    return tuple(float(x) for x in str(cfg["lambda_grid"]).split(","))
 
 
 def _write_json(path, obj):
@@ -216,6 +222,15 @@ def stage_train(cfg, split):
     return strmodel.train(split.train_pairs, order=cfg["order"], alpha=cfg["alpha"])
 
 
+def read_scorer(cfg, model_path):
+    """The one scorer of `weights` and `measure`: --model or --scores."""
+    if bool(model_path) == bool(cfg.get("scores")):
+        raise CliError("give exactly one scorer: --model or --scores", EXIT_PARSE)
+    if model_path:
+        return read_artifact(model_path, strmodel.ConditionalParadigmModel.load)
+    return stage_train(cfg, None)
+
+
 def stage_weights(scorer, split, grid):
     """The dev weight matrix, from one pass that also sets the reference
     model's lambda from the grid (structure.compute_weights)."""
@@ -282,12 +297,9 @@ def cmd_train(args):
 def cmd_weights(args):
     cfg = resolve_config(args)
     split = read_artifact(args.split, _load_split)
-    if args.model:
-        # the saved model keeps its own lambda
-        model = read_artifact(args.model, strmodel.ConditionalParadigmModel.load)
-        W = stage_weights(model, split, (model.lam,))
-    else:
-        W = stage_weights(stage_train(cfg, split), split, lambda_grid(cfg))
+    scorer = read_scorer(cfg, args.model)
+    # a saved model keeps its own lambda; external scores have none
+    W = stage_weights(scorer, split, None if cfg.get("scores") else (scorer.lam,))
     obj = W.to_json()
     obj["config_hash"] = config_hash(cfg)
     obj["seed"] = cfg["seed"]
@@ -308,10 +320,10 @@ def cmd_learn_tree(args):
 def cmd_measure(args):
     cfg = resolve_config(args)
     split = read_artifact(args.split, _load_split)
-    model = read_artifact(args.model, strmodel.ConditionalParadigmModel.load)
+    scorer = read_scorer(cfg, args.model)
     tree = read_artifact(args.tree, lambda p: structure.Arborescence.from_json(
         _json(p), split.inventory))
-    point = stage_measure(cfg, split, model, tree)
+    point = stage_measure(cfg, split, scorer, tree)
     write_point(point, args.out)
     print("i_total=%.4f bits over %d test paradigms" % (point.i_total_bits, point.d))
     return EXIT_OK
@@ -319,12 +331,11 @@ def cmd_measure(args):
 
 def cmd_run(args):
     cfg = resolve_config(args)
-    grid = lambda_grid(cfg)
     out_dir = Path(cfg.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     split = stage_split(cfg, *stage_ingest(cfg))
     scorer = stage_train(cfg, split)
-    W = stage_weights(scorer, split, grid)
+    W = stage_weights(scorer, split, lambda_grid(cfg))
     tree = structure.max_arborescence(W)
     point = stage_measure(cfg, split, scorer, tree)
 
@@ -411,8 +422,10 @@ def _critique(plat):
 
 def cmd_critique(args):
     cfg = resolve_config(args)
+    if args.trials < 1:
+        raise CliError("--trials must be >= 1, got %d" % args.trials, EXIT_PARSE)
     rng = random.Random(cfg["seed"])
-    worst = None
+    worst = float("inf")
     for _ in range(args.trials):
         # realistically sized tables; with very few classes and slots the
         # pairwise average can dip below the joint (positive mutual
@@ -426,8 +439,7 @@ def cmd_critique(args):
             exponent=[[rng.choice(pool) for _ in range(n_slots)]
                       for _ in range(n_classes)])
         gap = platbaseline.avg_cond_entropy(plat) - platbaseline.joint_per_form_entropy(plat)
-        if worst is None or gap < worst:
-            worst = gap
+        worst = min(worst, gap)
     print("joint-vs-average over %d random plats: min(avg - joint) = %.6f bits (>= 0: %s)"
           % (args.trials, worst, worst >= -1e-9))
     with open(bundled("greek_plat.tsv"), encoding="utf-8") as fh:
@@ -451,7 +463,6 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="morphcomplexity",
                                  description="Morphological complexity measurement "
                                              "and the paradigm size/irregularity trade-off")
-    ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = _command(sub, "ingest", cmd_ingest, "parse a lexicon into a paradigm store")
@@ -477,7 +488,7 @@ def build_parser():
 
     sp = _command(sub, "measure", cmd_measure, "held-out i-complexity from saved artifacts")
     sp.add_argument("--split", required=True)
-    sp.add_argument("--model", required=True)
+    sp.add_argument("--model")
     sp.add_argument("--tree", required=True)
     sp.add_argument("--out", required=True)
 
@@ -498,8 +509,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except CliError as e:

@@ -13,17 +13,12 @@ from collections import Counter, defaultdict
 
 from .corpus import ROOT, EMPTY
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEFAULT_LAMBDA = 0.05
 
 BOS = "<S>"
 EOS = "</S>"
 UNK = "<UNK>"
-
-
-def _positive(alpha):
-    """Whether a smoothing constant is a finite number > 0."""
-    return isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0
 
 
 class CharNGram:
@@ -34,7 +29,8 @@ class CharNGram:
     """
 
     def __init__(self, order=3, alpha=0.1, alphabet=()):
-        if not (isinstance(order, int) and order >= 1 and _positive(alpha)):
+        if not (isinstance(order, int) and order >= 1
+                and isinstance(alpha, (int, float)) and 0 < alpha < math.inf):
             raise ValueError("char model order %r is not an int >= 1 or alpha %r not > 0"
                              % (order, alpha))
         self.order = order
@@ -55,7 +51,7 @@ class CharNGram:
         for ch in form:
             sym = ch if ch in known else UNK
             yield hist, sym
-            hist = (hist + (sym,))[-(self.order - 1):] if self.order > 1 else ()
+            hist = (hist + (sym,))[1:]
         yield hist, EOS
 
     def add(self, count, form):
@@ -64,6 +60,13 @@ class CharNGram:
         for hist, sym in self._events(form):
             self.counts[hist][sym] += count
             self._totals[hist] = self._totals.get(hist, 0) + count
+
+    def add_counts(self, counts):
+        """Add (history, {symbol: count}) items to the counts."""
+        self._logprobs.clear()
+        for hist, c in counts:
+            self.counts[hist].update(c)
+            self._totals[hist] = self._totals.get(hist, 0) + sum(c.values())
 
     def prob(self, hist, sym):
         c = self.counts.get(hist)
@@ -93,25 +96,25 @@ class CharNGram:
             for hist, p in states.items():
                 mass += p * self.prob(hist, EOS)
                 for ch in self.alphabet:
-                    h2 = (hist + (ch,))[-(self.order - 1):] if self.order > 1 else ()
-                    nxt[h2] += p * self.prob(hist, ch)
+                    nxt[(hist + (ch,))[1:]] += p * self.prob(hist, ch)
             states = nxt
         return mass
 
     def to_json(self):
-        return {
-            "order": self.order,
-            "alpha": self.alpha,
-            "alphabet": self.alphabet,
-            "counts": [[list(h), dict(c)] for h, c in sorted(self.counts.items())],
-        }
+        """The counts by history; order, alpha and alphabet are the model's."""
+        return [[list(h), dict(c)] for h, c in sorted(self.counts.items())]
 
     @classmethod
-    def from_json(cls, obj):
-        m = cls(order=obj["order"], alpha=obj["alpha"], alphabet=obj["alphabet"])
-        for hist, c in obj["counts"]:
-            m.counts[tuple(hist)] = Counter(c)
-            m._totals[tuple(hist)] = sum(c.values())
+    def from_json(cls, obj, order, alpha, alphabet):
+        """The n-gram with the counts `to_json` wrote: positive integer counts
+        of symbols it emits after histories of order - 1 symbols."""
+        m = cls(order, alpha, alphabet)
+        counts = [(tuple(h), dict(c)) for h, c in obj]
+        if not all(len(h) == order - 1 and m._known | {BOS, UNK} >= set(h)
+                   and m._known | {UNK, EOS} >= c.keys()
+                   and all(type(n) is int and n > 0 for n in c.values()) for h, c in counts):
+            raise ValueError("char model counts do not fit order %d and the alphabet" % order)
+        m.add_counts(counts)
         return m
 
 
@@ -128,8 +131,8 @@ class ConditionalParadigmModel:
     """Shared model for all slot-pair transductions of one language+POS.
 
     rule_tables[(src_slot, tgt_slot)] maps (src_suffix, tgt_suffix) -> count.
-    char_models[tgt_slot] is the per-slot n-gram; a global fallback n-gram
-    covers slots unseen as targets in training.
+    char_models[tgt_slot] is the per-slot n-gram; the fallback n-gram, the
+    sum of their counts, covers slots unseen as targets in training.
     """
 
     def __init__(self, alphabet, order=3, alpha=0.1, lam=DEFAULT_LAMBDA):
@@ -141,50 +144,16 @@ class ConditionalParadigmModel:
         self.lam = lam
         self.rule_tables = defaultdict(Counter)
         self.char_models = {}
-        self.fallback_char = CharNGram(order, alpha, self.alphabet)
+        self.sum_char_models()
+
+    def sum_char_models(self):
+        """Set the fallback n-gram to the sum of the slot n-grams' counts."""
+        self.fallback_char = CharNGram(self.order, self.alpha, self.alphabet)
+        for m in self.char_models.values():
+            self.fallback_char.add_counts(m.counts.items())
 
     def char_model(self, tgt_slot):
         return self.char_models.get(tgt_slot, self.fallback_char)
-
-    def _rules_prob(self, src, src_slot, tgt_slot, tgt):
-        """(has_applicable, prob of producing exactly tgt from src)."""
-        table = self.rule_tables.get((src_slot, tgt_slot))
-        if not table:
-            return False, 0.0
-        total = 0.0
-        hit = 0.0
-        for (s_sfx, t_sfx), count in table.items():
-            if not src.endswith(s_sfx):
-                continue
-            w = count + self.alpha
-            total += w
-            if src[:len(src) - len(s_sfx)] + t_sfx == tgt:
-                hit += w
-        if total == 0.0:
-            return False, 0.0
-        return True, hit / total
-
-    def _components(self, src, src_slot, tgt_slot, tgt):
-        """(has_rules, rule log2prob or -inf, char log2prob) for one mapping."""
-        lc = self.char_model(tgt_slot).logprob(tgt)
-        if src_slot == ROOT:
-            return False, -math.inf, lc
-        has_rules, pr = self._rules_prob(src, src_slot, tgt_slot, tgt)
-        return has_rules, math.log2(pr) if pr > 0.0 else -math.inf, lc
-
-    @staticmethod
-    def _mix(weights, has_rules, lr, lc):
-        """log2((1 - lam) 2^lr + lam 2^lc) in bits under each (log2(1 - lam),
-        log2(lam)) of `weights`, as the larger term plus log2(1 + 2^(smaller
-        - larger)); with no applicable rule, lc."""
-        if not has_rules:
-            return [lc] * len(weights)
-        out = []
-        for l1, ll in weights:
-            a, b = lr + l1, ll + lc
-            out.append(a + math.log2(1.0 + 2.0 ** (b - a)) if a >= b
-                       else b + math.log2(1.0 + 2.0 ** (a - b)))
-        return out
 
     def logprob(self, src, src_slot, tgt_slot, tgt):
         """log2 q(tgt | src, slot pair) in bits (<= 0, always finite).
@@ -195,12 +164,35 @@ class ConditionalParadigmModel:
         return self.grid_scorer((self.lam,))(src, src_slot, tgt_slot, tgt)[0]
 
     def grid_scorer(self, lambda_grid):
-        """Function giving a mapping's log2 q under every lam of the grid,
-        each bit for bit what `logprob` gives with `lam` set to it; the
-        mapping's components are computed once."""
+        """Function giving a mapping's log2 q under every lam of the grid, each
+        bit for bit what `logprob` gives with `lam` set to it.  The rule
+        probability (the smoothed share of applicable rules giving tgt) and the
+        char log2prob are computed once; each mixture is the larger log2 term
+        plus log2(1 + 2^(smaller - larger))."""
         weights = [(math.log2(1.0 - lam), math.log2(lam)) for lam in lambda_grid]
-        components, mix = self._components, self._mix
-        return lambda *mapping: mix(weights, *components(*mapping))
+        alpha, tables, char_model = self.alpha, self.rule_tables, self.char_model
+
+        def score(src, src_slot, tgt_slot, tgt):
+            lc = char_model(tgt_slot).logprob(tgt)
+            total = hit = 0.0
+            if src_slot != ROOT:
+                for (s_sfx, t_sfx), count in tables.get((src_slot, tgt_slot), {}).items():
+                    if src.endswith(s_sfx):
+                        w = count + alpha
+                        total += w
+                        if src[:len(src) - len(s_sfx)] + t_sfx == tgt:
+                            hit += w
+            if total == 0.0:
+                return [lc] * len(weights)
+            pr = hit / total
+            lr = math.log2(pr) if pr > 0.0 else -math.inf
+            out = []
+            for l1, ll in weights:
+                a, b = lr + l1, ll + lc
+                out.append(a + math.log2(1.0 + 2.0 ** (b - a)) if a >= b
+                           else b + math.log2(1.0 + 2.0 ** (a - b)))
+            return out
+        return score
 
     def mass_upto(self, src, src_slot, tgt_slot, max_len):
         """Total q(tgt | context) mass over strings of length <= max_len.
@@ -239,20 +231,20 @@ class ConditionalParadigmModel:
                 for (src_slot, tgt_slot), tbl in sorted(self.rule_tables.items())
             ],
             "char_models": {slot: m.to_json() for slot, m in sorted(self.char_models.items())},
-            "fallback_char": self.fallback_char.to_json(),
         }
 
     @classmethod
     def from_json(cls, obj):
         if obj.get("version") != FORMAT_VERSION:
-            raise ValueError("unsupported model format version %r" % obj.get("version"))
+            raise ValueError("model format version %r is not %d; re-run train"
+                             % (obj.get("version"), FORMAT_VERSION))
         m = cls(alphabet=obj["alphabet"], order=obj["order"], alpha=obj["alpha"],
                 lam=obj["lambda"])
         for src_slot, tgt_slot, rules in obj["rule_tables"]:
             m.rule_tables[(src_slot, tgt_slot)] = Counter({(s, t): c for s, t, c in rules})
-        m.char_models = {slot: CharNGram.from_json(cm)
-                         for slot, cm in obj["char_models"].items()}
-        m.fallback_char = CharNGram.from_json(obj["fallback_char"])
+        m.char_models = {slot: CharNGram.from_json(counts, m.order, m.alpha, m.alphabet)
+                         for slot, counts in obj["char_models"].items()}
+        m.sum_char_models()
         return m
 
     def save(self, path):
@@ -292,14 +284,11 @@ def train(pairs, order=3, alpha=0.1):
     alphabet = set().union(*sources, *(form for _, form in targets))
     model = ConditionalParadigmModel(alphabet, order=order, alpha=alpha)
     model.rule_tables = rule_tables
-    forms = Counter()
     for (slot, form), count in targets.items():
         if slot not in model.char_models:
             model.char_models[slot] = CharNGram(order, alpha, model.alphabet)
         model.char_models[slot].add(count, form)
-        forms[form] += count
-    for form, count in forms.items():
-        model.fallback_char.add(count, form)
+    model.sum_char_models()
     return model
 
 

@@ -3,6 +3,7 @@
 from .stats import pareto_curve
 
 WIDTH, HEIGHT = 640, 480
+X_LABEL, Y_LABEL, FILL, STROKE = "e-complexity", "i-complexity (bits)", "#b07cc6", "#6a2c91"
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 20, 60
 
 
@@ -10,9 +11,7 @@ def _fmt(v):
     return "%.2f" % v
 
 
-def scatter_with_pareto(points, title, x_label="e-complexity",
-                        y_label="i-complexity (bits)", fill="#b07cc6",
-                        stroke="#6a2c91"):
+def scatter_with_pareto(points, title):
     """SVG document (a string) for the points and their Pareto step curve."""
     curve = pareto_curve(points)
     max_x = max(p[0] for p in points) * 1.05
@@ -42,12 +41,12 @@ def scatter_with_pareto(points, title, x_label="e-complexity",
                'viewBox="0 0 %d %d">' % (WIDTH, HEIGHT, WIDTH, HEIGHT))
     out.append('<rect width="%d" height="%d" fill="white"/>' % (WIDTH, HEIGHT))
     out.append('<path d="%s" fill="%s" fill-opacity="0.3" stroke="none"/>'
-               % (area_path, fill))
+               % (area_path, FILL))
     out.append('<path d="%s" fill="none" stroke="%s" stroke-width="2"/>'
-               % (curve_path, stroke))
+               % (curve_path, STROKE))
     for x, y in sorted(points):
         out.append('<circle cx="%s" cy="%s" r="4" fill="%s"/>'
-                   % (_fmt(sx(x)), _fmt(sy(y)), stroke))
+                   % (_fmt(sx(x)), _fmt(sy(y)), STROKE))
     ax_y = HEIGHT - MARGIN_B
     out.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
                % (MARGIN_L, ax_y, WIDTH - MARGIN_R, ax_y))
@@ -61,10 +60,10 @@ def scatter_with_pareto(points, title, x_label="e-complexity",
         out.append('<text x="%d" y="%s" font-size="11" text-anchor="end">%s</text>'
                    % (MARGIN_L - 6, _fmt(sy(yv) + 4), _fmt(yv)))
     out.append('<text x="%d" y="%d" font-size="14" text-anchor="middle">%s</text>'
-               % (MARGIN_L + plot_w // 2, HEIGHT - 14, x_label))
+               % (MARGIN_L + plot_w // 2, HEIGHT - 14, X_LABEL))
     out.append('<text x="16" y="%d" font-size="14" text-anchor="middle" '
                'transform="rotate(-90 16 %d)">%s</text>'
-               % (MARGIN_T + plot_h // 2, MARGIN_T + plot_h // 2, y_label))
+               % (MARGIN_T + plot_h // 2, MARGIN_T + plot_h // 2, Y_LABEL))
     out.append('<text x="%d" y="%d" font-size="14">%s</text>'
                % (MARGIN_L, MARGIN_T - 4, title))
     out.append('</svg>')

@@ -302,6 +302,26 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("measure --split {d}/split.json --model {char_order_0} --tree {d}/tree.json "
      "--out {tmp}/o.csv --seed 0", 2),
     ("learn-tree --weights {dup_slot} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {format_1} --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {d}/split.json --model {long_history} --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {d}/split.json --model {foreign_symbol} --out {tmp}/o.json --seed 0", 2),
+    ("split --store {d}/store.json --out {tmp}/o.json --seed 0 --dev-paradigms -3", 2),
+    ("split --store {d}/store.json --out {tmp}/o.json --seed 0 --test-paradigms -1", 2),
+    ("split --store {d}/store.json --out {tmp}/o.json --seed 0 --paradigm-count 0", 2),
+    ("split --store {d}/store.json --out {tmp}/o.json --seed 0 --regime green "
+     "--pair-count 0", 2),
+    ("ingest --synth {synth} --seed 0 --synth-paradigms 0", 2),
+    ("critique --trials 0 --seed 0", 2),
+    ("run --data {d}/lex.tsv --seed 3 --out-dir {tmp} " + " ".join(SMALL) + " --order 0", 2),
+    ("run --data {d}/lex.tsv --seed 3 --out-dir {tmp} --alpha -1 " + " ".join(SMALL), 2),
+    ("run --data {d}/lex.tsv --seed 3 --out-dir {tmp} --alpha nan " + " ".join(SMALL), 2),
+    ("pareto --seed 0 --n-perm 0 --out-dir {tmp}", 2),
+    ("weights --split {d}/split.json --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {d}/split.json --model {d}/model.json --scores {nan_scores} "
+     "--out {tmp}/o.json --seed 0", 2),
+    ("measure --split {d}/split.json --tree {d}/tree.json --out {tmp}/o.csv --seed 0", 2),
+    ("measure --split {d}/split.json --model {d}/model.json --scores {missing} "
+     "--tree {d}/tree.json --out {tmp}/o.csv --seed 0", 2),
 ])
 def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     """A missing input file exits 3; an unparsable one, or a tree over other
@@ -309,7 +329,11 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     Weights must be finite and n x n over distinct slots, scores finite, and
     Pareto points have finite x > 0 and y >= 0; a points file without points
     exits 3.  A lambda grid, or a saved model's lambda, lies in (0, 1); a
-    saved alpha is finite and > 0, a char model's order an integer >= 1."""
+    saved alpha is finite and > 0, its order an integer >= 1, and its format
+    the current one; each char model's counts are of histories of order - 1
+    symbols and of symbols in the alphabet, UNK or stop.  Config values are
+    checked before any stage runs, and `weights` and `measure` take exactly
+    one scorer, --model or --scores."""
     garbage = tmp_path / "garbage"
     garbage.write_text("not json {\n", encoding="utf-8")
     files = {
@@ -355,10 +379,18 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
         "int_slot_test": dict(split, test_paradigms=[{"lexeme": "x", "entries": [[1, "a"]]}]),
     }
     model = json.loads((partial_runs / "model.json").read_text())
-    char_order_0 = dict(model, fallback_char=dict(model["fallback_char"], order=0))
+    first = min(model["char_models"])
+    counts = model["char_models"][first]
+    long_history = [[["<S>"] + hist, c] for hist, c in counts]
+    foreign_symbol = [[counts[0][0], dict(counts[0][1], **{"☃": 1})]] + counts[1:]
     bad_lambdas = {"lambda_big": 1.5, "lambda_zero": 0.0, "lambda_one": 1.0, "lambda_str": "x"}
     bad_records.update({name: dict(model, **{"lambda": v}) for name, v in bad_lambdas.items()},
-                       neg_alpha=dict(model, alpha=-0.1), char_order_0=char_order_0)
+                       neg_alpha=dict(model, alpha=-0.1), char_order_0=dict(model, order=0),
+                       format_1=dict(model, version=1),
+                       long_history=dict(model, char_models=dict(model["char_models"],
+                                                                 **{first: long_history})),
+                       foreign_symbol=dict(model, char_models=dict(model["char_models"],
+                                                                   **{first: foreign_symbol})))
     for name, obj in bad_records.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     (tmp_path / "empty_grid").write_text("lambda_grid =\n", encoding="utf-8")
@@ -367,6 +399,7 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
              "pair_list": tmp_path / "pair_list.json",
              "foreign_cell": tmp_path / "foreign_cell.json",
              "foreign_tree": tmp_path / "foreign_tree.json",
+             "synth": cli.bundled("synth_two_class.json"),
              **{name: tmp_path / name
                 for name in [*files, "nan_scores", "no_points", "empty_grid", *bad_points,
                              *bad_records]}}
@@ -377,6 +410,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
         assert not (tmp_path / "pareto_report.json").exists()
     if "no_inventory" in argv or "pair_list" in argv:
         assert "re-run split" in errors[0].getMessage()
+    if "format_1" in argv:
+        assert "re-run train" in errors[0].getMessage()
 
 
 TRUNCATED = {
@@ -445,10 +480,24 @@ def test_external_scores_pipeline(tmp_path):
     scores = tmp_path / "scores.tsv"
     scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    code = main(["run", "--data", str(lex), "--scores", str(scores),
-                 "--seed", "2", "--out-dir", str(out)] + SMALL)
+    flags = ["--scores", scores, "--seed", "2"] + SMALL
+    code = main([str(a) for a in ["run", "--data", lex, "--out-dir", out] + flags])
     assert code == 0
     assert float(read_point(out / "point.csv")["i_total_bits"]) == pytest.approx(3.0, abs=1e-9)
+    # the staged chain scores with the same table and gives the same point and tree
+    d = tmp_path
+    for argv in (["ingest", "--data", lex, "--out", d / "store.json"],
+                 ["split", "--store", d / "store.json", "--out", d / "split.json"] + flags,
+                 ["weights", "--split", d / "split.json", "--out", d / "weights.json"] + flags,
+                 ["learn-tree", "--weights", d / "weights.json", "--out", d / "tree.json"],
+                 ["measure", "--split", d / "split.json", "--tree", d / "tree.json",
+                  "--out", d / "point.csv"] + flags):
+        assert main([str(a) for a in argv]) == 0, argv[0]
+    assert (d / "point.csv").read_bytes() == (out / "point.csv").read_bytes()
+    staged = json.loads((d / "tree.json").read_text())
+    run = json.loads((out / "tree.json").read_text())
+    for key in ("root", "edges", "score_bits"):
+        assert staged[key] == run[key], key
 
 
 # ----------------------------------------------------------- pareto

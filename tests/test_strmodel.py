@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,11 +296,19 @@ def test_model_json_roundtrip_weights_bit_for_bit():
 
 def reference_logprob(model, lam, src, src_slot, tgt_slot, tgt):
     """log2 q by the mixture's float operations written out one by one."""
-    lc = CharNGram.from_json(model.char_model(tgt_slot).to_json()).logprob(tgt)
-    has_rules, pr = (False, 0.0) if src_slot == ROOT else model._rules_prob(
-        src, src_slot, tgt_slot, tgt)
-    if not has_rules:
+    lc = CharNGram.from_json(model.char_model(tgt_slot).to_json(), model.order, model.alpha,
+                             model.alphabet).logprob(tgt)
+    if src_slot == ROOT:
         return lc
+    total = hit = 0.0
+    for (s_sfx, t_sfx), count in model.rule_tables.get((src_slot, tgt_slot), {}).items():
+        if src.endswith(s_sfx):
+            total += count + model.alpha
+            if src[:len(src) - len(s_sfx)] + t_sfx == tgt:
+                hit += count + model.alpha
+    if total == 0.0:
+        return lc
+    pr = hit / total
     b = math.log2(lam) + lc
     if pr == 0.0:
         return b
@@ -363,9 +372,20 @@ def test_train_adds_each_form_once_per_char_model(monkeypatch):
     # "" and "x" are forms of both slots
     pairs = mk_pairs([("a", ""), ("b", "x")], "S", "T") + mk_pairs([("", "a"), ("x", "x")], "T", "S")
     model = train(pairs)
-    assert len({(obj, form) for obj, form, _ in added}) == len(added)
-    fallback = {form: count for obj, form, count in added if obj == id(model.fallback_char)}
-    assert fallback == {"": 1, "x": 2, "a": 1}
+    slot_of = {id(m): slot for slot, m in model.char_models.items()}
+    assert sorted((slot_of[obj], form, count) for obj, form, count in added) == [
+        ("S", "a", 1), ("S", "x", 1), ("T", "", 1), ("T", "x", 1)]
+    summed = Counter()
+    for m in model.char_models.values():
+        for hist, c in m.counts.items():
+            summed.update({(hist, sym): n for sym, n in c.items()})
+    fallback = model.fallback_char
+    assert {(hist, sym): n for hist, c in fallback.counts.items()
+            for sym, n in c.items()} == summed
+    assert all(fallback._totals[h] == sum(c.values()) for h, c in fallback.counts.items())
+    back = ConditionalParadigmModel.from_json(json.loads(json.dumps(model.to_json())))
+    assert back.fallback_char.counts == fallback.counts
+    assert back.fallback_char._totals == fallback._totals
 
 
 def test_model_version_check():
