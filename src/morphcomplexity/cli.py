@@ -98,8 +98,10 @@ def resolve_config(args, require_seed=True):
             raise CliError("%s must be >= 1, got %r" % (key, cfg[key]), EXIT_PARSE)
     if not 0.0 < cfg["alpha"] < float("inf"):
         raise CliError("alpha must be finite and > 0, got %r" % cfg["alpha"], EXIT_PARSE)
+    if cfg["regime"] not in ("purple", "green"):
+        raise CliError("regime must be purple or green, got %r" % cfg["regime"], EXIT_PARSE)
     try:
-        grid_ok = all(0.0 < lam < 1.0 for lam in lambda_grid(dict(cfg, scores=None)))
+        grid_ok = all(0.0 < lam < 1.0 for lam in lambda_grid(cfg))
     except ValueError:
         grid_ok = False
     if not grid_ok:
@@ -108,19 +110,15 @@ def resolve_config(args, require_seed=True):
     return cfg
 
 
-def config_hash(cfg):
-    blob = json.dumps({k: cfg[k] for k in sorted(cfg)}, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 def lambda_grid(cfg):
-    """The dev pass's lambda grid; external scores have none."""
-    if cfg.get("scores"):
-        return None
+    """The dev pass's lambda grid, parsed from the config."""
     return tuple(float(x) for x in str(cfg["lambda_grid"]).split(","))
 
 
-def _write_json(path, obj):
+def _write_json(path, obj, cfg):
+    """Write an artifact, stamped with the hash of the config and its seed."""
+    blob = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    obj = dict(obj, config_hash=hashlib.sha256(blob).hexdigest()[:16], seed=cfg["seed"])
     Path(path).write_text(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n",
                           encoding="utf-8")
 
@@ -135,7 +133,12 @@ def _text(parse):
     return load
 
 
-_json = _text(json.load)
+def _json(path):
+    """The JSON object in the file at a path; every JSON input is one object."""
+    obj = _text(json.load)(path)
+    if not isinstance(obj, dict):
+        raise ValueError("the top level is not a JSON object")
+    return obj
 
 
 def read_artifact(path, load):
@@ -152,7 +155,7 @@ def read_artifact(path, load):
 
 def _load_store(path):
     obj = _json(path)
-    return obj["inventory"], corpus.paradigms_from_json(obj["paradigms"])
+    return corpus.inventory_from_json(obj), corpus.paradigms_from_json(obj["paradigms"])
 
 
 def _load_split(path):
@@ -163,9 +166,7 @@ def write_tree(cfg, tree, W, json_path, dot_path=None):
     """Write tree.json (and tree.dot when asked); return the tree score."""
     obj = tree.to_json()
     obj["score_bits"] = structure.tree_score(tree, W)
-    obj["config_hash"] = config_hash(cfg)
-    obj["seed"] = cfg["seed"]
-    _write_json(json_path, obj)
+    _write_json(json_path, obj, cfg)
     if dot_path:
         Path(dot_path).write_text(tree.to_dot(), encoding="utf-8")
     return obj["score_bits"]
@@ -203,32 +204,27 @@ def stage_ingest(cfg):
 
 
 def stage_split(cfg, inventory, paradigms):
-    spec = corpus.SplitSpec(regime=cfg["regime"], paradigm_count=cfg["paradigm_count"],
-                            pair_count=cfg["pair_count"], dev_paradigms=cfg["dev_paradigms"],
-                            test_paradigms=cfg["test_paradigms"], seed=cfg["seed"])
     try:
-        return corpus.make_split(paradigms, spec, inventory)
+        return corpus.make_split(paradigms, cfg, inventory)
     except corpus.InsufficientDataError as e:
         raise CliError(str(e), EXIT_NO_DATA)
-    except ValueError as e:  # unknown regime
-        raise CliError(str(e), EXIT_PARSE)
 
 
 def stage_train(cfg, split):
-    """The reference model's counts from the split (its lambda is picked by
-    `stage_weights`), or the external scores that replace it when configured."""
-    if cfg.get("scores"):
-        return read_artifact(cfg["scores"], _text(strmodel.load_scores))
+    """The reference model's counts from the split; `stage_weights` picks its lambda."""
     return strmodel.train(split.train_pairs, order=cfg["order"], alpha=cfg["alpha"])
 
 
 def read_scorer(cfg, model_path):
-    """The one scorer of `weights` and `measure`: --model or --scores."""
+    """The one scorer of `weights` and `measure`, --model or --scores, with
+    the lambda grid of its dev pass: a saved model's own lambda, or none for
+    external scores."""
     if bool(model_path) == bool(cfg.get("scores")):
         raise CliError("give exactly one scorer: --model or --scores", EXIT_PARSE)
     if model_path:
-        return read_artifact(model_path, strmodel.ConditionalParadigmModel.load)
-    return stage_train(cfg, None)
+        model = read_artifact(model_path, strmodel.ConditionalParadigmModel.load)
+        return model, (model.lam,)
+    return read_artifact(cfg["scores"], _text(strmodel.load_scores)), None
 
 
 def stage_weights(scorer, split, grid):
@@ -256,13 +252,12 @@ def cmd_ingest(args):
         log.warning("only %d paradigms: below the %d-paradigm threshold",
                     len(paradigms), PARADIGM_WARN_THRESHOLD)
     store = {
-        "config_hash": config_hash(cfg), "seed": cfg["seed"],
         "language": cfg["language"], "pos": cfg["pos"],
         "inventory": inventory,
         "paradigms": corpus.paradigms_to_json(paradigms),
     }
     if args.out:
-        _write_json(args.out, store)
+        _write_json(args.out, store, cfg)
     print("lexemes: %d" % len(paradigms))
     print("slots: %d" % len(inventory))
     print("full paradigms: %d" % full)
@@ -274,9 +269,7 @@ def cmd_ingest(args):
 def cmd_split(args):
     cfg = resolve_config(args)
     split = stage_split(cfg, *read_artifact(args.store, _load_store))
-    obj = corpus.split_to_json(split)
-    obj.update(regime=cfg["regime"], seed=cfg["seed"], config_hash=config_hash(cfg))
-    _write_json(args.out, obj)
+    _write_json(args.out, dict(corpus.split_to_json(split), regime=cfg["regime"]), cfg)
     print("train pairs: %d, dev paradigms: %d, test paradigms: %d"
           % (len(split.train_pairs), len(split.dev_paradigms), len(split.test_paradigms)))
     return EXIT_OK
@@ -285,8 +278,6 @@ def cmd_split(args):
 def cmd_train(args):
     cfg = resolve_config(args)
     split = read_artifact(args.split, _load_split)
-    # external scores replace the model downstream; this stage always fits it
-    cfg = dict(cfg, scores=None)
     model = stage_train(cfg, split)
     stage_weights(model, split, lambda_grid(cfg))
     model.save(args.out)
@@ -297,13 +288,9 @@ def cmd_train(args):
 def cmd_weights(args):
     cfg = resolve_config(args)
     split = read_artifact(args.split, _load_split)
-    scorer = read_scorer(cfg, args.model)
-    # a saved model keeps its own lambda; external scores have none
-    W = stage_weights(scorer, split, None if cfg.get("scores") else (scorer.lam,))
-    obj = W.to_json()
-    obj["config_hash"] = config_hash(cfg)
-    obj["seed"] = cfg["seed"]
-    _write_json(args.out, obj)
+    scorer, grid = read_scorer(cfg, args.model)
+    W = stage_weights(scorer, split, grid)
+    _write_json(args.out, W.to_json(), cfg)
     print("weights over %d slots written to %s" % (W.n, args.out))
     return EXIT_OK
 
@@ -320,7 +307,7 @@ def cmd_learn_tree(args):
 def cmd_measure(args):
     cfg = resolve_config(args)
     split = read_artifact(args.split, _load_split)
-    scorer = read_scorer(cfg, args.model)
+    scorer, _ = read_scorer(cfg, args.model)
     tree = read_artifact(args.tree, lambda p: structure.Arborescence.from_json(
         _json(p), split.inventory))
     point = stage_measure(cfg, split, scorer, tree)
@@ -334,16 +321,16 @@ def cmd_run(args):
     out_dir = Path(cfg.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     split = stage_split(cfg, *stage_ingest(cfg))
-    scorer = stage_train(cfg, split)
-    W = stage_weights(scorer, split, lambda_grid(cfg))
+    scorer, grid = (read_scorer(cfg, None) if cfg.get("scores")
+                    else (stage_train(cfg, split), lambda_grid(cfg)))
+    W = stage_weights(scorer, split, grid)
     tree = structure.max_arborescence(W)
     point = stage_measure(cfg, split, scorer, tree)
 
     write_point(point, out_dir / "point.csv")
     write_tree(cfg, tree, W, out_dir / "tree.json", out_dir / "tree.dot")
-    manifest = {"config": {k: cfg[k] for k in sorted(cfg)}, "config_hash": config_hash(cfg),
-                "seed": cfg["seed"], "format_version": strmodel.FORMAT_VERSION}
-    _write_json(out_dir / "manifest.json", manifest)
+    _write_json(out_dir / "manifest.json",
+                {"config": cfg, "format_version": strmodel.FORMAT_VERSION}, cfg)
     print("%s/%s (%s): e=%d, i_total=%.4f bits, i_per_form=%.4f bits"
           % (point.language, point.pos, point.regime, point.e_complexity,
              point.i_total_bits, point.i_per_form_bits))
@@ -371,7 +358,7 @@ def cmd_pareto(args):
     by_pos = read_artifact(args.points or bundled("table2_green.csv"), _text(_read_points))
     out_dir = Path(cfg.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = {"config_hash": config_hash(cfg), "seed": cfg["seed"], "per_pos": {}}
+    report = {"per_pos": {}}
     failures = []
     for pos in sorted(by_pos):
         pts = by_pos[pos]
@@ -387,7 +374,7 @@ def cmd_pareto(args):
               % (pos, res.observed_area, res.p_value, res.n_perm))
     if len(failures) == len(by_pos):
         raise CliError("no POS had enough points", EXIT_NO_DATA)
-    _write_json(out_dir / "pareto_report.json", report)
+    _write_json(out_dir / "pareto_report.json", report, cfg)
     return EXIT_OK
 
 

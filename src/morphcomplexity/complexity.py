@@ -102,11 +102,6 @@ class SyntheticSystem:
 
 
 def synth_system(spec):
-    """Build a SyntheticSystem from a plain dict (the CLI's generator config)."""
-    return SyntheticSystem(
-        slots=spec["slots"],
-        class_probs=spec["class_probs"],
-        suffix_table=spec["suffix_table"],
-        stem_alphabet=spec.get("stem_alphabet", "abcd"),
-        stem_len=tuple(spec.get("stem_len", (3, 6))),
-    )
+    """The SyntheticSystem a generator config describes: its keys are exactly
+    the constructor's parameters, so an unknown key is a TypeError."""
+    return SyntheticSystem(**spec)

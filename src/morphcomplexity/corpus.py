@@ -43,16 +43,6 @@ class Paradigm:
         return len(self.entries)
 
 
-@dataclass
-class SplitSpec:
-    regime: str = "purple"          # "purple" | "green"
-    paradigm_count: int = 600
-    pair_count: int = 60000
-    dev_paradigms: int = 50
-    test_paradigms: int = 50
-    seed: int = 0
-
-
 def mappings(entries):
     """A paradigm's mappings as (src, src_slot, tgt_slot, tgt) tuples, in
     `logprob`'s argument order: per sorted target slot, the root mapping
@@ -161,7 +151,9 @@ def expand_paradigm_pairs(paradigms):
 
 
 def make_split(paradigms, spec, inventory):
-    """Partition paradigms into train pairs plus dev/test held-out paradigms.
+    """Partition paradigms into train pairs plus dev/test held-out paradigms,
+    as the config mapping `spec` sets: its `regime`, `paradigm_count`,
+    `pair_count`, `dev_paradigms`, `test_paradigms` and `seed`.
 
     The split carries the slot inventory decided at ingest unchanged,
     including slots that no sampled paradigm fills.
@@ -172,36 +164,38 @@ def make_split(paradigms, spec, inventory):
     mappings of the non-held-out paradigms; the split keeps the paradigms
     that the sampled cells come from.
     """
-    rng = random.Random(spec.seed)
+    rng = random.Random(spec["seed"])
     eligible = [p for p in paradigms if len(p.entries) >= 2]
-    need = spec.dev_paradigms + spec.test_paradigms
+    need = spec["dev_paradigms"] + spec["test_paradigms"]
     if len(eligible) < need + 1:
         raise InsufficientDataError(
             "need at least %d paradigms with >=2 filled slots for dev/test holdout "
             "plus 1 for training, have %d" % (need + 1, len(eligible)))
     held = rng.sample(eligible, need)
-    dev = held[:spec.dev_paradigms]
-    test = held[spec.dev_paradigms:]
+    dev = held[:spec["dev_paradigms"]]
+    test = held[spec["dev_paradigms"]:]
     held_lexemes = {p.lexeme for p in held}
     rest = [p for p in paradigms if p.lexeme not in held_lexemes]
 
     cells = None
-    if spec.regime == "purple":
-        if len(rest) < spec.paradigm_count:
+    if spec["regime"] == "purple":
+        count = spec["paradigm_count"]
+        if len(rest) < count:
             log.info("only %d training paradigms available (requested %d); using all",
-                     len(rest), spec.paradigm_count)
-        train = rest if len(rest) <= spec.paradigm_count else rng.sample(rest, spec.paradigm_count)
-    elif spec.regime == "green":
+                     len(rest), count)
+        train = rest if len(rest) <= count else rng.sample(rest, count)
+    elif spec["regime"] == "green":
+        count = spec["pair_count"]
         # rng.sample draws by the population's length alone, so indices into
         # the pool expand_paradigm_pairs(rest) would build pick the same pairs
         slots = [sorted(p.entries) for p in rest]
         ends = list(itertools.accumulate(len(s) ** 2 for s in slots))
         draws = range(ends[-1])
-        if ends[-1] < spec.pair_count:
+        if ends[-1] < count:
             log.info("only %d training pairs available (requested %d); using all",
-                     ends[-1], spec.pair_count)
-        elif ends[-1] > spec.pair_count:
-            draws = rng.sample(draws, spec.pair_count)
+                     ends[-1], count)
+        elif ends[-1] > count:
+            draws = rng.sample(draws, count)
         cells = []
         for i in draws:
             j = bisect.bisect_right(ends, i)
@@ -212,7 +206,7 @@ def make_split(paradigms, spec, inventory):
         used = {lexeme for lexeme, _, _ in cells}
         train = [p for p in rest if p.lexeme in used]
     else:
-        raise ValueError("unknown regime %r" % spec.regime)
+        raise ValueError("unknown regime %r" % spec["regime"])
     return DataSplit(train_pairs=PairView(train, cells), dev_paradigms=dev,
                      test_paradigms=test, inventory=list(inventory))
 
@@ -222,12 +216,23 @@ def paradigms_to_json(paradigms):
 
 
 def paradigms_from_json(records):
+    if not isinstance(records, list):
+        raise ValueError("a paradigm list is not a JSON list")
     paradigms = [Paradigm(r["lexeme"], dict(r["entries"])) for r in records]
     for p in paradigms:
         if not isinstance(p.lexeme, str) or not all(
                 isinstance(s, str) and isinstance(f, str) for s, f in p.entries.items()):
             raise ValueError("paradigm %r: lexeme, slots and forms must be strings" % (p.lexeme,))
     return paradigms
+
+
+def inventory_from_json(obj):
+    """The `inventory` of a paradigm store or split: distinct slot names."""
+    inventory = obj["inventory"]
+    if not (isinstance(inventory, list) and all(isinstance(s, str) for s in inventory)
+            and len(set(inventory)) == len(inventory)):
+        raise ValueError("inventory is not a list of distinct slot names")
+    return inventory
 
 
 def split_to_json(split):
@@ -244,6 +249,8 @@ def split_from_json(obj):
     if "inventory" not in obj or "train_pairs" in obj:
         raise ValueError("split has an old layout (no inventory or a pair list); re-run split")
     train, cells = paradigms_from_json(obj["train_paradigms"]), obj["train_cells"]
+    if cells is not None and not isinstance(cells, list):
+        raise ValueError("train_cells is neither null nor a list")
     entries = {p.lexeme: p.entries for p in train}
     if cells is not None and not all(tgt in entries[lx] and (src == ROOT or src in entries[lx])
                                      for lx, src, tgt in cells):
@@ -251,4 +258,4 @@ def split_from_json(obj):
     return DataSplit(train_pairs=PairView(train, cells),
                      dev_paradigms=paradigms_from_json(obj["dev_paradigms"]),
                      test_paradigms=paradigms_from_json(obj["test_paradigms"]),
-                     inventory=obj["inventory"])
+                     inventory=inventory_from_json(obj))

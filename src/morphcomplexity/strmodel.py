@@ -29,8 +29,8 @@ class CharNGram:
     """
 
     def __init__(self, order=3, alpha=0.1, alphabet=()):
-        if not (isinstance(order, int) and order >= 1
-                and isinstance(alpha, (int, float)) and 0 < alpha < math.inf):
+        if not (type(order) is int and order >= 1
+                and type(alpha) in (int, float) and 0 < alpha < math.inf):
             raise ValueError("char model order %r is not an int >= 1 or alpha %r not > 0"
                              % (order, alpha))
         self.order = order
@@ -109,6 +109,10 @@ class CharNGram:
         """The n-gram with the counts `to_json` wrote: positive integer counts
         of symbols it emits after histories of order - 1 symbols."""
         m = cls(order, alpha, alphabet)
+        if not (isinstance(obj, list) and all(
+                isinstance(x, list) and len(x) == 2 and isinstance(x[0], list)
+                and isinstance(x[1], dict) for x in obj)):
+            raise ValueError("char model counts are not a list of [history, {symbol: count}]")
         counts = [(tuple(h), dict(c)) for h, c in obj]
         if not all(len(h) == order - 1 and m._known | {BOS, UNK} >= set(h)
                    and m._known | {UNK, EOS} >= c.keys()
@@ -235,15 +239,26 @@ class ConditionalParadigmModel:
 
     @classmethod
     def from_json(cls, obj):
+        """The model `to_json` wrote; a field of another shape is a ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("model is not a JSON object")
         if obj.get("version") != FORMAT_VERSION:
             raise ValueError("model format version %r is not %d; re-run train"
                              % (obj.get("version"), FORMAT_VERSION))
-        m = cls(alphabet=obj["alphabet"], order=obj["order"], alpha=obj["alpha"],
-                lam=obj["lambda"])
-        for src_slot, tgt_slot, rules in obj["rule_tables"]:
+        alphabet, tables, chars = obj["alphabet"], obj["rule_tables"], obj["char_models"]
+        if not (isinstance(alphabet, list)
+                and all(isinstance(c, str) and len(c) == 1 for c in alphabet)):
+            raise ValueError("model alphabet is not a list of characters")
+        if not (isinstance(tables, list) and all(map(_is_rule_table, tables))):
+            raise ValueError("rule_tables is not a list of [src slot, tgt slot, "
+                             "[[src suffix, tgt suffix, count > 0], ...]]")
+        if not isinstance(chars, dict):
+            raise ValueError("char_models is not a JSON object")
+        m = cls(alphabet=alphabet, order=obj["order"], alpha=obj["alpha"], lam=obj["lambda"])
+        for src_slot, tgt_slot, rules in tables:
             m.rule_tables[(src_slot, tgt_slot)] = Counter({(s, t): c for s, t, c in rules})
         m.char_models = {slot: CharNGram.from_json(counts, m.order, m.alpha, m.alphabet)
-                         for slot, counts in obj["char_models"].items()}
+                         for slot, counts in chars.items()}
         m.sum_char_models()
         return m
 
@@ -255,6 +270,15 @@ class ConditionalParadigmModel:
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
+
+
+def _is_rule_table(table):
+    """Whether a JSON value is [src_slot, tgt_slot, [[src_suffix, tgt_suffix,
+    count > 0], ...]], a rule table as `to_json` writes it."""
+    def two_strings_and_one(row):
+        return isinstance(row, list) and len(row) == 3 and all(isinstance(x, str) for x in row[:2])
+    return (two_strings_and_one(table) and isinstance(table[2], list)
+            and all(two_strings_and_one(r) and type(r[2]) is int and r[2] > 0 for r in table[2]))
 
 
 def cross_entropy(scorer, pairs):

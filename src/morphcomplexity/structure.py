@@ -70,6 +70,8 @@ class Arborescence:
 
     @classmethod
     def from_json(cls, obj, slots):
+        if not isinstance(obj["edges"], dict):
+            raise ValueError("tree edges are not a JSON object")
         index = {s: i for i, s in enumerate(slots)}
         parent = {index[c]: index[p] for c, p in obj["edges"].items()}
         tree = cls(slots=list(slots), root=index[obj["root"]], parent=parent)
@@ -132,7 +134,10 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
         log.info("selected lambda=%g (dev CE %.4f bits)", scorer.lam, ces[k])
     root = [cell_sum[i][n][k] / cnt[i][n] if cnt[i][n] else None for i in range(n)]
     seen_roots = [r for r in root if r is not None]
-    fallback = sum(seen_roots) / len(seen_roots)
+    fallback = 0.0
+    for r in seen_roots:    # plain += in slot order, as the dev sums
+        fallback += r
+    fallback /= len(seen_roots)
     edge = [[0.0] * n for _ in range(n)]
     for i in range(n):
         if root[i] is None:

@@ -1,6 +1,11 @@
 import pytest
 
-from morphcomplexity.cli import bundled
+from morphcomplexity.cli import CONFIG_DEFAULTS, bundled
+
+
+def split_config(**overrides):
+    """The config `corpus.make_split` reads: the CLI defaults, overridden."""
+    return dict(CONFIG_DEFAULTS, **overrides)
 
 
 @pytest.fixture

@@ -16,12 +16,14 @@ import pytest
 
 from morphcomplexity import cli, complexity, platbaseline, stats, strmodel, structure
 from morphcomplexity.cli import bundled, main
-from morphcomplexity.corpus import EMPTY, ROOT, SplitSpec, make_split
+from morphcomplexity.corpus import EMPTY, ROOT, make_split
 from morphcomplexity.platbaseline import (
     Plat, avg_cond_entropy, cond_dist, parse_plat,
 )
 from morphcomplexity.stats import pareto_area, perm_test
 from morphcomplexity.structure import WeightMatrix, max_arborescence, tree_score
+
+from conftest import split_config
 
 
 def report(label, ok, detail):
@@ -202,9 +204,9 @@ def measure_synth(spec_name, seed, order=3, suffix_table=None):
     system = complexity.synth_system(spec)
     rng = random.Random(seed)
     paradigms = system.sample_paradigms(600, rng)
-    split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=500,
-                                            dev_paradigms=50, test_paradigms=50,
-                                            seed=seed), system.slots)
+    split = make_split(paradigms, split_config(regime="purple", paradigm_count=500,
+                                               dev_paradigms=50, test_paradigms=50,
+                                               seed=seed), system.slots)
     model = strmodel.train(split.train_pairs, order=order)
     W = structure.compute_weights(model, split.dev_paradigms, system.slots,
                                   cli.lambda_grid(cli.CONFIG_DEFAULTS))

@@ -322,6 +322,16 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("measure --split {d}/split.json --tree {d}/tree.json --out {tmp}/o.csv --seed 0", 2),
     ("measure --split {d}/split.json --model {d}/model.json --scores {missing} "
      "--tree {d}/tree.json --out {tmp}/o.csv --seed 0", 2),
+    ("split --store {d}/store.json --out {tmp}/o.json --seed 0 --regime bogus "
+     "--dev-paradigms 200", 2),
+    ("train --split {d}/split.json --out {tmp}/o.json --seed 0 --regime bogus", 2),
+    ("pareto --seed 0 --n-perm 10 --regime bogus --out-dir {tmp}", 2),
+    ("ingest --synth {synth_typo} --seed 0", 2),
+    ("weights --split {d}/split.json --model {rule_count_neg} --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {d}/split.json --model {rule_count_str} --out {tmp}/o.json --seed 0", 2),
+    ("split --store {dup_inventory} --out {tmp}/o.json --seed 0", 2),
+    ("measure --split {d}/split.json --model {char_counts_object} --tree {d}/tree.json "
+     "--out {tmp}/o.csv --seed 0", 2),
 ])
 def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     """A missing input file exits 3; an unparsable one, or a tree over other
@@ -331,9 +341,12 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     exits 3.  A lambda grid, or a saved model's lambda, lies in (0, 1); a
     saved alpha is finite and > 0, its order an integer >= 1, and its format
     the current one; each char model's counts are of histories of order - 1
-    symbols and of symbols in the alphabet, UNK or stop.  Config values are
-    checked before any stage runs, and `weights` and `measure` take exactly
-    one scorer, --model or --scores."""
+    symbols and of symbols in the alphabet, UNK or stop, given as a list of
+    [history, counts] pairs, and each rule count is a positive integer.  An
+    inventory repeats no slot.  Config values, the regime among them, are
+    checked before any stage runs; a generator config has only
+    SyntheticSystem's keys; and `weights` and `measure` take exactly one
+    scorer, --model or --scores."""
     garbage = tmp_path / "garbage"
     garbage.write_text("not json {\n", encoding="utf-8")
     files = {
@@ -378,7 +391,15 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
         "int_lexeme_dev": dict(split, dev_paradigms=[{"lexeme": 7, "entries": {"A": "a"}}]),
         "int_slot_test": dict(split, test_paradigms=[{"lexeme": "x", "entries": [[1, "a"]]}]),
     }
+    synth = json.loads(cli.bundled("synth_two_class.json").read_text(encoding="utf-8"))
+    synth["stem_lenght"] = synth.pop("stem_len")
+    bad_records["synth_typo"] = synth
+    bad_records["dup_inventory"] = dict(store, inventory=store["inventory"] * 2)
     model = json.loads((partial_runs / "model.json").read_text())
+    src_slot, tgt_slot, rules = model["rule_tables"][0]
+    for name, count in {"rule_count_neg": -1, "rule_count_str": "1"}.items():
+        tables = [[src_slot, tgt_slot, [rules[0][:2] + [count]] + rules[1:]]]
+        bad_records[name] = dict(model, rule_tables=tables + model["rule_tables"][1:])
     first = min(model["char_models"])
     counts = model["char_models"][first]
     long_history = [[["<S>"] + hist, c] for hist, c in counts]
@@ -390,7 +411,9 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
                        long_history=dict(model, char_models=dict(model["char_models"],
                                                                  **{first: long_history})),
                        foreign_symbol=dict(model, char_models=dict(model["char_models"],
-                                                                   **{first: foreign_symbol})))
+                                                                   **{first: foreign_symbol})),
+                       char_counts_object=dict(model, char_models=dict(model["char_models"],
+                                                                       **{first: {}})))
     for name, obj in bad_records.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     (tmp_path / "empty_grid").write_text("lambda_grid =\n", encoding="utf-8")
@@ -459,6 +482,45 @@ def test_byte_flipped_artifact_exit_0_2_or_3(partial_runs, tmp_path, caplog, dat
     assert main(argv) in (0, 2, 3)
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) <= 1 and all(r.exc_info is None for r in caplog.records)
+
+
+# top-level keys that record where an artifact came from; no reader uses them
+PROVENANCE = {"config_hash", "seed", "language", "pos", "regime", "score_bits"}
+JSON_VALUES = {"object": {}, "array": [], "string": "x", "number": 1, "boolean": True,
+               "null": None}
+
+
+def json_type(value):
+    if isinstance(value, bool):
+        return "boolean"
+    return {dict: "object", list: "array", str: "string", int: "number", float: "number",
+            type(None): "null"}[type(value)]
+
+
+def test_swapped_json_type_exit_2_or_3(partial_runs, tmp_path, caplog):
+    """Each artifact's top level, and each of its top-level keys, swapped for
+    a value of every JSON type its reader does not take, is rejected by the
+    subcommand that consumes it: exit 2 or 3, one ERROR line, no traceback.
+    A provenance key may hold anything, as no reader uses it: exit 0."""
+    failures = []
+    for name, argv in sorted(TRUNCATED.items()):
+        obj = json.loads((partial_runs / name).read_text())
+        swaps = [(None, v) for t, v in JSON_VALUES.items() if t != "object"]
+        for key, value in sorted(obj.items()):
+            takes = {"null", "array"} if key == "train_cells" else {json_type(value)}
+            swaps += [(key, v) for t, v in JSON_VALUES.items() if t not in takes]
+        for key, value in swaps:
+            swapped = tmp_path / ("swapped-" + name)
+            swapped.write_text(json.dumps(value if key is None else dict(obj, **{key: value})),
+                               encoding="utf-8")
+            caplog.clear()
+            code = main(TRUNCATED[name].format(d=partial_runs, tmp=tmp_path, cut=swapped).split())
+            errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+            unused = key in PROVENANCE
+            if (code not in ((0,) if unused else (2, 3)) or len(errors) != (not unused)
+                    or any(r.exc_info for r in caplog.records)):
+                failures.append((name, key, value, code))
+    assert not failures
 
 
 def test_external_scores_pipeline(tmp_path):

@@ -12,9 +12,11 @@ from morphcomplexity.complexity import (
     synth_system, write_points_csv,
 )
 from morphcomplexity.corpus import (
-    EMPTY, ROOT, Paradigm, SplitSpec, make_split,
+    EMPTY, ROOT, Paradigm, make_split,
 )
 from morphcomplexity.structure import Arborescence, compute_weights, max_arborescence
+
+from conftest import split_config
 
 GRID = cli.lambda_grid(cli.CONFIG_DEFAULTS)
 
@@ -30,8 +32,8 @@ TWO_CLASS = {
 def run_pipeline(system, seed, order=3):
     rng = random.Random(seed)
     paradigms = system.sample_paradigms(400, rng)
-    split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=300,
-                                            seed=seed), system.slots)
+    split = make_split(paradigms, split_config(regime="purple", paradigm_count=300,
+                                               seed=seed), system.slots)
     model = strmodel.train(split.train_pairs, order=order)
     W = compute_weights(model, split.dev_paradigms, system.slots, GRID)
     tree = max_arborescence(W)

@@ -6,10 +6,12 @@ import pytest
 
 from morphcomplexity import corpus
 from morphcomplexity.corpus import (
-    ROOT, Paradigm, SplitSpec, WordType,
+    ROOT, Paradigm, WordType,
     build_paradigms, expand_paradigm_pairs, make_split,
     parse_unimorph, split_from_json, split_to_json,
 )
+
+from conftest import split_config
 
 SIX_LINES = """\
 Hand\tHand\tN;NOM;SG
@@ -100,7 +102,7 @@ def _full_paradigms(count, n=4):
 
 def test_make_split_purple_counts():
     paradigms, slots = _full_paradigms(700, n=4)
-    split = make_split(paradigms, SplitSpec(regime="purple", seed=3), slots)
+    split = make_split(paradigms, split_config(regime="purple", seed=3), slots)
     # 600 paradigms x (4*3 slot pairs + 4 root pairs) = 600 * 16
     assert len(split.train_pairs) == 600 * 16
     assert sum(1 for _, src_slot, _, _ in split.train_pairs if src_slot == ROOT) == 600 * 4
@@ -113,7 +115,7 @@ def test_make_split_purple_counts():
 
 def test_make_split_deterministic():
     paradigms, slots = _full_paradigms(250, n=3)
-    spec = SplitSpec(regime="green", pair_count=500, seed=11)
+    spec = split_config(regime="green", pair_count=500, seed=11)
     a = make_split(paradigms, spec, slots)
     b = make_split(paradigms, spec, slots)
     assert list(a.train_pairs) == list(b.train_pairs)
@@ -123,7 +125,7 @@ def test_make_split_deterministic():
 
 def test_make_split_green_takes_all_when_short():
     paradigms, slots = _full_paradigms(160, n=4)
-    split = make_split(paradigms, SplitSpec(regime="green", pair_count=60000, seed=0),
+    split = make_split(paradigms, split_config(regime="green", pair_count=60000, seed=0),
                        slots)
     # 60 non-held-out paradigms x 16 mappings each, far fewer than requested
     assert len(split.train_pairs) == 60 * 16
@@ -131,7 +133,7 @@ def test_make_split_green_takes_all_when_short():
 
 def test_make_split_no_leakage():
     paradigms, slots = _full_paradigms(300, n=3)
-    split = make_split(paradigms, SplitSpec(regime="green", pair_count=1000, seed=5),
+    split = make_split(paradigms, split_config(regime="green", pair_count=1000, seed=5),
                        slots)
     held = {p.lexeme for p in split.dev_paradigms} | {p.lexeme for p in split.test_paradigms}
     assert not any(p.lexeme in held for p in split.train_pairs.paradigms)
@@ -141,7 +143,7 @@ def test_make_split_no_leakage():
 
 def test_make_split_no_identity_pairs():
     paradigms, slots = _full_paradigms(150, n=3)
-    split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=40, seed=1),
+    split = make_split(paradigms, split_config(regime="purple", paradigm_count=40, seed=1),
                        slots)
     for _, src_slot, tgt_slot, _ in itertools.chain(
             split.train_pairs, expand_paradigm_pairs(split.dev_paradigms),
@@ -152,7 +154,7 @@ def test_make_split_no_identity_pairs():
 def test_make_split_too_few_paradigms():
     paradigms, slots = _full_paradigms(60, n=3)
     with pytest.raises(corpus.InsufficientDataError) as exc:
-        make_split(paradigms, SplitSpec(seed=0), slots)
+        make_split(paradigms, split_config(seed=0), slots)
     assert "101" in str(exc.value) and "60" in str(exc.value)
 
 
@@ -160,14 +162,14 @@ def test_make_split_holdout_needs_two_slots():
     paradigms, slots = _full_paradigms(140, n=3)
     for p in paradigms[:30]:
         p.entries = {slots[0]: p.entries[slots[0]]}
-    split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=10, seed=2),
+    split = make_split(paradigms, split_config(regime="purple", paradigm_count=10, seed=2),
                        slots)
     assert all(len(p.entries) >= 2 for p in split.dev_paradigms + split.test_paradigms)
 
 
 def test_split_json_roundtrip():
     paradigms, slots = _full_paradigms(130, n=3)
-    split = make_split(paradigms, SplitSpec(regime="purple", paradigm_count=20, seed=9),
+    split = make_split(paradigms, split_config(regime="purple", paradigm_count=20, seed=9),
                        slots)
     obj = split_to_json(split)
     back = split_from_json(obj)
@@ -200,10 +202,10 @@ def test_green_draws_match_pool_sample(pair_count):
     paradigms = [Paradigm("lex%03d" % i, {s: "f%d%s" % (i, s[-1]) for s in slots
                                           if rng.random() < 0.7 or s == slots[i % 5]})
                  for i in range(110)]
-    spec = SplitSpec(regime="green", pair_count=pair_count, dev_paradigms=30,
-                     test_paradigms=30, seed=8)
+    spec = split_config(regime="green", pair_count=pair_count, dev_paradigms=30,
+                        test_paradigms=30, seed=8)
     split = make_split(paradigms, spec, slots)
-    ref = random.Random(spec.seed)
+    ref = random.Random(spec["seed"])
     held = {p.lexeme for p in ref.sample([p for p in paradigms if len(p) >= 2], 60)}
     rest = [p for p in paradigms if p.lexeme not in held]
     # each pool mapping beside its lexeme; rng.sample draws by length alone

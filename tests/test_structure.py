@@ -111,16 +111,20 @@ def test_compute_weights_hand_fixture(stub_scorer):
     assert W.root == [-3.0, -3.0, -3.0]
 
 
-def test_compute_weights_unfilled_slot_falls_back(stub_scorer, caplog):
-    slots = ["A", "B", "C"]
-    paradigms = [Paradigm("p", {"A": "a", "B": "b"})]
-    scorer = stub_scorer({
-        (EMPTY, ROOT, "A", "a"): -2.0, (EMPTY, ROOT, "B", "b"): -4.0,
-        ("b", "B", "A", "a"): -1.0, ("a", "A", "B", "b"): -1.0,
-    })
-    W = compute_weights(scorer, paradigms, slots)
-    assert W.root[2] == -3.0            # language-average root weight
-    assert all(W.edge[2][j] == -3.0 for j in range(3))
+@pytest.mark.parametrize("roots, fallback", [
+    ([-2.0, -4.0], -3.0),               # language-average root weight
+    # folded with += in slot order: -1e16 + -1.0 rounds to -1e16, so the
+    # mean is 0.0 / 3, where a compensated sum() would give -1.0 / 3
+    ([-1e16, -1.0, 1e16], 0.0 / 3),
+], ids=["mean", "fold"])
+def test_compute_weights_unfilled_slot_falls_back(stub_scorer, caplog, roots, fallback):
+    filled = ["S%d" % k for k in range(len(roots))]
+    entries = {s: s.lower() for s in filled}
+    scorer = stub_scorer({(EMPTY, ROOT, s, entries[s]): r for s, r in zip(filled, roots)},
+                         default=-1.0)
+    W = compute_weights(scorer, [Paradigm("p", entries)], filled + ["U"])
+    assert W.root[-1] == fallback
+    assert all(W.edge[-1][j] == fallback for j in range(len(roots) + 1))
     assert "never filled" in caplog.text
 
 
