@@ -73,12 +73,21 @@ class SyntheticSystem:
 
     def __init__(self, slots, class_probs, suffix_table, stem_alphabet="abcd",
                  stem_len=(3, 6)):
+        if not (isinstance(slots, list) and all(isinstance(s, str) for s in slots)
+                and len(set(slots)) == len(slots)):
+            raise ValueError("slots must be a list of distinct strings")
+        if not (isinstance(stem_alphabet, str) and stem_alphabet):
+            raise ValueError("stem_alphabet must be a non-empty string")
+        if not (isinstance(stem_len, (list, tuple)) and len(stem_len) == 2
+                and all(type(n) is int for n in stem_len) and 0 <= stem_len[0] <= stem_len[1]):
+            raise ValueError("stem_len must be two integers lo, hi with 0 <= lo <= hi")
         if abs(sum(class_probs) - 1.0) > 1e-9 or any(p < 0 for p in class_probs):
             raise ValueError("class probabilities must be nonnegative and sum to 1")
         if len(suffix_table) != len(class_probs):
             raise ValueError("suffix table must have one row per class")
-        if any(len(row) != len(slots) for row in suffix_table):
-            raise ValueError("suffix table rows must cover every slot")
+        if not all(isinstance(row, (list, tuple)) and len(row) == len(slots)
+                   and all(isinstance(x, str) for x in row) for row in suffix_table):
+            raise ValueError("suffix table rows must give a string for every slot")
         self.slots = list(slots)
         self.class_probs = list(class_probs)
         self.suffix_table = [list(r) for r in suffix_table]

@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import logging
+import os
 import random
 from dataclasses import dataclass
 
@@ -43,18 +44,31 @@ class Paradigm:
         return len(self.entries)
 
 
-def mappings(entries):
-    """A paradigm's mappings as (src, src_slot, tgt_slot, tgt) tuples, in
-    `logprob`'s argument order: per sorted target slot, the root mapping
-    (EMPTY, ROOT), then one from every other filled slot in sorted order.
-    The order fixes the float sums of training counts and dev weights."""
+def target_groups(entries, cut=0):
+    """A paradigm's mappings by sorted target slot: (tgt_slot, tgt, sources),
+    the root mapping (EMPTY, ROOT) first and implicit, then (src_slot, src)
+    of every other filled slot in sorted order, src without its first `cut`
+    characters.  The order fixes the float sums of training counts and dev
+    weights."""
     slots = sorted(entries)
+    cut_forms = [(s, entries[s][cut:]) for s in slots]
     for tgt_slot in slots:
-        tgt = entries[tgt_slot]
+        yield tgt_slot, entries[tgt_slot], [sf for sf in cut_forms if sf[0] != tgt_slot]
+
+
+def mappings(entries):
+    """A paradigm's mappings one by one, in `target_groups` order, as
+    (src, src_slot, tgt_slot, tgt) tuples in `logprob`'s argument order."""
+    for tgt_slot, tgt, sources in target_groups(entries):
         yield EMPTY, ROOT, tgt_slot, tgt
-        for src_slot in slots:
-            if src_slot != tgt_slot:
-                yield entries[src_slot], src_slot, tgt_slot, tgt
+        for src_slot, src in sources:
+            yield src, src_slot, tgt_slot, tgt
+
+
+def stem_length(entries):
+    """Length of the shared stem, the prefix common to all of a paradigm's
+    forms: the longest common prefix of any two of them is at least as long."""
+    return len(os.path.commonprefix(list(entries.values())))
 
 
 @dataclass
@@ -78,6 +92,25 @@ class PairView:
         for lx, src_slot, tgt_slot in self.cells:
             # ROOT is no slot, so a root cell's source is EMPTY
             yield entries[lx].get(src_slot, EMPTY), src_slot, tgt_slot, entries[lx][tgt_slot]
+
+    def groups(self):
+        """The mappings in `__iter__`'s order, grouped for counting as
+        (count, cut, tgt_slot, tgt, sources): `count` mappings, the root one
+        among them, go to tgt, and sources holds the non-root ones' (src_slot,
+        src), src without its first `cut` characters, its paradigm's
+        `stem_length`.  Purple gives a group per paradigm and target, green
+        one per cell."""
+        if self.cells is None:
+            for p in self.paradigms:
+                cut = stem_length(p.entries)
+                for tgt_slot, tgt, sources in target_groups(p.entries, cut):
+                    yield len(p), cut, tgt_slot, tgt, sources
+            return
+        stems = {p.lexeme: (p.entries, stem_length(p.entries)) for p in self.paradigms}
+        for lx, src_slot, tgt_slot in self.cells:
+            entries, cut = stems[lx]
+            sources = [] if src_slot == ROOT else [(src_slot, entries[src_slot][cut:])]
+            yield 1, cut, tgt_slot, entries[tgt_slot], sources
 
 
 @dataclass

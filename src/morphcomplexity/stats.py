@@ -59,17 +59,17 @@ def pareto_curve(points):
     return ParetoCurve(breakpoints=best)
 
 
-def pareto_area(curve_or_points):
-    """Exact rectangle integral of the step curve over (0, max x]."""
-    curve = curve_or_points
-    if not isinstance(curve, ParetoCurve):
-        curve = pareto_curve(curve_or_points)
-    area = 0.0
-    prev = 0.0
-    for x, height in curve.breakpoints:
-        area += (x - prev) * height
-        prev = x
-    return area
+def pareto_area(points):
+    """Exact rectangle integral of the step curve over (0, max x], summed as
+    `perm_test` sums its observed area.  A ParetoCurve stands for its
+    breakpoints, which have the same curve."""
+    if isinstance(points, ParetoCurve):
+        points = points.breakpoints
+    if not points:
+        raise ValueError("no points")
+    for x, y in points:
+        check_point(x, y)
+    return _area_of(*_area_plan([x for x, _ in points]), [y for _, y in points])
 
 
 def _area_plan(xs):

@@ -11,7 +11,7 @@ import json
 import math
 from collections import Counter, defaultdict
 
-from .corpus import ROOT, EMPTY
+from .corpus import ROOT, EMPTY, PairView
 
 FORMAT_VERSION = 2
 DEFAULT_LAMBDA = 0.05
@@ -293,19 +293,32 @@ def cross_entropy(scorer, pairs):
 
 def train(pairs, order=3, alpha=0.1):
     """Fit the shared conditional model by accumulating rule and n-gram
-    counts from `corpus.mappings` tuples, iterated once.  The mixture weight
-    stays DEFAULT_LAMBDA until the dev pass of `structure.compute_weights`
-    picks it."""
-    sources, targets, rule_tables = set(), Counter(), defaultdict(Counter)
-    for src, src_slot, tgt_slot, tgt in pairs:
-        sources.add(src)
-        # in pair order: a table's insertion order fixes its float sums
-        if src_slot != ROOT:
-            rule_tables[(src_slot, tgt_slot)][extract_rule(src, tgt)] += 1
-        targets[tgt_slot, tgt] += 1
+    counts from a `corpus.PairView` or a list of `corpus.mappings` tuples.
+
+    A view is counted per target (`PairView.groups`): the target once, times
+    its mapping count, then each source's rule, taken from the two forms'
+    endings after their paradigm's shared stem (the endings themselves when
+    their first letters differ).  A list is counted per mapping, uncut.
+    Either way counts and rule order in each table, which fixes its float
+    sums, are those of one pass over the mappings.  The mixture weight stays
+    DEFAULT_LAMBDA until the dev pass of `structure.compute_weights` picks it."""
+    targets, rule_tables = Counter(), defaultdict(Counter)
+    groups = pairs.groups() if isinstance(pairs, PairView) else (
+        (1, 0, tgt_slot, tgt, [] if src_slot == ROOT else [(src_slot, src)])
+        for src, src_slot, tgt_slot, tgt in pairs)
+    for count, cut, tgt_slot, tgt, sources in groups:
+        targets[tgt_slot, tgt] += count
+        end = tgt[cut:]
+        for src_slot, src in sources:
+            rule = (src, end) if src[:1] != end[:1] else extract_rule(src, end)
+            rule_tables[src_slot, tgt_slot][rule] += 1
     if not targets:
         raise ValueError("cannot train on an empty pair list")
-    alphabet = set().union(*sources, *(form for _, form in targets))
+    # a source form is its rule's source side after a prefix of the target,
+    # so the targets and the rules' source sides spell every source
+    alphabet = set().union(*(form for _, form in targets))
+    for table in rule_tables.values():
+        alphabet.update(*(s for s, _ in table))
     model = ConditionalParadigmModel(alphabet, order=order, alpha=alpha)
     model.rule_tables = rule_tables
     for (slot, form), count in targets.items():

@@ -2,7 +2,10 @@ import csv
 import itertools
 import json
 import logging
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -10,8 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import morphcomplexity
 from morphcomplexity import cli
 from morphcomplexity.cli import main
+
+from test_golden import write_inputs
 
 
 SLOTS = ["N;NOM;SG", "N;NOM;PL", "N;DAT;PL"]
@@ -327,6 +333,10 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("train --split {d}/split.json --out {tmp}/o.json --seed 0 --regime bogus", 2),
     ("pareto --seed 0 --n-perm 10 --regime bogus --out-dir {tmp}", 2),
     ("ingest --synth {synth_typo} --seed 0", 2),
+    ("ingest --synth {synth_stem_len_one} --seed 0", 2),
+    ("ingest --synth {synth_slots_string} --seed 0", 2),
+    ("ingest --synth {synth_no_alphabet} --seed 0", 2),
+    ("ingest --synth {synth_int_suffix} --seed 0", 2),
     ("weights --split {d}/split.json --model {rule_count_neg} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {rule_count_str} --out {tmp}/o.json --seed 0", 2),
     ("split --store {dup_inventory} --out {tmp}/o.json --seed 0", 2),
@@ -345,7 +355,9 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     [history, counts] pairs, and each rule count is a positive integer.  An
     inventory repeats no slot.  Config values, the regime among them, are
     checked before any stage runs; a generator config has only
-    SyntheticSystem's keys; and `weights` and `measure` take exactly one
+    SyntheticSystem's keys, its slots are distinct strings, its suffixes
+    strings, its stem alphabet a non-empty string and its stem lengths two
+    integers 0 <= lo <= hi; and `weights` and `measure` take exactly one
     scorer, --model or --scores."""
     garbage = tmp_path / "garbage"
     garbage.write_text("not json {\n", encoding="utf-8")
@@ -392,6 +404,10 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
         "int_slot_test": dict(split, test_paradigms=[{"lexeme": "x", "entries": [[1, "a"]]}]),
     }
     synth = json.loads(cli.bundled("synth_two_class.json").read_text(encoding="utf-8"))
+    bad_records.update(synth_stem_len_one=dict(synth, stem_len=[9]),
+                       synth_slots_string=dict(synth, slots="ABCD"),
+                       synth_no_alphabet=dict(synth, stem_alphabet=""),
+                       synth_int_suffix=dict(synth, suffix_table=[[1, 2, 3, 4], [1, 2, 3, 5]]))
     synth["stem_lenght"] = synth.pop("stem_len")
     bad_records["synth_typo"] = synth
     bad_records["dup_inventory"] = dict(store, inventory=store["inventory"] * 2)
@@ -667,3 +683,24 @@ def test_all_fixtures_bundled():
                  "synth_two_class.json", "synth_one_class.json",
                  "synth_deterministic.json"):
         assert cli.bundled(name).is_file(), name
+
+
+# ----------------------------------------------------------- hash seeds
+
+@pytest.mark.parametrize("regime", ["purple", "green"])
+def test_run_does_not_depend_on_hash_seed(tmp_path, regime):
+    """`run` on the golden lexicon writes byte-identical point.csv, tree.json
+    and manifest.json under two string hash seeds.  Both runs read the same
+    config, --data and --out-dir included, so the config hash is the same."""
+    write_inputs(tmp_path, regime)
+    src = str(Path(morphcomplexity.__file__).parents[1])
+    made = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "morphcomplexity.cli", "run", "--config",
+                        "golden.cfg"], cwd=tmp_path, env=env, check=True, capture_output=True,
+                       timeout=300)
+        made.append({name: (tmp_path / "run" / name).read_bytes()
+                     for name in ("point.csv", "tree.json", "manifest.json")})
+    assert made[0] == made[1]

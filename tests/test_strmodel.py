@@ -4,19 +4,23 @@ import json
 import logging
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphcomplexity import strmodel
 from morphcomplexity.complexity import SyntheticSystem
-from morphcomplexity.corpus import EMPTY, ROOT, Paradigm, expand_paradigm_pairs
+from morphcomplexity.corpus import (
+    EMPTY, ROOT, PairView, Paradigm, expand_paradigm_pairs, make_split,
+)
 from morphcomplexity.strmodel import (
     CharNGram, ConditionalParadigmModel, ScoreTable, ScoreTableError,
     cross_entropy, extract_rule, joint_logprob, load_scores, train,
 )
 from morphcomplexity.structure import compute_weights
+
+from conftest import split_config
 
 
 GRID = (0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
@@ -204,6 +208,69 @@ def test_mle_more_data_improves_dev_ce():
                for size in (100, 300, 900)]
         deltas.append(ces[0] - ces[-1])
     assert sum(deltas) / len(deltas) > -0.05
+
+
+def train_per_mapping(pairs, order=3, alpha=0.1):
+    """The model by one `extract_rule` of the full forms and one target
+    count per mapping, in the mappings' order."""
+    sources, targets, rule_tables = set(), Counter(), defaultdict(Counter)
+    for src, src_slot, tgt_slot, tgt in pairs:
+        sources.add(src)
+        if src_slot != ROOT:
+            rule_tables[(src_slot, tgt_slot)][extract_rule(src, tgt)] += 1
+        targets[tgt_slot, tgt] += 1
+    model = ConditionalParadigmModel(set().union(*sources, *(form for _, form in targets)),
+                                     order=order, alpha=alpha)
+    model.rule_tables = rule_tables
+    for (slot, form), count in targets.items():
+        if slot not in model.char_models:
+            model.char_models[slot] = CharNGram(order, alpha, model.alphabet)
+        model.char_models[slot].add(count, form)
+    model.sum_char_models()
+    return model
+
+
+@st.composite
+def paradigm_lists(draw):
+    """Paradigms over slots A-D: a stem shared by the paradigm, in each slot
+    an ending and maybe a prefix (so two forms may differ from the first
+    letter), any of them empty; some paradigms partial or of one slot, and
+    two slots may hold the same form.  The first fills two slots or more,
+    which `make_split` requires of at least one paradigm."""
+    paradigms = []
+    for i in range(draw(st.integers(1, 6))):
+        stem = draw(st.text("ab", max_size=3))
+        cells = draw(st.dictionaries(st.sampled_from("ABCD"),
+                                     st.tuples(st.sampled_from(["", "", "x", "y"]),
+                                               st.text("abc", max_size=2)),
+                                     min_size=1 if i else 2))
+        paradigms.append(Paradigm("lx%d" % i, {slot: prefix + stem + ending
+                                               for slot, (prefix, ending) in cells.items()}))
+    return paradigms
+
+
+@settings(max_examples=200, deadline=None)
+@given(paradigm_lists(), st.integers(1, 40), st.integers(0, 2 ** 16))
+def test_train_equals_per_mapping_counts(paradigms, pair_count, seed):
+    """Counting per paradigm and target, with each paradigm's shared stem cut
+    off, gives the tables, the rule order in every table, the alphabet and
+    the char-model counts of counting every mapping on its own, for a purple
+    view, a green view and a plain list of mappings."""
+    green = make_split(paradigms, split_config(regime="green", pair_count=pair_count,
+                                               dev_paradigms=0, test_paradigms=0, seed=seed),
+                       ["A", "B", "C", "D"]).train_pairs
+    for pairs in (PairView(paradigms), green, list(PairView(paradigms)), list(green)):
+        model, want = train(pairs, order=2), train_per_mapping(list(pairs), order=2)
+        assert list(model.rule_tables) == list(want.rule_tables)
+        for key, table in want.rule_tables.items():
+            assert list(model.rule_tables[key].items()) == list(table.items())
+        assert model.alphabet == want.alphabet
+        assert list(model.char_models) == list(want.char_models)
+        for slot, char in want.char_models.items():
+            assert model.char_models[slot].counts == char.counts
+            assert model.char_models[slot]._totals == char._totals
+        assert model.fallback_char.counts == want.fallback_char.counts
+        assert model.to_json() == want.to_json()
 
 
 # ----------------------------------------------------------- joint logprob
