@@ -134,7 +134,8 @@ def extract_rule(src, tgt):
 class ConditionalParadigmModel:
     """Shared model for all slot-pair transductions of one language+POS.
 
-    rule_tables[(src_slot, tgt_slot)] maps (src_suffix, tgt_suffix) -> count.
+    rule_tables[(src_slot, tgt_slot)] is a list of (src_suffix, tgt_suffix,
+    count) rows, one per distinct rule, in the order training first saw them.
     char_models[tgt_slot] is the per-slot n-gram; the fallback n-gram, the
     sum of their counts, covers slots unseen as targets in training.
     """
@@ -146,7 +147,7 @@ class ConditionalParadigmModel:
         self.order = order
         self.alpha = alpha
         self.lam = lam
-        self.rule_tables = defaultdict(Counter)
+        self.rule_tables = {}
         self.char_models = {}
         self.sum_char_models()
 
@@ -160,42 +161,53 @@ class ConditionalParadigmModel:
         return self.char_models.get(tgt_slot, self.fallback_char)
 
     def logprob(self, src, src_slot, tgt_slot, tgt):
-        """log2 q(tgt | src, slot pair) in bits (<= 0, always finite).
+        """log2 q(tgt | src, slot pair) in bits (<= 0, always finite): the
+        last row of `grid_scorer` at `lam` for tgt with this one source.
 
         Root context (src_slot == ROOT) scores the target with the char
         model alone, as does any context with no applicable rewrite rule.
         """
-        return self.grid_scorer((self.lam,))(src, src_slot, tgt_slot, tgt)[0]
+        sources = [] if src_slot == ROOT else [(src_slot, src)]
+        return self.grid_scorer((self.lam,))(tgt_slot, tgt, sources)[-1][0]
 
     def grid_scorer(self, lambda_grid):
-        """Function giving a mapping's log2 q under every lam of the grid, each
-        bit for bit what `logprob` gives with `lam` set to it.  The rule
-        probability (the smoothed share of applicable rules giving tgt) and the
-        char log2prob are computed once; each mixture is the larger log2 term
-        plus log2(1 + 2^(smaller - larger))."""
+        """Function score(tgt_slot, tgt, sources) giving a target's log2 q
+        under every lam of the grid: the root context's row first, then one
+        row per (src_slot, src) of sources, each bit for bit what `logprob`
+        gives with `lam` set to it.  The target's char log2prob is computed
+        once, and the mixture once per distinct rule probability (the
+        smoothed share of applicable rules giving tgt); rows may be shared
+        and are only read.  Each mixture is the larger log2 term plus
+        log2(1 + 2^(smaller - larger))."""
         weights = [(math.log2(1.0 - lam), math.log2(lam)) for lam in lambda_grid]
         alpha, tables, char_model = self.alpha, self.rule_tables, self.char_model
 
-        def score(src, src_slot, tgt_slot, tgt):
+        def score(tgt_slot, tgt, sources):
             lc = char_model(tgt_slot).logprob(tgt)
-            total = hit = 0.0
-            if src_slot != ROOT:
-                for (s_sfx, t_sfx), count in tables.get((src_slot, tgt_slot), {}).items():
+            char_row = [lc] * len(weights)
+            rows, mixed = [char_row], {}
+            for src_slot, src in sources:
+                total = hit = 0.0
+                for s_sfx, t_sfx, count in tables.get((src_slot, tgt_slot), ()):
                     if src.endswith(s_sfx):
                         w = count + alpha
                         total += w
                         if src[:len(src) - len(s_sfx)] + t_sfx == tgt:
                             hit += w
-            if total == 0.0:
-                return [lc] * len(weights)
-            pr = hit / total
-            lr = math.log2(pr) if pr > 0.0 else -math.inf
-            out = []
-            for l1, ll in weights:
-                a, b = lr + l1, ll + lc
-                out.append(a + math.log2(1.0 + 2.0 ** (b - a)) if a >= b
-                           else b + math.log2(1.0 + 2.0 ** (a - b)))
-            return out
+                if total == 0.0:
+                    rows.append(char_row)
+                    continue
+                pr = hit / total
+                row = mixed.get(pr)
+                if row is None:
+                    lr = math.log2(pr) if pr > 0.0 else -math.inf
+                    row = mixed[pr] = []
+                    for l1, ll in weights:
+                        a, b = lr + l1, ll + lc
+                        row.append(a + math.log2(1.0 + 2.0 ** (b - a)) if a >= b
+                                   else b + math.log2(1.0 + 2.0 ** (a - b)))
+                rows.append(row)
+            return rows
         return score
 
     def mass_upto(self, src, src_slot, tgt_slot, max_len):
@@ -207,12 +219,9 @@ class ConditionalParadigmModel:
         char_mass = self.char_model(tgt_slot).mass_upto(max_len)
         if src_slot == ROOT:
             return char_mass
-        table = self.rule_tables.get((src_slot, tgt_slot))
-        applicable = []
-        if table:
-            for (s_sfx, t_sfx), count in table.items():
-                if src.endswith(s_sfx):
-                    applicable.append((src[:len(src) - len(s_sfx)] + t_sfx, count + self.alpha))
+        applicable = [(src[:len(src) - len(s_sfx)] + t_sfx, count + self.alpha)
+                      for s_sfx, t_sfx, count in self.rule_tables.get((src_slot, tgt_slot), ())
+                      if src.endswith(s_sfx)]
         if not applicable:
             return char_mass
         total = sum(w for _, w in applicable)
@@ -228,11 +237,11 @@ class ConditionalParadigmModel:
             "order": self.order,
             "alpha": self.alpha,
             "lambda": self.lam,
-            # rules in insertion order: a loaded model then sums each table
-            # in the same order as the trained one, to the last bit
+            # rows in their order: a loaded model then sums each table in
+            # the same order as the trained one, to the last bit
             "rule_tables": [
-                [src_slot, tgt_slot, [[s, t, c] for (s, t), c in tbl.items()]]
-                for (src_slot, tgt_slot), tbl in sorted(self.rule_tables.items())
+                [src_slot, tgt_slot, [list(row) for row in rows]]
+                for (src_slot, tgt_slot), rows in sorted(self.rule_tables.items())
             ],
             "char_models": {slot: m.to_json() for slot, m in sorted(self.char_models.items())},
         }
@@ -256,7 +265,11 @@ class ConditionalParadigmModel:
             raise ValueError("char_models is not a JSON object")
         m = cls(alphabet=alphabet, order=obj["order"], alpha=obj["alpha"], lam=obj["lambda"])
         for src_slot, tgt_slot, rules in tables:
-            m.rule_tables[(src_slot, tgt_slot)] = Counter({(s, t): c for s, t, c in rules})
+            if ((src_slot, tgt_slot) in m.rule_tables
+                    or len({(s, t) for s, t, _ in rules}) < len(rules)):
+                raise ValueError("rule table %s -> %s is given twice or repeats a rule"
+                                 % (src_slot, tgt_slot))
+            m.rule_tables[(src_slot, tgt_slot)] = [tuple(rule) for rule in rules]
         m.char_models = {slot: CharNGram.from_json(counts, m.order, m.alpha, m.alphabet)
                          for slot, counts in chars.items()}
         m.sum_char_models()
@@ -300,7 +313,8 @@ def train(pairs, order=3, alpha=0.1):
     endings after their paradigm's shared stem (the endings themselves when
     their first letters differ).  A list is counted per mapping, uncut.
     Either way counts and rule order in each table, which fixes its float
-    sums, are those of one pass over the mappings.  The mixture weight stays
+    sums, are those of one pass over the mappings; each table is then
+    frozen as (src_suffix, tgt_suffix, count) rows.  The mixture weight stays
     DEFAULT_LAMBDA until the dev pass of `structure.compute_weights` picks it."""
     targets, rule_tables = Counter(), defaultdict(Counter)
     groups = pairs.groups() if isinstance(pairs, PairView) else (
@@ -317,10 +331,11 @@ def train(pairs, order=3, alpha=0.1):
     # a source form is its rule's source side after a prefix of the target,
     # so the targets and the rules' source sides spell every source
     alphabet = set().union(*(form for _, form in targets))
-    for table in rule_tables.values():
+    for key, table in rule_tables.items():
         alphabet.update(*(s for s, _ in table))
+        rule_tables[key] = [(s, t, c) for (s, t), c in table.items()]
     model = ConditionalParadigmModel(alphabet, order=order, alpha=alpha)
-    model.rule_tables = rule_tables
+    model.rule_tables = dict(rule_tables)
     for (slot, form), count in targets.items():
         if slot not in model.char_models:
             model.char_models[slot] = CharNGram(order, alpha, model.alphabet)

@@ -10,8 +10,10 @@ penalized so that exactly one of them is used; see `max_arborescence`.
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
-from .corpus import ROOT, mappings
+from .corpus import EMPTY, ROOT, target_groups
 
 log = logging.getLogger(__name__)
 
@@ -91,36 +93,46 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
     """Average dev log2-probabilities for every slot pair and root context,
     from one pass that scores each dev mapping once.
 
-    The pass visits each dev paradigm's `mappings` among the inventory's
-    slots, in that order.  With a lambda grid the scorer's `grid_scorer`
-    scores each mapping under every lambda at once; the lambda of least dev
-    cross-entropy (the first among equals) is set on the scorer and the
-    matrix is the one at that lambda.  Without a grid its `logprob` is used.
+    The pass visits each dev paradigm's `target_groups` among the
+    inventory's slots, the order of its `mappings`, and scores each target
+    against its root context and all its sources at once.  With a lambda
+    grid the scorer's `grid_scorer` scores them under every lambda; the
+    lambda of least dev cross-entropy (the first among equals) is set on the
+    scorer and the matrix is the one at that lambda.  Without a grid its
+    `logprob` scores each mapping.  Each cell's sum and the flat dev total
+    per lambda add the mappings' scores one by one in mapping order.
 
     Cell (i, j) averages over the dev paradigms where both slots are filled;
     root[i] over those where slot i is filled.  A slot never filled in dev
     gets the language-average root weight for all its entries and is flagged.
     """
     if lambda_grid is None:
-        score, g = (lambda *mapping: [scorer.logprob(*mapping)]), 1
+        def score(tgt_slot, tgt, sources):
+            return [[scorer.logprob(src, src_slot, tgt_slot, tgt)]
+                    for src_slot, src in [(ROOT, EMPTY)] + sources]
+        g = 1
     else:
         score, g = scorer.grid_scorer(lambda_grid), len(lambda_grid)
     n = len(slots)
     index = {s: i for i, s in enumerate(slots)}
-    column = {**index, ROOT: n}
     # per target i and source j, j == n for the root context: the mapping
-    # count and one sum per lambda; beside them the flat dev total per lambda
+    # count and, per lambda k, the sum cell_sum[i][k][j]; beside them the
+    # flat dev total per lambda.  Each gets its scores one by one, in order.
     cnt = [[0] * (n + 1) for _ in range(n)]
-    cell_sum = [[[0.0] * g for _ in range(n + 1)] for _ in range(n)]
+    cell_sum = [[[0.0] * (n + 1) for _ in range(g)] for _ in range(n)]
     total = [0.0] * g
     for p in dev_paradigms:
-        for m in mappings({s: f for s, f in p.entries.items() if s in index}):
-            i, j = index[m[2]], column[m[1]]
-            cnt[i][j] += 1
-            cell = cell_sum[i][j]
-            for k, lp in enumerate(score(*m)):
-                total[k] += lp
-                cell[k] += lp
+        for tgt_slot, tgt, sources in target_groups(
+                {s: f for s, f in p.entries.items() if s in index}):
+            i = index[tgt_slot]
+            columns = [n] + [index[s] for s, _ in sources]
+            for j in columns:
+                cnt[i][j] += 1
+            per_lambda = list(zip(*score(tgt_slot, tgt, sources)))
+            for sums, lps in zip(cell_sum[i], per_lambda):
+                for j, lp in zip(columns, lps):
+                    sums[j] += lp
+            total = [reduce(add, lps, t) for t, lps in zip(total, per_lambda)]
     scored = sum(map(sum, cnt))
     if not scored:
         raise ValueError("no slot of the inventory is filled in any dev paradigm")
@@ -132,7 +144,7 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
         k = min(range(g), key=ces.__getitem__)
         scorer.lam = lambda_grid[k]
         log.info("selected lambda=%g (dev CE %.4f bits)", scorer.lam, ces[k])
-    root = [cell_sum[i][n][k] / cnt[i][n] if cnt[i][n] else None for i in range(n)]
+    root = [cell_sum[i][k][n] / cnt[i][n] if cnt[i][n] else None for i in range(n)]
     seen_roots = [r for r in root if r is not None]
     fallback = 0.0
     for r in seen_roots:    # plain += in slot order, as the dev sums
@@ -151,7 +163,7 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
             if i == j:
                 continue
             if cnt[i][j]:
-                edge[i][j] = cell_sum[i][j][k] / cnt[i][j]
+                edge[i][j] = cell_sum[i][k][j] / cnt[i][j]
             else:
                 # pair never co-filled in dev: no evidence conditioning helps
                 edge[i][j] = root[i]

@@ -339,6 +339,9 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("ingest --synth {synth_int_suffix} --seed 0", 2),
     ("weights --split {d}/split.json --model {rule_count_neg} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {rule_count_str} --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {d}/split.json --model {rule_repeated} --out {tmp}/o.json --seed 0", 2),
+    ("measure --split {d}/split.json --model {table_repeated} --tree {d}/tree.json "
+     "--out {tmp}/o.csv --seed 0", 2),
     ("split --store {dup_inventory} --out {tmp}/o.json --seed 0", 2),
     ("measure --split {d}/split.json --model {char_counts_object} --tree {d}/tree.json "
      "--out {tmp}/o.csv --seed 0", 2),
@@ -352,13 +355,13 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     saved alpha is finite and > 0, its order an integer >= 1, and its format
     the current one; each char model's counts are of histories of order - 1
     symbols and of symbols in the alphabet, UNK or stop, given as a list of
-    [history, counts] pairs, and each rule count is a positive integer.  An
-    inventory repeats no slot.  Config values, the regime among them, are
-    checked before any stage runs; a generator config has only
-    SyntheticSystem's keys, its slots are distinct strings, its suffixes
-    strings, its stem alphabet a non-empty string and its stem lengths two
-    integers 0 <= lo <= hi; and `weights` and `measure` take exactly one
-    scorer, --model or --scores."""
+    [history, counts] pairs, and each rule count is a positive integer, of
+    a rule given once in a table given once.  An inventory repeats no slot.
+    Config values, the regime among them, are checked before any stage runs;
+    a generator config has only SyntheticSystem's keys, its slots are
+    distinct strings, its suffixes strings, its stem alphabet a non-empty
+    string and its stem lengths two integers 0 <= lo <= hi; and `weights`
+    and `measure` take exactly one scorer, --model or --scores."""
     garbage = tmp_path / "garbage"
     garbage.write_text("not json {\n", encoding="utf-8")
     files = {
@@ -416,6 +419,11 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     for name, count in {"rule_count_neg": -1, "rule_count_str": "1"}.items():
         tables = [[src_slot, tgt_slot, [rules[0][:2] + [count]] + rules[1:]]]
         bad_records[name] = dict(model, rule_tables=tables + model["rule_tables"][1:])
+    # a rule given twice, the second time with another count
+    tables = [[src_slot, tgt_slot, rules + [rules[0][:2] + [rules[0][2] + 5]]]]
+    bad_records["rule_repeated"] = dict(model, rule_tables=tables + model["rule_tables"][1:])
+    bad_records["table_repeated"] = dict(model, rule_tables=model["rule_tables"] + [
+        [src_slot, tgt_slot, [rules[0][:2] + [rules[0][2] + 5]]]])
     first = min(model["char_models"])
     counts = model["char_models"][first]
     long_history = [[["<S>"] + hist, c] for hist, c in counts]

@@ -2,18 +2,25 @@
 the point.csv, tree.json and weights.json committed under tests/data/golden/.
 
 The goldens were written on CPython 3.11.7, Linux x86_64 (glibc libm).  They
-are float digests: `sum()` over floats is compensated from Python 3.12 on,
-and the dev cross-entropy that picks lambda is such a sum, so a mismatch on
-another interpreter or libm needs investigating, not regenerating.
+are float digests.  `sum()` over floats is compensated from Python 3.12 on,
+so the float totals on their path, the dev cross-entropy that picks lambda
+among them, are plain += or `reduce(add)` loops in a fixed order, and the
+chain is rerun here with 3.12's `sum`.  A mismatch on another interpreter or
+libm needs investigating, not regenerating.
 """
 
+import builtins
+import importlib
 import itertools
+import math
+import pkgutil
 import platform
 import random
 from pathlib import Path
 
 import pytest
 
+import morphcomplexity
 from morphcomplexity.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -81,8 +88,7 @@ def staged_chain(d):
         assert main(argv + ["--config", "golden.cfg"]) == 0, argv[0]
 
 
-@pytest.mark.parametrize("regime", ["purple", "green"])
-def test_golden_artifacts(tmp_path, monkeypatch, regime):
+def check_goldens(tmp_path, monkeypatch, regime):
     monkeypatch.chdir(tmp_path)   # relative paths keep the config hash fixed
     write_inputs(tmp_path, regime)
     staged_chain(tmp_path)
@@ -96,3 +102,46 @@ def test_golden_artifacts(tmp_path, monkeypatch, regime):
                 "%s %s/%s differs from the golden made on %s; this is %s %s, %s"
                 % (where, regime, name, MADE_ON, platform.python_implementation(),
                    platform.python_version(), platform.machine()))
+
+
+@pytest.mark.parametrize("regime", ["purple", "green"])
+def test_golden_artifacts(tmp_path, monkeypatch, regime):
+    check_goldens(tmp_path, monkeypatch, regime)
+
+
+def compensated_sum(iterable, start=0):
+    """`sum` as CPython 3.12 and later compute it: exact over ints, and over
+    floats with Neumaier's compensation, added to the total at the end."""
+    items = list(iterable)
+    if all(type(x) is int for x in [start] + items):
+        return builtins.sum(items, start)
+    total, comp = float(start), 0.0
+    for x in items:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_compensated_sum_is_not_plain_addition():
+    assert compensated_sum([0.1] * 10) == 1.0 != builtins.sum([0.1] * 10)
+    assert compensated_sum([1e100, 1.0, -1e100]) == 1.0
+    assert compensated_sum([2 ** 60, 1, -(2 ** 60)]) == 1
+    assert compensated_sum([]) == 0
+
+
+@pytest.mark.parametrize("regime", ["purple", "green"])
+def test_golden_artifacts_under_compensated_sum(tmp_path, monkeypatch, regime):
+    """With every package module's `sum` the compensated one of Python 3.12,
+    the staged chain and `run` still reproduce the goldens made on 3.11."""
+    calls = []
+
+    def counted_sum(iterable, start=0):
+        calls.append(1)
+        return compensated_sum(iterable, start)
+
+    for info in pkgutil.iter_modules(morphcomplexity.__path__):
+        module = importlib.import_module("morphcomplexity." + info.name)
+        monkeypatch.setattr(module, "sum", counted_sum, raising=False)
+    check_goldens(tmp_path, monkeypatch, regime)
+    assert calls

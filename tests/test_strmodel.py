@@ -7,12 +7,12 @@ import random
 from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from morphcomplexity import strmodel
 from morphcomplexity.complexity import SyntheticSystem
 from morphcomplexity.corpus import (
-    EMPTY, ROOT, PairView, Paradigm, expand_paradigm_pairs, make_split,
+    EMPTY, ROOT, PairView, Paradigm, expand_paradigm_pairs, make_split, mappings, target_groups,
 )
 from morphcomplexity.strmodel import (
     CharNGram, ConditionalParadigmModel, ScoreTable, ScoreTableError,
@@ -221,7 +221,8 @@ def train_per_mapping(pairs, order=3, alpha=0.1):
         targets[tgt_slot, tgt] += 1
     model = ConditionalParadigmModel(set().union(*sources, *(form for _, form in targets)),
                                      order=order, alpha=alpha)
-    model.rule_tables = rule_tables
+    model.rule_tables = {key: [(s, t, c) for (s, t), c in table.items()]
+                         for key, table in rule_tables.items()}
     for (slot, form), count in targets.items():
         if slot not in model.char_models:
             model.char_models[slot] = CharNGram(order, alpha, model.alphabet)
@@ -231,8 +232,8 @@ def train_per_mapping(pairs, order=3, alpha=0.1):
 
 
 @st.composite
-def paradigm_lists(draw):
-    """Paradigms over slots A-D: a stem shared by the paradigm, in each slot
+def paradigm_lists(draw, slots="ABCD"):
+    """Paradigms over the slots: a stem shared by the paradigm, in each slot
     an ending and maybe a prefix (so two forms may differ from the first
     letter), any of them empty; some paradigms partial or of one slot, and
     two slots may hold the same form.  The first fills two slots or more,
@@ -240,7 +241,7 @@ def paradigm_lists(draw):
     paradigms = []
     for i in range(draw(st.integers(1, 6))):
         stem = draw(st.text("ab", max_size=3))
-        cells = draw(st.dictionaries(st.sampled_from("ABCD"),
+        cells = draw(st.dictionaries(st.sampled_from(slots),
                                      st.tuples(st.sampled_from(["", "", "x", "y"]),
                                                st.text("abc", max_size=2)),
                                      min_size=1 if i else 2))
@@ -262,8 +263,8 @@ def test_train_equals_per_mapping_counts(paradigms, pair_count, seed):
     for pairs in (PairView(paradigms), green, list(PairView(paradigms)), list(green)):
         model, want = train(pairs, order=2), train_per_mapping(list(pairs), order=2)
         assert list(model.rule_tables) == list(want.rule_tables)
-        for key, table in want.rule_tables.items():
-            assert list(model.rule_tables[key].items()) == list(table.items())
+        for key, rows in want.rule_tables.items():
+            assert model.rule_tables[key] == rows
         assert model.alphabet == want.alphabet
         assert list(model.char_models) == list(want.char_models)
         for slot, char in want.char_models.items():
@@ -368,7 +369,7 @@ def reference_logprob(model, lam, src, src_slot, tgt_slot, tgt):
     if src_slot == ROOT:
         return lc
     total = hit = 0.0
-    for (s_sfx, t_sfx), count in model.rule_tables.get((src_slot, tgt_slot), {}).items():
+    for s_sfx, t_sfx, count in model.rule_tables.get((src_slot, tgt_slot), []):
         if src.endswith(s_sfx):
             total += count + model.alpha
             if src[:len(src) - len(s_sfx)] + t_sfx == tgt:
@@ -410,6 +411,90 @@ def test_dev_pass_matches_cross_entropy_bit_for_bit(caplog):
     staged = compute_weights(back, dev, slots, (back.lam,))
     assert back.lam == chosen
     assert staged.root == W.root and staged.edge == W.edge
+
+
+def per_mapping_weights(model, dev, slots, grid):
+    """The dev pass as one loop over the mappings: each scored on its own
+    under every lambda by `reference_logprob` and added with += to its cell
+    and to the flat total.  Returns (dev CE per lambda, chosen lambda, root
+    weights, edge weights) as `compute_weights` logs, sets and returns them."""
+    n, g = len(slots), len(grid)
+    index = {s: i for i, s in enumerate(slots)}
+    column = {**index, ROOT: n}
+    cnt = [[0] * (n + 1) for _ in range(n)]
+    cell_sum = [[[0.0] * g for _ in range(n + 1)] for _ in range(n)]
+    total = [0.0] * g
+    for p in dev:
+        for m in mappings({s: f for s, f in p.entries.items() if s in index}):
+            i, j = index[m[2]], column[m[1]]
+            cnt[i][j] += 1
+            for k, lam in enumerate(grid):
+                lp = reference_logprob(model, lam, *m)
+                total[k] += lp
+                cell_sum[i][j][k] += lp
+    ces = [-t / sum(map(sum, cnt)) for t in total]
+    k = min(range(g), key=ces.__getitem__)
+    root = [cell_sum[i][n][k] / cnt[i][n] if cnt[i][n] else None for i in range(n)]
+    fallback = 0.0
+    for r in root:
+        if r is not None:
+            fallback += r
+    fallback /= n - root.count(None)
+    edge = [[fallback] * n if root[i] is None else
+            [0.0 if i == j else cell_sum[i][j][k] / cnt[i][j] if cnt[i][j] else root[i]
+             for j in range(n)] for i in range(n)]
+    return ces, grid[k], [fallback if r is None else r for r in root], edge
+
+
+def bits(xs):
+    return [x.hex() for x in xs]
+
+
+# the scorer's inventory; dev paradigms also fill E, a slot outside it
+INVENTORY = ["A", "B", "C", "D"]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example([Paradigm("k", {"A": "ka", "B": "kb", "C": "kb"}), Paradigm("n", {"A": "na", "B": "nc"})],
+         [Paradigm("m", {"A": "ma", "B": "mb", "C": "mb", "D": "", "E": "xq"}),
+          Paradigm("y", {"A": "ya", "B": "mc", "C": "mb"})])
+@given(paradigm_lists("ABC"), paradigm_lists("ABCDE"))
+def test_grid_scorer_and_dev_pass_equal_per_mapping_loop(caplog, train_paradigms, dev):
+    """Scoring a dev target once against its root context and all its
+    sources gives, for every source and lambda, the bits the mixture
+    written out gives for that one mapping; and the dev pass built on it
+    gives the per-mapping loop's dev CE per lambda, chosen lambda, root
+    weights and every edge weight, bit for bit.  Training fills A-C only,
+    so D is scored with the fallback n-gram and no rule table, and E with
+    neither is left out of the matrix.  The training paradigms are dev
+    paradigms too, so most draws have rules that apply and give the target
+    (shares of 1 and between 0 and 1).  In the example, target C of m has
+    two sources of share 1, target B of y two of share 0, and target B of m
+    two whose rules giving mb weigh the same but whose shares differ."""
+    model = train(PairView(train_paradigms), order=2)
+    dev = dev + train_paradigms
+    score = model.grid_scorer(GRID)
+    for p in dev:
+        for tgt_slot, tgt, sources in target_groups(p.entries):
+            rows = score(tgt_slot, tgt, sources)
+            assert len(rows) == len(sources) + 1
+            for row, (src_slot, src) in zip(rows, [(ROOT, EMPTY)] + sources):
+                want = [reference_logprob(model, lam, src, src_slot, tgt_slot, tgt)
+                        for lam in GRID]
+                assert bits(row) == bits(want)
+                assert (model.logprob(src, src_slot, tgt_slot, tgt).hex()
+                        == want[GRID.index(model.lam)].hex())
+    ces, chosen, root, edge = per_mapping_weights(model, dev, INVENTORY, GRID)
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="morphcomplexity.structure")
+    W = compute_weights(model, dev, INVENTORY, GRID)
+    logged = [r.args for r in caplog.records if r.msg.startswith("lambda=")]
+    assert [lam for lam, _ in logged] == list(GRID)
+    assert bits(ce for _, ce in logged) == bits(ces)
+    assert model.lam == chosen
+    assert bits(W.root) == bits(root)
+    assert [bits(r) for r in W.edge] == [bits(r) for r in edge]
 
 
 def test_char_logprob_memo_follows_add_and_is_never_saved():
