@@ -234,10 +234,12 @@ def stage_weights(scorer, split, grid):
 
 
 def stage_measure(cfg, split, scorer, tree):
-    """The complexity point on the test paradigms (definitions: complexity.py)."""
+    """The complexity point on the test paradigms (definitions: complexity.py),
+    labelled with the regime the split was sampled in."""
     i_total, i_per_form = complexity.i_complexity(scorer, tree, split.test_paradigms)
+    regime = "purple" if split.train_pairs.cells is None else "green"
     return complexity.ComplexityPoint(
-        language=cfg["language"], pos=cfg["pos"], regime=cfg["regime"],
+        language=cfg["language"], pos=cfg["pos"], regime=regime,
         e_complexity=len(tree.slots), i_total_bits=i_total, i_per_form_bits=i_per_form,
         d=len(split.test_paradigms), seed=cfg["seed"])
 
@@ -269,7 +271,7 @@ def cmd_ingest(args):
 def cmd_split(args):
     cfg = resolve_config(args)
     split = stage_split(cfg, *read_artifact(args.store, _load_store))
-    _write_json(args.out, dict(corpus.split_to_json(split), regime=cfg["regime"]), cfg)
+    _write_json(args.out, corpus.split_to_json(split), cfg)
     print("train pairs: %d, dev paradigms: %d, test paradigms: %d"
           % (len(split.train_pairs), len(split.dev_paradigms), len(split.test_paradigms)))
     return EXIT_OK
@@ -401,7 +403,8 @@ def _critique(plat):
     # suppletion: the plat gives 'went' zero probability, the string model does not
     dist = platbaseline.cond_dist(plat, plat.slots[0], plat.slots[1],
                                   plat.exponent[0][1])
-    model = strmodel.train([("go", "V;NFIN", "V;PST", "went")])
+    go = corpus.Paradigm("go", {"V;NFIN": "go", "V;PST": "went"})
+    model = strmodel.train(corpus.PairView([go], [("go", "V;NFIN", "V;PST")]))
     lp = model.logprob("fly", "V;NFIN", "V;PST", "flew")
     print("critique: plat support is only %r; string model gives an unseen "
           "irregular logprob %.2f bits (finite)" % (sorted(dist), lp))
@@ -502,6 +505,10 @@ def main(argv=None):
     except CliError as e:
         log.error("%s", e)
         return e.code
+    except strmodel.ScoreTableError as e:
+        # raised by a lookup, not by parsing: the table lacks a mapping of the split
+        log.error("the --scores table does not fit the split: %s", e)
+        return EXIT_PARSE
     except (ValueError, OSError) as e:
         # a stage rejected its inputs after they were read, e.g. an empty test set
         log.error("%s failed: %s", args.command, e)

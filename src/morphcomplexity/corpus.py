@@ -286,8 +286,8 @@ def split_from_json(obj):
         raise ValueError("train_cells is neither null nor a list")
     entries = {p.lexeme: p.entries for p in train}
     if cells is not None and not all(tgt in entries[lx] and (src == ROOT or src in entries[lx])
-                                     for lx, src, tgt in cells):
-        raise ValueError("a training cell is not in its paradigm")
+                                     and src != tgt for lx, src, tgt in cells):
+        raise ValueError("a training cell is not in its paradigm or maps a slot to itself")
     return DataSplit(train_pairs=PairView(train, cells),
                      dev_paradigms=paradigms_from_json(obj["dev_paradigms"]),
                      test_paradigms=paradigms_from_json(obj["test_paradigms"]),

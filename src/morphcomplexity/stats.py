@@ -61,10 +61,7 @@ def pareto_curve(points):
 
 def pareto_area(points):
     """Exact rectangle integral of the step curve over (0, max x], summed as
-    `perm_test` sums its observed area.  A ParetoCurve stands for its
-    breakpoints, which have the same curve."""
-    if isinstance(points, ParetoCurve):
-        points = points.breakpoints
+    `perm_test` sums its observed area."""
     if not points:
         raise ValueError("no points")
     for x, y in points:

@@ -11,7 +11,7 @@ import json
 import math
 from collections import Counter, defaultdict
 
-from .corpus import ROOT, EMPTY, PairView
+from .corpus import ROOT, EMPTY
 
 FORMAT_VERSION = 2
 DEFAULT_LAMBDA = 0.05
@@ -26,6 +26,8 @@ class CharNGram:
 
     Every history assigns positive probability to every character, to UNK and
     to stopping, so the model is a proper distribution over all finite strings.
+    `logprob` is computed afresh on each call: the dev pass asks it once per
+    dev target, so a per-form memo would not hit.
     """
 
     def __init__(self, order=3, alpha=0.1, alphabet=()):
@@ -43,7 +45,6 @@ class CharNGram:
         self._known = set(self.alphabet)
         self.counts = defaultdict(Counter)   # history tuple -> next symbol counts
         self._totals = {}
-        self._logprobs = {}                  # form -> logprob; cleared by add, never saved
 
     def _events(self, form):
         hist = (BOS,) * (self.order - 1)
@@ -56,14 +57,12 @@ class CharNGram:
 
     def add(self, count, form):
         """Count the form as seen `count` times."""
-        self._logprobs.clear()
         for hist, sym in self._events(form):
             self.counts[hist][sym] += count
             self._totals[hist] = self._totals.get(hist, 0) + count
 
     def add_counts(self, counts):
         """Add (history, {symbol: count}) items to the counts."""
-        self._logprobs.clear()
         for hist, c in counts:
             self.counts[hist].update(c)
             self._totals[hist] = self._totals.get(hist, 0) + sum(c.values())
@@ -76,12 +75,9 @@ class CharNGram:
 
     def logprob(self, form):
         """log2 probability of generating the form and stopping."""
-        lp = self._logprobs.get(form)
-        if lp is None:
-            lp = 0.0
-            for hist, sym in self._events(form):
-                lp += math.log2(self.prob(hist, sym))
-            self._logprobs[form] = lp
+        lp = 0.0
+        for hist, sym in self._events(form):
+            lp += math.log2(self.prob(hist, sym))
         return lp
 
     def mass_upto(self, max_len):
@@ -136,25 +132,24 @@ class ConditionalParadigmModel:
 
     rule_tables[(src_slot, tgt_slot)] is a list of (src_suffix, tgt_suffix,
     count) rows, one per distinct rule, in the order training first saw them.
-    char_models[tgt_slot] is the per-slot n-gram; the fallback n-gram, the
-    sum of their counts, covers slots unseen as targets in training.
+    char_models[tgt_slot] is the per-slot n-gram over `alphabet`.  The model
+    is built whole, by `train` or `from_json`: the constructor sums the slot
+    n-grams' counts into the fallback n-gram, which covers slots unseen as
+    targets in training, and nothing changes the tables or the n-grams
+    afterwards.  Only `lam` is set later, by the dev pass.
     """
 
-    def __init__(self, alphabet, order=3, alpha=0.1, lam=DEFAULT_LAMBDA):
+    def __init__(self, alphabet, order, alpha, rule_tables, char_models, lam=DEFAULT_LAMBDA):
         if not (isinstance(lam, float) and 0.0 < lam < 1.0):
             raise ValueError("model lambda %r is not a number in (0, 1)" % (lam,))
         self.alphabet = sorted(alphabet)
         self.order = order
         self.alpha = alpha
         self.lam = lam
-        self.rule_tables = {}
-        self.char_models = {}
-        self.sum_char_models()
-
-    def sum_char_models(self):
-        """Set the fallback n-gram to the sum of the slot n-grams' counts."""
-        self.fallback_char = CharNGram(self.order, self.alpha, self.alphabet)
-        for m in self.char_models.values():
+        self.rule_tables = rule_tables
+        self.char_models = char_models
+        self.fallback_char = CharNGram(order, alpha, self.alphabet)
+        for m in char_models.values():
             self.fallback_char.add_counts(m.counts.items())
 
     def char_model(self, tgt_slot):
@@ -263,17 +258,17 @@ class ConditionalParadigmModel:
                              "[[src suffix, tgt suffix, count > 0], ...]]")
         if not isinstance(chars, dict):
             raise ValueError("char_models is not a JSON object")
-        m = cls(alphabet=alphabet, order=obj["order"], alpha=obj["alpha"], lam=obj["lambda"])
+        rule_tables = {}
         for src_slot, tgt_slot, rules in tables:
-            if ((src_slot, tgt_slot) in m.rule_tables
+            if ((src_slot, tgt_slot) in rule_tables
                     or len({(s, t) for s, t, _ in rules}) < len(rules)):
                 raise ValueError("rule table %s -> %s is given twice or repeats a rule"
                                  % (src_slot, tgt_slot))
-            m.rule_tables[(src_slot, tgt_slot)] = [tuple(rule) for rule in rules]
-        m.char_models = {slot: CharNGram.from_json(counts, m.order, m.alpha, m.alphabet)
-                         for slot, counts in chars.items()}
-        m.sum_char_models()
-        return m
+            rule_tables[(src_slot, tgt_slot)] = [tuple(rule) for rule in rules]
+        order, alpha = obj["order"], obj["alpha"]
+        char_models = {slot: CharNGram.from_json(counts, order, alpha, alphabet)
+                       for slot, counts in chars.items()}
+        return cls(alphabet, order, alpha, rule_tables, char_models, lam=obj["lambda"])
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -306,21 +301,16 @@ def cross_entropy(scorer, pairs):
 
 def train(pairs, order=3, alpha=0.1):
     """Fit the shared conditional model by accumulating rule and n-gram
-    counts from a `corpus.PairView` or a list of `corpus.mappings` tuples.
-
-    A view is counted per target (`PairView.groups`): the target once, times
-    its mapping count, then each source's rule, taken from the two forms'
-    endings after their paradigm's shared stem (the endings themselves when
-    their first letters differ).  A list is counted per mapping, uncut.
-    Either way counts and rule order in each table, which fixes its float
-    sums, are those of one pass over the mappings; each table is then
-    frozen as (src_suffix, tgt_suffix, count) rows.  The mixture weight stays
-    DEFAULT_LAMBDA until the dev pass of `structure.compute_weights` picks it."""
+    counts from a `corpus.PairView`, one group of `PairView.groups` at a
+    time: the target once, times its mapping count, then each source's rule,
+    taken from the two forms' endings after their paradigm's shared stem
+    (the endings themselves when their first letters differ).  The counts
+    and the rule order in each table, which fixes its float sums, are those
+    of one pass over the mappings; each table is then frozen as (src_suffix,
+    tgt_suffix, count) rows.  The mixture weight stays DEFAULT_LAMBDA until
+    the dev pass of `structure.compute_weights` picks it."""
     targets, rule_tables = Counter(), defaultdict(Counter)
-    groups = pairs.groups() if isinstance(pairs, PairView) else (
-        (1, 0, tgt_slot, tgt, [] if src_slot == ROOT else [(src_slot, src)])
-        for src, src_slot, tgt_slot, tgt in pairs)
-    for count, cut, tgt_slot, tgt, sources in groups:
+    for count, cut, tgt_slot, tgt, sources in pairs.groups():
         targets[tgt_slot, tgt] += count
         end = tgt[cut:]
         for src_slot, src in sources:
@@ -334,14 +324,11 @@ def train(pairs, order=3, alpha=0.1):
     for key, table in rule_tables.items():
         alphabet.update(*(s for s, _ in table))
         rule_tables[key] = [(s, t, c) for (s, t), c in table.items()]
-    model = ConditionalParadigmModel(alphabet, order=order, alpha=alpha)
-    model.rule_tables = dict(rule_tables)
+    alphabet = sorted(alphabet)
+    char_models = defaultdict(lambda: CharNGram(order, alpha, alphabet))
     for (slot, form), count in targets.items():
-        if slot not in model.char_models:
-            model.char_models[slot] = CharNGram(order, alpha, model.alphabet)
-        model.char_models[slot].add(count, form)
-    model.sum_char_models()
-    return model
+        char_models[slot].add(count, form)
+    return ConditionalParadigmModel(alphabet, order, alpha, dict(rule_tables), dict(char_models))
 
 
 def joint_logprob(model, tree, paradigm):

@@ -16,7 +16,7 @@ import pytest
 
 from morphcomplexity import cli, complexity, platbaseline, stats, strmodel, structure
 from morphcomplexity.cli import bundled, main
-from morphcomplexity.corpus import EMPTY, ROOT, make_split
+from morphcomplexity.corpus import EMPTY, ROOT, PairView, Paradigm, make_split
 from morphcomplexity.platbaseline import (
     Plat, avg_cond_entropy, cond_dist, parse_plat,
 )
@@ -162,12 +162,14 @@ def test_criterion_3_edmonds_oracle():
 
 def test_criterion_4_normalization():
     rng = random.Random(0)
-    pairs = []
+    paradigms = []
     for i in range(300):
         src = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
         tgt = "".join(rng.choice("ab") for _ in range(rng.randint(0, 6)))
-        pairs.append((src, "S", "T", tgt))
-    model = strmodel.train(pairs, order=2)
+        paradigms.append(Paradigm("p%d" % i, {"S": src, "T": tgt}))
+    # one S -> T cell per paradigm
+    model = strmodel.train(PairView(paradigms, [(p.lexeme, "S", "T") for p in paradigms]),
+                           order=2)
     contexts = [("a", "S", "T"), ("b", "S", "T"), ("ab", "S", "T"),
                 ("ba", "S", "T"), ("aab", "S", "T"), ("bba", "S", "T"),
                 ("abab", "S", "T"), ("", "S", "T"), (EMPTY, ROOT, "T"),
@@ -272,7 +274,7 @@ def test_criterion_6_pareto_geometry():
         curve = stats.pareto_curve(points)
         shadowed = stats.pareto_curve(points + [(x * 0.9, curve.value(x * 0.9) * 0.5)])
         probes = [x * 0.9] + [bx for bx, _ in curve.breakpoints]
-        if (abs(pareto_area(shadowed) - pareto_area(curve)) > 1e-12
+        if (abs(pareto_area(shadowed.breakpoints) - pareto_area(curve.breakpoints)) > 1e-12
                 or any(shadowed.value(px) != curve.value(px) for px in probes)):
             dominated_ok = False
             break

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import itertools
 import json
 import logging
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import morphcomplexity
-from morphcomplexity import cli
+from morphcomplexity import cli, strmodel
 from morphcomplexity.cli import main
 
 from test_golden import write_inputs
@@ -187,7 +188,10 @@ def write_partial_lexicon(path, count=120):
 
 
 def staged_and_run(d, lex, flags):
-    """Run the staged chain and `run` on one lexicon into `d` and `d/run`."""
+    """Run the staged chain and `run` on one lexicon into `d` and `d/run`.
+    `measure` gets the flags without --regime: it takes the split's."""
+    i = flags.index("--regime") if "--regime" in flags else len(flags)
+    measure_flags = flags[:i] + flags[i + 2:]
     for argv in (["ingest", "--data", lex, "--out", d / "store.json"],
                  ["split", "--store", d / "store.json", "--out", d / "split.json"] + flags,
                  ["train", "--split", d / "split.json", "--out", d / "model.json"] + flags,
@@ -196,7 +200,7 @@ def staged_and_run(d, lex, flags):
                  ["learn-tree", "--weights", d / "weights.json", "--out", d / "tree.json",
                   "--dot", d / "tree.dot"],
                  ["measure", "--split", d / "split.json", "--model", d / "model.json",
-                  "--tree", d / "tree.json", "--out", d / "point.csv"] + flags,
+                  "--tree", d / "tree.json", "--out", d / "point.csv"] + measure_flags,
                  ["run", "--data", lex, "--out-dir", d / "run"] + flags):
         assert main([str(a) for a in argv]) == 0, argv[0]
 
@@ -237,7 +241,8 @@ def test_stagewise_pipeline_matches_run(partial_runs):
 def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     """On random small partial lexicons the staged chain, which scores dev
     in `train` and again in `weights`, gives the point and tree that `run`
-    gives from its one dev pass."""
+    gives from its one dev pass; `measure`, given no --regime, labels a
+    green point green."""
     rng = random.Random(seed)
     slots = ["N;C%d" % i for i in range(n_slots)]
     classes = [[rng.choice(["", "a", "en", "s", "ib"]) for _ in slots] for _ in range(3)]
@@ -270,6 +275,7 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("train --split {no_inventory} --out {tmp}/o.json --seed 0", 2),
     ("train --split {pair_list} --out {tmp}/o.json --seed 0", 2),
     ("train --split {foreign_cell} --out {tmp}/o.json --seed 0", 2),
+    ("train --split {self_cell} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {missing} --out {tmp}/o.json --seed 0", 3),
     ("learn-tree --weights {garbage} --out {tmp}/o.json", 2),
     ("measure --split {d}/split.json --model {d}/model.json --tree {missing} "
@@ -328,6 +334,9 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("measure --split {d}/split.json --tree {d}/tree.json --out {tmp}/o.csv --seed 0", 2),
     ("measure --split {d}/split.json --model {d}/model.json --scores {missing} "
      "--tree {d}/tree.json --out {tmp}/o.csv --seed 0", 2),
+    ("weights --split {d}/split.json --scores {partial_scores} --out {tmp}/o.json --seed 0", 2),
+    ("measure --split {d}/split.json --scores {partial_scores} --tree {d}/tree.json "
+     "--out {tmp}/o.csv --seed 0", 2),
     ("split --store {d}/store.json --out {tmp}/o.json --seed 0 --regime bogus "
      "--dev-paradigms 200", 2),
     ("train --split {d}/split.json --out {tmp}/o.json --seed 0 --regime bogus", 2),
@@ -349,11 +358,12 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
 def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     """A missing input file exits 3; an unparsable one, or a tree over other
     slots than the split's inventory, exits 2; either way with one ERROR line.
-    Weights must be finite and n x n over distinct slots, scores finite, and
-    Pareto points have finite x > 0 and y >= 0; a points file without points
-    exits 3.  A lambda grid, or a saved model's lambda, lies in (0, 1); a
-    saved alpha is finite and > 0, its order an integer >= 1, and its format
-    the current one; each char model's counts are of histories of order - 1
+    Weights must be finite and n x n over distinct slots, scores finite and
+    given for every mapping the split needs, a training cell must not map a
+    slot to itself, and Pareto points have finite x > 0 and y >= 0; a points
+    file without points exits 3.  A lambda grid, or a saved model's lambda,
+    lies in (0, 1); a saved alpha is finite and > 0, its order an integer
+    >= 1, and its format the current one; each char model's counts are of histories of order - 1
     symbols and of symbols in the alphabet, UNK or stop, given as a list of
     [history, counts] pairs, and each rule count is a positive integer, of
     a rule given once in a table given once.  An inventory repeats no slot.
@@ -375,6 +385,7 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     (tmp_path / "nan_scores").write_text("a\tS\tT\tb\tnan\n", encoding="utf-8")
+    (tmp_path / "partial_scores").write_text("a\tS\tT\tb\t-1.0\n", encoding="utf-8")
     header = "language,pos,regime,e_complexity,i_total_bits,i_per_form_bits,d,seed\n"
     (tmp_path / "no_points").write_text(header, encoding="utf-8")
     bad_points = {"zero_x": ("0", "1.0"), "negative_y": ("4", "-0.5"), "nan_y": ("4", "nan")}
@@ -394,6 +405,10 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     lexeme = split["train_paradigms"][0]["lexeme"]
     foreign_cell = dict(split, train_cells=[[lexeme, RARE_SLOT, PARTIAL_SLOTS[1]]])
     (tmp_path / "foreign_cell.json").write_text(json.dumps(foreign_cell), encoding="utf-8")
+    # a green cell from a slot to itself
+    slot = min(split["train_paradigms"][0]["entries"])
+    self_cell = dict(split, train_cells=[[lexeme, slot, slot]])
+    (tmp_path / "self_cell.json").write_text(json.dumps(self_cell), encoding="utf-8")
     # a tree over the five filled slots only, as the old staged chain learned it
     tree = {"root": PARTIAL_SLOTS[0], "edges": {s: PARTIAL_SLOTS[0] for s in PARTIAL_SLOTS[1:]}}
     (tmp_path / "foreign_tree.json").write_text(json.dumps(tree), encoding="utf-8")
@@ -445,11 +460,12 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
              "garbage": garbage, "no_inventory": tmp_path / "no_inventory.json",
              "pair_list": tmp_path / "pair_list.json",
              "foreign_cell": tmp_path / "foreign_cell.json",
+             "self_cell": tmp_path / "self_cell.json",
              "foreign_tree": tmp_path / "foreign_tree.json",
              "synth": cli.bundled("synth_two_class.json"),
              **{name: tmp_path / name
-                for name in [*files, "nan_scores", "no_points", "empty_grid", *bad_points,
-                             *bad_records]}}
+                for name in [*files, "nan_scores", "partial_scores", "no_points", "empty_grid",
+                             *bad_points, *bad_records]}}
     assert main(argv.format(**paths).split()) == code
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
@@ -712,3 +728,36 @@ def test_run_does_not_depend_on_hash_seed(tmp_path, regime):
         made.append({name: (tmp_path / "run" / name).read_bytes()
                      for name in ("point.csv", "tree.json", "manifest.json")})
     assert made[0] == made[1]
+
+
+# ----------------------------------------------------------- perfbench tracer
+
+def load_tracer():
+    """perfbench/tracer.py, which sits beside the package, not in it."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_perfbench_tracer_counts_the_hot_methods(partial_runs, tmp_path):
+    """The benchmark's tracer finds every name it patches, and under it a toy
+    `run` and a staged `train` call the hot methods it counts; uninstalling
+    puts the originals back."""
+    tracing = load_tracer()
+    hot = ["CharNGram.add", "CharNGram.logprob", "ConditionalParadigmModel.logprob"]
+    classes = (strmodel.CharNGram, strmodel.ConditionalParadigmModel)
+    originals = [dict(vars(cls)) for cls in classes]
+    tracer = tracing.Tracer()
+    tracing.install(tracer, morphcomplexity)
+    try:
+        d = partial_runs
+        for argv in (["run", "--data", d / "lex.tsv", "--out-dir", tmp_path / "run"],
+                     ["train", "--split", d / "split.json", "--out", tmp_path / "model.json"]):
+            assert main([str(a) for a in argv + ["--seed", "3"] + SMALL]) == 0, argv[0]
+        calls = {name: tracer.counters["strmodel.%s.calls" % name] for name in hot}
+        assert all(n > 0 for n in calls.values()), calls
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(cls)) for cls in classes] == originals

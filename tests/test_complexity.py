@@ -12,7 +12,7 @@ from morphcomplexity.complexity import (
     synth_system, write_points_csv,
 )
 from morphcomplexity.corpus import (
-    EMPTY, ROOT, Paradigm, make_split,
+    EMPTY, ROOT, PairView, Paradigm, make_split,
 )
 from morphcomplexity.structure import Arborescence, compute_weights, max_arborescence
 
@@ -142,9 +142,7 @@ def test_more_training_data_reduces_estimate():
     dev, test = holdout[:50], holdout[50:]
     results = []
     for size in (100, 800):
-        from morphcomplexity.corpus import expand_paradigm_pairs
-        train_pairs = expand_paradigm_pairs(paradigms[100:100 + size])
-        model = strmodel.train(train_pairs)
+        model = strmodel.train(PairView(paradigms[100:100 + size]))
         W = compute_weights(model, dev, system.slots, GRID)
         tree = max_arborescence(W)
         i_total, _ = i_complexity(model, tree, test)

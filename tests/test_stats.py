@@ -25,7 +25,7 @@ def grid_area(points, dx=1e-4):
 def test_single_point_curve():
     curve = pareto_curve([(2.0, 1.0)])
     assert curve.breakpoints == [(2.0, 1.0)]
-    assert pareto_area(curve) == pytest.approx(2.0)
+    assert pareto_area(curve.breakpoints) == pytest.approx(2.0)
 
 
 def test_two_point_staircase():

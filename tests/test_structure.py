@@ -5,7 +5,7 @@ import random
 import pytest
 
 from morphcomplexity import strmodel
-from morphcomplexity.corpus import EMPTY, ROOT, Paradigm, expand_paradigm_pairs
+from morphcomplexity.corpus import EMPTY, ROOT, PairView, Paradigm
 from morphcomplexity.structure import (
     Arborescence, WeightMatrix, compute_weights, max_arborescence, tree_score,
 )
@@ -241,7 +241,7 @@ def test_selected_tree_dev_loglik_equals_score():
     for i in range(80):
         stem = "".join(rng.choice("ab") for _ in range(rng.randint(2, 4)))
         paradigms.append(Paradigm("l%d" % i, {s: stem + suffix[s] for s in slots}))
-    model = strmodel.train(expand_paradigm_pairs(paradigms[:60]))
+    model = strmodel.train(PairView(paradigms[:60]))
     dev = paradigms[60:]
     W = compute_weights(model, dev, slots)
     tree = max_arborescence(W)
