@@ -22,12 +22,6 @@ EXIT_INTERNAL = 4
 PARADIGM_WARN_THRESHOLD = 500
 
 
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
-
-
 def bundled(name):
     """Path to a bundled data fixture."""
     return resources.files("morphcomplexity.data") / name
@@ -65,16 +59,15 @@ def load_config(path):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CliError("%s:%d: expected key = value" % (path, lineno), EXIT_PARSE)
+            raise ValueError("%s:%d: expected key = value" % (path, lineno))
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in CONFIG_FIELDS:
-            raise CliError("%s:%d: unknown config key %r" % (path, lineno, key), EXIT_PARSE)
+            raise ValueError("%s:%d: unknown config key %r" % (path, lineno, key))
         try:
             cfg[key] = CONFIG_FIELDS[key](value.strip())
         except ValueError:
-            raise CliError("%s:%d: bad value for %s: %r" % (path, lineno, key, value),
-                           EXIT_PARSE)
+            raise ValueError("%s:%d: bad value for %s: %r" % (path, lineno, key, value))
     return cfg
 
 
@@ -89,24 +82,24 @@ def resolve_config(args, require_seed=True):
             cfg[key] = val
     if cfg.get("seed") is None:
         if require_seed or cfg.get("synth"):
-            raise CliError("--seed is required (set it in the config or on the "
-                           "command line)", EXIT_PARSE)
+            raise ValueError("--seed is required (set it in the config or on the "
+                             "command line)")
         cfg["seed"] = 0
     for key in ("synth_paradigms", "paradigm_count", "pair_count", "dev_paradigms",
                 "test_paradigms", "order", "n_perm"):
         if cfg[key] < 1:
-            raise CliError("%s must be >= 1, got %r" % (key, cfg[key]), EXIT_PARSE)
+            raise ValueError("%s must be >= 1, got %r" % (key, cfg[key]))
     if not 0.0 < cfg["alpha"] < float("inf"):
-        raise CliError("alpha must be finite and > 0, got %r" % cfg["alpha"], EXIT_PARSE)
+        raise ValueError("alpha must be finite and > 0, got %r" % cfg["alpha"])
     if cfg["regime"] not in ("purple", "green"):
-        raise CliError("regime must be purple or green, got %r" % cfg["regime"], EXIT_PARSE)
+        raise ValueError("regime must be purple or green, got %r" % cfg["regime"])
     try:
         grid_ok = all(0.0 < lam < 1.0 for lam in lambda_grid(cfg))
     except ValueError:
         grid_ok = False
     if not grid_ok:
-        raise CliError("lambda grid must be comma-separated numbers in (0, 1), got %r"
-                       % cfg["lambda_grid"], EXIT_PARSE)
+        raise ValueError("lambda grid must be comma-separated numbers in (0, 1), got %r"
+                         % cfg["lambda_grid"])
     return cfg
 
 
@@ -142,20 +135,21 @@ def _json(path):
 
 
 def read_artifact(path, load):
-    """load(path) for an input file: a missing or unreadable file ends with
-    exit 3, one that does not parse or does not fit the other inputs with 2."""
+    """load(path) for an input file: a missing or unreadable file is missing
+    data, one that does not parse or does not fit the other inputs a ValueError."""
     try:
         return load(path)
     except OSError as e:
-        raise CliError("cannot read %s: %s" % (path, e), EXIT_NO_DATA)
+        raise corpus.InsufficientDataError("cannot read %s: %s" % (path, e))
     except (ValueError, KeyError, TypeError) as e:
         reason = "missing or unknown key %s" % e if isinstance(e, KeyError) else e
-        raise CliError("cannot parse %s: %s" % (path, reason), EXIT_PARSE)
+        raise ValueError("cannot parse %s: %s" % (path, reason))
 
 
 def _load_store(path):
     obj = _json(path)
-    return corpus.inventory_from_json(obj), corpus.paradigms_from_json(obj["paradigms"])
+    inventory = corpus.inventory_from_json(obj)
+    return inventory, corpus.paradigms_from_json(obj["paradigms"], inventory)
 
 
 def _load_split(path):
@@ -190,24 +184,17 @@ def stage_ingest(cfg):
         return sorted(system.slots), system.sample_paradigms(cfg["synth_paradigms"], rng)
     path = cfg.get("data")
     if not path:
-        raise CliError("either a data file or a synthetic generator config is required",
-                       EXIT_NO_DATA)
+        raise corpus.InsufficientDataError("either a data file or a synthetic generator "
+                                           "config is required")
     words, errors = read_artifact(path, _text(corpus.parse_unimorph))
     for err in errors:
         log.error("%s: %s", path, err)
     if errors:
-        raise CliError("%d malformed lines in %s" % (len(errors), path), EXIT_PARSE)
+        raise ValueError("%d malformed lines in %s" % (len(errors), path))
     inventory, paradigms = corpus.build_paradigms(words, pos_filter=cfg["pos"])
     if not paradigms:
-        raise CliError("no paradigms for POS %r in %s" % (cfg["pos"], path), EXIT_NO_DATA)
+        raise corpus.InsufficientDataError("no paradigms for POS %r in %s" % (cfg["pos"], path))
     return inventory, paradigms
-
-
-def stage_split(cfg, inventory, paradigms):
-    try:
-        return corpus.make_split(paradigms, cfg, inventory)
-    except corpus.InsufficientDataError as e:
-        raise CliError(str(e), EXIT_NO_DATA)
 
 
 def stage_train(cfg, split):
@@ -220,7 +207,7 @@ def read_scorer(cfg, model_path):
     the lambda grid of its dev pass: a saved model's own lambda, or none for
     external scores."""
     if bool(model_path) == bool(cfg.get("scores")):
-        raise CliError("give exactly one scorer: --model or --scores", EXIT_PARSE)
+        raise ValueError("give exactly one scorer: --model or --scores")
     if model_path:
         model = read_artifact(model_path, strmodel.ConditionalParadigmModel.load)
         return model, (model.lam,)
@@ -270,7 +257,8 @@ def cmd_ingest(args):
 
 def cmd_split(args):
     cfg = resolve_config(args)
-    split = stage_split(cfg, *read_artifact(args.store, _load_store))
+    inventory, paradigms = read_artifact(args.store, _load_store)
+    split = corpus.make_split(paradigms, cfg, inventory)
     _write_json(args.out, corpus.split_to_json(split), cfg)
     print("train pairs: %d, dev paradigms: %d, test paradigms: %d"
           % (len(split.train_pairs), len(split.dev_paradigms), len(split.test_paradigms)))
@@ -322,7 +310,8 @@ def cmd_run(args):
     cfg = resolve_config(args)
     out_dir = Path(cfg.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    split = stage_split(cfg, *stage_ingest(cfg))
+    inventory, paradigms = stage_ingest(cfg)
+    split = corpus.make_split(paradigms, cfg, inventory)
     scorer, grid = (read_scorer(cfg, None) if cfg.get("scores")
                     else (stage_train(cfg, split), lambda_grid(cfg)))
     W = stage_weights(scorer, split, grid)
@@ -375,7 +364,7 @@ def cmd_pareto(args):
         print("%s: area=%.3f, p=%.4f (%d permutations)"
               % (pos, res.observed_area, res.p_value, res.n_perm))
     if len(failures) == len(by_pos):
-        raise CliError("no POS had enough points", EXIT_NO_DATA)
+        raise corpus.InsufficientDataError("no POS had enough points")
     _write_json(out_dir / "pareto_report.json", report, cfg)
     return EXIT_OK
 
@@ -413,7 +402,7 @@ def _critique(plat):
 def cmd_critique(args):
     cfg = resolve_config(args)
     if args.trials < 1:
-        raise CliError("--trials must be >= 1, got %d" % args.trials, EXIT_PARSE)
+        raise ValueError("--trials must be >= 1, got %d" % args.trials)
     rng = random.Random(cfg["seed"])
     worst = float("inf")
     for _ in range(args.trials):
@@ -502,15 +491,12 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except CliError as e:
+    except ValueError as e:
+        # every ValueError checks an input or argument, when it is read or by
+        # the stage that uses it, e.g. an empty test set
         log.error("%s", e)
-        return e.code
-    except strmodel.ScoreTableError as e:
-        # raised by a lookup, not by parsing: the table lacks a mapping of the split
-        log.error("the --scores table does not fit the split: %s", e)
-        return EXIT_PARSE
-    except (ValueError, OSError) as e:
-        # a stage rejected its inputs after they were read, e.g. an empty test set
+        return EXIT_NO_DATA if isinstance(e, corpus.InsufficientDataError) else EXIT_PARSE
+    except OSError as e:
         log.error("%s failed: %s", args.command, e)
         return EXIT_INTERNAL
     except Exception as e:  # pragma: no cover - internal failure path

@@ -25,7 +25,7 @@ class LexiconFormatError(ValueError):
 
 
 class InsufficientDataError(ValueError):
-    pass
+    """Missing or too little data."""
 
 
 @dataclass(frozen=True)
@@ -248,14 +248,19 @@ def paradigms_to_json(paradigms):
     return [{"lexeme": p.lexeme, "entries": p.entries} for p in paradigms]
 
 
-def paradigms_from_json(records):
+def paradigms_from_json(records, inventory):
+    """Paradigm records, each of a lexeme no other gives, over inventory slots."""
     if not isinstance(records, list):
         raise ValueError("a paradigm list is not a JSON list")
     paradigms = [Paradigm(r["lexeme"], dict(r["entries"])) for r in records]
+    slots = set(inventory)
     for p in paradigms:
         if not isinstance(p.lexeme, str) or not all(
-                isinstance(s, str) and isinstance(f, str) for s, f in p.entries.items()):
-            raise ValueError("paradigm %r: lexeme, slots and forms must be strings" % (p.lexeme,))
+                s in slots and isinstance(f, str) for s, f in p.entries.items()):
+            raise ValueError("paradigm %r: lexeme and forms must be strings and slots "
+                             "of the inventory" % (p.lexeme,))
+    if len({p.lexeme for p in paradigms}) < len(paradigms):
+        raise ValueError("a paradigm list gives a lexeme twice")
     return paradigms
 
 
@@ -281,14 +286,17 @@ def split_to_json(split):
 def split_from_json(obj):
     if "inventory" not in obj or "train_pairs" in obj:
         raise ValueError("split has an old layout (no inventory or a pair list); re-run split")
-    train, cells = paradigms_from_json(obj["train_paradigms"]), obj["train_cells"]
+    inventory = inventory_from_json(obj)
+    train, dev, test = (paradigms_from_json(obj[k], inventory)
+                        for k in ("train_paradigms", "dev_paradigms", "test_paradigms"))
+    if len({p.lexeme for p in train + dev + test}) < len(train) + len(dev) + len(test):
+        raise ValueError("a lexeme is in two of train, dev and test")
+    cells = obj["train_cells"]
     if cells is not None and not isinstance(cells, list):
         raise ValueError("train_cells is neither null nor a list")
     entries = {p.lexeme: p.entries for p in train}
     if cells is not None and not all(tgt in entries[lx] and (src == ROOT or src in entries[lx])
                                      and src != tgt for lx, src, tgt in cells):
         raise ValueError("a training cell is not in its paradigm or maps a slot to itself")
-    return DataSplit(train_pairs=PairView(train, cells),
-                     dev_paradigms=paradigms_from_json(obj["dev_paradigms"]),
-                     test_paradigms=paradigms_from_json(obj["test_paradigms"]),
-                     inventory=inventory_from_json(obj))
+    return DataSplit(train_pairs=PairView(train, cells), dev_paradigms=dev,
+                     test_paradigms=test, inventory=inventory)

@@ -29,8 +29,9 @@ class Plat:
             self.weights = [1.0 / len(self.classes)] * len(self.classes)
         if len(self.weights) != len(self.classes):
             raise PlatError("one weight per class required")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise PlatError("class weights must sum to 1")
+        if not (all(0.0 <= w < math.inf for w in self.weights)
+                and abs(sum(self.weights) - 1.0) <= 1e-9):
+            raise PlatError("class weights must be finite, >= 0 and sum to 1")
         for row in self.exponent:
             if len(row) != len(self.slots):
                 raise PlatError("every class row must fill every slot")

@@ -368,7 +368,7 @@ class ScoreTable:
     def logprob(self, src, src_slot, tgt_slot, tgt):
         key = (src, src_slot, tgt_slot, tgt)
         if key not in self.scores:
-            raise ScoreTableError("no score for mapping %r" % (key,))
+            raise ScoreTableError("the score table has no score for mapping %r" % (key,))
         return self.scores[key]
 
 
@@ -376,7 +376,8 @@ def load_scores(stream):
     """Parse a score TSV: src, src_slot, tgt_slot, tgt, log2prob per row.
 
     An empty src_slot field (or the literal ROOT sentinel) marks a root
-    mapping.  Positive and non-finite log-probabilities are rejected.
+    mapping.  Positive and non-finite log-probabilities are rejected, as is a
+    second, different log-probability for one mapping.
     """
     scores = {}
     for lineno, raw in enumerate(stream, start=1):
@@ -395,5 +396,6 @@ def load_scores(stream):
             raise ScoreTableError("line %d: log2prob %g is not finite and <= 0" % (lineno, lp))
         if not src_slot or src_slot == ROOT:
             src, src_slot = EMPTY, ROOT
-        scores[(src, src_slot, tgt_slot, tgt)] = lp
+        if scores.setdefault((src, src_slot, tgt_slot, tgt), lp) != lp:
+            raise ScoreTableError("line %d: a mapping given again, with another log2prob" % lineno)
     return ScoreTable(scores)

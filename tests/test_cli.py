@@ -103,15 +103,25 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg["pos"] == "N"              # untouched default
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, caplog):
+    """An unknown key, a bad value or a line without '=' is a ValueError,
+    and exit 2 with one ERROR line."""
     bad = tmp_path / "bad.cfg"
-    bad.write_text("not_a_key = 1\n", encoding="utf-8")
-    with pytest.raises(cli.CliError) as exc:
-        cli.load_config(str(bad))
-    assert exc.value.code == 2
-    bad.write_text("seed = not_an_int\n", encoding="utf-8")
-    with pytest.raises(cli.CliError):
-        cli.load_config(str(bad))
+    for text in ("not_a_key = 1\n", "seed = not_an_int\n", "# a comment\n\nseed 5\n"):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            cli.load_config(str(bad))
+        caplog.clear()
+        assert main(["critique", "--trials", "1", "--config", str(bad)]) == 2
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and errors[0].exc_info is None
+
+
+def test_config_file_skips_comments_and_blank_lines(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("# order of the char models\n\n  \norder = 2\n  # seed = 1\n",
+                       encoding="utf-8")
+    assert cli.load_config(str(cfgfile)) == {"order": 2}
 
 
 # ----------------------------------------------------------- full runs
@@ -354,10 +364,30 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("split --store {dup_inventory} --out {tmp}/o.json --seed 0", 2),
     ("measure --split {d}/split.json --model {char_counts_object} --tree {d}/tree.json "
      "--out {tmp}/o.csv --seed 0", 2),
+    ("learn-tree --weights {no_slots} --out {tmp}/o.json", 2),
+    ("plat --plat {one_slot_plat}", 2),
+    ("train --split {no_train} --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {no_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
+    ("measure --split {no_test} --model {d}/model.json --tree {d}/tree.json "
+     "--out {tmp}/o.csv --seed 0", 2),
+    ("measure --split {foreign_test_slots} --model {d}/model.json --tree {d}/tree.json "
+     "--out {tmp}/o.csv --seed 0", 2),
+    ("train --split {twice_in_train} --out {tmp}/o.json --seed 0", 2),
+    ("train --split {train_and_test} --out {tmp}/o.json --seed 0", 2),
+    ("split --store {foreign_store_slot} --out {tmp}/o.json --seed 0", 2),
+    ("split --store {twice_in_store} --out {tmp}/o.json --seed 0", 2),
+    ("plat --plat {nan_weight_plat}", 2),
+    ("plat --plat {neg_weight_plat}", 2),
+    ("learn-tree --weights {d}/weights.json --out {tmp}/no_dir/o.json", 4),
 ])
 def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     """A missing input file exits 3; an unparsable one, or a tree over other
-    slots than the split's inventory, exits 2; either way with one ERROR line.
+    slots than the split's inventory, exits 2, as does an input that the
+    stage using it rejects, such as an empty train, dev or test set, weights
+    over no slot or a plat of one slot; a failed write exits 4; each with
+    one ERROR line.  Paradigm records fill only slots of the inventory and
+    give each lexeme once across train, dev and test; plat class weights
+    are finite and >= 0.
     Weights must be finite and n x n over distinct slots, scores finite and
     given for every mapping the split needs, a training cell must not map a
     slot to itself, and Pareto points have finite x > 0 and y >= 0; a points
@@ -381,11 +411,17 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
                        "root": [-1.0, -2.0]},
         "dup_slot": {"slots": ["A", "A"], "edge": [[0.0, -1.0], [-1.0, 0.0]],
                      "root": [-1.0, -2.0]},
+        "no_slots": {"slots": [], "edge": [], "root": []},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     (tmp_path / "nan_scores").write_text("a\tS\tT\tb\tnan\n", encoding="utf-8")
     (tmp_path / "partial_scores").write_text("a\tS\tT\tb\t-1.0\n", encoding="utf-8")
+    texts = {"one_slot_plat": "class\tS1\nc1\ta\nc2\tb\n",
+             "nan_weight_plat": "class\tweight\tS1\tS2\nc1\tnan\ta\tb\nc2\t0.5\ta\tc\n",
+             "neg_weight_plat": "class\tweight\tS1\tS2\nc1\t1.5\ta\tb\nc2\t-0.5\ta\tc\n"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     header = "language,pos,regime,e_complexity,i_total_bits,i_per_form_bits,d,seed\n"
     (tmp_path / "no_points").write_text(header, encoding="utf-8")
     bad_points = {"zero_x": ("0", "1.0"), "negative_y": ("4", "-0.5"), "nan_y": ("4", "nan")}
@@ -429,6 +465,18 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     synth["stem_lenght"] = synth.pop("stem_len")
     bad_records["synth_typo"] = synth
     bad_records["dup_inventory"] = dict(store, inventory=store["inventory"] * 2)
+    # empty sets, slots outside the inventory and lexemes given twice
+    train, test = split["train_paradigms"], split["test_paradigms"]
+    bad_records.update(
+        no_train=dict(split, train_paradigms=[], train_cells=None),
+        no_dev=dict(split, dev_paradigms=[]), no_test=dict(split, test_paradigms=[]),
+        foreign_test_slots=dict(split, test_paradigms=[
+            dict(p, entries={"X" + s: f for s, f in p["entries"].items()}) for p in test]),
+        twice_in_train=dict(split, train_paradigms=train + train[:1]),
+        train_and_test=dict(split, test_paradigms=test + train[:1]),
+        foreign_store_slot=dict(store, paradigms=store["paradigms"] + [
+            {"lexeme": "zz", "entries": {"X": "x"}}]),
+        twice_in_store=dict(store, paradigms=store["paradigms"] * 2))
     model = json.loads((partial_runs / "model.json").read_text())
     src_slot, tgt_slot, rules = model["rule_tables"][0]
     for name, count in {"rule_count_neg": -1, "rule_count_str": "1"}.items():
@@ -465,7 +513,7 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
              "synth": cli.bundled("synth_two_class.json"),
              **{name: tmp_path / name
                 for name in [*files, "nan_scores", "partial_scores", "no_points", "empty_grid",
-                             *bad_points, *bad_records]}}
+                             *texts, *bad_points, *bad_records]}}
     assert main(argv.format(**paths).split()) == code
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
@@ -600,6 +648,12 @@ def test_external_scores_pipeline(tmp_path):
     run = json.loads((out / "tree.json").read_text())
     for key in ("root", "edges", "score_bits"):
         assert staged[key] == run[key], key
+    # a mapping given twice, once as given and once as a <ROOT> root row, exits 2
+    twice = tmp_path / "twice.tsv"
+    for extra in (lines[1][:-4] + "-7.0", "\t<ROOT>" + lines[0][1:-4] + "-7.0"):
+        twice.write_text("\n".join(lines + [extra]) + "\n", encoding="utf-8")
+        argv = ["run", "--data", lex, "--out-dir", out, "--scores", twice, "--seed", "2"]
+        assert main([str(a) for a in argv + SMALL]) == 2
 
 
 # ----------------------------------------------------------- pareto

@@ -79,6 +79,9 @@ def test_plat_weight_validation():
              weights=[0.7, 0.7])
     with pytest.raises(PlatError):
         Plat(classes=["a"], slots=["s"], exponent=[["x"]], weights=[0.5, 0.5])
+    for weights in ([float("nan"), 0.5], [1.5, -0.5], [float("inf"), 0.0]):
+        with pytest.raises(PlatError, match="finite, >= 0"):
+            Plat(classes=["a", "b"], slots=["s"], exponent=[["x"], ["y"]], weights=weights)
 
 
 # ----------------------------------------------------------- Greek fixture

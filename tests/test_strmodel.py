@@ -564,6 +564,16 @@ def test_load_scores_rejects_positive_logprob(logprob):
         load_scores(io.StringIO("a\tS\tT\tb\t%s\n" % logprob))
 
 
+@pytest.mark.parametrize("rows", ["a\tS\tT\tb\t-1.0\na\tS\tT\tb\t-7.0\n",
+                                  "\t\tT\tb\t-1.0\n\t<ROOT>\tT\tb\t-7.0\n"])
+def test_load_scores_rejects_a_mapping_given_another_score(rows):
+    with pytest.raises(ScoreTableError, match="line 2"):
+        load_scores(io.StringIO(rows))
+    # an exact repeat, as two homographic lexemes give, keeps its one score
+    table = load_scores(io.StringIO(rows.replace("-7.0", "-1.0")))
+    assert list(table.scores.values()) == [-1.0]
+
+
 def test_load_scores_rejects_bad_shape():
     with pytest.raises(ScoreTableError):
         load_scores(io.StringIO("only\tthree\tfields\n"))
