@@ -331,7 +331,7 @@ def cmd_run(args):
 def _read_points(fh):
     """(paradigm size, i-complexity per form) pairs by POS, from a point CSV
     or from a table with the columns of the bundled table 2; every point
-    must be one the Pareto curve accepts."""
+    must be one the Pareto curve accepts, and every POS part of a file name."""
     reader = csv.DictReader(fh)
     if "i_per_form_bits" in (reader.fieldnames or ()):
         by_pos, x, y = {}, "e_complexity", "i_per_form_bits"
@@ -340,6 +340,8 @@ def _read_points(fh):
     for row in reader:
         point = float(row[x]), float(row[y])
         stats.check_point(*point)
+        if row["pos"] in ("", ".", "..") or "/" in row["pos"] or "\0" in row["pos"]:
+            raise ValueError("POS %r cannot name a pareto_<POS>.svg file" % row["pos"])
         by_pos.setdefault(row["pos"], []).append(point)
     return by_pos
 

@@ -1,6 +1,7 @@
 """Pareto step curve, area under it, and the Monte Carlo permutation test."""
 
 import math
+import os
 import random
 from dataclasses import dataclass
 
@@ -94,6 +95,30 @@ def _area_of(order, widths, ys):
     return area
 
 
+def _count_leq(order, widths, ys, observed, seed, start, stop):
+    """How many replicas in range(start, stop) have area <= observed."""
+    count = 0
+    for rep in range(start, stop):
+        rng = random.Random(seed * 1000003 + rep)
+        yy = ys[:]
+        rng.shuffle(yy)
+        if _area_of(order, widths, yy) <= observed:
+            count += 1
+    return count
+
+
+def _report_count(w, args, start, stop):
+    """In a forked child: write the count of replicas [start, stop) as a line
+    to the pipe end w and exit 0, or write the error and exit 1."""
+    try:
+        os.write(w, b"%d\n" % _count_leq(*args, start, stop))
+        os._exit(0)
+    except BaseException as e:
+        os.write(w, ascii(e).encode()[:500] + b"\n")
+    finally:
+        os._exit(1)
+
+
 def perm_test(points, n_perm=10000, seed=0):
     """Monte Carlo permutation test for emptiness of the upper-right corner.
 
@@ -102,7 +127,10 @@ def perm_test(points, n_perm=10000, seed=0):
     is <= the observed one; the p-value is add-one smoothed so it is never
     exactly 0.  Each replica draws its permutation from an RNG stream keyed
     by (seed, replica index), so the result does not depend on evaluation
-    order.
+    order.  The replicas are cut into one contiguous range per CPU the
+    process may run on, and a forked child counts each range but the first,
+    so the result does not depend on the number of CPUs either.  A failed
+    child raises ChildProcessError; no child or pipe outlives the call.
     """
     if len(points) < 3:
         raise ValueError("permutation test needs at least 3 points, got %d" % len(points))
@@ -112,12 +140,27 @@ def perm_test(points, n_perm=10000, seed=0):
     ys = [p[1] for p in points]
     order, widths = _area_plan(xs)
     observed = _area_of(order, widths, ys)
-    count = 0
-    for rep in range(n_perm):
-        rng = random.Random(seed * 1000003 + rep)
-        yy = ys[:]
-        rng.shuffle(yy)
-        if _area_of(order, widths, yy) <= observed:
-            count += 1
+    # without an affinity call (macOS, Windows) the replicas are counted here
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(n_perm, cpus)
+    cuts = [n_perm * k // workers for k in range(workers + 1)]
+    args, pids = (order, widths, ys, observed, seed), []
+    r, w = os.pipe()
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            pid = os.fork()
+            if pid == 0:
+                _report_count(w, args, start, stop)
+            pids.append(pid)
+        count = _count_leq(*args, 0, cuts[1])
+    finally:
+        os.close(w)
+        with open(r, "rb") as fh:
+            lines = fh.read().splitlines()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise ChildProcessError("permutation workers exited with status %s: %s" % (
+            codes, "; ".join(x.decode() for x in lines if not x.isdigit())))
+    count += sum(map(int, lines))
     return PermTestResult(observed_area=observed, n_perm=n_perm, count_leq=count,
                           p_value=(count + 1) / (n_perm + 1), seed=seed)

@@ -64,6 +64,9 @@ def scatter_with_pareto(points, title):
     out.append('<text x="16" y="%d" font-size="14" text-anchor="middle" '
                'transform="rotate(-90 16 %d)">%s</text>'
                % (MARGIN_T + plot_h // 2, MARGIN_T + plot_h // 2, Y_LABEL))
+    # escaped as xml.sax.saxutils.escape does, without the ~7 MiB that
+    # importing it costs (it pulls in urllib.request)
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     out.append('<text x="%d" y="%d" font-size="14">%s</text>'
                % (MARGIN_L, MARGIN_T - 4, title))
     out.append('</svg>')

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -304,6 +305,10 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("pareto --points {zero_x} --seed 0 --out-dir {tmp}", 2),
     ("pareto --points {negative_y} --seed 0 --out-dir {tmp}", 2),
     ("pareto --points {nan_y} --seed 0 --out-dir {tmp}", 2),
+    ("pareto --points {slash_pos} --seed 0 --out-dir {tmp}", 2),
+    ("pareto --points {empty_pos} --seed 0 --out-dir {tmp}", 2),
+    ("pareto --points {dotdot_pos} --seed 0 --out-dir {tmp}", 2),
+    ("pareto --points {nul_pos} --seed 0 --out-dir {tmp}", 2),
     ("split --store {int_form_store} --out {tmp}/o.json --seed 0", 2),
     ("train --split {int_form_train} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {int_lexeme_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
@@ -380,7 +385,7 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("plat --plat {neg_weight_plat}", 2),
     ("learn-tree --weights {d}/weights.json --out {tmp}/no_dir/o.json", 4),
 ])
-def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
+def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv, code):
     """A missing input file exits 3; an unparsable one, or a tree over other
     slots than the split's inventory, exits 2, as does an input that the
     stage using it rejects, such as an empty train, dev or test set, weights
@@ -390,7 +395,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
     are finite and >= 0.
     Weights must be finite and n x n over distinct slots, scores finite and
     given for every mapping the split needs, a training cell must not map a
-    slot to itself, and Pareto points have finite x > 0 and y >= 0; a points
+    slot to itself, and Pareto points have finite x > 0 and y >= 0 and a POS
+    that can name a file, checked before any permutation test runs; a points
     file without points exits 3.  A lambda grid, or a saved model's lambda,
     lies in (0, 1); a saved alpha is finite and > 0, its order an integer
     >= 1, and its format the current one; each char model's counts are of histories of order - 1
@@ -429,6 +435,13 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
         points = [("2", "1.0"), ("3", "0.5"), ("5", "0.2"), bad]
         (tmp_path / name).write_text(header + "".join(
             "x,N,green,%s,1.0,%s,50,0\n" % p for p in points), encoding="utf-8")
+    # a POS that cannot name its SVG file, after a POS with enough points:
+    # rejected before any permutation test runs
+    bad_pos = {"slash_pos": "N/x", "empty_pos": "", "dotdot_pos": "..", "nul_pos": "N\0"}
+    for name, pos in bad_pos.items():
+        rows = ["x,N,green,%d,1.0,0.5,50,0\n" % i for i in (2, 3, 5)]
+        rows += ["x,%s,green,%d,1.0,0.5,50,0\n" % (pos, i) for i in (2, 3, 5)]
+        (tmp_path / name).write_text(header + "".join(rows), encoding="utf-8")
     split = json.loads((partial_runs / "split.json").read_text())
     (tmp_path / "no_inventory.json").write_text(json.dumps(
         {k: v for k, v in split.items() if k != "inventory"}), encoding="utf-8")
@@ -513,7 +526,9 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, argv, code):
              "synth": cli.bundled("synth_two_class.json"),
              **{name: tmp_path / name
                 for name in [*files, "nan_scores", "partial_scores", "no_points", "empty_grid",
-                             *texts, *bad_points, *bad_records]}}
+                             *texts, *bad_points, *bad_pos, *bad_records]}}
+    if argv.startswith("pareto"):
+        monkeypatch.setattr(cli.stats, "perm_test", None)   # must not be reached
     assert main(argv.format(**paths).split()) == code
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
@@ -719,6 +734,57 @@ def test_pareto_svg_well_formed(tmp_path):
     main(["pareto", "--seed", "0", "--n-perm", "100", "--out-dir", str(tmp_path)])
     for pos in ("N", "V"):
         ET.fromstring((tmp_path / ("pareto_%s.svg" % pos)).read_text())
+    # a POS with XML markup characters is escaped in the title
+    csv_path = tmp_path / "pts.csv"
+    csv_path.write_text("language,pos,regime,e_complexity,i_total_bits,i_per_form_bits,d,seed\n"
+                        + "".join("l%d,N&<V>,green,%d,1.0,%f,50,0\n" % (i, 5 + i, 0.5 - 0.1 * i)
+                                  for i in range(4)), encoding="utf-8")
+    assert main(["pareto", "--points", str(csv_path), "--seed", "0", "--n-perm", "10",
+                 "--out-dir", str(tmp_path)]) == 0
+    title = ET.fromstring((tmp_path / "pareto_N&<V>.svg").read_text()).findall(
+        "{http://www.w3.org/2000/svg}text")[-1].text
+    assert title.startswith("N&<V> (p = ")
+
+
+def children_and_fds():
+    """(whether this process has a child left, its number of open fds)."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        child_left = True
+    except ChildProcessError:
+        child_left = False
+    return child_left, len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("failing", ["child raises", "child killed", "parent raises"])
+def test_pareto_permutation_worker_failure(tmp_path, caplog, monkeypatch, failing):
+    """A permutation worker that fails, in a forked child or in this process,
+    makes perm_test raise and pareto exit 4 with one ERROR line; no child or
+    pipe is left behind."""
+    count_leq = cli.stats._count_leq
+
+    def failing_count(*args):
+        start = args[-2]
+        if failing == "parent raises" and start == 0:
+            raise RuntimeError("parent range failed")
+        if failing == "child raises" and start > 0:
+            raise RuntimeError("child range %d failed" % start)
+        if failing == "child killed" and start > 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return count_leq(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(cli.stats, "_count_leq", failing_count)
+    points = [(1.0, 3.0), (2.0, 1.0), (3.0, 2.0), (5.0, 0.5)]
+    before = children_and_fds()
+    expected = RuntimeError if failing == "parent raises" else ChildProcessError
+    with pytest.raises(expected, match="range" if failing != "child killed" else "-9"):
+        cli.stats.perm_test(points, n_perm=300, seed=0)
+    assert children_and_fds() == before == (False, before[1])
+    assert main(["pareto", "--seed", "0", "--n-perm", "300", "--out-dir", str(tmp_path)]) == 4
+    assert len([r for r in caplog.records if r.levelno >= logging.ERROR]) == 1
+    assert not (tmp_path / "pareto_report.json").exists()
+    assert children_and_fds() == before
 
 
 # ----------------------------------------------------------- plat and critique

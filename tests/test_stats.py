@@ -1,9 +1,11 @@
 import math
+import os
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from morphcomplexity import cli
 from morphcomplexity.stats import (
     ParetoCurve, PermTestResult, pareto_area, pareto_curve, perm_test,
 )
@@ -160,6 +162,51 @@ def test_perm_test_brute_force_small():
         if pareto_area(list(zip(xs, perm))) <= observed) / 6
     res = perm_test(points, n_perm=6000, seed=0)
     assert res.count_leq / res.n_perm == pytest.approx(exact, abs=0.03)
+
+
+def test_perm_test_pins_the_table2_stream():
+    """The replica stream on the bundled table 2: a faster shuffle or another
+    cut of the replicas into ranges must not move a count (criterion 1 reads
+    N at seed 0 as p = 612 / 10001 = 0.0612)."""
+    with open(cli.bundled("table2_green.csv"), encoding="utf-8") as fh:
+        by_pos = cli._read_points(fh)
+    expected = {(0, "N"): 611, (0, "V"): 165, (1, "N"): 664, (1, "V"): 140}
+    for (seed, pos), count in expected.items():
+        assert perm_test(by_pos[pos], n_perm=10000, seed=seed).count_leq == count
+
+
+def serial_perm_test(points, n_perm, seed):
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    observed = pareto_area(points)
+    count = 0
+    for rep in range(n_perm):
+        yy = ys[:]
+        random.Random(seed * 1000003 + rep).shuffle(yy)
+        count += pareto_area(list(zip(xs, yy))) <= observed
+    return PermTestResult(observed_area=observed, n_perm=n_perm, count_leq=count,
+                          p_value=(count + 1) / (n_perm + 1), seed=seed)
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 3])
+def test_perm_test_does_not_depend_on_worker_count(monkeypatch, cpus):
+    """One worker per CPU the process may run on, capped at n_perm; only the
+    workers after the first are forked, so one CPU or one replica forks none.
+    Without os.sched_getaffinity (cpus None) there is one worker."""
+    points = [(1.0, 3.0), (2.0, 1.0), (2.0, 2.5), (3.0, 2.0), (5.0, 0.5), (6.0, 1.5)]
+    forks = []
+    fork = os.fork
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for n_perm in (1, 2, 3, 7, 500):
+        for seed in (0, 5):
+            forks.clear()
+            assert perm_test(points, n_perm=n_perm, seed=seed) == \
+                serial_perm_test(points, n_perm, seed)
+            assert len(forks) == min(cpus or 1, n_perm) - 1
 
 
 def test_result_json_fields():
