@@ -76,6 +76,9 @@ def resolve_config(args, require_seed=True):
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(load_config(args.config))
+    if any(getattr(args, key, None) is not None for key in ("data", "synth")):
+        cfg.pop("data", None)  # an input flag replaces the config file's input
+        cfg.pop("synth", None)
     for key in CONFIG_FIELDS:
         val = getattr(args, key, None)
         if val is not None:
@@ -178,6 +181,8 @@ def write_point(point, path):
 def stage_ingest(cfg):
     """(inventory, paradigms) from a lexicon or a synthetic generator config.
     The slot inventory is decided here and nowhere else."""
+    if cfg.get("synth") and cfg.get("data"):
+        raise ValueError("give exactly one input: --data or --synth")
     if cfg.get("synth"):
         system = read_artifact(cfg["synth"], lambda p: complexity.synth_system(_json(p)))
         rng = random.Random(cfg["seed"])
@@ -372,7 +377,7 @@ def cmd_pareto(args):
 
 
 def cmd_plat(args):
-    resolve_config(args, require_seed=False)
+    cfg = resolve_config(args, require_seed=False)
     plat = read_artifact(args.plat or bundled("greek_plat.tsv"), _text(platbaseline.parse_plat))
     print("plat: %d classes x %d slots" % (len(plat.classes), len(plat.slots)))
     for i in plat.slots:
@@ -382,11 +387,11 @@ def cmd_plat(args):
     avg = platbaseline.avg_cond_entropy(plat)
     print("average conditional entropy: %.6f bits" % avg)
     if args.critique:
-        _critique(plat)
+        _critique(cfg, plat)
     return EXIT_OK
 
 
-def _critique(plat):
+def _critique(cfg, plat):
     joint = platbaseline.joint_per_form_entropy(plat)
     avg = platbaseline.avg_cond_entropy(plat)
     print("critique: per-form joint entropy %.6f <= average conditional %.6f: %s"
@@ -395,7 +400,8 @@ def _critique(plat):
     dist = platbaseline.cond_dist(plat, plat.slots[0], plat.slots[1],
                                   plat.exponent[0][1])
     go = corpus.Paradigm("go", {"V;NFIN": "go", "V;PST": "went"})
-    model = strmodel.train(corpus.PairView([go], [("go", "V;NFIN", "V;PST")]))
+    model = strmodel.train(corpus.PairView([go], [("go", "V;NFIN", "V;PST")]),
+                           cfg["order"], cfg["alpha"])
     lp = model.logprob("fly", "V;NFIN", "V;PST", "flew")
     print("critique: plat support is only %r; string model gives an unseen "
           "irregular logprob %.2f bits (finite)" % (sorted(dist), lp))
@@ -424,7 +430,7 @@ def cmd_critique(args):
     print("joint-vs-average over %d random plats: min(avg - joint) = %.6f bits (>= 0: %s)"
           % (args.trials, worst, worst >= -1e-9))
     with open(bundled("greek_plat.tsv"), encoding="utf-8") as fh:
-        _critique(platbaseline.parse_plat(fh))
+        _critique(cfg, platbaseline.parse_plat(fh))
     return EXIT_OK
 
 

@@ -12,13 +12,10 @@ paradigm_size axis) it gives one point per language and part of speech.
 
 import csv
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 from . import strmodel
-from .corpus import Paradigm
-
-CSV_FIELDS = ["language", "pos", "regime", "e_complexity",
-              "i_total_bits", "i_per_form_bits", "d", "seed"]
+from .corpus import Paradigm, check_slot_names
 
 
 @dataclass
@@ -55,7 +52,8 @@ def i_complexity(model, tree, test_paradigms):
 
 
 def write_points_csv(points, fh):
-    writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(ComplexityPoint)],
+                            lineterminator="\n")
     writer.writeheader()
     for pt in points:
         writer.writerow(pt.csv_row())
@@ -73,9 +71,8 @@ class SyntheticSystem:
 
     def __init__(self, slots, class_probs, suffix_table, stem_alphabet="abcd",
                  stem_len=(3, 6)):
-        if not (isinstance(slots, list) and all(isinstance(s, str) for s in slots)
-                and len(set(slots)) == len(slots)):
-            raise ValueError("slots must be a list of distinct strings")
+        if not check_slot_names(slots, "generator slot list"):
+            raise ValueError("generator slot list is empty")
         if not (isinstance(stem_alphabet, str) and stem_alphabet):
             raise ValueError("stem_alphabet must be a non-empty string")
         if not (isinstance(stem_len, (list, tuple)) and len(stem_len) == 2

@@ -15,15 +15,6 @@ ROOT = "<ROOT>"
 EMPTY = ""
 
 
-class LexiconFormatError(ValueError):
-    """A line of the input lexicon does not have the 3-column shape."""
-
-    def __init__(self, lineno, line):
-        self.lineno = lineno
-        self.line = line
-        super().__init__("line %d: expected 3 tab-separated fields, got: %r" % (lineno, line))
-
-
 class InsufficientDataError(ValueError):
     """Missing or too little data."""
 
@@ -125,7 +116,7 @@ def parse_unimorph(stream):
     """Parse UniMorph-style TSV lines (lemma, form, ;-joined features).
 
     Blank lines and '#'-comments are skipped.  Returns (words, errors) where
-    errors is a list of LexiconFormatError, one per malformed line.
+    errors holds one message per malformed line.
     """
     words = []
     errors = []
@@ -135,7 +126,7 @@ def parse_unimorph(stream):
             continue
         fields = line.split("\t")
         if len(fields) != 3 or not all(f.strip() for f in fields):
-            errors.append(LexiconFormatError(lineno, line))
+            errors.append("line %d: expected 3 tab-separated fields, got: %r" % (lineno, line))
             continue
         lemma, form, feats = (f.strip() for f in fields)
         words.append(WordType(lexeme=lemma, slot=feats, form=form))
@@ -158,15 +149,11 @@ def build_paradigms(words, pos_filter=None):
     """
     slots = set()
     by_lexeme = {}
-    order = []
     for w in words:
         if pos_filter is not None and pos_of(w.slot) != pos_filter:
             continue
         slots.add(w.slot)
-        if w.lexeme not in by_lexeme:
-            by_lexeme[w.lexeme] = {}
-            order.append(w.lexeme)
-        entries = by_lexeme[w.lexeme]
+        entries = by_lexeme.setdefault(w.lexeme, {})
         if w.slot in entries:
             if entries[w.slot] != w.form:
                 log.warning("duplicate cell %s/%s: keeping %r, dropping %r",
@@ -174,7 +161,7 @@ def build_paradigms(words, pos_filter=None):
             continue
         entries[w.slot] = w.form
     inventory = sorted(slots)
-    paradigms = [Paradigm(lexeme=lx, entries=by_lexeme[lx]) for lx in sorted(order)]
+    paradigms = [Paradigm(lexeme=lx, entries=by_lexeme[lx]) for lx in sorted(by_lexeme)]
     return inventory, paradigms
 
 
@@ -264,13 +251,17 @@ def paradigms_from_json(records, inventory):
     return paradigms
 
 
+def check_slot_names(slots, what):
+    """`slots`, if it is a list of distinct strings; else a ValueError naming `what`."""
+    if not (isinstance(slots, list) and all(isinstance(s, str) for s in slots)
+            and len(set(slots)) == len(slots)):
+        raise ValueError("%s is not a list of distinct slot names" % what)
+    return slots
+
+
 def inventory_from_json(obj):
     """The `inventory` of a paradigm store or split: distinct slot names."""
-    inventory = obj["inventory"]
-    if not (isinstance(inventory, list) and all(isinstance(s, str) for s in inventory)
-            and len(set(inventory)) == len(inventory)):
-        raise ValueError("inventory is not a list of distinct slot names")
-    return inventory
+    return check_slot_names(obj["inventory"], "inventory")
 
 
 def split_to_json(split):

@@ -10,11 +10,9 @@ model is the point of the comparison.
 import math
 from dataclasses import dataclass, field
 
+from .corpus import check_slot_names
+
 EMPTY_MARKS = {"∅", "-", ""}
-
-
-class PlatError(ValueError):
-    pass
 
 
 @dataclass
@@ -28,17 +26,14 @@ class Plat:
         if self.weights is None:
             self.weights = [1.0 / len(self.classes)] * len(self.classes)
         if len(self.weights) != len(self.classes):
-            raise PlatError("one weight per class required")
+            raise ValueError("one weight per class required")
         if not (all(0.0 <= w < math.inf for w in self.weights)
                 and abs(sum(self.weights) - 1.0) <= 1e-9):
-            raise PlatError("class weights must be finite, >= 0 and sum to 1")
+            raise ValueError("class weights must be finite, >= 0 and sum to 1")
         for row in self.exponent:
             if len(row) != len(self.slots):
-                raise PlatError("every class row must fill every slot")
-
-    def column(self, slot):
-        s = self.slots.index(slot)
-        return [row[s] for row in self.exponent]
+                raise ValueError("every class row must fill every slot")
+        check_slot_names(self.slots, "plat header")
 
 
 def parse_plat(stream):
@@ -47,7 +42,7 @@ def parse_plat(stream):
     rows = [line.rstrip("\n").split("\t") for line in stream
             if line.strip() and not line.lstrip().startswith("#")]
     if len(rows) < 2:
-        raise PlatError("plat needs a header row and at least one class row")
+        raise ValueError("plat needs a header row and at least one class row")
     header = rows[0]
     has_weight = len(header) > 1 and header[1].lower() == "weight"
     slots = header[2:] if has_weight else header[1:]
@@ -55,7 +50,7 @@ def parse_plat(stream):
     for row in rows[1:]:
         expected = len(slots) + (2 if has_weight else 1)
         if len(row) != expected:
-            raise PlatError("class row %r: expected %d fields" % (row[0], expected))
+            raise ValueError("class row %r: expected %d fields" % (row[0], expected))
         classes.append(row[0])
         if has_weight:
             weights.append(float(row[1]))
@@ -82,7 +77,7 @@ def cond_dist(plat, slot_i, slot_j, exponent_j):
         dist[row[si]] = dist.get(row[si], 0.0) + w
         total += w
     if total == 0.0:
-        raise PlatError("exponent %r does not occur in column %r" % (exponent_j, slot_j))
+        raise ValueError("exponent %r does not occur in column %r" % (exponent_j, slot_j))
     return {e: w / total for e, w in dist.items()}
 
 
@@ -103,7 +98,7 @@ def cond_entropy(plat, slot_i, slot_j):
     """H(slot_i | slot_j) in bits: the exponent-marginal of column j times
     the entropy of each conditional exponent distribution."""
     if slot_i == slot_j:
-        raise PlatError("conditional entropy of a slot given itself is excluded")
+        raise ValueError("conditional entropy of a slot given itself is excluded")
     h = 0.0
     for e_j, p in marginal(plat, slot_j).items():
         h += p * _entropy(cond_dist(plat, slot_i, slot_j, e_j))
@@ -114,7 +109,7 @@ def avg_cond_entropy(plat):
     """Mean of H(i|j) over all ordered slot pairs i != j (n^2 - n terms)."""
     n = len(plat.slots)
     if n < 2:
-        raise PlatError("average conditional entropy needs at least 2 slots")
+        raise ValueError("average conditional entropy needs at least 2 slots")
     total = 0.0
     for i in plat.slots:
         for j in plat.slots:

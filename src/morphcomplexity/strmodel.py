@@ -30,7 +30,7 @@ class CharNGram:
     dev target, so a per-form memo would not hit.
     """
 
-    def __init__(self, order=3, alpha=0.1, alphabet=()):
+    def __init__(self, order, alpha, alphabet):
         if not (type(order) is int and order >= 1
                 and type(alpha) in (int, float) and 0 < alpha < math.inf):
             raise ValueError("char model order %r is not an int >= 1 or alpha %r not > 0"
@@ -289,17 +289,7 @@ def _is_rule_table(table):
             and all(two_strings_and_one(r) and type(r[2]) is int and r[2] > 0 for r in table[2]))
 
 
-def cross_entropy(scorer, pairs):
-    """Mean negative log2 probability over a list of mapping tuples, in bits."""
-    if not pairs:
-        raise ValueError("empty pair list")
-    total = 0.0
-    for m in pairs:
-        total -= scorer.logprob(*m)
-    return total / len(pairs)
-
-
-def train(pairs, order=3, alpha=0.1):
+def train(pairs, order, alpha):
     """Fit the shared conditional model by accumulating rule and n-gram
     counts from a `corpus.PairView`, one group of `PairView.groups` at a
     time: the target once, times its mapping count, then each source's rule,
@@ -351,10 +341,6 @@ def joint_logprob(model, tree, paradigm):
     return total
 
 
-class ScoreTableError(ValueError):
-    pass
-
-
 class ScoreTable:
     """Externally computed log2 scores, keyed by the full mapping tuple.
 
@@ -368,7 +354,7 @@ class ScoreTable:
     def logprob(self, src, src_slot, tgt_slot, tgt):
         key = (src, src_slot, tgt_slot, tgt)
         if key not in self.scores:
-            raise ScoreTableError("the score table has no score for mapping %r" % (key,))
+            raise ValueError("the score table has no score for mapping %r" % (key,))
         return self.scores[key]
 
 
@@ -386,16 +372,16 @@ def load_scores(stream):
             continue
         fields = line.split("\t")
         if len(fields) != 5:
-            raise ScoreTableError("line %d: expected 5 tab-separated fields" % lineno)
+            raise ValueError("line %d: expected 5 tab-separated fields" % lineno)
         src, src_slot, tgt_slot, tgt, lp = fields
         try:
             lp = float(lp)
         except ValueError:
-            raise ScoreTableError("line %d: bad log2prob %r" % (lineno, fields[4]))
+            raise ValueError("line %d: bad log2prob %r" % (lineno, fields[4]))
         if not -math.inf < lp <= 0:
-            raise ScoreTableError("line %d: log2prob %g is not finite and <= 0" % (lineno, lp))
+            raise ValueError("line %d: log2prob %g is not finite and <= 0" % (lineno, lp))
         if not src_slot or src_slot == ROOT:
             src, src_slot = EMPTY, ROOT
         if scores.setdefault((src, src_slot, tgt_slot, tgt), lp) != lp:
-            raise ScoreTableError("line %d: a mapping given again, with another log2prob" % lineno)
+            raise ValueError("line %d: a mapping given again, with another log2prob" % lineno)
     return ScoreTable(scores)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
-from .corpus import EMPTY, ROOT, target_groups
+from .corpus import EMPTY, ROOT, check_slot_names, target_groups
 
 log = logging.getLogger(__name__)
 
@@ -30,8 +30,7 @@ class WeightMatrix:
             raise ValueError("weights must be %d x %d edges and %d root values" % (n, n, n))
         if not all(math.isfinite(x) for x in self.root + [x for r in self.edge for x in r]):
             raise ValueError("weights must be finite")
-        if len(set(self.slots)) != n:
-            raise ValueError("weights repeat a slot name")
+        check_slot_names(self.slots, "weight slot list")
 
     @property
     def n(self):

@@ -1,11 +1,17 @@
 import pytest
 
+from morphcomplexity import strmodel
 from morphcomplexity.cli import CONFIG_DEFAULTS, bundled
 
 
 def split_config(**overrides):
     """The config `corpus.make_split` reads: the CLI defaults, overridden."""
     return dict(CONFIG_DEFAULTS, **overrides)
+
+
+def train(pairs, order=CONFIG_DEFAULTS["order"], alpha=CONFIG_DEFAULTS["alpha"]):
+    """`strmodel.train` at the CLI's default order and alpha unless given."""
+    return strmodel.train(pairs, order, alpha)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from bisect import bisect_left
 
 import pytest
 
-from morphcomplexity import cli, complexity, platbaseline, stats, strmodel, structure
+from morphcomplexity import cli, complexity, platbaseline, stats, structure
 from morphcomplexity.cli import bundled, main
 from morphcomplexity.corpus import EMPTY, ROOT, PairView, Paradigm, make_split
 from morphcomplexity.platbaseline import (
@@ -23,7 +23,7 @@ from morphcomplexity.platbaseline import (
 from morphcomplexity.stats import pareto_area, perm_test
 from morphcomplexity.structure import WeightMatrix, max_arborescence, tree_score
 
-from conftest import split_config
+from conftest import split_config, train
 
 
 def report(label, ok, detail):
@@ -168,8 +168,7 @@ def test_criterion_4_normalization():
         tgt = "".join(rng.choice("ab") for _ in range(rng.randint(0, 6)))
         paradigms.append(Paradigm("p%d" % i, {"S": src, "T": tgt}))
     # one S -> T cell per paradigm
-    model = strmodel.train(PairView(paradigms, [(p.lexeme, "S", "T") for p in paradigms]),
-                           order=2)
+    model = train(PairView(paradigms, [(p.lexeme, "S", "T") for p in paradigms]), order=2)
     contexts = [("a", "S", "T"), ("b", "S", "T"), ("ab", "S", "T"),
                 ("ba", "S", "T"), ("aab", "S", "T"), ("bba", "S", "T"),
                 ("abab", "S", "T"), ("", "S", "T"), (EMPTY, ROOT, "T"),
@@ -209,7 +208,7 @@ def measure_synth(spec_name, seed, order=3, suffix_table=None):
     split = make_split(paradigms, split_config(regime="purple", paradigm_count=500,
                                                dev_paradigms=50, test_paradigms=50,
                                                seed=seed), system.slots)
-    model = strmodel.train(split.train_pairs, order=order)
+    model = train(split.train_pairs, order=order)
     W = structure.compute_weights(model, split.dev_paradigms, system.slots,
                                   cli.lambda_grid(cli.CONFIG_DEFAULTS))
     tree = max_arborescence(W)

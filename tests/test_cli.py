@@ -1,3 +1,5 @@
+import ast
+import builtins
 import csv
 import importlib.util
 import itertools
@@ -102,6 +104,26 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg["language"] == "turkish"   # flag beats file
     assert cfg["seed"] == 5 and cfg["order"] == 2
     assert cfg["pos"] == "N"              # untouched default
+
+
+@pytest.mark.parametrize("in_file, flag", [("data", "synth"), ("synth", "data")])
+def test_input_flag_replaces_config_input(tmp_path, in_file, flag):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("%s = from_file\nseed = 5\n" % in_file, encoding="utf-8")
+
+    class Args:
+        config = str(cfgfile)
+
+    setattr(Args, flag, "from_flag")
+    cfg = cli.resolve_config(Args())
+    assert cfg[flag] == "from_flag" and in_file not in cfg
+
+
+def test_config_with_both_inputs_exits_2(tmp_path, caplog):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("data = lex.tsv\nsynth = gen.json\nseed = 0\n", encoding="utf-8")
+    assert main(["ingest", "--config", str(cfgfile)]) == 2
+    assert "give exactly one input: --data or --synth" in caplog.text
 
 
 def test_config_file_errors(tmp_path, caplog):
@@ -294,6 +316,7 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("measure --split {d}/split.json --model {d}/model.json --tree {foreign_tree} "
      "--out {tmp}/o.csv --seed 0", 2),
     ("run --synth {missing} --seed 0 --out-dir {tmp}", 3),
+    ("run --data {missing} --synth {synth} --seed 0 --out-dir {tmp}", 2),
     ("run --data {d}/lex.tsv --scores {garbage} --seed 3 --out-dir {tmp} " + " ".join(SMALL), 2),
     ("ingest", 3),
     ("learn-tree --weights {short_edge} --out {tmp}/o.json", 2),
@@ -329,6 +352,7 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("measure --split {d}/split.json --model {char_order_0} --tree {d}/tree.json "
      "--out {tmp}/o.csv --seed 0", 2),
     ("learn-tree --weights {dup_slot} --out {tmp}/o.json", 2),
+    ("learn-tree --weights {int_slots} --out {tmp}/o.json", 2),
     ("weights --split {d}/split.json --model {format_1} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {long_history} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {foreign_symbol} --out {tmp}/o.json --seed 0", 2),
@@ -359,6 +383,7 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("ingest --synth {synth_typo} --seed 0", 2),
     ("ingest --synth {synth_stem_len_one} --seed 0", 2),
     ("ingest --synth {synth_slots_string} --seed 0", 2),
+    ("ingest --synth {synth_no_slots} --seed 0", 2),
     ("ingest --synth {synth_no_alphabet} --seed 0", 2),
     ("ingest --synth {synth_int_suffix} --seed 0", 2),
     ("weights --split {d}/split.json --model {rule_count_neg} --out {tmp}/o.json --seed 0", 2),
@@ -371,6 +396,7 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
      "--out {tmp}/o.csv --seed 0", 2),
     ("learn-tree --weights {no_slots} --out {tmp}/o.json", 2),
     ("plat --plat {one_slot_plat}", 2),
+    ("plat --plat {dup_slot_plat}", 2),
     ("train --split {no_train} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {no_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
     ("measure --split {no_test} --model {d}/model.json --tree {d}/tree.json "
@@ -402,12 +428,14 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     >= 1, and its format the current one; each char model's counts are of histories of order - 1
     symbols and of symbols in the alphabet, UNK or stop, given as a list of
     [history, counts] pairs, and each rule count is a positive integer, of
-    a rule given once in a table given once.  An inventory repeats no slot.
+    a rule given once in a table given once.  An inventory, a plat header
+    and the weights repeat no slot, and weight slots are strings.
     Config values, the regime among them, are checked before any stage runs;
-    a generator config has only SyntheticSystem's keys, its slots are
-    distinct strings, its suffixes strings, its stem alphabet a non-empty
-    string and its stem lengths two integers 0 <= lo <= hi; and `weights`
-    and `measure` take exactly one scorer, --model or --scores."""
+    a generator config has only SyntheticSystem's keys, its slots are one
+    or more distinct strings, its suffixes strings, its stem alphabet a
+    non-empty string and its stem lengths two integers 0 <= lo <= hi;
+    `weights` and `measure` take exactly one scorer, --model or --scores,
+    and `ingest` and `run` exactly one input, --data or --synth."""
     garbage = tmp_path / "garbage"
     garbage.write_text("not json {\n", encoding="utf-8")
     files = {
@@ -418,12 +446,14 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
         "dup_slot": {"slots": ["A", "A"], "edge": [[0.0, -1.0], [-1.0, 0.0]],
                      "root": [-1.0, -2.0]},
         "no_slots": {"slots": [], "edge": [], "root": []},
+        "int_slots": {"slots": [1, 2], "edge": [[0, -1], [-2, 0]], "root": [-1, -3]},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     (tmp_path / "nan_scores").write_text("a\tS\tT\tb\tnan\n", encoding="utf-8")
     (tmp_path / "partial_scores").write_text("a\tS\tT\tb\t-1.0\n", encoding="utf-8")
     texts = {"one_slot_plat": "class\tS1\nc1\ta\nc2\tb\n",
+             "dup_slot_plat": "class\tA\tA\tB\nc1\tx\tx\tz\nc2\ty\ty\tz\n",
              "nan_weight_plat": "class\tweight\tS1\tS2\nc1\tnan\ta\tb\nc2\t0.5\ta\tc\n",
              "neg_weight_plat": "class\tweight\tS1\tS2\nc1\t1.5\ta\tb\nc2\t-0.5\ta\tc\n"}
     for name, text in texts.items():
@@ -473,6 +503,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     synth = json.loads(cli.bundled("synth_two_class.json").read_text(encoding="utf-8"))
     bad_records.update(synth_stem_len_one=dict(synth, stem_len=[9]),
                        synth_slots_string=dict(synth, slots="ABCD"),
+                       synth_no_slots=dict(synth, slots=[], class_probs=[1.0],
+                                           suffix_table=[[]]),
                        synth_no_alphabet=dict(synth, stem_alphabet=""),
                        synth_int_suffix=dict(synth, suffix_table=[[1, 2, 3, 4], [1, 2, 3, 5]]))
     synth["stem_lenght"] = synth.pop("stem_len")
@@ -538,6 +570,25 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
         assert "re-run split" in errors[0].getMessage()
     if "format_1" in argv:
         assert "re-run train" in errors[0].getMessage()
+    if "--data" in argv and "--synth" in argv:
+        assert errors[0].getMessage() == "give exactly one input: --data or --synth"
+
+
+def test_one_exception_type_per_exit_code():
+    """`main` picks the exit code of an input fault by type: ValueError gives
+    2 and its one subclass, corpus.InsufficientDataError, gives 3.  So no
+    other class of the package derives from an exception type."""
+    def is_exception(name):
+        base = getattr(builtins, name, None)
+        return (isinstance(base, type) and issubclass(base, BaseException)
+                or name.endswith(("Error", "Exception")))
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    is_exception(ast.unparse(b).rsplit(".", 1)[-1]) for b in node.bases):
+                found.append("%s.%s" % (path.stem, node.name))
+    assert found == ["corpus.InsufficientDataError"]
 
 
 TRUNCATED = {

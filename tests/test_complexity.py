@@ -6,7 +6,7 @@ import statistics
 
 import pytest
 
-from morphcomplexity import cli, strmodel
+from morphcomplexity import cli
 from morphcomplexity.complexity import (
     ComplexityPoint, SyntheticSystem, i_complexity,
     synth_system, write_points_csv,
@@ -16,7 +16,7 @@ from morphcomplexity.corpus import (
 )
 from morphcomplexity.structure import Arborescence, compute_weights, max_arborescence
 
-from conftest import split_config
+from conftest import split_config, train
 
 GRID = cli.lambda_grid(cli.CONFIG_DEFAULTS)
 
@@ -34,7 +34,7 @@ def run_pipeline(system, seed, order=3):
     paradigms = system.sample_paradigms(400, rng)
     split = make_split(paradigms, split_config(regime="purple", paradigm_count=300,
                                                seed=seed), system.slots)
-    model = strmodel.train(split.train_pairs, order=order)
+    model = train(split.train_pairs, order=order)
     W = compute_weights(model, split.dev_paradigms, system.slots, GRID)
     tree = max_arborescence(W)
     return i_complexity(model, tree, split.test_paradigms)
@@ -142,7 +142,7 @@ def test_more_training_data_reduces_estimate():
     dev, test = holdout[:50], holdout[50:]
     results = []
     for size in (100, 800):
-        model = strmodel.train(PairView(paradigms[100:100 + size]))
+        model = train(PairView(paradigms[100:100 + size]))
         W = compute_weights(model, dev, system.slots, GRID)
         tree = max_arborescence(W)
         i_total, _ = i_complexity(model, tree, test)

@@ -10,6 +10,8 @@ from morphcomplexity.structure import (
     Arborescence, WeightMatrix, compute_weights, max_arborescence, tree_score,
 )
 
+from conftest import train
+
 
 def brute_force_best(W):
     """Exhaustive search over all single-root spanning arborescences.
@@ -241,7 +243,7 @@ def test_selected_tree_dev_loglik_equals_score():
     for i in range(80):
         stem = "".join(rng.choice("ab") for _ in range(rng.randint(2, 4)))
         paradigms.append(Paradigm("l%d" % i, {s: stem + suffix[s] for s in slots}))
-    model = strmodel.train(PairView(paradigms[:60]))
+    model = train(PairView(paradigms[:60]))
     dev = paradigms[60:]
     W = compute_weights(model, dev, slots)
     tree = max_arborescence(W)
