@@ -184,7 +184,8 @@ def stage_ingest(cfg):
     if cfg.get("synth") and cfg.get("data"):
         raise ValueError("give exactly one input: --data or --synth")
     if cfg.get("synth"):
-        system = read_artifact(cfg["synth"], lambda p: complexity.synth_system(_json(p)))
+        # a generator config holds SyntheticSystem's parameters: another key is a TypeError
+        system = read_artifact(cfg["synth"], lambda p: complexity.SyntheticSystem(**_json(p)))
         rng = random.Random(cfg["seed"])
         return sorted(system.slots), system.sample_paradigms(cfg["synth_paradigms"], rng)
     path = cfg.get("data")
@@ -208,20 +209,18 @@ def stage_train(cfg, split):
 
 
 def read_scorer(cfg, model_path):
-    """The one scorer of `weights` and `measure`, --model or --scores, with
-    the lambda grid of its dev pass: a saved model's own lambda, or none for
-    external scores."""
+    """The one scorer of `weights` and `measure`, --model or --scores; a
+    saved model scores at its own lambda."""
     if bool(model_path) == bool(cfg.get("scores")):
         raise ValueError("give exactly one scorer: --model or --scores")
     if model_path:
-        model = read_artifact(model_path, strmodel.ConditionalParadigmModel.load)
-        return model, (model.lam,)
-    return read_artifact(cfg["scores"], _text(strmodel.load_scores)), None
+        return read_artifact(model_path, strmodel.ConditionalParadigmModel.load)
+    return read_artifact(cfg["scores"], _text(strmodel.load_scores))
 
 
 def stage_weights(scorer, split, grid):
     """The dev weight matrix, from one pass that also sets the reference
-    model's lambda from the grid (structure.compute_weights)."""
+    model's lambda from the grid, if one is given (structure.compute_weights)."""
     return structure.compute_weights(scorer, split.dev_paradigms, split.inventory, grid)
 
 
@@ -283,8 +282,7 @@ def cmd_train(args):
 def cmd_weights(args):
     cfg = resolve_config(args)
     split = read_artifact(args.split, _load_split)
-    scorer, grid = read_scorer(cfg, args.model)
-    W = stage_weights(scorer, split, grid)
+    W = stage_weights(read_scorer(cfg, args.model), split, None)
     _write_json(args.out, W.to_json(), cfg)
     print("weights over %d slots written to %s" % (W.n, args.out))
     return EXIT_OK
@@ -302,7 +300,7 @@ def cmd_learn_tree(args):
 def cmd_measure(args):
     cfg = resolve_config(args)
     split = read_artifact(args.split, _load_split)
-    scorer, _ = read_scorer(cfg, args.model)
+    scorer = read_scorer(cfg, args.model)
     tree = read_artifact(args.tree, lambda p: structure.Arborescence.from_json(
         _json(p), split.inventory))
     point = stage_measure(cfg, split, scorer, tree)
@@ -317,7 +315,7 @@ def cmd_run(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     inventory, paradigms = stage_ingest(cfg)
     split = corpus.make_split(paradigms, cfg, inventory)
-    scorer, grid = (read_scorer(cfg, None) if cfg.get("scores")
+    scorer, grid = ((read_scorer(cfg, None), None) if cfg.get("scores")
                     else (stage_train(cfg, split), lambda_grid(cfg)))
     W = stage_weights(scorer, split, grid)
     tree = structure.max_arborescence(W)
@@ -402,7 +400,7 @@ def _critique(cfg, plat):
     go = corpus.Paradigm("go", {"V;NFIN": "go", "V;PST": "went"})
     model = strmodel.train(corpus.PairView([go], [("go", "V;NFIN", "V;PST")]),
                            cfg["order"], cfg["alpha"])
-    lp = model.logprob("fly", "V;NFIN", "V;PST", "flew")
+    lp = model.logprob("V;PST", "flew", [("V;NFIN", "fly")])[-1][0]
     print("critique: plat support is only %r; string model gives an unseen "
           "irregular logprob %.2f bits (finite)" % (sorted(dist), lp))
 

@@ -105,9 +105,3 @@ class SyntheticSystem:
                        for k, slot in enumerate(self.slots)}
             paradigms.append(Paradigm(lexeme="lex%06d" % i, entries=entries))
         return paradigms
-
-
-def synth_system(spec):
-    """The SyntheticSystem a generator config describes: its keys are exactly
-    the constructor's parameters, so an unknown key is a TypeError."""
-    return SyntheticSystem(**spec)

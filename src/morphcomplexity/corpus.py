@@ -49,11 +49,16 @@ def target_groups(entries, cut=0):
 
 def mappings(entries):
     """A paradigm's mappings one by one, in `target_groups` order, as
-    (src, src_slot, tgt_slot, tgt) tuples in `logprob`'s argument order."""
+    (src, src_slot, tgt_slot, tgt) tuples: the key of a `ScoreTable` row."""
     for tgt_slot, tgt, sources in target_groups(entries):
         yield EMPTY, ROOT, tgt_slot, tgt
         for src_slot, src in sources:
             yield src, src_slot, tgt_slot, tgt
+
+
+def can_hold_out(paradigm):
+    """Whether a paradigm may be a dev or test paradigm: it fills >= 2 slots."""
+    return len(paradigm.entries) >= 2
 
 
 def stem_length(entries):
@@ -185,7 +190,7 @@ def make_split(paradigms, spec, inventory):
     that the sampled cells come from.
     """
     rng = random.Random(spec["seed"])
-    eligible = [p for p in paradigms if len(p.entries) >= 2]
+    eligible = list(filter(can_hold_out, paradigms))
     need = spec["dev_paradigms"] + spec["test_paradigms"]
     if len(eligible) < need + 1:
         raise InsufficientDataError(
@@ -282,6 +287,8 @@ def split_from_json(obj):
                         for k in ("train_paradigms", "dev_paradigms", "test_paradigms"))
     if len({p.lexeme for p in train + dev + test}) < len(train) + len(dev) + len(test):
         raise ValueError("a lexeme is in two of train, dev and test")
+    if not all(map(can_hold_out, dev + test)):
+        raise ValueError("a dev or test paradigm fills fewer than 2 slots")
     cells = obj["train_cells"]
     if cells is not None and not isinstance(cells, list):
         raise ValueError("train_cells is neither null nor a list")

@@ -155,55 +155,44 @@ class ConditionalParadigmModel:
     def char_model(self, tgt_slot):
         return self.char_models.get(tgt_slot, self.fallback_char)
 
-    def logprob(self, src, src_slot, tgt_slot, tgt):
-        """log2 q(tgt | src, slot pair) in bits (<= 0, always finite): the
-        last row of `grid_scorer` at `lam` for tgt with this one source.
-
-        Root context (src_slot == ROOT) scores the target with the char
-        model alone, as does any context with no applicable rewrite rule.
-        """
-        sources = [] if src_slot == ROOT else [(src_slot, src)]
-        return self.grid_scorer((self.lam,))(tgt_slot, tgt, sources)[-1][0]
-
-    def grid_scorer(self, lambda_grid):
-        """Function score(tgt_slot, tgt, sources) giving a target's log2 q
-        under every lam of the grid: the root context's row first, then one
-        row per (src_slot, src) of sources, each bit for bit what `logprob`
-        gives with `lam` set to it.  The target's char log2prob is computed
-        once, and the mixture once per distinct rule probability (the
-        smoothed share of applicable rules giving tgt); rows may be shared
-        and are only read.  Each mixture is the larger log2 term plus
-        log2(1 + 2^(smaller - larger))."""
-        weights = [(math.log2(1.0 - lam), math.log2(lam)) for lam in lambda_grid]
-        alpha, tables, char_model = self.alpha, self.rule_tables, self.char_model
-
-        def score(tgt_slot, tgt, sources):
-            lc = char_model(tgt_slot).logprob(tgt)
-            char_row = [lc] * len(weights)
-            rows, mixed = [char_row], {}
-            for src_slot, src in sources:
-                total = hit = 0.0
-                for s_sfx, t_sfx, count in tables.get((src_slot, tgt_slot), ()):
-                    if src.endswith(s_sfx):
-                        w = count + alpha
-                        total += w
-                        if src[:len(src) - len(s_sfx)] + t_sfx == tgt:
-                            hit += w
-                if total == 0.0:
-                    rows.append(char_row)
-                    continue
-                pr = hit / total
-                row = mixed.get(pr)
-                if row is None:
-                    lr = math.log2(pr) if pr > 0.0 else -math.inf
-                    row = mixed[pr] = []
-                    for l1, ll in weights:
-                        a, b = lr + l1, ll + lc
-                        row.append(a + math.log2(1.0 + 2.0 ** (b - a)) if a >= b
-                                   else b + math.log2(1.0 + 2.0 ** (a - b)))
-                rows.append(row)
-            return rows
-        return score
+    def logprob(self, tgt_slot, tgt, sources, lambda_grid=None):
+        """log2 q(tgt | context) in bits (<= 0, always finite) under every lam
+        of the grid, or under the model's own `lam` without one: the root
+        context's row first, then one row per (src_slot, src) of sources.
+        The root context, and any context with no applicable rewrite rule,
+        scores the target with the char model alone.  The target's char
+        log2prob is computed once, and the mixture once per distinct rule
+        probability (the smoothed share of applicable rules giving tgt);
+        rows may be shared and are only read.  Each mixture is the larger
+        log2 term plus log2(1 + 2^(smaller - larger))."""
+        grid = (self.lam,) if lambda_grid is None else lambda_grid
+        weights = [(math.log2(1.0 - lam), math.log2(lam)) for lam in grid]
+        alpha, tables = self.alpha, self.rule_tables
+        lc = self.char_model(tgt_slot).logprob(tgt)
+        char_row = [lc] * len(weights)
+        rows, mixed = [char_row], {}
+        for src_slot, src in sources:
+            total = hit = 0.0
+            for s_sfx, t_sfx, count in tables.get((src_slot, tgt_slot), ()):
+                if src.endswith(s_sfx):
+                    w = count + alpha
+                    total += w
+                    if src[:len(src) - len(s_sfx)] + t_sfx == tgt:
+                        hit += w
+            if total == 0.0:
+                rows.append(char_row)
+                continue
+            pr = hit / total
+            row = mixed.get(pr)
+            if row is None:
+                lr = math.log2(pr) if pr > 0.0 else -math.inf
+                row = mixed[pr] = []
+                for l1, ll in weights:
+                    a, b = lr + l1, ll + lc
+                    row.append(a + math.log2(1.0 + 2.0 ** (b - a)) if a >= b
+                               else b + math.log2(1.0 + 2.0 ** (a - b)))
+            rows.append(row)
+        return rows
 
     def mass_upto(self, src, src_slot, tgt_slot, max_len):
         """Total q(tgt | context) mass over strings of length <= max_len.
@@ -250,9 +239,9 @@ class ConditionalParadigmModel:
             raise ValueError("model format version %r is not %d; re-run train"
                              % (obj.get("version"), FORMAT_VERSION))
         alphabet, tables, chars = obj["alphabet"], obj["rule_tables"], obj["char_models"]
-        if not (isinstance(alphabet, list)
+        if not (isinstance(alphabet, list) and len(set(alphabet)) == len(alphabet)
                 and all(isinstance(c, str) and len(c) == 1 for c in alphabet)):
-            raise ValueError("model alphabet is not a list of characters")
+            raise ValueError("model alphabet is not a list of distinct characters")
         if not (isinstance(tables, list) and all(map(_is_rule_table, tables))):
             raise ValueError("rule_tables is not a list of [src slot, tgt slot, "
                              "[[src suffix, tgt suffix, count > 0], ...]]")
@@ -322,7 +311,8 @@ def train(pairs, order, alpha):
 
 
 def joint_logprob(model, tree, paradigm):
-    """log2 q(m_1..m_n) under the tree-factored joint (bits, <= 0).
+    """log2 q(m_1..m_n) under the tree-factored joint (bits, <= 0): one
+    `logprob` per filled slot, at the scorer's own lambda, in slot order.
 
     Unfilled slots are skipped; a filled slot whose parent is unfilled (or
     absent from the paradigm) is conditioned on the root context.
@@ -334,15 +324,14 @@ def joint_logprob(model, tree, paradigm):
             continue
         parent = tree.parent.get(i)
         src = None if parent is None else paradigm.entries.get(tree.slots[parent])
-        if src is None:
-            total += model.logprob(EMPTY, ROOT, slot, tgt)
-        else:
-            total += model.logprob(src, tree.slots[parent], slot, tgt)
+        sources = [] if src is None else [(tree.slots[parent], src)]
+        total += model.logprob(slot, tgt, sources)[-1][0]
     return total
 
 
 class ScoreTable:
-    """Externally computed log2 scores, keyed by the full mapping tuple.
+    """Externally computed log2 scores, keyed by the full mapping tuple
+    (src, src_slot, tgt_slot, tgt).
 
     Missing lookups are hard errors: a partial table must not silently fall
     back to anything.
@@ -351,11 +340,18 @@ class ScoreTable:
     def __init__(self, scores=None):
         self.scores = dict(scores or {})
 
-    def logprob(self, src, src_slot, tgt_slot, tgt):
-        key = (src, src_slot, tgt_slot, tgt)
-        if key not in self.scores:
-            raise ValueError("the score table has no score for mapping %r" % (key,))
-        return self.scores[key]
+    def logprob(self, tgt_slot, tgt, sources, lambda_grid=None):
+        """The rows of `ConditionalParadigmModel.logprob`, root context first:
+        each mapping's looked-up score in every column, one per lam of the
+        grid or one without a grid."""
+        g = 1 if lambda_grid is None else len(lambda_grid)
+        rows = []
+        for src_slot, src in [(ROOT, EMPTY)] + sources:
+            key = (src, src_slot, tgt_slot, tgt)
+            if key not in self.scores:
+                raise ValueError("the score table has no score for mapping %r" % (key,))
+            rows.append([self.scores[key]] * g)
+        return rows
 
 
 def load_scores(stream):

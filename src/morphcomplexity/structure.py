@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
-from .corpus import EMPTY, ROOT, check_slot_names, target_groups
+from .corpus import check_slot_names, target_groups
 
 log = logging.getLogger(__name__)
 
@@ -94,24 +94,19 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
 
     The pass visits each dev paradigm's `target_groups` among the
     inventory's slots, the order of its `mappings`, and scores each target
-    against its root context and all its sources at once.  With a lambda
-    grid the scorer's `grid_scorer` scores them under every lambda; the
-    lambda of least dev cross-entropy (the first among equals) is set on the
-    scorer and the matrix is the one at that lambda.  Without a grid its
-    `logprob` scores each mapping.  Each cell's sum and the flat dev total
-    per lambda add the mappings' scores one by one in mapping order.
+    against its root context and all its sources with one call of the
+    scorer's `logprob`.  With a lambda grid it scores them under every
+    lambda; the lambda of least dev cross-entropy (the first among equals)
+    is set on the scorer and the matrix is the one at that lambda.  Without
+    a grid it scores them at the scorer's own lambda.  Each cell's sum and
+    the flat dev total per lambda add the mappings' scores one by one in
+    mapping order.
 
     Cell (i, j) averages over the dev paradigms where both slots are filled;
     root[i] over those where slot i is filled.  A slot never filled in dev
     gets the language-average root weight for all its entries and is flagged.
     """
-    if lambda_grid is None:
-        def score(tgt_slot, tgt, sources):
-            return [[scorer.logprob(src, src_slot, tgt_slot, tgt)]
-                    for src_slot, src in [(ROOT, EMPTY)] + sources]
-        g = 1
-    else:
-        score, g = scorer.grid_scorer(lambda_grid), len(lambda_grid)
+    g = 1 if lambda_grid is None else len(lambda_grid)
     n = len(slots)
     index = {s: i for i, s in enumerate(slots)}
     # per target i and source j, j == n for the root context: the mapping
@@ -127,7 +122,7 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
             columns = [n] + [index[s] for s, _ in sources]
             for j in columns:
                 cnt[i][j] += 1
-            per_lambda = list(zip(*score(tgt_slot, tgt, sources)))
+            per_lambda = list(zip(*scorer.logprob(tgt_slot, tgt, sources, lambda_grid)))
             for sums, lps in zip(cell_sum[i], per_lambda):
                 for j, lp in zip(columns, lps):
                     sums[j] += lp

@@ -2,6 +2,7 @@ import pytest
 
 from morphcomplexity import strmodel
 from morphcomplexity.cli import CONFIG_DEFAULTS, bundled
+from morphcomplexity.corpus import EMPTY, ROOT
 
 
 def split_config(**overrides):
@@ -33,13 +34,13 @@ class StubScorer:
         self.scores = dict(scores)
         self.default = default
 
-    def logprob(self, src, src_slot, tgt_slot, tgt):
-        key = (src, src_slot, tgt_slot, tgt)
-        if key in self.scores:
-            return self.scores[key]
-        if self.default is not None:
-            return self.default
-        raise KeyError(key)
+    def logprob(self, tgt_slot, tgt, sources, lambda_grid=None):
+        """One row per context, root first, as a model's `logprob` gives them:
+        each mapping's score in every column, the default for a mapping not
+        in `scores`, or None, which no sum takes, when there is no default."""
+        g = 1 if lambda_grid is None else len(lambda_grid)
+        return [[self.scores.get((src, src_slot, tgt_slot, tgt), self.default)] * g
+                for src_slot, src in [(ROOT, EMPTY)] + sources]
 
 
 @pytest.fixture

@@ -178,7 +178,7 @@ def test_criterion_4_normalization():
     # cross-check the dynamic program against literal enumeration at L=12
     brute_ok = True
     for src, s, t in contexts[:3]:
-        brute = sum(2.0 ** model.logprob(src, s, t, "".join(tup))
+        brute = sum(2.0 ** model.logprob(t, "".join(tup), [(s, src)])[-1][0]
                     for L in range(13)
                     for tup in itertools.product("ab", repeat=L))
         if abs(model.mass_upto(src, s, t, 12) - brute) > 1e-9:
@@ -187,7 +187,7 @@ def test_criterion_4_normalization():
     for _ in range(10000):
         src = "".join(rng.choice("ab") for _ in range(rng.randint(0, 12)))
         tgt = "".join(rng.choice("ab") for _ in range(rng.randint(0, 12)))
-        if not math.isfinite(model.logprob(src, "S", "T", tgt)):
+        if not math.isfinite(model.logprob("T", tgt, [("S", src)])[-1][0]):
             finite_ok = False
             break
     ok = mass_ok and brute_ok and finite_ok
@@ -202,7 +202,7 @@ def measure_synth(spec_name, seed, order=3, suffix_table=None):
     spec = json.loads(bundled(spec_name).read_text(encoding="utf-8"))
     if suffix_table is not None:
         spec = {**spec, "class_probs": [1.0], "suffix_table": suffix_table}
-    system = complexity.synth_system(spec)
+    system = complexity.SyntheticSystem(**spec)
     rng = random.Random(seed)
     paradigms = system.sample_paradigms(600, rng)
     split = make_split(paradigms, split_config(regime="purple", paradigm_count=500,

@@ -401,6 +401,11 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("weights --split {no_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
     ("measure --split {no_test} --model {d}/model.json --tree {d}/tree.json "
      "--out {tmp}/o.csv --seed 0", 2),
+    ("weights --split {one_slot_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
+    ("measure --split {empty_test} --model {d}/model.json --tree {d}/tree.json "
+     "--out {tmp}/o.csv --seed 0", 2),
+    ("measure --split {d}/split.json --model {alphabet_repeated} --tree {d}/tree.json "
+     "--out {tmp}/o.csv --seed 0", 2),
     ("measure --split {foreign_test_slots} --model {d}/model.json --tree {d}/tree.json "
      "--out {tmp}/o.csv --seed 0", 2),
     ("train --split {twice_in_train} --out {tmp}/o.json --seed 0", 2),
@@ -417,15 +422,16 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     stage using it rejects, such as an empty train, dev or test set, weights
     over no slot or a plat of one slot; a failed write exits 4; each with
     one ERROR line.  Paradigm records fill only slots of the inventory and
-    give each lexeme once across train, dev and test; plat class weights
-    are finite and >= 0.
+    give each lexeme once across train, dev and test, and each dev or test
+    paradigm fills two slots or more; plat class weights are finite and >= 0.
     Weights must be finite and n x n over distinct slots, scores finite and
     given for every mapping the split needs, a training cell must not map a
     slot to itself, and Pareto points have finite x > 0 and y >= 0 and a POS
     that can name a file, checked before any permutation test runs; a points
     file without points exits 3.  A lambda grid, or a saved model's lambda,
     lies in (0, 1); a saved alpha is finite and > 0, its order an integer
-    >= 1, and its format the current one; each char model's counts are of histories of order - 1
+    >= 1, its alphabet distinct characters and its format the current one;
+    each char model's counts are of histories of order - 1
     symbols and of symbols in the alphabet, UNK or stop, given as a list of
     [history, counts] pairs, and each rule count is a positive integer, of
     a rule given once in a table given once.  An inventory, a plat header
@@ -515,6 +521,10 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     bad_records.update(
         no_train=dict(split, train_paradigms=[], train_cells=None),
         no_dev=dict(split, dev_paradigms=[]), no_test=dict(split, test_paradigms=[]),
+        one_slot_dev=dict(split, dev_paradigms=split["dev_paradigms"] + [
+            {"lexeme": "zz", "entries": {PARTIAL_SLOTS[0]: "zz"}}]),
+        empty_test=dict(split, test_paradigms=test + [
+            {"lexeme": "zz%d" % i, "entries": {}} for i in range(20)]),
         foreign_test_slots=dict(split, test_paradigms=[
             dict(p, entries={"X" + s: f for s, f in p["entries"].items()}) for p in test]),
         twice_in_train=dict(split, train_paradigms=train + train[:1]),
@@ -540,6 +550,7 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     bad_records.update({name: dict(model, **{"lambda": v}) for name, v in bad_lambdas.items()},
                        neg_alpha=dict(model, alpha=-0.1), char_order_0=dict(model, order=0),
                        format_1=dict(model, version=1),
+                       alphabet_repeated=dict(model, alphabet=model["alphabet"] * 2),
                        long_history=dict(model, char_models=dict(model["char_models"],
                                                                  **{first: long_history})),
                        foreign_symbol=dict(model, char_models=dict(model["char_models"],
@@ -914,8 +925,9 @@ def load_tracer():
 
 def test_perfbench_tracer_counts_the_hot_methods(partial_runs, tmp_path):
     """The benchmark's tracer finds every name it patches, and under it a toy
-    `run` and a staged `train` call the hot methods it counts; uninstalling
-    puts the originals back."""
+    `run` and a staged `train` call the hot methods it counts; `train` alone
+    calls the model's `logprob`, and every char n-gram scoring goes through
+    it; uninstalling puts the originals back."""
     tracing = load_tracer()
     hot = ["CharNGram.add", "CharNGram.logprob", "ConditionalParadigmModel.logprob"]
     classes = (strmodel.CharNGram, strmodel.ConditionalParadigmModel)
@@ -924,11 +936,17 @@ def test_perfbench_tracer_counts_the_hot_methods(partial_runs, tmp_path):
     tracing.install(tracer, morphcomplexity)
     try:
         d = partial_runs
+        calls = []
         for argv in (["run", "--data", d / "lex.tsv", "--out-dir", tmp_path / "run"],
                      ["train", "--split", d / "split.json", "--out", tmp_path / "model.json"]):
             assert main([str(a) for a in argv + ["--seed", "3"] + SMALL]) == 0, argv[0]
-        calls = {name: tracer.counters["strmodel.%s.calls" % name] for name in hot}
-        assert all(n > 0 for n in calls.values()), calls
+            calls.append({name: tracer.counters["strmodel.%s.calls" % name] for name in hot})
+        after_run, total = calls
+        assert all(n > 0 for n in total.values()), total
+        # train's dev pass scores through the model's logprob, as measure does
+        model_logprob = "ConditionalParadigmModel.logprob"
+        assert total[model_logprob] > after_run[model_logprob], calls
+        assert total[model_logprob] == total["CharNGram.logprob"], total
     finally:
         tracer.uninstall()
     assert [dict(vars(cls)) for cls in classes] == originals

@@ -8,8 +8,7 @@ import pytest
 
 from morphcomplexity import cli
 from morphcomplexity.complexity import (
-    ComplexityPoint, SyntheticSystem, i_complexity,
-    synth_system, write_points_csv,
+    ComplexityPoint, SyntheticSystem, i_complexity, write_points_csv,
 )
 from morphcomplexity.corpus import (
     EMPTY, ROOT, PairView, Paradigm, make_split,
@@ -95,7 +94,7 @@ def test_invalid_class_probs():
 
 
 def test_sampling_matches_suffix_table():
-    system = synth_system(TWO_CLASS)
+    system = SyntheticSystem(**TWO_CLASS)
     rng = random.Random(0)
     for p in system.sample_paradigms(50, rng):
         stem = p.entries["X;A"]
@@ -107,9 +106,9 @@ def test_sampling_matches_suffix_table():
 def test_two_class_excess_entropy_near_class_entropy():
     """The i-complexity gap between a two-class system and its one-class
     control should approximate the 1-bit class entropy."""
-    two = synth_system(TWO_CLASS)
-    one = synth_system({**TWO_CLASS, "class_probs": [1.0],
-                        "suffix_table": TWO_CLASS["suffix_table"][:1]})
+    two = SyntheticSystem(**TWO_CLASS)
+    one = SyntheticSystem(**{**TWO_CLASS, "class_probs": [1.0],
+                             "suffix_table": TWO_CLASS["suffix_table"][:1]})
     gaps = []
     for seed in range(3):
         i_two, _ = run_pipeline(two, seed)
@@ -120,7 +119,7 @@ def test_two_class_excess_entropy_near_class_entropy():
 
 
 def test_deterministic_system_near_zero_per_form():
-    system = synth_system({
+    system = SyntheticSystem(**{
         "slots": TWO_CLASS["slots"],
         "class_probs": [1.0],
         "suffix_table": TWO_CLASS["suffix_table"][:1],
@@ -135,7 +134,7 @@ def test_more_training_data_reduces_estimate():
     # Eq-style consistency: the cross-entropy estimate should trend toward
     # the class entropy (from above, modulo the stem/root cost shared by
     # both sizes) as training data grows
-    system = synth_system(TWO_CLASS)
+    system = SyntheticSystem(**TWO_CLASS)
     rng = random.Random(42)
     paradigms = system.sample_paradigms(900, rng)
     holdout = paradigms[:100]
@@ -153,7 +152,7 @@ def test_more_training_data_reduces_estimate():
 def test_estimate_upper_bounds_class_entropy():
     # H(p) <= H(p, q): the held-out estimate should not dip materially
     # below the true class entropy plus zero residual form cost
-    system = synth_system(TWO_CLASS)
+    system = SyntheticSystem(**TWO_CLASS)
     i_total, _ = run_pipeline(system, 7)
     assert i_total > system.class_entropy - 0.05
 

@@ -47,8 +47,9 @@ def pick_lambda(model, dev_paradigms, grid=GRID):
 def cross_entropy(scorer, pairs):
     """Mean negative log2 probability over a list of mapping tuples, in bits."""
     total = 0.0
-    for m in pairs:
-        total -= scorer.logprob(*m)
+    for src, src_slot, tgt_slot, tgt in pairs:
+        sources = [] if src_slot == ROOT else [(src_slot, src)]
+        total -= scorer.logprob(tgt_slot, tgt, sources)[-1][0]
     return total / len(pairs)
 
 
@@ -110,7 +111,7 @@ def test_logprob_half_lambda_hand_computation():
     model.lam = 0.5
     # the only rule rewrites "a" -> "b" with probability 1, so
     # q(b|a) = 0.5 * 1 + 0.5 * q_char(b) > 0.5
-    lp = model.logprob("a", "S", "T", "b")
+    lp = model.logprob("T", "b", [("S", "a")])[-1][0]
     q_char = 2.0 ** model.char_model("T").logprob("b")
     assert 2.0 ** lp == pytest.approx(0.5 + 0.5 * q_char, rel=1e-12)
     assert lp > -1.0
@@ -118,7 +119,7 @@ def test_logprob_half_lambda_hand_computation():
 
 def test_logprob_root_uses_char_model_only():
     model = train(mk_pairs([("a", "b"), ("aa", "ab")]))
-    lp = model.logprob(EMPTY, ROOT, "T", "ab")
+    lp = model.logprob("T", "ab", [])[0][0]
     assert lp == pytest.approx(model.char_model("T").logprob("ab"))
 
 
@@ -129,7 +130,7 @@ def test_logprob_always_finite():
     for _ in range(2000):
         src = "".join(rng.choice(chars) for _ in range(rng.randint(0, 12)))
         tgt = "".join(rng.choice(chars) for _ in range(rng.randint(0, 12)))
-        lp = model.logprob(src, "S", "T", tgt)
+        lp = model.logprob("T", tgt, [("S", src)])[-1][0]
         assert math.isfinite(lp) and lp <= 0
 
 
@@ -139,7 +140,8 @@ def test_mass_enumeration_oracle_small_model():
     contexts = [("a", "S", "T"), ("ab", "S", "T"), (EMPTY, ROOT, "T"), ("zz", "S", "T")]
     for src, s, t in contexts:
         for L in (4, 8):
-            brute = sum(2.0 ** model.logprob(src, s, t, tgt)
+            sources = [] if s == ROOT else [(s, src)]
+            brute = sum(2.0 ** model.logprob(t, tgt, sources)[-1][0]
                         for tgt in all_strings("ab", L))
             assert model.mass_upto(src, s, t, L) == pytest.approx(brute, abs=1e-9)
     # in-alphabet conditioning contexts reach 0.999 within length 12
@@ -156,7 +158,7 @@ def test_mass_monotone_and_converges():
 
 def test_unseen_slot_pair_falls_back_to_char():
     model = train(mk_pairs([("a", "b")]))
-    lp = model.logprob("a", "S2", "T", "b")
+    lp = model.logprob("T", "b", [("S2", "a")])[-1][0]
     assert lp == pytest.approx(model.char_model("T").logprob("b"))
 
 
@@ -196,7 +198,7 @@ def test_train_suffix_rule_dominates():
     dev = mk_paradigms([(s, s + "s") for s in stems[900:950]])
     model = pick_lambda(train(pairs), dev)
     held = stems[950:]
-    probs = [2.0 ** model.logprob(s, "S", "T", s + "s") for s in held]
+    probs = [2.0 ** model.logprob("T", s + "s", [("S", s)])[-1][0] for s in held]
     assert min(probs) > 0.9
 
 
@@ -345,8 +347,7 @@ def test_model_json_roundtrip(tmp_path):
     assert back.lam == model.lam and back.order == model.order
     assert back.alphabet == model.alphabet
     for src, tgt in [("hand", "hände"), ("xyz", "xyzn"), ("", "")]:
-        assert back.logprob(src, "S", "T", tgt) == model.logprob(src, "S", "T", tgt)
-        assert back.logprob(EMPTY, ROOT, "T", tgt) == model.logprob(EMPTY, ROOT, "T", tgt)
+        assert back.logprob("T", tgt, [("S", src)]) == model.logprob("T", tgt, [("S", src)])
 
 
 def six_slot_model():
@@ -418,7 +419,7 @@ def test_dev_pass_matches_cross_entropy_bit_for_bit(caplog):
         assert ce == total / len(pairs)
     model.lam = chosen
     back = ConditionalParadigmModel.from_json(json.loads(json.dumps(model.to_json())))
-    staged = compute_weights(back, dev, slots, (back.lam,))
+    staged = compute_weights(back, dev, slots)
     assert back.lam == chosen
     assert staged.root == W.root and staged.edge == W.edge
 
@@ -470,7 +471,7 @@ INVENTORY = ["A", "B", "C", "D"]
          [Paradigm("m", {"A": "ma", "B": "mb", "C": "mb", "D": "", "E": "xq"}),
           Paradigm("y", {"A": "ya", "B": "mc", "C": "mb"})])
 @given(paradigm_lists("ABC"), paradigm_lists("ABCDE"))
-def test_grid_scorer_and_dev_pass_equal_per_mapping_loop(caplog, train_paradigms, dev):
+def test_logprob_and_dev_pass_equal_per_mapping_loop(caplog, train_paradigms, dev):
     """Scoring a dev target once against its root context and all its
     sources gives, for every source and lambda, the bits the mixture
     written out gives for that one mapping; and the dev pass built on it
@@ -484,17 +485,16 @@ def test_grid_scorer_and_dev_pass_equal_per_mapping_loop(caplog, train_paradigms
     two whose rules giving mb weigh the same but whose shares differ."""
     model = train(PairView(train_paradigms), order=2)
     dev = dev + train_paradigms
-    score = model.grid_scorer(GRID)
     for p in dev:
         for tgt_slot, tgt, sources in target_groups(p.entries):
-            rows = score(tgt_slot, tgt, sources)
-            assert len(rows) == len(sources) + 1
-            for row, (src_slot, src) in zip(rows, [(ROOT, EMPTY)] + sources):
+            rows = model.logprob(tgt_slot, tgt, sources, GRID)
+            own = model.logprob(tgt_slot, tgt, sources)
+            assert len(rows) == len(own) == len(sources) + 1
+            for row, own_row, (src_slot, src) in zip(rows, own, [(ROOT, EMPTY)] + sources):
                 want = [reference_logprob(model, lam, src, src_slot, tgt_slot, tgt)
                         for lam in GRID]
                 assert bits(row) == bits(want)
-                assert (model.logprob(src, src_slot, tgt_slot, tgt).hex()
-                        == want[GRID.index(model.lam)].hex())
+                assert bits(own_row) == bits([want[GRID.index(model.lam)]])
     ces, chosen, root, edge = per_mapping_weights(model, dev, INVENTORY, GRID)
     caplog.clear()
     caplog.set_level(logging.INFO, logger="morphcomplexity.structure")
@@ -550,19 +550,19 @@ def test_model_version_check():
 
 def test_load_scores_roundtrip():
     table = load_scores(io.StringIO("walk\tV;NFIN\tV;PST\twalked\t-0.1\n"))
-    assert table.logprob("walk", "V;NFIN", "V;PST", "walked") == -0.1
+    assert table.scores == {("walk", "V;NFIN", "V;PST", "walked"): -0.1}
 
 
 def test_load_scores_root_rows():
     table = load_scores(io.StringIO("\t\tV;PST\twalked\t-3.5\n"))
-    assert table.logprob(EMPTY, ROOT, "V;PST", "walked") == -3.5
+    assert table.logprob("V;PST", "walked", [], GRID) == [[-3.5] * len(GRID)]
 
 
 def test_score_lookup_missing_is_error():
     table = ScoreTable({})
     with pytest.raises(ValueError, match="has no score for mapping") as exc:
-        table.logprob("a", "S", "T", "b")
-    assert "('a', 'S', 'T', 'b')" in str(exc.value)
+        table.logprob("T", "b", [("S", "a")])
+    assert "('', '<ROOT>', 'T', 'b')" in str(exc.value)   # the root row comes first
 
 
 @pytest.mark.parametrize("logprob", ["0.5", "nan", "-inf", "-1e400"])
