@@ -106,15 +106,14 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
     root[i] over those where slot i is filled.  A slot never filled in dev
     gets the language-average root weight for all its entries and is flagged.
     """
-    g = 1 if lambda_grid is None else len(lambda_grid)
     n = len(slots)
     index = {s: i for i, s in enumerate(slots)}
     # per target i and source j, j == n for the root context: the mapping
     # count and, per lambda k, the sum cell_sum[i][k][j]; beside them the
-    # flat dev total per lambda.  Each gets its scores one by one, in order.
+    # flat dev total per lambda, one per column of the scorer's rows, sized
+    # at its first call.  Each gets its scores one by one, in order.
     cnt = [[0] * (n + 1) for _ in range(n)]
-    cell_sum = [[[0.0] * (n + 1) for _ in range(g)] for _ in range(n)]
-    total = [0.0] * g
+    cell_sum = total = None
     for p in dev_paradigms:
         for tgt_slot, tgt, sources in target_groups(
                 {s: f for s, f in p.entries.items() if s in index}):
@@ -123,6 +122,9 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
             for j in columns:
                 cnt[i][j] += 1
             per_lambda = list(zip(*scorer.logprob(tgt_slot, tgt, sources, lambda_grid)))
+            if total is None:
+                cell_sum = [[[0.0] * (n + 1) for _ in per_lambda] for _ in range(n)]
+                total = [0.0] * len(per_lambda)
             for sums, lps in zip(cell_sum[i], per_lambda):
                 for j, lp in zip(columns, lps):
                     sums[j] += lp
@@ -135,7 +137,7 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
         ces = [-t / scored for t in total]
         for lam, ce in zip(lambda_grid, ces):
             log.info("lambda=%g: dev CE %.4f bits", lam, ce)
-        k = min(range(g), key=ces.__getitem__)
+        k = min(range(len(ces)), key=ces.__getitem__)
         scorer.lam = lambda_grid[k]
         log.info("selected lambda=%g (dev CE %.4f bits)", scorer.lam, ces[k])
     root = [cell_sum[i][k][n] / cnt[i][n] if cnt[i][n] else None for i in range(n)]

@@ -36,11 +36,15 @@ class StubScorer:
 
     def logprob(self, tgt_slot, tgt, sources, lambda_grid=None):
         """One row per context, root first, as a model's `logprob` gives them:
-        each mapping's score in every column, the default for a mapping not
-        in `scores`, or None, which no sum takes, when there is no default."""
+        each mapping's score in every column, or the default for a mapping
+        not in `scores`; without a default such a mapping is a KeyError."""
         g = 1 if lambda_grid is None else len(lambda_grid)
-        return [[self.scores.get((src, src_slot, tgt_slot, tgt), self.default)] * g
-                for src_slot, src in [(ROOT, EMPTY)] + sources]
+        rows = []
+        for src_slot, src in [(ROOT, EMPTY)] + sources:
+            key = (src, src_slot, tgt_slot, tgt)
+            lp = self.scores[key] if self.default is None else self.scores.get(key, self.default)
+            rows.append([lp] * g)
+        return rows
 
 
 @pytest.fixture

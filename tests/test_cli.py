@@ -688,7 +688,7 @@ def test_swapped_json_type_exit_2_or_3(partial_runs, tmp_path, caplog):
     assert not failures
 
 
-def test_external_scores_pipeline(tmp_path):
+def test_external_scores_pipeline(tmp_path, caplog):
     lex = write_lexicon(tmp_path / "lex.tsv", count=120)
     # score table covering every mapping at exactly -1 bit, so the measured
     # i-complexity must come out at 3 bits per paradigm
@@ -725,6 +725,23 @@ def test_external_scores_pipeline(tmp_path):
     run = json.loads((out / "tree.json").read_text())
     for key in ("root", "edges", "score_bits"):
         assert staged[key] == run[key], key
+    # every call scores its target's root context too, so a table with only
+    # the rows the tree reads for the test set exits 2, naming a root row
+    test = json.loads((d / "split.json").read_text())["test_paradigms"]
+    read = set()
+    for entries in (p["entries"] for p in test):
+        for slot, form in entries.items():
+            parent = staged["edges"].get(slot)
+            src = (entries[parent], parent) if parent in entries else ("", "")
+            read.add("%s\t%s\t%s\t%s\t-1.0" % (*src, slot, form))
+    tree_rows = tmp_path / "tree_rows.tsv"
+    tree_rows.write_text("\n".join(sorted(read)) + "\n", encoding="utf-8")
+    caplog.clear()
+    argv = ["measure", "--split", d / "split.json", "--tree", d / "tree.json",
+            "--out", d / "edge_point.csv", "--scores", tree_rows, "--seed", "2"]
+    assert main([str(a) for a in argv]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "has no score for mapping ('', '<ROOT>'" in errors[0]
     # a mapping given twice, once as given and once as a <ROOT> root row, exits 2
     twice = tmp_path / "twice.tsv"
     for extra in (lines[1][:-4] + "-7.0", "\t<ROOT>" + lines[0][1:-4] + "-7.0"):

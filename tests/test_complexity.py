@@ -49,6 +49,8 @@ def test_i_complexity_stub_values(stub_scorer):
         ("a1", "A", "B", "b1"): -0.5, ("a1", "A", "C", "c1"): -0.5,
         (EMPTY, ROOT, "A", "a2"): -2.0,
         ("a2", "A", "B", "b2"): -1.0, ("a2", "A", "C", "c2"): -1.0,
+        # root rows of slots with a parent: scored, never summed
+        **{(EMPTY, ROOT, s, s.lower() + n): -9.0 for s in "BC" for n in "12"},
     })
     test = [Paradigm("p1", {"A": "a1", "B": "b1", "C": "c1"}),
             Paradigm("p2", {"A": "a2", "B": "b2", "C": "c2"})]

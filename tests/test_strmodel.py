@@ -309,6 +309,8 @@ def test_joint_logprob_chain(stub_scorer):
         (EMPTY, ROOT, "A", "fa"): -1.0,
         ("fa", "A", "B", "fb"): -0.5,
         ("fb", "B", "C", "fc"): -0.25,
+        # root rows of slots with a parent: scored, never summed
+        (EMPTY, ROOT, "B", "fb"): -9.0, (EMPTY, ROOT, "C", "fc"): -9.0,
     })
     p = Paradigm("x", {"A": "fa", "B": "fb", "C": "fc"})
     assert joint_logprob(scorer, tree, p) == pytest.approx(-1.75)
@@ -322,6 +324,7 @@ def test_joint_logprob_stub_arithmetic(stub_scorer):
     scorer = stub_scorer({
         (EMPTY, ROOT, "A", "fa"): math.log2(0.5),
         ("fa", "A", "B", "fb"): math.log2(0.25),
+        (EMPTY, ROOT, "B", "fb"): -9.0,   # scored, never summed
     })
     p = Paradigm("x", {"A": "fa", "B": "fb"})
     assert joint_logprob(scorer, tree, p) == pytest.approx(-3.0)
@@ -420,7 +423,6 @@ def test_dev_pass_matches_cross_entropy_bit_for_bit(caplog):
     model.lam = chosen
     back = ConditionalParadigmModel.from_json(json.loads(json.dumps(model.to_json())))
     staged = compute_weights(back, dev, slots)
-    assert back.lam == chosen
     assert staged.root == W.root and staged.edge == W.edge
 
 
@@ -549,8 +551,9 @@ def test_model_version_check():
 # ----------------------------------------------------------- score tables
 
 def test_load_scores_roundtrip():
-    table = load_scores(io.StringIO("walk\tV;NFIN\tV;PST\twalked\t-0.1\n"))
-    assert table.scores == {("walk", "V;NFIN", "V;PST", "walked"): -0.1}
+    table = load_scores(io.StringIO("\t\tV;PST\twalked\t-2.5\n"
+                                    "walk\tV;NFIN\tV;PST\twalked\t-0.1\n"))
+    assert table.logprob("V;PST", "walked", [("V;NFIN", "walk")]) == [[-2.5], [-0.1]]
 
 
 def test_load_scores_root_rows():
@@ -559,10 +562,12 @@ def test_load_scores_root_rows():
 
 
 def test_score_lookup_missing_is_error():
-    table = ScoreTable({})
-    with pytest.raises(ValueError, match="has no score for mapping") as exc:
-        table.logprob("T", "b", [("S", "a")])
-    assert "('', '<ROOT>', 'T', 'b')" in str(exc.value)   # the root row comes first
+    """A lookup names the missing mapping, a source row's as a root row's."""
+    for scores, missing in [({("", "<ROOT>", "T", "b"): -1.0}, "('a', 'S', 'T', 'b')"),
+                            ({("a", "S", "T", "b"): -1.0}, "('', '<ROOT>', 'T', 'b')")]:
+        with pytest.raises(ValueError, match="has no score for mapping") as exc:
+            ScoreTable(scores).logprob("T", "b", [("S", "a")])
+        assert missing in str(exc.value)
 
 
 @pytest.mark.parametrize("logprob", ["0.5", "nan", "-inf", "-1e400"])
