@@ -203,11 +203,6 @@ def stage_ingest(cfg):
     return inventory, paradigms
 
 
-def stage_train(cfg, split):
-    """The reference model's counts from the split; `stage_weights` picks its lambda."""
-    return strmodel.train(split.train_pairs, order=cfg["order"], alpha=cfg["alpha"])
-
-
 def read_scorer(cfg, model_path):
     """The one scorer of `weights` and `measure`, --model or --scores; a
     saved model scores at its own lambda."""
@@ -216,12 +211,6 @@ def read_scorer(cfg, model_path):
     if model_path:
         return read_artifact(model_path, strmodel.ConditionalParadigmModel.load)
     return read_artifact(cfg["scores"], _text(strmodel.load_scores))
-
-
-def stage_weights(scorer, split, grid):
-    """The dev weight matrix, from one pass that also sets the reference
-    model's lambda from the grid, if one is given (structure.compute_weights)."""
-    return structure.compute_weights(scorer, split.dev_paradigms, split.inventory, grid)
 
 
 def stage_measure(cfg, split, scorer, tree):
@@ -272,8 +261,8 @@ def cmd_split(args):
 def cmd_train(args):
     cfg = resolve_config(args)
     split = read_artifact(args.split, _load_split)
-    model = stage_train(cfg, split)
-    stage_weights(model, split, lambda_grid(cfg))
+    model = strmodel.train(split.train_pairs, cfg["order"], cfg["alpha"])
+    structure.compute_weights(model, split.dev_paradigms, split.inventory, lambda_grid(cfg))
     model.save(args.out)
     print("trained on %d pairs; lambda=%g" % (len(split.train_pairs), model.lam))
     return EXIT_OK
@@ -282,7 +271,8 @@ def cmd_train(args):
 def cmd_weights(args):
     cfg = resolve_config(args)
     split = read_artifact(args.split, _load_split)
-    W = stage_weights(read_scorer(cfg, args.model), split, None)
+    W = structure.compute_weights(read_scorer(cfg, args.model), split.dev_paradigms,
+                                  split.inventory)
     _write_json(args.out, W.to_json(), cfg)
     print("weights over %d slots written to %s" % (W.n, args.out))
     return EXIT_OK
@@ -315,9 +305,12 @@ def cmd_run(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     inventory, paradigms = stage_ingest(cfg)
     split = corpus.make_split(paradigms, cfg, inventory)
-    scorer, grid = ((read_scorer(cfg, None), None) if cfg.get("scores")
-                    else (stage_train(cfg, split), lambda_grid(cfg)))
-    W = stage_weights(scorer, split, grid)
+    if cfg.get("scores"):
+        scorer, grid = read_scorer(cfg, None), None
+    else:
+        scorer = strmodel.train(split.train_pairs, cfg["order"], cfg["alpha"])
+        grid = lambda_grid(cfg)
+    W = structure.compute_weights(scorer, split.dev_paradigms, split.inventory, grid)
     tree = structure.max_arborescence(W)
     point = stage_measure(cfg, split, scorer, tree)
 
@@ -400,7 +393,7 @@ def _critique(cfg, plat):
     go = corpus.Paradigm("go", {"V;NFIN": "go", "V;PST": "went"})
     model = strmodel.train(corpus.PairView([go], [("go", "V;NFIN", "V;PST")]),
                            cfg["order"], cfg["alpha"])
-    lp = model.logprob("V;PST", "flew", [("V;NFIN", "fly")])[-1][0]
+    lp = model.logprob("V;PST", "flew", [("V;NFIN", "fly")])[0][0]
     print("critique: plat support is only %r; string model gives an unseen "
           "irregular logprob %.2f bits (finite)" % (sorted(dist), lp))
 

@@ -51,8 +51,7 @@ def mappings(entries):
     """A paradigm's mappings one by one, in `target_groups` order, as
     (src, src_slot, tgt_slot, tgt) tuples: the key of a `ScoreTable` row."""
     for tgt_slot, tgt, sources in target_groups(entries):
-        yield EMPTY, ROOT, tgt_slot, tgt
-        for src_slot, src in sources:
+        for src_slot, src in [(ROOT, EMPTY)] + sources:
             yield src, src_slot, tgt_slot, tgt
 
 
@@ -165,7 +164,7 @@ def build_paradigms(words, pos_filter=None):
                             w.lexeme, w.slot, entries[w.slot], w.form)
             continue
         entries[w.slot] = w.form
-    inventory = sorted(slots)
+    inventory = check_slot_names(sorted(slots), "lexicon slot list")
     paradigms = [Paradigm(lexeme=lx, entries=by_lexeme[lx]) for lx in sorted(by_lexeme)]
     return inventory, paradigms
 
@@ -257,10 +256,11 @@ def paradigms_from_json(records, inventory):
 
 
 def check_slot_names(slots, what):
-    """`slots`, if it is a list of distinct strings; else a ValueError naming `what`."""
-    if not (isinstance(slots, list) and all(isinstance(s, str) for s in slots)
+    """`slots`, if it is a list of distinct strings other than ROOT, which
+    names the root context; else a ValueError naming `what`."""
+    if not (isinstance(slots, list) and all(isinstance(s, str) and s != ROOT for s in slots)
             and len(set(slots)) == len(slots)):
-        raise ValueError("%s is not a list of distinct slot names" % what)
+        raise ValueError("%s is not a list of distinct slot names other than %s" % (what, ROOT))
     return slots
 
 

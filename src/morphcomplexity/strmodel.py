@@ -155,23 +155,24 @@ class ConditionalParadigmModel:
     def char_model(self, tgt_slot):
         return self.char_models.get(tgt_slot, self.fallback_char)
 
-    def logprob(self, tgt_slot, tgt, sources, lambda_grid=None):
+    def logprob(self, tgt_slot, tgt, contexts, lambda_grid=None):
         """log2 q(tgt | context) in bits (<= 0, always finite) under every lam
-        of the grid, or under the model's own `lam` without one: the root
-        context's row first, then one row per (src_slot, src) of sources.
-        The root context, and any context with no applicable rewrite rule,
-        scores the target with the char model alone.  The target's char
-        log2prob is computed once, and the mixture once per distinct rule
-        probability (the smoothed share of applicable rules giving tgt);
-        rows may be shared and are only read.  Each mixture is the larger
-        log2 term plus log2(1 + 2^(smaller - larger))."""
+        of the grid, or under the model's own `lam` without one: one row per
+        (src_slot, src) of contexts, in their order, the root context being
+        (ROOT, EMPTY).  A context with no applicable rewrite rule, the root
+        among them (no rule table has the root as its source), scores the
+        target with the char model alone.  The target's char log2prob is
+        computed once, and the mixture once per distinct rule probability
+        (the smoothed share of applicable rules giving tgt); rows may be
+        shared and are only read.  Each mixture is the larger log2 term plus
+        log2(1 + 2^(smaller - larger))."""
         grid = (self.lam,) if lambda_grid is None else lambda_grid
         weights = [(math.log2(1.0 - lam), math.log2(lam)) for lam in grid]
         alpha, tables = self.alpha, self.rule_tables
         lc = self.char_model(tgt_slot).logprob(tgt)
         char_row = [lc] * len(weights)
-        rows, mixed = [char_row], {}
-        for src_slot, src in sources:
+        rows, mixed = [], {}
+        for src_slot, src in contexts:
             total = hit = 0.0
             for s_sfx, t_sfx, count in tables.get((src_slot, tgt_slot), ()):
                 if src.endswith(s_sfx):
@@ -201,8 +202,6 @@ class ConditionalParadigmModel:
         applicable rule) and the char component is summed by DP.
         """
         char_mass = self.char_model(tgt_slot).mass_upto(max_len)
-        if src_slot == ROOT:
-            return char_mass
         applicable = [(src[:len(src) - len(s_sfx)] + t_sfx, count + self.alpha)
                       for s_sfx, t_sfx, count in self.rule_tables.get((src_slot, tgt_slot), ())
                       if src.endswith(s_sfx)]
@@ -249,6 +248,9 @@ class ConditionalParadigmModel:
             raise ValueError("char_models is not a JSON object")
         rule_tables = {}
         for src_slot, tgt_slot, rules in tables:
+            if src_slot == ROOT:
+                raise ValueError("rule table %s -> %s conditions on the root context, "
+                                 "which the char model alone scores" % (src_slot, tgt_slot))
             if ((src_slot, tgt_slot) in rule_tables
                     or len({(s, t) for s, t, _ in rules}) < len(rules)):
                 raise ValueError("rule table %s -> %s is given twice or repeats a rule"
@@ -312,7 +314,8 @@ def train(pairs, order, alpha):
 
 def joint_logprob(model, tree, paradigm):
     """log2 q(m_1..m_n) under the tree-factored joint (bits, <= 0): one
-    `logprob` per filled slot, at the scorer's own lambda, in slot order.
+    `logprob` per filled slot, of its one context (its tree parent's
+    (slot, form), or (ROOT, EMPTY)), at the scorer's own lambda, in slot order.
 
     Unfilled slots are skipped; a filled slot whose parent is unfilled (or
     absent from the paradigm) is conditioned on the root context.
@@ -322,10 +325,10 @@ def joint_logprob(model, tree, paradigm):
         tgt = paradigm.entries.get(slot)
         if tgt is None:
             continue
-        parent = tree.parent.get(i)
-        src = None if parent is None else paradigm.entries.get(tree.slots[parent])
-        sources = [] if src is None else [(tree.slots[parent], src)]
-        total += model.logprob(slot, tgt, sources)[-1][0]
+        parent = tree.slots[tree.parent[i]] if i in tree.parent else None
+        src = paradigm.entries.get(parent)
+        context = (ROOT, EMPTY) if src is None else (parent, src)
+        total += model.logprob(slot, tgt, [context])[0][0]
     return total
 
 
@@ -340,13 +343,13 @@ class ScoreTable:
     def __init__(self, scores=None):
         self.scores = dict(scores or {})
 
-    def logprob(self, tgt_slot, tgt, sources, lambda_grid=None):
-        """The rows of `ConditionalParadigmModel.logprob`, root context first:
-        each mapping's looked-up score in every column, one per lam of the
-        grid or one without a grid."""
+    def logprob(self, tgt_slot, tgt, contexts, lambda_grid=None):
+        """The rows of `ConditionalParadigmModel.logprob`, one per (src_slot,
+        src) of contexts: each mapping's looked-up score in every column, one
+        per lam of the grid or one without a grid."""
         g = 1 if lambda_grid is None else len(lambda_grid)
         rows = []
-        for src_slot, src in [(ROOT, EMPTY)] + sources:
+        for src_slot, src in contexts:
             key = (src, src_slot, tgt_slot, tgt)
             if key not in self.scores:
                 raise ValueError("the score table has no score for mapping %r" % (key,))
@@ -358,8 +361,9 @@ def load_scores(stream):
     """Parse a score TSV: src, src_slot, tgt_slot, tgt, log2prob per row.
 
     An empty src_slot field (or the literal ROOT sentinel) marks a root
-    mapping.  Positive and non-finite log-probabilities are rejected, as is a
-    second, different log-probability for one mapping.
+    mapping, whose src field must be empty.  Positive and non-finite
+    log-probabilities are rejected, as is a second, different log-probability
+    for one mapping.
     """
     scores = {}
     for lineno, raw in enumerate(stream, start=1):
@@ -376,8 +380,9 @@ def load_scores(stream):
             raise ValueError("line %d: bad log2prob %r" % (lineno, fields[4]))
         if not -math.inf < lp <= 0:
             raise ValueError("line %d: log2prob %g is not finite and <= 0" % (lineno, lp))
-        if not src_slot or src_slot == ROOT:
-            src, src_slot = EMPTY, ROOT
+        src_slot = src_slot or ROOT
+        if src_slot == ROOT and src != EMPTY:
+            raise ValueError("line %d: a root row has an empty source form" % lineno)
         if scores.setdefault((src, src_slot, tgt_slot, tgt), lp) != lp:
             raise ValueError("line %d: a mapping given again, with another log2prob" % lineno)
     return ScoreTable(scores)

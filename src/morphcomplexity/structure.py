@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
-from .corpus import check_slot_names, target_groups
+from .corpus import EMPTY, ROOT, check_slot_names, target_groups
 
 log = logging.getLogger(__name__)
 
@@ -94,13 +94,13 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
 
     The pass visits each dev paradigm's `target_groups` among the
     inventory's slots, the order of its `mappings`, and scores each target
-    against its root context and all its sources with one call of the
-    scorer's `logprob`.  With a lambda grid it scores them under every
-    lambda; the lambda of least dev cross-entropy (the first among equals)
-    is set on the scorer and the matrix is the one at that lambda.  Without
-    a grid it scores them at the scorer's own lambda.  Each cell's sum and
-    the flat dev total per lambda add the mappings' scores one by one in
-    mapping order.
+    against its root context (ROOT, EMPTY) and all its sources with one
+    call of the scorer's `logprob`, which gives a row for each.  With a
+    lambda grid it scores them under every lambda; the lambda of least dev
+    cross-entropy (the first among equals) is set on the scorer and the
+    matrix is the one at that lambda.  Without a grid it scores them at the
+    scorer's own lambda.  Each cell's sum and the flat dev total per lambda
+    add the mappings' scores one by one in mapping order.
 
     Cell (i, j) averages over the dev paradigms where both slots are filled;
     root[i] over those where slot i is filled.  A slot never filled in dev
@@ -121,7 +121,8 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
             columns = [n] + [index[s] for s, _ in sources]
             for j in columns:
                 cnt[i][j] += 1
-            per_lambda = list(zip(*scorer.logprob(tgt_slot, tgt, sources, lambda_grid)))
+            contexts = [(ROOT, EMPTY)] + sources
+            per_lambda = list(zip(*scorer.logprob(tgt_slot, tgt, contexts, lambda_grid)))
             if total is None:
                 cell_sum = [[[0.0] * (n + 1) for _ in per_lambda] for _ in range(n)]
                 total = [0.0] * len(per_lambda)

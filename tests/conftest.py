@@ -2,7 +2,6 @@ import pytest
 
 from morphcomplexity import strmodel
 from morphcomplexity.cli import CONFIG_DEFAULTS, bundled
-from morphcomplexity.corpus import EMPTY, ROOT
 
 
 def split_config(**overrides):
@@ -34,13 +33,14 @@ class StubScorer:
         self.scores = dict(scores)
         self.default = default
 
-    def logprob(self, tgt_slot, tgt, sources, lambda_grid=None):
-        """One row per context, root first, as a model's `logprob` gives them:
-        each mapping's score in every column, or the default for a mapping
-        not in `scores`; without a default such a mapping is a KeyError."""
+    def logprob(self, tgt_slot, tgt, contexts, lambda_grid=None):
+        """One row per (src_slot, src) of contexts, as a model's `logprob`
+        gives them: each mapping's score in every column, or the default for
+        a mapping not in `scores`; without a default such a mapping is a
+        KeyError."""
         g = 1 if lambda_grid is None else len(lambda_grid)
         rows = []
-        for src_slot, src in [(ROOT, EMPTY)] + sources:
+        for src_slot, src in contexts:
             key = (src, src_slot, tgt_slot, tgt)
             lp = self.scores[key] if self.default is None else self.scores.get(key, self.default)
             rows.append([lp] * g)

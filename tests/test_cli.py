@@ -376,6 +376,10 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("weights --split {d}/split.json --scores {partial_scores} --out {tmp}/o.json --seed 0", 2),
     ("measure --split {d}/split.json --scores {partial_scores} --tree {d}/tree.json "
      "--out {tmp}/o.csv --seed 0", 2),
+    ("measure --split {d}/split.json --scores {root_row_with_src} --tree {d}/tree.json "
+     "--out {tmp}/o.csv --seed 0", 2),
+    ("measure --split {d}/split.json --model {root_rule_table} --tree {d}/tree.json "
+     "--out {tmp}/o.csv --seed 0", 2),
     ("split --store {d}/store.json --out {tmp}/o.json --seed 0 --regime bogus "
      "--dev-paradigms 200", 2),
     ("train --split {d}/split.json --out {tmp}/o.json --seed 0 --regime bogus", 2),
@@ -385,6 +389,8 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("ingest --synth {synth_slots_string} --seed 0", 2),
     ("ingest --synth {synth_no_slots} --seed 0", 2),
     ("ingest --synth {synth_no_alphabet} --seed 0", 2),
+    ("ingest --synth {synth_root_slot} --seed 0", 2),
+    ("ingest --data {root_slot_lexicon} --pos <ROOT>", 2),
     ("ingest --synth {synth_int_suffix} --seed 0", 2),
     ("weights --split {d}/split.json --model {rule_count_neg} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {rule_count_str} --out {tmp}/o.json --seed 0", 2),
@@ -425,20 +431,22 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     give each lexeme once across train, dev and test, and each dev or test
     paradigm fills two slots or more; plat class weights are finite and >= 0.
     Weights must be finite and n x n over distinct slots, scores finite and
-    given for every mapping the split needs, a training cell must not map a
+    given for every mapping the stage reads, a training cell must not map a
     slot to itself, and Pareto points have finite x > 0 and y >= 0 and a POS
     that can name a file, checked before any permutation test runs; a points
-    file without points exits 3.  A lambda grid, or a saved model's lambda,
-    lies in (0, 1); a saved alpha is finite and > 0, its order an integer
-    >= 1, its alphabet distinct characters and its format the current one;
+    file without points exits 3; a score row of the root context has an
+    empty source form.  A lambda grid, or a saved model's lambda, lies in
+    (0, 1); a saved alpha is finite and > 0, its order an integer >= 1, its
+    alphabet distinct characters and its format the current one;
     each char model's counts are of histories of order - 1
     symbols and of symbols in the alphabet, UNK or stop, given as a list of
     [history, counts] pairs, and each rule count is a positive integer, of
-    a rule given once in a table given once.  An inventory, a plat header
-    and the weights repeat no slot, and weight slots are strings.
+    a rule given once in a table given once, whose source is not the root.
+    An inventory, a plat header and the weights repeat no slot and name
+    none <ROOT>, the root context, and weight slots are strings.
     Config values, the regime among them, are checked before any stage runs;
     a generator config has only SyntheticSystem's keys, its slots are one
-    or more distinct strings, its suffixes strings, its stem alphabet a
+    or more distinct strings other than <ROOT>, its suffixes strings, its stem alphabet a
     non-empty string and its stem lengths two integers 0 <= lo <= hi;
     `weights` and `measure` take exactly one scorer, --model or --scores,
     and `ingest` and `run` exactly one input, --data or --synth."""
@@ -458,10 +466,13 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     (tmp_path / "nan_scores").write_text("a\tS\tT\tb\tnan\n", encoding="utf-8")
     (tmp_path / "partial_scores").write_text("a\tS\tT\tb\t-1.0\n", encoding="utf-8")
+    (tmp_path / "root_row_with_src").write_text("walk\t<ROOT>\tV;PST\twalked\t-3.5\n",
+                                                encoding="utf-8")
     texts = {"one_slot_plat": "class\tS1\nc1\ta\nc2\tb\n",
              "dup_slot_plat": "class\tA\tA\tB\nc1\tx\tx\tz\nc2\ty\ty\tz\n",
              "nan_weight_plat": "class\tweight\tS1\tS2\nc1\tnan\ta\tb\nc2\t0.5\ta\tc\n",
-             "neg_weight_plat": "class\tweight\tS1\tS2\nc1\t1.5\ta\tb\nc2\t-0.5\ta\tc\n"}
+             "neg_weight_plat": "class\tweight\tS1\tS2\nc1\t1.5\ta\tb\nc2\t-0.5\ta\tc\n",
+             "root_slot_lexicon": "walk\twalked\t<ROOT>\nwalk\twalks\t<ROOT>;3SG\n"}
     for name, text in texts.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     header = "language,pos,regime,e_complexity,i_total_bits,i_per_form_bits,d,seed\n"
@@ -512,6 +523,7 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
                        synth_no_slots=dict(synth, slots=[], class_probs=[1.0],
                                            suffix_table=[[]]),
                        synth_no_alphabet=dict(synth, stem_alphabet=""),
+                       synth_root_slot=dict(synth, slots=["<ROOT>"] + synth["slots"][1:]),
                        synth_int_suffix=dict(synth, suffix_table=[[1, 2, 3, 4], [1, 2, 3, 5]]))
     synth["stem_lenght"] = synth.pop("stem_len")
     bad_records["synth_typo"] = synth
@@ -542,6 +554,9 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     bad_records["rule_repeated"] = dict(model, rule_tables=tables + model["rule_tables"][1:])
     bad_records["table_repeated"] = dict(model, rule_tables=model["rule_tables"] + [
         [src_slot, tgt_slot, [rules[0][:2] + [rules[0][2] + 5]]]])
+    # a table conditioning on the root context, which training never writes
+    bad_records["root_rule_table"] = dict(model, rule_tables=model["rule_tables"] + [
+        ["<ROOT>", tgt_slot, [rules[0]]]])
     first = min(model["char_models"])
     counts = model["char_models"][first]
     long_history = [[["<S>"] + hist, c] for hist, c in counts]
@@ -568,8 +583,9 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
              "foreign_tree": tmp_path / "foreign_tree.json",
              "synth": cli.bundled("synth_two_class.json"),
              **{name: tmp_path / name
-                for name in [*files, "nan_scores", "partial_scores", "no_points", "empty_grid",
-                             *texts, *bad_points, *bad_pos, *bad_records]}}
+                for name in [*files, "nan_scores", "partial_scores", "root_row_with_src",
+                             "no_points", "empty_grid", *texts, *bad_points, *bad_pos,
+                             *bad_records]}}
     if argv.startswith("pareto"):
         monkeypatch.setattr(cli.stats, "perm_test", None)   # must not be reached
     assert main(argv.format(**paths).split()) == code
@@ -581,6 +597,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
         assert "re-run split" in errors[0].getMessage()
     if "format_1" in argv:
         assert "re-run train" in errors[0].getMessage()
+    if "root_row_with_src" in argv:
+        assert "line 1: a root row has an empty source form" in errors[0].getMessage()
     if "--data" in argv and "--synth" in argv:
         assert errors[0].getMessage() == "give exactly one input: --data or --synth"
 
@@ -600,6 +618,23 @@ def test_one_exception_type_per_exit_code():
                     is_exception(ast.unparse(b).rsplit(".", 1)[-1]) for b in node.bases):
                 found.append("%s.%s" % (path.stem, node.name))
     assert found == ["corpus.InsufficientDataError"]
+
+
+def test_package_imports_only_the_standard_library():
+    """Every absolute import of a package module names a standard-library
+    module or the package itself: the package runs on bare Python."""
+    foreign = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += ["%s: %s" % (path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"morphcomplexity"}]
+    assert foreign == []
 
 
 TRUNCATED = {
@@ -707,7 +742,10 @@ def test_external_scores_pipeline(tmp_path, caplog):
     scores = tmp_path / "scores.tsv"
     scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    flags = ["--scores", scores, "--seed", "2"] + SMALL
+
+    def scored_by(table):
+        return ["--scores", table, "--seed", "2"] + SMALL
+    flags = scored_by(scores)
     code = main([str(a) for a in ["run", "--data", lex, "--out-dir", out] + flags])
     assert code == 0
     assert float(read_point(out / "point.csv")["i_total_bits"]) == pytest.approx(3.0, abs=1e-9)
@@ -725,23 +763,41 @@ def test_external_scores_pipeline(tmp_path, caplog):
     run = json.loads((out / "tree.json").read_text())
     for key in ("root", "edges", "score_bits"):
         assert staged[key] == run[key], key
-    # every call scores its target's root context too, so a table with only
-    # the rows the tree reads for the test set exits 2, naming a root row
-    test = json.loads((d / "split.json").read_text())["test_paradigms"]
+    # measure scores each test target in its one tree context, so the rows
+    # the tree reads for the test set give the full table's point
+    split = json.loads((d / "split.json").read_text())
     read = set()
-    for entries in (p["entries"] for p in test):
+    for entries in (p["entries"] for p in split["test_paradigms"]):
         for slot, form in entries.items():
             parent = staged["edges"].get(slot)
             src = (entries[parent], parent) if parent in entries else ("", "")
             read.add("%s\t%s\t%s\t%s\t-1.0" % (*src, slot, form))
     tree_rows = tmp_path / "tree_rows.tsv"
     tree_rows.write_text("\n".join(sorted(read)) + "\n", encoding="utf-8")
-    caplog.clear()
-    argv = ["measure", "--split", d / "split.json", "--tree", d / "tree.json",
-            "--out", d / "edge_point.csv", "--scores", tree_rows, "--seed", "2"]
-    assert main([str(a) for a in argv]) == 2
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    assert len(errors) == 1 and "has no score for mapping ('', '<ROOT>'" in errors[0]
+    measure = ["measure", "--split", d / "split.json", "--tree", d / "tree.json",
+               "--out", d / "tree_rows_point.csv"]
+    assert main([str(a) for a in measure + scored_by(tree_rows)]) == 0
+    assert (d / "tree_rows_point.csv").read_bytes() == (d / "point.csv").read_bytes()
+
+    def exits_2_naming_a_root_row(argv, rows, slot):
+        """Without the root rows of `slot`, argv exits 2 naming one of them."""
+        caplog.clear()
+        partial = tmp_path / "partial.tsv"
+        partial.write_text("\n".join(r for r in rows if not r.startswith("\t\t%s\t" % slot))
+                           + "\n", encoding="utf-8")
+        assert main([str(a) for a in argv + scored_by(partial)]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert "has no score for mapping ('', '<ROOT>', '%s'" % slot in errors[0]
+
+    # a root row that measure reads, the tree root slot's, is still needed
+    exits_2_naming_a_root_row(measure, read, staged["root"])
+    # the dev pass scores every dev target's root context
+    dev_slot = min(split["dev_paradigms"][0]["entries"])
+    exits_2_naming_a_root_row(["weights", "--split", d / "split.json",
+                               "--out", d / "partial_weights.json"], lines, dev_slot)
+    exits_2_naming_a_root_row(["run", "--data", lex, "--out-dir", tmp_path / "partial"],
+                              lines, dev_slot)
     # a mapping given twice, once as given and once as a <ROOT> root row, exits 2
     twice = tmp_path / "twice.tsv"
     for extra in (lines[1][:-4] + "-7.0", "\t<ROOT>" + lines[0][1:-4] + "-7.0"):

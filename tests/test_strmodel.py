@@ -48,8 +48,7 @@ def cross_entropy(scorer, pairs):
     """Mean negative log2 probability over a list of mapping tuples, in bits."""
     total = 0.0
     for src, src_slot, tgt_slot, tgt in pairs:
-        sources = [] if src_slot == ROOT else [(src_slot, src)]
-        total -= scorer.logprob(tgt_slot, tgt, sources)[-1][0]
+        total -= scorer.logprob(tgt_slot, tgt, [(src_slot, src)])[0][0]
     return total / len(pairs)
 
 
@@ -119,7 +118,7 @@ def test_logprob_half_lambda_hand_computation():
 
 def test_logprob_root_uses_char_model_only():
     model = train(mk_pairs([("a", "b"), ("aa", "ab")]))
-    lp = model.logprob("T", "ab", [])[0][0]
+    lp = model.logprob("T", "ab", [(ROOT, EMPTY)])[0][0]
     assert lp == pytest.approx(model.char_model("T").logprob("ab"))
 
 
@@ -140,8 +139,7 @@ def test_mass_enumeration_oracle_small_model():
     contexts = [("a", "S", "T"), ("ab", "S", "T"), (EMPTY, ROOT, "T"), ("zz", "S", "T")]
     for src, s, t in contexts:
         for L in (4, 8):
-            sources = [] if s == ROOT else [(s, src)]
-            brute = sum(2.0 ** model.logprob(t, tgt, sources)[-1][0]
+            brute = sum(2.0 ** model.logprob(t, tgt, [(s, src)])[0][0]
                         for tgt in all_strings("ab", L))
             assert model.mass_upto(src, s, t, L) == pytest.approx(brute, abs=1e-9)
     # in-alphabet conditioning contexts reach 0.999 within length 12
@@ -309,7 +307,7 @@ def test_joint_logprob_chain(stub_scorer):
         (EMPTY, ROOT, "A", "fa"): -1.0,
         ("fa", "A", "B", "fb"): -0.5,
         ("fb", "B", "C", "fc"): -0.25,
-        # root rows of slots with a parent: scored, never summed
+        # root rows of slots with a parent: never read
         (EMPTY, ROOT, "B", "fb"): -9.0, (EMPTY, ROOT, "C", "fc"): -9.0,
     })
     p = Paradigm("x", {"A": "fa", "B": "fb", "C": "fc"})
@@ -324,7 +322,7 @@ def test_joint_logprob_stub_arithmetic(stub_scorer):
     scorer = stub_scorer({
         (EMPTY, ROOT, "A", "fa"): math.log2(0.5),
         ("fa", "A", "B", "fb"): math.log2(0.25),
-        (EMPTY, ROOT, "B", "fb"): -9.0,   # scored, never summed
+        (EMPTY, ROOT, "B", "fb"): -9.0,   # never read
     })
     p = Paradigm("x", {"A": "fa", "B": "fb"})
     assert joint_logprob(scorer, tree, p) == pytest.approx(-3.0)
@@ -489,10 +487,11 @@ def test_logprob_and_dev_pass_equal_per_mapping_loop(caplog, train_paradigms, de
     dev = dev + train_paradigms
     for p in dev:
         for tgt_slot, tgt, sources in target_groups(p.entries):
-            rows = model.logprob(tgt_slot, tgt, sources, GRID)
-            own = model.logprob(tgt_slot, tgt, sources)
-            assert len(rows) == len(own) == len(sources) + 1
-            for row, own_row, (src_slot, src) in zip(rows, own, [(ROOT, EMPTY)] + sources):
+            contexts = [(ROOT, EMPTY)] + sources
+            rows = model.logprob(tgt_slot, tgt, contexts, GRID)
+            own = model.logprob(tgt_slot, tgt, contexts)
+            assert len(rows) == len(own) == len(contexts)
+            for row, own_row, (src_slot, src) in zip(rows, own, contexts):
                 want = [reference_logprob(model, lam, src, src_slot, tgt_slot, tgt)
                         for lam in GRID]
                 assert bits(row) == bits(want)
@@ -553,12 +552,13 @@ def test_model_version_check():
 def test_load_scores_roundtrip():
     table = load_scores(io.StringIO("\t\tV;PST\twalked\t-2.5\n"
                                     "walk\tV;NFIN\tV;PST\twalked\t-0.1\n"))
-    assert table.logprob("V;PST", "walked", [("V;NFIN", "walk")]) == [[-2.5], [-0.1]]
+    contexts = [(ROOT, EMPTY), ("V;NFIN", "walk")]
+    assert table.logprob("V;PST", "walked", contexts) == [[-2.5], [-0.1]]
 
 
 def test_load_scores_root_rows():
     table = load_scores(io.StringIO("\t\tV;PST\twalked\t-3.5\n"))
-    assert table.logprob("V;PST", "walked", [], GRID) == [[-3.5] * len(GRID)]
+    assert table.logprob("V;PST", "walked", [(ROOT, EMPTY)], GRID) == [[-3.5] * len(GRID)]
 
 
 def test_score_lookup_missing_is_error():
@@ -566,7 +566,7 @@ def test_score_lookup_missing_is_error():
     for scores, missing in [({("", "<ROOT>", "T", "b"): -1.0}, "('a', 'S', 'T', 'b')"),
                             ({("a", "S", "T", "b"): -1.0}, "('', '<ROOT>', 'T', 'b')")]:
         with pytest.raises(ValueError, match="has no score for mapping") as exc:
-            ScoreTable(scores).logprob("T", "b", [("S", "a")])
+            ScoreTable(scores).logprob("T", "b", [(ROOT, EMPTY), ("S", "a")])
         assert missing in str(exc.value)
 
 
