@@ -1,5 +1,6 @@
 """Pareto step curve, area under it, and the Monte Carlo permutation test."""
 
+import marshal
 import math
 import os
 import random
@@ -107,14 +108,83 @@ def _count_leq(order, widths, ys, observed, seed, start, stop):
     return count
 
 
-def _report_count(w, args, start, stop):
-    """In a forked child: write the count of replicas [start, stop) as a line
-    to the pipe end w and exit 0, or write the error and exit 1."""
+def forked_ranges(n, work):
+    """Yield the records of work(start, stop) for one contiguous range of
+    range(n) per CPU the process may run on (at most n, at least one), range
+    after range in order.
+
+    The first range is worked here, as its records are consumed.  Each later
+    range is worked in a forked child, which dumps every record with
+    `marshal` and writes them to its own pipe once its range is done.  Work
+    yields no str, since a child's str record is its error message: a
+    ValueError in a child is raised here in its turn, after the records
+    before it, and a child that fails otherwise or dies raises
+    ChildProcessError.  Every read end is closed before any child is reaped,
+    so a child blocked on a full pipe cannot hang this process, and no child
+    or pipe outlives the generator.  Without an affinity call (macOS,
+    Windows) all of range(n) is worked here.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(n, cpus))
+    cuts = [n * k // workers for k in range(workers + 1)]
+    readers, pids = [], []
     try:
-        os.write(w, b"%d\n" % _count_leq(*args, start, stop))
-        os._exit(0)
-    except BaseException as e:
-        os.write(w, ascii(e).encode()[:500] + b"\n")
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            with open(w, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    _work_in_child(work, start, stop, out, readers)
+            pids.append(pid)
+        yield from work(0, cuts[1])
+        while pids:
+            with readers.pop(0) as fh:
+                error = None
+                while error is None:
+                    try:
+                        record = marshal.loads(marshal.load(fh))
+                    except EOFError:
+                        break
+                    if isinstance(record, str):
+                        error = record
+                    else:
+                        yield record
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+            if code:
+                raise ChildProcessError("a forked worker exited with status %d: %s"
+                                        % (code, error or "no message"))
+            if error is not None:
+                raise ValueError(error)
+    finally:
+        for fh in readers:
+            fh.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _work_in_child(work, start, stop, out, readers):
+    """In a forked child: close the parent's read ends, dump the records of
+    work(start, stop) and write them to `out` once all are made, then exit.
+    Each record goes as the dump of its dump, a bytes object that
+    `marshal.load` takes from the pipe in three reads, not a read or two per
+    value.  An error's message ends the records, with exit status 0 for a
+    ValueError and 1 for any other error; anything else exits 1 at once."""
+    try:
+        for fh in readers:
+            fh.close()
+        dumps, status = [], 0
+        try:
+            for record in work(start, stop):
+                dumps.append(marshal.dumps(marshal.dumps(record)))
+        except ValueError as e:
+            dumps.append(marshal.dumps(marshal.dumps(str(e))))
+        except Exception as e:
+            dumps.append(marshal.dumps(marshal.dumps(ascii(e)[:500])))
+            status = 1
+        out.writelines(dumps)
+        out.flush()
+        os._exit(status)
     finally:
         os._exit(1)
 
@@ -127,10 +197,8 @@ def perm_test(points, n_perm=10000, seed=0):
     is <= the observed one; the p-value is add-one smoothed so it is never
     exactly 0.  Each replica draws its permutation from an RNG stream keyed
     by (seed, replica index), so the result does not depend on evaluation
-    order.  The replicas are cut into one contiguous range per CPU the
-    process may run on, and a forked child counts each range but the first,
-    so the result does not depend on the number of CPUs either.  A failed
-    child raises ChildProcessError; no child or pipe outlives the call.
+    order, nor on how many CPUs count the replicas: `forked_ranges` cuts
+    them into one range per CPU and counts each in its own process.
     """
     if len(points) < 3:
         raise ValueError("permutation test needs at least 3 points, got %d" % len(points))
@@ -140,27 +208,7 @@ def perm_test(points, n_perm=10000, seed=0):
     ys = [p[1] for p in points]
     order, widths = _area_plan(xs)
     observed = _area_of(order, widths, ys)
-    # without an affinity call (macOS, Windows) the replicas are counted here
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(n_perm, cpus)
-    cuts = [n_perm * k // workers for k in range(workers + 1)]
-    args, pids = (order, widths, ys, observed, seed), []
-    r, w = os.pipe()
-    try:
-        for start, stop in zip(cuts[1:-1], cuts[2:]):
-            pid = os.fork()
-            if pid == 0:
-                _report_count(w, args, start, stop)
-            pids.append(pid)
-        count = _count_leq(*args, 0, cuts[1])
-    finally:
-        os.close(w)
-        with open(r, "rb") as fh:
-            lines = fh.read().splitlines()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if any(codes):
-        raise ChildProcessError("permutation workers exited with status %s: %s" % (
-            codes, "; ".join(x.decode() for x in lines if not x.isdigit())))
-    count += sum(map(int, lines))
+    count = sum(forked_ranges(n_perm, lambda start, stop: [
+        _count_leq(order, widths, ys, observed, seed, start, stop)]))
     return PermTestResult(observed_area=observed, n_perm=n_perm, count_leq=count,
                           p_value=(count + 1) / (n_perm + 1), seed=seed)

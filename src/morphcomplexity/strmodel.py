@@ -1,10 +1,12 @@
 """Conditional string models q(tgt_form | src_form, slot pair) with full support.
 
-The reference model interpolates a suffix-rewrite rule distribution (rules
-extracted from training pairs by longest-common-prefix factorization) with a
-smoothed character n-gram over the target slot's forms.  The n-gram component
-gives every string in Sigma* positive probability.  An externally computed
-score table can stand in for the reference model anywhere a scorer is needed.
+The reference model interpolates a suffix-rewrite rule distribution (each
+rule rewrites the ending of a source form into that of a target form, the
+endings being what follows the stem that all forms of a training paradigm
+share) with a smoothed character n-gram over the target slot's forms.  The
+n-gram component gives every string in Sigma* positive probability.  An
+externally computed score table can stand in for the reference model
+anywhere a scorer is needed.
 """
 
 import json

@@ -14,6 +14,7 @@ from functools import reduce
 from operator import add
 
 from .corpus import EMPTY, ROOT, check_slot_names, target_groups
+from .stats import forked_ranges
 
 log = logging.getLogger(__name__)
 
@@ -102,6 +103,13 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
     scorer's own lambda.  Each cell's sum and the flat dev total per lambda
     add the mappings' scores one by one in mapping order.
 
+    The scoring runs on every CPU the process may run on: `forked_ranges`
+    cuts the dev paradigms into one contiguous range per CPU, scores the
+    first here and each later one in a forked child, which sends its rows
+    back per paradigm.  All the adding happens here, in dev order, so the
+    result is the same bits on any number of CPUs.  A scorer's ValueError
+    in a child is raised at its paradigm's turn, as on one CPU.
+
     Cell (i, j) averages over the dev paradigms where both slots are filled;
     root[i] over those where slot i is filled.  A slot never filled in dev
     gets the language-average root weight for all its entries and is flagged.
@@ -114,15 +122,24 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
     # at its first call.  Each gets its scores one by one, in order.
     cnt = [[0] * (n + 1) for _ in range(n)]
     cell_sum = total = None
-    for p in dev_paradigms:
-        for tgt_slot, tgt, sources in target_groups(
-                {s: f for s, f in p.entries.items() if s in index}):
+
+    def groups(p):
+        return target_groups({s: f for s, f in p.entries.items() if s in index})
+
+    def score(start, stop):
+        for p in dev_paradigms[start:stop]:
+            yield [scorer.logprob(tgt_slot, tgt, [(ROOT, EMPTY)] + sources, lambda_grid)
+                   for tgt_slot, tgt, sources in groups(p)]
+
+    # the records go first in zip, which stops at its first exhausted
+    # iterable: forked_ranges must run to its end to reap the last child
+    for rows_by_group, p in zip(forked_ranges(len(dev_paradigms), score), dev_paradigms):
+        for (tgt_slot, _, sources), rows in zip(groups(p), rows_by_group):
             i = index[tgt_slot]
             columns = [n] + [index[s] for s, _ in sources]
             for j in columns:
                 cnt[i][j] += 1
-            contexts = [(ROOT, EMPTY)] + sources
-            per_lambda = list(zip(*scorer.logprob(tgt_slot, tgt, contexts, lambda_grid)))
+            per_lambda = list(zip(*rows))
             if total is None:
                 cell_sum = [[[0.0] * (n + 1) for _ in per_lambda] for _ in range(n)]
                 total = [0.0] * len(per_lambda)

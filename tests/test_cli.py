@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import morphcomplexity
 from morphcomplexity import cli, strmodel
 from morphcomplexity.cli import main
+from morphcomplexity.corpus import mappings
 
 from test_golden import write_inputs
 
@@ -404,6 +405,7 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("plat --plat {one_slot_plat}", 2),
     ("plat --plat {dup_slot_plat}", 2),
     ("train --split {no_train} --out {tmp}/o.json --seed 0", 2),
+    ("train --split {no_dev} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {no_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
     ("measure --split {no_test} --model {d}/model.json --tree {d}/tree.json "
      "--out {tmp}/o.csv --seed 0", 2),
@@ -920,6 +922,55 @@ def test_pareto_permutation_worker_failure(tmp_path, caplog, monkeypatch, failin
     assert len([r for r in caplog.records if r.levelno >= logging.ERROR]) == 1
     assert not (tmp_path / "pareto_report.json").exists()
     assert children_and_fds() == before
+
+
+@pytest.mark.parametrize("failing", ["child lacks a row", "parent and child lack a row",
+                                     "child killed", "child raises",
+                                     "parent lacks a row, children killed"])
+def test_dev_pass_worker_failure(tmp_path, caplog, monkeypatch, failing):
+    """The dev pass over three CPUs scores dev paradigms 0-5 here and 6-12
+    and 13-19 in forked children.  A score table that lacks a dev mapping
+    makes `weights` exit 2 naming the first such mapping in dev order,
+    whichever process scores it; a child that dies or raises anything else
+    makes it exit 4, unless the parent's own range fails first.  There is
+    one ERROR line, and no child or pipe is left behind."""
+    lex = write_lexicon(tmp_path / "lex.tsv")
+    store, split = tmp_path / "store.json", tmp_path / "split.json"
+    assert main(["ingest", "--data", str(lex), "--out", str(store)]) == 0
+    assert main(["split", "--store", str(store), "--out", str(split), "--seed", "2"]
+                + SMALL) == 0
+    dev = [p["entries"] for p in json.loads(split.read_text())["dev_paradigms"]]
+    assert len(dev) == 20
+    lacking = {"child lacks a row": [15], "parent and child lack a row": [3, 15],
+               "parent lacks a row, children killed": [3]}.get(failing, [])
+    # the last mapping of each lacking paradigm, which no other dev paradigm has
+    dropped = [list(mappings(dev[k]))[-1] for k in lacking]
+    assert all(sum(m in mappings(p) for p in dev) == 1 for m in dropped)
+    table = tmp_path / "scores.tsv"
+    table.write_text("".join("%s\t%s\t%s\t%s\t-1.0\n" % m for p in dev
+                             for m in mappings(p) if m not in dropped), encoding="utf-8")
+    parent, logprob = os.getpid(), strmodel.ScoreTable.logprob
+
+    def failing_logprob(self, *args):
+        if os.getpid() != parent and "killed" in failing:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if os.getpid() != parent and failing == "child raises":
+            raise RuntimeError("child range failed")
+        return logprob(self, *args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(strmodel.ScoreTable, "logprob", failing_logprob)
+    before = children_and_fds()
+    code = main(["weights", "--split", str(split), "--scores", str(table), "--seed", "2",
+                 "--out", str(tmp_path / "w.json")])
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1
+    if lacking:
+        assert code == 2 and "has no score for mapping %r" % (dropped[0],) in errors[0]
+    else:
+        assert code == 4 and ("-9" if "killed" in failing else "child range") in errors[0]
+    assert not (tmp_path / "w.json").exists()
+    assert children_and_fds() == before == (False, before[1])
 
 
 # ----------------------------------------------------------- plat and critique

@@ -1,14 +1,17 @@
 import math
 import os
 import random
+import signal
 
 import pytest
 from hypothesis import given, strategies as st
 
 from morphcomplexity import cli
 from morphcomplexity.stats import (
-    ParetoCurve, PermTestResult, pareto_area, pareto_curve, perm_test,
+    ParetoCurve, PermTestResult, forked_ranges, pareto_area, pareto_curve, perm_test,
 )
+
+from test_cli import children_and_fds
 
 
 def grid_area(points, dx=1e-4):
@@ -207,6 +210,36 @@ def test_perm_test_does_not_depend_on_worker_count(monkeypatch, cpus):
             assert perm_test(points, n_perm=n_perm, seed=seed) == \
                 serial_perm_test(points, n_perm, seed)
             assert len(forks) == min(cpus or 1, n_perm) - 1
+
+
+@pytest.mark.parametrize("parent_fails", [False, True])
+def test_forked_ranges_with_children_blocked_on_full_pipes(monkeypatch, parent_fails):
+    """Children whose records overfill their pipes wait until this process
+    reads them, in range order; if this process's own range fails first, it
+    closes every read end before it reaps, so the blocked children end and
+    its own error is the one raised."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    big = [float(i) for i in range(100000)]
+
+    def work(start, stop):
+        if start == 0 and parent_fails:
+            raise ValueError("parent range failed")
+        yield [start, stop]
+        yield big
+
+    before = children_and_fds()
+    previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("waits on a blocked child"))
+    signal.alarm(60)
+    try:
+        if parent_fails:
+            with pytest.raises(ValueError, match="parent range failed"):
+                list(forked_ranges(3, work))
+        else:
+            assert list(forked_ranges(3, work)) == [[0, 1], big, [1, 2], big, [2, 3], big]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert children_and_fds() == before == (False, before[1])
 
 
 def test_result_json_fields():

@@ -3,6 +3,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import random
 from collections import Counter, defaultdict
 
@@ -514,6 +515,46 @@ def test_dev_pass_changes_only_lambda_in_model_json():
     compute_weights(model, dev, slots, GRID)
     model.lam = strmodel.DEFAULT_LAMBDA
     assert json.dumps(model.to_json(), sort_keys=True) == saved
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 3])
+def test_dev_pass_does_not_depend_on_worker_count(monkeypatch, caplog, cpus):
+    """The dev pass scores one range of dev paradigms per CPU, forking one
+    child per range after the first, and adds the scores in dev order: the
+    logged dev CE per lambda, the chosen lambda and every weight are the
+    1-CPU run's bits, for the model over a grid and for a score table.
+    Without os.sched_getaffinity (cpus None) there is one worker; an empty
+    dev list still exits as an input error and forks nothing."""
+    model, dev, slots = six_slot_model()
+    table = ScoreTable({m: model.logprob(m[2], m[3], [(m[1], m[0])])[0][0]
+                        for p in dev for m in mappings(p.entries)})
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    caplog.set_level(logging.INFO, logger="morphcomplexity.structure")
+
+    def dev_pass(scorer, grid, dev, workers):
+        if workers is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                                raising=False)
+        caplog.clear()
+        forks.clear()
+        if grid is not None:
+            scorer.lam = strmodel.DEFAULT_LAMBDA
+        W = compute_weights(scorer, dev, slots, grid)
+        assert len(forks) == min(workers or 1, len(dev)) - 1
+        return ([r.args[1].hex() for r in caplog.records if r.msg.startswith("lambda=")],
+                grid and scorer.lam, bits(W.root), [bits(r) for r in W.edge])
+
+    for scorer, grid in ((model, GRID), (table, None)):
+        for n_dev in (1, 2, 3, len(dev)):
+            assert dev_pass(scorer, grid, dev[:n_dev], cpus) == \
+                dev_pass(scorer, grid, dev[:n_dev], 1)
+        with pytest.raises(ValueError, match="no slot of the inventory is filled in any dev"):
+            dev_pass(scorer, grid, [], cpus)
+        assert not forks
 
 
 def test_train_adds_each_form_once_per_char_model(monkeypatch):
