@@ -149,14 +149,29 @@ def read_artifact(path, load):
         raise ValueError("cannot parse %s: %s" % (path, reason))
 
 
+LABELS = {"language": str, "pos": str, "seed": int}
+
+
+def _labels(obj, keys, stage):
+    """The point labels among `keys` that `stage` wrote into an artifact."""
+    for key in keys:
+        if type(obj.get(key)) is not LABELS[key]:   # a bool is no int seed
+            raise ValueError("the %s label is missing or not a %s; re-run %s"
+                             % (key, LABELS[key].__name__, stage))
+    return {key: obj[key] for key in keys}
+
+
 def _load_store(path):
     obj = _json(path)
     inventory = corpus.inventory_from_json(obj)
-    return inventory, corpus.paradigms_from_json(obj["paradigms"], inventory)
+    return (_labels(obj, ("language", "pos"), "ingest"), inventory,
+            corpus.paradigms_from_json(obj["paradigms"], inventory))
 
 
 def _load_split(path):
-    return corpus.split_from_json(_json(path))
+    """The split and the labels of the point it is measured for."""
+    obj = _json(path)
+    return corpus.split_from_json(obj), _labels(obj, LABELS, "split")
 
 
 def write_tree(cfg, tree, W, json_path, dot_path=None):
@@ -213,15 +228,16 @@ def read_scorer(cfg, model_path):
     return read_artifact(cfg["scores"], _text(strmodel.load_scores))
 
 
-def stage_measure(cfg, split, scorer, tree):
+def stage_measure(labels, split, scorer, tree):
     """The complexity point on the test paradigms (definitions: complexity.py),
-    labelled with the regime the split was sampled in."""
+    labelled with the language, pos and seed in `labels` (the config in
+    `run`, the split's in `measure`) and the regime the split was sampled in."""
     i_total, i_per_form = complexity.i_complexity(scorer, tree, split.test_paradigms)
     regime = "purple" if split.train_pairs.cells is None else "green"
     return complexity.ComplexityPoint(
-        language=cfg["language"], pos=cfg["pos"], regime=regime,
+        language=labels["language"], pos=labels["pos"], regime=regime,
         e_complexity=len(tree.slots), i_total_bits=i_total, i_per_form_bits=i_per_form,
-        d=len(split.test_paradigms), seed=cfg["seed"])
+        d=len(split.test_paradigms), seed=labels["seed"])
 
 
 # ---------------------------------------------------------------- subcommands
@@ -250,9 +266,9 @@ def cmd_ingest(args):
 
 def cmd_split(args):
     cfg = resolve_config(args)
-    inventory, paradigms = read_artifact(args.store, _load_store)
+    labels, inventory, paradigms = read_artifact(args.store, _load_store)
     split = corpus.make_split(paradigms, cfg, inventory)
-    _write_json(args.out, corpus.split_to_json(split), cfg)
+    _write_json(args.out, dict(corpus.split_to_json(split), **labels), cfg)
     print("train pairs: %d, dev paradigms: %d, test paradigms: %d"
           % (len(split.train_pairs), len(split.dev_paradigms), len(split.test_paradigms)))
     return EXIT_OK
@@ -260,7 +276,7 @@ def cmd_split(args):
 
 def cmd_train(args):
     cfg = resolve_config(args)
-    split = read_artifact(args.split, _load_split)
+    split, _ = read_artifact(args.split, _load_split)
     model = strmodel.train(split.train_pairs, cfg["order"], cfg["alpha"])
     structure.compute_weights(model, split.dev_paradigms, split.inventory, lambda_grid(cfg))
     model.save(args.out)
@@ -270,7 +286,7 @@ def cmd_train(args):
 
 def cmd_weights(args):
     cfg = resolve_config(args)
-    split = read_artifact(args.split, _load_split)
+    split, _ = read_artifact(args.split, _load_split)
     W = structure.compute_weights(read_scorer(cfg, args.model), split.dev_paradigms,
                                   split.inventory)
     _write_json(args.out, W.to_json(), cfg)
@@ -288,12 +304,12 @@ def cmd_learn_tree(args):
 
 
 def cmd_measure(args):
-    cfg = resolve_config(args)
-    split = read_artifact(args.split, _load_split)
+    cfg = resolve_config(args, require_seed=False)
+    split, labels = read_artifact(args.split, _load_split)
     scorer = read_scorer(cfg, args.model)
     tree = read_artifact(args.tree, lambda p: structure.Arborescence.from_json(
         _json(p), split.inventory))
-    point = stage_measure(cfg, split, scorer, tree)
+    point = stage_measure(labels, split, scorer, tree)
     write_point(point, args.out)
     print("i_total=%.4f bits over %d test paradigms" % (point.i_total_bits, point.d))
     return EXIT_OK

@@ -189,7 +189,7 @@ def _work_in_child(work, start, stop, out, readers):
         os._exit(1)
 
 
-def perm_test(points, n_perm=10000, seed=0):
+def perm_test(points, n_perm, seed):
     """Monte Carlo permutation test for emptiness of the upper-right corner.
 
     Permutes the y values uniformly at random (Fisher-Yates via

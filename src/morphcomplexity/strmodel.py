@@ -363,9 +363,10 @@ def load_scores(stream):
     """Parse a score TSV: src, src_slot, tgt_slot, tgt, log2prob per row.
 
     An empty src_slot field (or the literal ROOT sentinel) marks a root
-    mapping, whose src field must be empty.  Positive and non-finite
-    log-probabilities are rejected, as is a second, different log-probability
-    for one mapping.
+    mapping, whose src field must be empty.  A tgt_slot field that is empty
+    or ROOT names no slot and is rejected, as are positive and non-finite
+    log-probabilities and a second, different log-probability for one
+    mapping.
     """
     scores = {}
     for lineno, raw in enumerate(stream, start=1):
@@ -385,6 +386,8 @@ def load_scores(stream):
         src_slot = src_slot or ROOT
         if src_slot == ROOT and src != EMPTY:
             raise ValueError("line %d: a root row has an empty source form" % lineno)
+        if tgt_slot in (EMPTY, ROOT):
+            raise ValueError("line %d: the target slot is empty or %s" % (lineno, ROOT))
         if scores.setdefault((src, src_slot, tgt_slot, tgt), lp) != lp:
             raise ValueError("line %d: a mapping given again, with another log2prob" % lineno)
     return ScoreTable(scores)

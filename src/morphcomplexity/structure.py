@@ -29,8 +29,9 @@ class WeightMatrix:
         n = len(self.slots)
         if len(self.edge) != n or len(self.root) != n or any(len(r) != n for r in self.edge):
             raise ValueError("weights must be %d x %d edges and %d root values" % (n, n, n))
-        if not all(math.isfinite(x) for x in self.root + [x for r in self.edge for x in r]):
-            raise ValueError("weights must be finite")
+        weights = self.root + [x for r in self.edge for x in r]
+        if any(isinstance(x, bool) for x in weights) or not all(map(math.isfinite, weights)):
+            raise ValueError("weights must be finite numbers")
         check_slot_names(self.slots, "weight slot list")
 
     @property
@@ -105,14 +106,17 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
 
     The scoring runs on every CPU the process may run on: `forked_ranges`
     cuts the dev paradigms into one contiguous range per CPU, scores the
-    first here and each later one in a forked child, which sends its rows
-    back per paradigm.  All the adding happens here, in dev order, so the
-    result is the same bits on any number of CPUs.  A scorer's ValueError
-    in a child is raised at its paradigm's turn, as on one CPU.
+    first here and each later one in a forked child.  It walks each paradigm
+    once: per target, the record holds the target's index, the columns of
+    its rows (n for the root, then each source's index) and the rows.  All
+    the adding happens here, in dev order, so the result is the same bits
+    on any number of CPUs.  A scorer's ValueError in a child is raised at
+    its paradigm's turn, as on one CPU.
 
     Cell (i, j) averages over the dev paradigms where both slots are filled;
     root[i] over those where slot i is filled.  A slot never filled in dev
-    gets the language-average root weight for all its entries and is flagged.
+    gets the language-average root weight, the seen root weights folded left
+    with `+` in slot order over their count, for all its entries and is flagged.
     """
     n = len(slots)
     index = {s: i for i, s in enumerate(slots)}
@@ -123,20 +127,15 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
     cnt = [[0] * (n + 1) for _ in range(n)]
     cell_sum = total = None
 
-    def groups(p):
-        return target_groups({s: f for s, f in p.entries.items() if s in index})
-
     def score(start, stop):
         for p in dev_paradigms[start:stop]:
-            yield [scorer.logprob(tgt_slot, tgt, [(ROOT, EMPTY)] + sources, lambda_grid)
-                   for tgt_slot, tgt, sources in groups(p)]
+            filled = {s: f for s, f in p.entries.items() if s in index}
+            yield [(index[tgt_slot], [n] + [index[s] for s, _ in sources],
+                    scorer.logprob(tgt_slot, tgt, [(ROOT, EMPTY)] + sources, lambda_grid))
+                   for tgt_slot, tgt, sources in target_groups(filled)]
 
-    # the records go first in zip, which stops at its first exhausted
-    # iterable: forked_ranges must run to its end to reap the last child
-    for rows_by_group, p in zip(forked_ranges(len(dev_paradigms), score), dev_paradigms):
-        for (tgt_slot, _, sources), rows in zip(groups(p), rows_by_group):
-            i = index[tgt_slot]
-            columns = [n] + [index[s] for s, _ in sources]
+    for record in forked_ranges(len(dev_paradigms), score):
+        for i, columns, rows in record:
             for j in columns:
                 cnt[i][j] += 1
             per_lambda = list(zip(*rows))
@@ -160,10 +159,7 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
         log.info("selected lambda=%g (dev CE %.4f bits)", scorer.lam, ces[k])
     root = [cell_sum[i][k][n] / cnt[i][n] if cnt[i][n] else None for i in range(n)]
     seen_roots = [r for r in root if r is not None]
-    fallback = 0.0
-    for r in seen_roots:    # plain += in slot order, as the dev sums
-        fallback += r
-    fallback /= len(seen_roots)
+    fallback = reduce(add, seen_roots, 0.0) / len(seen_roots)
     edge = [[0.0] * n for _ in range(n)]
     for i in range(n):
         if root[i] is None:

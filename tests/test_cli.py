@@ -223,10 +223,11 @@ def write_partial_lexicon(path, count=120):
 
 def staged_and_run(d, lex, flags):
     """Run the staged chain and `run` on one lexicon into `d` and `d/run`.
-    `measure` gets the flags without --regime: it takes the split's."""
+    `ingest` gets the flags too, as its store carries the point's language
+    and pos; `measure` gets the flags without --regime: it takes the split's."""
     i = flags.index("--regime") if "--regime" in flags else len(flags)
     measure_flags = flags[:i] + flags[i + 2:]
-    for argv in (["ingest", "--data", lex, "--out", d / "store.json"],
+    for argv in (["ingest", "--data", lex, "--out", d / "store.json"] + flags,
                  ["split", "--store", d / "store.json", "--out", d / "split.json"] + flags,
                  ["train", "--split", d / "split.json", "--out", d / "model.json"] + flags,
                  ["weights", "--split", d / "split.json", "--model", d / "model.json",
@@ -266,6 +267,35 @@ def test_stagewise_pipeline_matches_run(partial_runs):
     assert pt["e_complexity"] == "6" and float(pt["i_total_bits"]) > 0
     assert float(pt["i_per_form_bits"]) * 6 == pytest.approx(float(pt["i_total_bits"]),
                                                              abs=5e-6)
+
+
+def test_measure_labels_its_point_from_the_split(tmp_path):
+    """`ingest` alone sets language and pos, and `split` copies them beside
+    its seed: `measure`, given other labels or none, writes the point.csv
+    that `run` writes with the labels given to it."""
+    lex = tmp_path / "lex.tsv"
+    lex.write_text(write_lexicon(tmp_path / "n.tsv").read_text().replace("N;", "V;"),
+                   encoding="utf-8")
+    d = tmp_path
+    flags = ["--seed", "3"] + SMALL
+    for argv in (["ingest", "--data", lex, "--pos", "V", "--language", "verbal",
+                  "--out", d / "store.json"],
+                 ["split", "--store", d / "store.json", "--out", d / "split.json"] + flags,
+                 ["train", "--split", d / "split.json", "--out", d / "model.json"] + flags,
+                 ["weights", "--split", d / "split.json", "--model", d / "model.json",
+                  "--out", d / "weights.json"] + flags,
+                 ["learn-tree", "--weights", d / "weights.json", "--out", d / "tree.json"],
+                 ["measure", "--split", d / "split.json", "--model", d / "model.json",
+                  "--tree", d / "tree.json", "--seed", "9", "--out", d / "point.csv"],
+                 ["measure", "--split", d / "split.json", "--model", d / "model.json",
+                  "--tree", d / "tree.json", "--out", d / "unseeded.csv"],
+                 ["run", "--data", lex, "--pos", "V", "--language", "verbal",
+                  "--out-dir", d / "run"] + flags):
+        assert main([str(a) for a in argv]) == 0, argv[0]
+    run = (d / "run" / "point.csv").read_bytes()
+    assert (d / "point.csv").read_bytes() == run == (d / "unseeded.csv").read_bytes()
+    pt = read_point(d / "point.csv")
+    assert (pt["language"], pt["pos"], pt["seed"]) == ("verbal", "V", "3")
 
 
 @settings(max_examples=15, deadline=None)
@@ -323,6 +353,7 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("learn-tree --weights {short_edge} --out {tmp}/o.json", 2),
     ("learn-tree --weights {short_root} --out {tmp}/o.json", 2),
     ("learn-tree --weights {nan_weight} --out {tmp}/o.json", 2),
+    ("learn-tree --weights {bool_weight} --out {tmp}/o.json", 2),
     ("run --data {d}/lex.tsv --scores {nan_scores} --seed 3 --out-dir {tmp} " + " ".join(SMALL),
      2),
     ("pareto --points {no_points} --seed 0 --out-dir {tmp}", 3),
@@ -379,6 +410,15 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
      "--out {tmp}/o.csv --seed 0", 2),
     ("measure --split {d}/split.json --scores {root_row_with_src} --tree {d}/tree.json "
      "--out {tmp}/o.csv --seed 0", 2),
+    ("weights --split {d}/split.json --scores {root_target_scores} --out {tmp}/o.json "
+     "--seed 0", 2),
+    ("weights --split {d}/split.json --scores {empty_target_scores} --out {tmp}/o.json "
+     "--seed 0", 2),
+    ("measure --split {no_labels} --model {d}/model.json --tree {d}/tree.json "
+     "--out {tmp}/o.csv", 2),
+    ("measure --split {bool_seed} --model {d}/model.json --tree {d}/tree.json "
+     "--out {tmp}/o.csv --seed 0", 2),
+    ("split --store {int_language_store} --out {tmp}/o.json --seed 0", 2),
     ("measure --split {d}/split.json --model {root_rule_table} --tree {d}/tree.json "
      "--out {tmp}/o.csv --seed 0", 2),
     ("split --store {d}/store.json --out {tmp}/o.json --seed 0 --regime bogus "
@@ -432,12 +472,16 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     one ERROR line.  Paradigm records fill only slots of the inventory and
     give each lexeme once across train, dev and test, and each dev or test
     paradigm fills two slots or more; plat class weights are finite and >= 0.
-    Weights must be finite and n x n over distinct slots, scores finite and
+    Weights must be finite numbers, not booleans, and n x n over distinct
+    slots, scores finite and
     given for every mapping the stage reads, a training cell must not map a
     slot to itself, and Pareto points have finite x > 0 and y >= 0 and a POS
     that can name a file, checked before any permutation test runs; a points
     file without points exits 3; a score row of the root context has an
-    empty source form.  A lambda grid, or a saved model's lambda, lies in
+    empty source form, and a score row's target slot is neither empty nor
+    <ROOT>.  A store holds its language and pos labels, and a split those
+    and its seed, each of the JSON type its writer writes; a split lacking
+    one says to re-run split.  A lambda grid, or a saved model's lambda, lies in
     (0, 1); a saved alpha is finite and > 0, its order an integer >= 1, its
     alphabet distinct characters and its format the current one;
     each char model's counts are of histories of order - 1
@@ -463,6 +507,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
                      "root": [-1.0, -2.0]},
         "no_slots": {"slots": [], "edge": [], "root": []},
         "int_slots": {"slots": [1, 2], "edge": [[0, -1], [-2, 0]], "root": [-1, -3]},
+        "bool_weight": {"slots": ["A", "B"], "edge": [[0.0, True], [False, 0.0]],
+                        "root": [True, -1.0]},
     }
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
@@ -474,7 +520,9 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
              "dup_slot_plat": "class\tA\tA\tB\nc1\tx\tx\tz\nc2\ty\ty\tz\n",
              "nan_weight_plat": "class\tweight\tS1\tS2\nc1\tnan\ta\tb\nc2\t0.5\ta\tc\n",
              "neg_weight_plat": "class\tweight\tS1\tS2\nc1\t1.5\ta\tb\nc2\t-0.5\ta\tc\n",
-             "root_slot_lexicon": "walk\twalked\t<ROOT>\nwalk\twalks\t<ROOT>;3SG\n"}
+             "root_slot_lexicon": "walk\twalked\t<ROOT>\nwalk\twalks\t<ROOT>;3SG\n",
+             "root_target_scores": "a\tS\t<ROOT>\tx\t-1.0\n",
+             "empty_target_scores": "\t\t\tx\t-2.0\n"}
     for name, text in texts.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     header = "language,pos,regime,e_complexity,i_total_bits,i_per_form_bits,d,seed\n"
@@ -518,6 +566,10 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
                                train_cells=None),
         "int_lexeme_dev": dict(split, dev_paradigms=[{"lexeme": 7, "entries": {"A": "a"}}]),
         "int_slot_test": dict(split, test_paradigms=[{"lexeme": "x", "entries": [[1, "a"]]}]),
+        # the point labels a split copies from its store, and its own seed
+        "no_labels": {k: v for k, v in split.items() if k not in ("language", "pos", "seed")},
+        "bool_seed": dict(split, seed=True),
+        "int_language_store": dict(store, language=7),
     }
     synth = json.loads(cli.bundled("synth_two_class.json").read_text(encoding="utf-8"))
     bad_records.update(synth_stem_len_one=dict(synth, stem_len=[9]),
@@ -595,12 +647,14 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     assert len(errors) == 1 and errors[0].exc_info is None
     if argv.startswith("pareto"):   # a failed call leaves no report behind
         assert not (tmp_path / "pareto_report.json").exists()
-    if "no_inventory" in argv or "pair_list" in argv:
+    if "no_inventory" in argv or "pair_list" in argv or "no_labels" in argv:
         assert "re-run split" in errors[0].getMessage()
     if "format_1" in argv:
         assert "re-run train" in errors[0].getMessage()
     if "root_row_with_src" in argv:
         assert "line 1: a root row has an empty source form" in errors[0].getMessage()
+    if "target_scores" in argv:
+        assert "line 1: the target slot is empty or <ROOT>" in errors[0].getMessage()
     if "--data" in argv and "--synth" in argv:
         assert errors[0].getMessage() == "give exactly one input: --data or --synth"
 
@@ -686,8 +740,10 @@ def test_byte_flipped_artifact_exit_0_2_or_3(partial_runs, tmp_path, caplog, dat
     assert len(errors) <= 1 and all(r.exc_info is None for r in caplog.records)
 
 
-# top-level keys that record where an artifact came from; no reader uses them
+# top-level keys that record where an artifact came from; no reader uses
+# them, but for the point labels of a store and a split (LABELS_READ)
 PROVENANCE = {"config_hash", "seed", "language", "pos", "regime", "score_bits"}
+LABELS_READ = {"store.json": {"language", "pos"}, "split.json": {"language", "pos", "seed"}}
 JSON_VALUES = {"object": {}, "array": [], "string": "x", "number": 1, "boolean": True,
                "null": None}
 
@@ -703,7 +759,9 @@ def test_swapped_json_type_exit_2_or_3(partial_runs, tmp_path, caplog):
     """Each artifact's top level, and each of its top-level keys, swapped for
     a value of every JSON type its reader does not take, is rejected by the
     subcommand that consumes it: exit 2 or 3, one ERROR line, no traceback.
-    A provenance key may hold anything, as no reader uses it: exit 0."""
+    A provenance key may hold anything, as no reader uses it: exit 0.  The
+    point labels that `split` copies from the store, and `measure` reads from
+    the split, are no provenance there."""
     failures = []
     for name, argv in sorted(TRUNCATED.items()):
         obj = json.loads((partial_runs / name).read_text())
@@ -718,7 +776,7 @@ def test_swapped_json_type_exit_2_or_3(partial_runs, tmp_path, caplog):
             caplog.clear()
             code = main(TRUNCATED[name].format(d=partial_runs, tmp=tmp_path, cut=swapped).split())
             errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
-            unused = key in PROVENANCE
+            unused = key in PROVENANCE - LABELS_READ.get(name, set())
             if (code not in ((0,) if unused else (2, 3)) or len(errors) != (not unused)
                     or any(r.exc_info for r in caplog.records)):
                 failures.append((name, key, value, code))

@@ -10,7 +10,7 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from morphcomplexity import strmodel
+from morphcomplexity import strmodel, structure
 from morphcomplexity.complexity import SyntheticSystem
 from morphcomplexity.corpus import (
     EMPTY, ROOT, PairView, Paradigm, expand_paradigm_pairs, make_split, mappings, target_groups,
@@ -555,6 +555,19 @@ def test_dev_pass_does_not_depend_on_worker_count(monkeypatch, caplog, cpus):
         with pytest.raises(ValueError, match="no slot of the inventory is filled in any dev"):
             dev_pass(scorer, grid, [], cpus)
         assert not forks
+
+
+def test_dev_pass_walks_each_dev_paradigm_once(monkeypatch):
+    """On one CPU the dev pass enumerates each dev paradigm's target groups
+    once, where it scores them: the adding reads the cells from the scoring
+    records and walks no paradigm a second time."""
+    model, dev, slots = six_slot_model()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    walked = []
+    monkeypatch.setattr(structure, "target_groups",
+                        lambda entries: walked.append(1) or target_groups(entries))
+    compute_weights(model, dev, slots, GRID)
+    assert len(walked) == len(dev)
 
 
 def test_train_adds_each_form_once_per_char_model(monkeypatch):
