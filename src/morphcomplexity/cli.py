@@ -71,20 +71,19 @@ def load_config(path):
     return cfg
 
 
-def resolve_config(args, require_seed=True):
-    """Defaults, then config file, then explicit CLI flags (flags win), each checked."""
+def resolve_config(args):
+    """Defaults, then config file (any key), then the stage's flags (flags win), checked."""
     cfg = dict(CONFIG_DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         cfg.update(load_config(args.config))
     if any(getattr(args, key, None) is not None for key in ("data", "synth")):
         cfg.pop("data", None)  # an input flag replaces the config file's input
         cfg.pop("synth", None)
-    for key in CONFIG_FIELDS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    cfg.update((key, getattr(args, key)) for key in args.keys
+               if getattr(args, key) is not None)
     if cfg.get("seed") is None:
-        if require_seed or cfg.get("synth"):
+        # a stage that reads the seed needs one; ingest reads it only for --synth
+        if cfg.get("synth") or "seed" in args.keys and args.command != "ingest":
             raise ValueError("--seed is required (set it in the config or on the "
                              "command line)")
         cfg["seed"] = 0
@@ -243,7 +242,7 @@ def stage_measure(labels, split, scorer, tree):
 # ---------------------------------------------------------------- subcommands
 
 def cmd_ingest(args):
-    cfg = resolve_config(args, require_seed=False)
+    cfg = resolve_config(args)
     inventory, paradigms = stage_ingest(cfg)
     full = sum(1 for p in paradigms if len(p.entries) == len(inventory))
     if len(paradigms) < PARADIGM_WARN_THRESHOLD:
@@ -295,7 +294,7 @@ def cmd_weights(args):
 
 
 def cmd_learn_tree(args):
-    cfg = resolve_config(args, require_seed=False)
+    cfg = resolve_config(args)
     W = read_artifact(args.weights, lambda p: structure.WeightMatrix.from_json(_json(p)))
     tree = structure.max_arborescence(W)
     score = write_tree(cfg, tree, W, args.out, args.dot)
@@ -304,7 +303,7 @@ def cmd_learn_tree(args):
 
 
 def cmd_measure(args):
-    cfg = resolve_config(args, require_seed=False)
+    cfg = resolve_config(args)
     split, labels = read_artifact(args.split, _load_split)
     scorer = read_scorer(cfg, args.model)
     tree = read_artifact(args.tree, lambda p: structure.Arborescence.from_json(
@@ -384,7 +383,7 @@ def cmd_pareto(args):
 
 
 def cmd_plat(args):
-    cfg = resolve_config(args, require_seed=False)
+    cfg = resolve_config(args)
     plat = read_artifact(args.plat or bundled("greek_plat.tsv"), _text(platbaseline.parse_plat))
     print("plat: %d classes x %d slots" % (len(plat.classes), len(plat.slots)))
     for i in plat.slots:
@@ -443,13 +442,15 @@ def cmd_critique(args):
 
 # ---------------------------------------------------------------- entry point
 
-def _command(sub, name, func, help):
-    """A subcommand taking --config and one flag per config key."""
+def _command(sub, name, func, help, keys=()):
+    """A subcommand taking --config and one flag per config key its stage reads."""
     sp = sub.add_parser(name, help=help)
-    sp.set_defaults(func=func)
+    sp.set_defaults(func=func, keys=keys)
     sp.add_argument("--config", help="flat key = value config file")
-    for key, typ in CONFIG_FIELDS.items():
-        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=typ, default=None)
+    for key in keys:
+        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=CONFIG_FIELDS[key])
+    if name in ("train", "measure"):  # unread, while the benchmark passes it (ROADMAP item 1)
+        sp.add_argument("--seed", type=lambda v: log.info("%s ignores --seed", name) or int(v))
     return sp
 
 
@@ -459,18 +460,22 @@ def build_parser():
                                              "and the paradigm size/irregularity trade-off")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = _command(sub, "ingest", cmd_ingest, "parse a lexicon into a paradigm store")
+    sp = _command(sub, "ingest", cmd_ingest, "parse a lexicon into a paradigm store",
+                  ("data", "synth", "synth_paradigms", "language", "pos", "seed"))
     sp.add_argument("--out", help="paradigm store JSON to write")
 
-    sp = _command(sub, "split", cmd_split, "build the train/dev/test split")
+    sp = _command(sub, "split", cmd_split, "build the train/dev/test split",
+                  ("regime", "paradigm_count", "pair_count", "dev_paradigms",
+                   "test_paradigms", "seed"))
     sp.add_argument("--store", required=True)
     sp.add_argument("--out", required=True)
 
-    sp = _command(sub, "train", cmd_train, "fit the conditional string model")
+    sp = _command(sub, "train", cmd_train, "fit the conditional string model",
+                  ("order", "alpha", "lambda_grid"))
     sp.add_argument("--split", required=True)
     sp.add_argument("--out", required=True)
 
-    sp = _command(sub, "weights", cmd_weights, "compute the dev weight matrix")
+    sp = _command(sub, "weights", cmd_weights, "compute the dev weight matrix", ("scores", "seed"))
     sp.add_argument("--split", required=True)
     sp.add_argument("--model")
     sp.add_argument("--out", required=True)
@@ -480,30 +485,35 @@ def build_parser():
     sp.add_argument("--out", required=True)
     sp.add_argument("--dot")
 
-    sp = _command(sub, "measure", cmd_measure, "held-out i-complexity from saved artifacts")
+    sp = _command(sub, "measure", cmd_measure, "held-out i-complexity from saved artifacts",
+                  ("scores",))
     sp.add_argument("--split", required=True)
     sp.add_argument("--model")
     sp.add_argument("--tree", required=True)
     sp.add_argument("--out", required=True)
 
-    _command(sub, "run", cmd_run, "full pipeline for one language/POS")
+    _command(sub, "run", cmd_run, "full pipeline for one language/POS",
+             tuple(key for key in CONFIG_FIELDS if key != "n_perm"))
 
-    sp = _command(sub, "pareto", cmd_pareto, "Pareto curves, areas and permutation test")
+    sp = _command(sub, "pareto", cmd_pareto, "Pareto curves, areas and permutation test",
+                  ("n_perm", "seed", "out_dir"))
     sp.add_argument("--points", help="ComplexityPoint CSV (default: bundled reference table)")
 
-    sp = _command(sub, "plat", cmd_plat, "conditional-entropy baseline over a plat")
+    sp = _command(sub, "plat", cmd_plat, "conditional-entropy baseline over a plat",
+                  ("order", "alpha"))
     sp.add_argument("--plat", help="plat TSV (default: bundled Greek plat)")
     sp.add_argument("--critique", action="store_true")
 
-    sp = _command(sub, "critique", cmd_critique, "baseline-vs-joint demonstrations")
+    sp = _command(sub, "critique", cmd_critique, "baseline-vs-joint demonstrations",
+                  ("order", "alpha", "seed"))
     sp.add_argument("--trials", type=int, default=100)
 
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as e:

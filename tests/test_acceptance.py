@@ -296,8 +296,8 @@ def test_criterion_7_determinism(tmp_path):
              for n in ("point.csv", "tree.json", "manifest.json")}
     assert main(argv) == 0
     same = all((out / n).read_bytes() == blob for n, blob in first.items())
-    # execution is single-threaded by construction, so the parallel-vs-serial
-    # agreement clause is satisfied trivially; reruns must still be identical
+    # reruns must be identical; the parallel-vs-serial clause is
+    # test_cli.py::test_run_does_not_depend_on_cpu_count, on one CPU and three
     report("criterion 7", same, "rerun byte-identical CSV/JSON: %s" % same)
 
 

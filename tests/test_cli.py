@@ -48,8 +48,16 @@ def read_point(path):
     return row
 
 
-SMALL = ["--paradigm-count", "40", "--dev-paradigms", "20",
-         "--test-paradigms", "20", "--order", "2"]
+SMALL_SPLIT = ["--paradigm-count", "40", "--dev-paradigms", "20", "--test-paradigms", "20"]
+SMALL = SMALL_SPLIT + ["--order", "2"]
+
+
+def write_config(path, flags, **keys):
+    """A config file holding the settings of a flag list, and `keys`."""
+    pairs = list(zip(flags[::2], flags[1::2])) + list(keys.items())
+    path.write_text("".join("%s = %s\n" % (k.lstrip("-").replace("-", "_"), v)
+                            for k, v in pairs), encoding="utf-8")
+    return path
 
 
 # ----------------------------------------------------------- ingest
@@ -88,20 +96,93 @@ def test_ingest_wrong_pos_exit_3(toy_lexicon_path):
 
 # ----------------------------------------------------------- config handling
 
-def test_seed_required_for_stochastic_commands(tmp_path, toy_lexicon_path):
-    assert main(["run", "--data", toy_lexicon_path,
-                 "--out-dir", str(tmp_path)]) == 2
+# each subcommand with its required arguments, and the config keys it takes
+# as flags: those its stage reads, and the --seed that train and measure
+# accept unread while the benchmark passes it
+SURFACE = {
+    "ingest": ("ingest", ("data", "synth", "synth_paradigms", "language", "pos", "seed")),
+    "split": ("split --store s.json --out o.json",
+              ("regime", "paradigm_count", "pair_count", "dev_paradigms", "test_paradigms",
+               "seed")),
+    "train": ("train --split s.json --out o.json", ("order", "alpha", "lambda_grid", "seed")),
+    "weights": ("weights --split s.json --out o.json", ("scores", "seed")),
+    "learn-tree": ("learn-tree --weights w.json --out o.json", ()),
+    "measure": ("measure --split s.json --tree t.json --out o.csv", ("scores", "seed")),
+    "run": ("run", tuple(key for key in cli.CONFIG_FIELDS if key != "n_perm")),
+    "pareto": ("pareto", ("n_perm", "seed", "out_dir")),
+    "plat": ("plat", ("order", "alpha")),
+    "critique": ("critique", ("order", "alpha", "seed")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE))
+def test_each_subcommand_takes_only_the_flags_it_reads(name, tmp_path):
+    """A config flag that a stage does not read ends in argparse's exit 2,
+    before `main` runs the stage; each one it reads is parsed.  A config
+    file may still set every key, as one file serves the whole chain."""
+    assert sum(len(keys) for _, keys in SURFACE.values()) == 44
+    base, keys = SURFACE[name]
+    value = {int: 2, float: 0.5, str: "0.5"}
+    for key, typ in cli.CONFIG_FIELDS.items():
+        argv = base.split() + ["--" + key.replace("_", "-"), str(value[typ])]
+        if key in keys:
+            assert getattr(cli.build_parser().parse_args(argv), key) == value[typ], key
+        else:
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2, key
+    every_key = dict({key: value[typ] for key, typ in cli.CONFIG_FIELDS.items()
+                      if key not in ("data", "synth")}, regime="green")
+    cfgfile = write_config(tmp_path / "all.cfg", [], **every_key)
+    args = cli.build_parser().parse_args(base.split() + ["--config", str(cfgfile)])
+    assert cli.resolve_config(args) == every_key
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("ingest --data {d}/lex.tsv", 0),
+    ("ingest --synth {synth}", 2),
+    ("split --store {d}/store.json --out {tmp}/o.json", 2),
+    ("train --split {d}/split.json --out {tmp}/o.json --order 2", 0),
+    ("weights --split {d}/split.json --model {d}/model.json --out {tmp}/o.json", 2),
+    ("learn-tree --weights {d}/weights.json --out {tmp}/o.json", 0),
+    ("measure --split {d}/split.json --model {d}/model.json --tree {d}/tree.json "
+     "--out {tmp}/o.csv", 0),
+    ("run --data {d}/lex.tsv --out-dir {tmp}", 2),
+    ("pareto --n-perm 10 --out-dir {tmp}", 2),
+    ("plat", 0),
+    ("critique --trials 1", 2),
+])
+def test_seed_required_for_stochastic_commands(partial_runs, tmp_path, caplog, argv, code):
+    """Without a seed, a stage that reads one exits 2, and so does ingest of
+    a --synth input; ingest of --data, train, measure and plat read none,
+    and learn-tree stamps seed 0 when its config sets none."""
+    argv = argv.format(d=partial_runs, tmp=tmp_path, synth=cli.bundled("synth_two_class.json"))
+    assert main(argv.split()) == code
+    assert ("--seed is required" in caplog.text) == bool(code)
+    if argv.startswith("learn-tree"):
+        assert json.loads((tmp_path / "o.json").read_text())["seed"] == 0
+
+
+def test_train_ignores_the_seed(partial_runs, tmp_path, caplog):
+    """The --seed that train accepts changes no byte of model.json, and
+    train logs once that it ignores it."""
+    caplog.set_level(logging.INFO)
+    argv = ["train", "--split", str(partial_runs / "split.json"), "--order", "2", "--out"]
+    assert main(argv + [str(tmp_path / "unseeded.json")]) == 0
+    assert main(argv + [str(tmp_path / "seeded.json"), "--seed", "99"]) == 0
+    model = (partial_runs / "model.json").read_bytes()
+    assert (tmp_path / "unseeded.json").read_bytes() == model
+    assert (tmp_path / "seeded.json").read_bytes() == model
+    assert caplog.text.count("train ignores --seed") == 1
 
 
 def test_config_file_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("language = greek\nseed = 5\norder = 2\n", encoding="utf-8")
 
-    class Args:
-        config = str(cfgfile)
-        language = "turkish"
-
-    cfg = cli.resolve_config(Args())
+    args = cli.build_parser().parse_args(["run", "--config", str(cfgfile),
+                                          "--language", "turkish"])
+    cfg = cli.resolve_config(args)
     assert cfg["language"] == "turkish"   # flag beats file
     assert cfg["seed"] == 5 and cfg["order"] == 2
     assert cfg["pos"] == "N"              # untouched default
@@ -112,11 +193,9 @@ def test_input_flag_replaces_config_input(tmp_path, in_file, flag):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("%s = from_file\nseed = 5\n" % in_file, encoding="utf-8")
 
-    class Args:
-        config = str(cfgfile)
-
-    setattr(Args, flag, "from_flag")
-    cfg = cli.resolve_config(Args())
+    args = cli.build_parser().parse_args(["run", "--config", str(cfgfile),
+                                          "--" + flag, "from_flag"])
+    cfg = cli.resolve_config(args)
     assert cfg[flag] == "from_flag" and in_file not in cfg
 
 
@@ -191,7 +270,7 @@ def test_run_synthetic_source(tmp_path):
     assert main(["ingest", "--out", store] + synth) == 2
     assert main(["ingest", "--seed", "0", "--out", store] + synth) == 0
     assert main(["split", "--store", store, "--seed", "0",
-                 "--out", str(tmp_path / "split.json")] + SMALL) == 0
+                 "--out", str(tmp_path / "split.json")] + SMALL_SPLIT) == 0
 
 
 def test_run_insufficient_data_exit_3(tmp_path, toy_lexicon_path):
@@ -222,22 +301,21 @@ def write_partial_lexicon(path, count=120):
 
 
 def staged_and_run(d, lex, flags):
-    """Run the staged chain and `run` on one lexicon into `d` and `d/run`.
-    `ingest` gets the flags too, as its store carries the point's language
-    and pos; `measure` gets the flags without --regime: it takes the split's."""
-    i = flags.index("--regime") if "--regime" in flags else len(flags)
-    measure_flags = flags[:i] + flags[i + 2:]
-    for argv in (["ingest", "--data", lex, "--out", d / "store.json"] + flags,
-                 ["split", "--store", d / "store.json", "--out", d / "split.json"] + flags,
-                 ["train", "--split", d / "split.json", "--out", d / "model.json"] + flags,
+    """Run the staged chain and `run` on one lexicon into `d` and `d/run`,
+    every stage reading the one config file that holds the lexicon and the
+    settings of `flags`, as the goldens' chain does."""
+    cfg = write_config(d / "chain.cfg", flags, data=lex)
+    for argv in (["ingest", "--out", d / "store.json"],
+                 ["split", "--store", d / "store.json", "--out", d / "split.json"],
+                 ["train", "--split", d / "split.json", "--out", d / "model.json"],
                  ["weights", "--split", d / "split.json", "--model", d / "model.json",
-                  "--out", d / "weights.json"] + flags,
+                  "--out", d / "weights.json"],
                  ["learn-tree", "--weights", d / "weights.json", "--out", d / "tree.json",
                   "--dot", d / "tree.dot"],
                  ["measure", "--split", d / "split.json", "--model", d / "model.json",
-                  "--tree", d / "tree.json", "--out", d / "point.csv"] + measure_flags,
-                 ["run", "--data", lex, "--out-dir", d / "run"] + flags):
-        assert main([str(a) for a in argv]) == 0, argv[0]
+                  "--tree", d / "tree.json", "--out", d / "point.csv"],
+                 ["run", "--out-dir", d / "run"]):
+        assert main([str(a) for a in argv + ["--config", cfg]]) == 0, argv[0]
 
 
 @pytest.fixture(scope="module")
@@ -269,21 +347,24 @@ def test_stagewise_pipeline_matches_run(partial_runs):
                                                              abs=5e-6)
 
 
-def test_measure_labels_its_point_from_the_split(tmp_path):
+def test_measure_labels_its_point_from_the_split(tmp_path, caplog):
     """`ingest` alone sets language and pos, and `split` copies them beside
-    its seed: `measure`, given other labels or none, writes the point.csv
-    that `run` writes with the labels given to it."""
+    its seed: `measure`, which takes no label flags, writes the point.csv that
+    `run` writes with the labels given to it, and the --seed it accepts
+    unread changes nothing but a log line."""
+    caplog.set_level(logging.INFO)
     lex = tmp_path / "lex.tsv"
     lex.write_text(write_lexicon(tmp_path / "n.tsv").read_text().replace("N;", "V;"),
                    encoding="utf-8")
     d = tmp_path
     flags = ["--seed", "3"] + SMALL
+    cfg = ["--config", write_config(d / "small.cfg", flags)]
     for argv in (["ingest", "--data", lex, "--pos", "V", "--language", "verbal",
                   "--out", d / "store.json"],
-                 ["split", "--store", d / "store.json", "--out", d / "split.json"] + flags,
-                 ["train", "--split", d / "split.json", "--out", d / "model.json"] + flags,
+                 ["split", "--store", d / "store.json", "--out", d / "split.json"] + cfg,
+                 ["train", "--split", d / "split.json", "--out", d / "model.json"] + cfg,
                  ["weights", "--split", d / "split.json", "--model", d / "model.json",
-                  "--out", d / "weights.json"] + flags,
+                  "--out", d / "weights.json"] + cfg,
                  ["learn-tree", "--weights", d / "weights.json", "--out", d / "tree.json"],
                  ["measure", "--split", d / "split.json", "--model", d / "model.json",
                   "--tree", d / "tree.json", "--seed", "9", "--out", d / "point.csv"],
@@ -294,6 +375,7 @@ def test_measure_labels_its_point_from_the_split(tmp_path):
         assert main([str(a) for a in argv]) == 0, argv[0]
     run = (d / "run" / "point.csv").read_bytes()
     assert (d / "point.csv").read_bytes() == run == (d / "unseeded.csv").read_bytes()
+    assert caplog.text.count("measure ignores --seed") == 1
     pt = read_point(d / "point.csv")
     assert (pt["language"], pt["pos"], pt["seed"]) == ("verbal", "V", "3")
 
@@ -336,16 +418,16 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
 @pytest.mark.parametrize("argv, code", [
     ("split --store {missing} --out {tmp}/o.json --seed 0", 3),
     ("split --store {garbage} --out {tmp}/o.json --seed 0", 2),
-    ("train --split {no_inventory} --out {tmp}/o.json --seed 0", 2),
-    ("train --split {pair_list} --out {tmp}/o.json --seed 0", 2),
-    ("train --split {foreign_cell} --out {tmp}/o.json --seed 0", 2),
-    ("train --split {self_cell} --out {tmp}/o.json --seed 0", 2),
+    ("train --split {no_inventory} --out {tmp}/o.json", 2),
+    ("train --split {pair_list} --out {tmp}/o.json", 2),
+    ("train --split {foreign_cell} --out {tmp}/o.json", 2),
+    ("train --split {self_cell} --out {tmp}/o.json", 2),
     ("weights --split {d}/split.json --model {missing} --out {tmp}/o.json --seed 0", 3),
     ("learn-tree --weights {garbage} --out {tmp}/o.json", 2),
     ("measure --split {d}/split.json --model {d}/model.json --tree {missing} "
-     "--out {tmp}/o.csv --seed 0", 3),
+     "--out {tmp}/o.csv", 3),
     ("measure --split {d}/split.json --model {d}/model.json --tree {foreign_tree} "
-     "--out {tmp}/o.csv --seed 0", 2),
+     "--out {tmp}/o.csv", 2),
     ("run --synth {missing} --seed 0 --out-dir {tmp}", 3),
     ("run --data {missing} --synth {synth} --seed 0 --out-dir {tmp}", 2),
     ("run --data {d}/lex.tsv --scores {garbage} --seed 3 --out-dir {tmp} " + " ".join(SMALL), 2),
@@ -365,24 +447,24 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("pareto --points {dotdot_pos} --seed 0 --out-dir {tmp}", 2),
     ("pareto --points {nul_pos} --seed 0 --out-dir {tmp}", 2),
     ("split --store {int_form_store} --out {tmp}/o.json --seed 0", 2),
-    ("train --split {int_form_train} --out {tmp}/o.json --seed 0", 2),
+    ("train --split {int_form_train} --out {tmp}/o.json", 2),
     ("weights --split {int_lexeme_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
     ("measure --split {int_slot_test} --model {d}/model.json --tree {d}/tree.json "
-     "--out {tmp}/o.csv --seed 0", 2),
-    ("train --split {d}/split.json --out {tmp}/o.json --seed 0 --lambda-grid 1.0,0.5", 2),
-    ("train --split {d}/split.json --out {tmp}/o.json --seed 0 --lambda-grid -0.2", 2),
-    ("train --split {d}/split.json --out {tmp}/o.json --seed 0 --lambda-grid 0.5,,0.2", 2),
-    ("train --split {d}/split.json --out {tmp}/o.json --seed 0 --config {empty_grid}", 2),
-    ("weights --split {d}/split.json --out {tmp}/o.json --seed 0 --lambda-grid abc", 2),
+     "--out {tmp}/o.csv", 2),
+    ("train --split {d}/split.json --out {tmp}/o.json --lambda-grid 1.0,0.5", 2),
+    ("train --split {d}/split.json --out {tmp}/o.json --lambda-grid -0.2", 2),
+    ("train --split {d}/split.json --out {tmp}/o.json --lambda-grid 0.5,,0.2", 2),
+    ("train --split {d}/split.json --out {tmp}/o.json --config {empty_grid}", 2),
+    ("train --split {d}/split.json --out {tmp}/o.json --lambda-grid abc", 2),
     ("run --data {d}/lex.tsv --seed 3 --out-dir {tmp} --lambda-grid 0 " + " ".join(SMALL), 2),
     ("weights --split {d}/split.json --model {lambda_big} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {lambda_zero} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {lambda_one} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {lambda_str} --out {tmp}/o.json --seed 0", 2),
     ("measure --split {d}/split.json --model {neg_alpha} --tree {d}/tree.json "
-     "--out {tmp}/o.csv --seed 0", 2),
+     "--out {tmp}/o.csv", 2),
     ("measure --split {d}/split.json --model {char_order_0} --tree {d}/tree.json "
-     "--out {tmp}/o.csv --seed 0", 2),
+     "--out {tmp}/o.csv", 2),
     ("learn-tree --weights {dup_slot} --out {tmp}/o.json", 2),
     ("learn-tree --weights {int_slots} --out {tmp}/o.json", 2),
     ("weights --split {d}/split.json --model {format_1} --out {tmp}/o.json --seed 0", 2),
@@ -402,14 +484,14 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("weights --split {d}/split.json --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {d}/model.json --scores {nan_scores} "
      "--out {tmp}/o.json --seed 0", 2),
-    ("measure --split {d}/split.json --tree {d}/tree.json --out {tmp}/o.csv --seed 0", 2),
+    ("measure --split {d}/split.json --tree {d}/tree.json --out {tmp}/o.csv", 2),
     ("measure --split {d}/split.json --model {d}/model.json --scores {missing} "
-     "--tree {d}/tree.json --out {tmp}/o.csv --seed 0", 2),
+     "--tree {d}/tree.json --out {tmp}/o.csv", 2),
     ("weights --split {d}/split.json --scores {partial_scores} --out {tmp}/o.json --seed 0", 2),
     ("measure --split {d}/split.json --scores {partial_scores} --tree {d}/tree.json "
-     "--out {tmp}/o.csv --seed 0", 2),
+     "--out {tmp}/o.csv", 2),
     ("measure --split {d}/split.json --scores {root_row_with_src} --tree {d}/tree.json "
-     "--out {tmp}/o.csv --seed 0", 2),
+     "--out {tmp}/o.csv", 2),
     ("weights --split {d}/split.json --scores {root_target_scores} --out {tmp}/o.json "
      "--seed 0", 2),
     ("weights --split {d}/split.json --scores {empty_target_scores} --out {tmp}/o.json "
@@ -417,14 +499,14 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("measure --split {no_labels} --model {d}/model.json --tree {d}/tree.json "
      "--out {tmp}/o.csv", 2),
     ("measure --split {bool_seed} --model {d}/model.json --tree {d}/tree.json "
-     "--out {tmp}/o.csv --seed 0", 2),
+     "--out {tmp}/o.csv", 2),
     ("split --store {int_language_store} --out {tmp}/o.json --seed 0", 2),
     ("measure --split {d}/split.json --model {root_rule_table} --tree {d}/tree.json "
-     "--out {tmp}/o.csv --seed 0", 2),
+     "--out {tmp}/o.csv", 2),
     ("split --store {d}/store.json --out {tmp}/o.json --seed 0 --regime bogus "
      "--dev-paradigms 200", 2),
-    ("train --split {d}/split.json --out {tmp}/o.json --seed 0 --regime bogus", 2),
-    ("pareto --seed 0 --n-perm 10 --regime bogus --out-dir {tmp}", 2),
+    ("train --split {d}/split.json --out {tmp}/o.json --config {bogus_regime}", 2),
+    ("pareto --seed 0 --n-perm 10 --config {bogus_regime} --out-dir {tmp}", 2),
     ("ingest --synth {synth_typo} --seed 0", 2),
     ("ingest --synth {synth_stem_len_one} --seed 0", 2),
     ("ingest --synth {synth_slots_string} --seed 0", 2),
@@ -437,27 +519,27 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("weights --split {d}/split.json --model {rule_count_str} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {rule_repeated} --out {tmp}/o.json --seed 0", 2),
     ("measure --split {d}/split.json --model {table_repeated} --tree {d}/tree.json "
-     "--out {tmp}/o.csv --seed 0", 2),
+     "--out {tmp}/o.csv", 2),
     ("split --store {dup_inventory} --out {tmp}/o.json --seed 0", 2),
     ("measure --split {d}/split.json --model {char_counts_object} --tree {d}/tree.json "
-     "--out {tmp}/o.csv --seed 0", 2),
+     "--out {tmp}/o.csv", 2),
     ("learn-tree --weights {no_slots} --out {tmp}/o.json", 2),
     ("plat --plat {one_slot_plat}", 2),
     ("plat --plat {dup_slot_plat}", 2),
-    ("train --split {no_train} --out {tmp}/o.json --seed 0", 2),
-    ("train --split {no_dev} --out {tmp}/o.json --seed 0", 2),
+    ("train --split {no_train} --out {tmp}/o.json", 2),
+    ("train --split {no_dev} --out {tmp}/o.json", 2),
     ("weights --split {no_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
     ("measure --split {no_test} --model {d}/model.json --tree {d}/tree.json "
-     "--out {tmp}/o.csv --seed 0", 2),
+     "--out {tmp}/o.csv", 2),
     ("weights --split {one_slot_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
     ("measure --split {empty_test} --model {d}/model.json --tree {d}/tree.json "
-     "--out {tmp}/o.csv --seed 0", 2),
+     "--out {tmp}/o.csv", 2),
     ("measure --split {d}/split.json --model {alphabet_repeated} --tree {d}/tree.json "
-     "--out {tmp}/o.csv --seed 0", 2),
+     "--out {tmp}/o.csv", 2),
     ("measure --split {foreign_test_slots} --model {d}/model.json --tree {d}/tree.json "
-     "--out {tmp}/o.csv --seed 0", 2),
-    ("train --split {twice_in_train} --out {tmp}/o.json --seed 0", 2),
-    ("train --split {train_and_test} --out {tmp}/o.json --seed 0", 2),
+     "--out {tmp}/o.csv", 2),
+    ("train --split {twice_in_train} --out {tmp}/o.json", 2),
+    ("train --split {train_and_test} --out {tmp}/o.json", 2),
     ("split --store {foreign_store_slot} --out {tmp}/o.json --seed 0", 2),
     ("split --store {twice_in_store} --out {tmp}/o.json --seed 0", 2),
     ("plat --plat {nan_weight_plat}", 2),
@@ -629,6 +711,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     for name, obj in bad_records.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     (tmp_path / "empty_grid").write_text("lambda_grid =\n", encoding="utf-8")
+    # a config file may set keys that a stage does not read, and they are checked
+    (tmp_path / "bogus_regime").write_text("regime = bogus\n", encoding="utf-8")
     paths = {"d": partial_runs, "tmp": tmp_path, "missing": tmp_path / "nope.json",
              "garbage": garbage, "no_inventory": tmp_path / "no_inventory.json",
              "pair_list": tmp_path / "pair_list.json",
@@ -638,8 +722,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
              "synth": cli.bundled("synth_two_class.json"),
              **{name: tmp_path / name
                 for name in [*files, "nan_scores", "partial_scores", "root_row_with_src",
-                             "no_points", "empty_grid", *texts, *bad_points, *bad_pos,
-                             *bad_records]}}
+                             "no_points", "empty_grid", "bogus_regime", *texts, *bad_points,
+                             *bad_pos, *bad_records]}}
     if argv.startswith("pareto"):
         monkeypatch.setattr(cli.stats, "perm_test", None)   # must not be reached
     assert main(argv.format(**paths).split()) == code
@@ -695,11 +779,11 @@ def test_package_imports_only_the_standard_library():
 
 TRUNCATED = {
     "store.json": "split --store {cut} --out {tmp}/o.json --seed 0",
-    "split.json": "train --split {cut} --out {tmp}/o.json --seed 0",
+    "split.json": "train --split {cut} --out {tmp}/o.json",
     "model.json": "weights --split {d}/split.json --model {cut} --out {tmp}/o.json --seed 0",
     "weights.json": "learn-tree --weights {cut} --out {tmp}/o.json",
     "tree.json": "measure --split {d}/split.json --model {d}/model.json --tree {cut} "
-                 "--out {tmp}/o.csv --seed 0",
+                 "--out {tmp}/o.csv",
 }
 
 
@@ -804,19 +888,22 @@ def test_external_scores_pipeline(tmp_path, caplog):
     out = tmp_path / "out"
 
     def scored_by(table):
-        return ["--scores", table, "--seed", "2"] + SMALL
-    flags = scored_by(scores)
-    code = main([str(a) for a in ["run", "--data", lex, "--out-dir", out] + flags])
+        return ["--scores", table]
+    flags = ["--seed", "2"] + SMALL
+    code = main([str(a) for a in ["run", "--data", lex, "--out-dir", out]
+                 + scored_by(scores) + flags])
     assert code == 0
     assert float(read_point(out / "point.csv")["i_total_bits"]) == pytest.approx(3.0, abs=1e-9)
     # the staged chain scores with the same table and gives the same point and tree
     d = tmp_path
     for argv in (["ingest", "--data", lex, "--out", d / "store.json"],
-                 ["split", "--store", d / "store.json", "--out", d / "split.json"] + flags,
-                 ["weights", "--split", d / "split.json", "--out", d / "weights.json"] + flags,
+                 ["split", "--store", d / "store.json", "--out", d / "split.json", "--seed", "2"]
+                 + SMALL_SPLIT,
+                 ["weights", "--split", d / "split.json", "--out", d / "weights.json", "--seed",
+                  "2"] + scored_by(scores),
                  ["learn-tree", "--weights", d / "weights.json", "--out", d / "tree.json"],
                  ["measure", "--split", d / "split.json", "--tree", d / "tree.json",
-                  "--out", d / "point.csv"] + flags):
+                  "--out", d / "point.csv"] + scored_by(scores)):
         assert main([str(a) for a in argv]) == 0, argv[0]
     assert (d / "point.csv").read_bytes() == (out / "point.csv").read_bytes()
     staged = json.loads((d / "tree.json").read_text())
@@ -854,9 +941,9 @@ def test_external_scores_pipeline(tmp_path, caplog):
     exits_2_naming_a_root_row(measure, read, staged["root"])
     # the dev pass scores every dev target's root context
     dev_slot = min(split["dev_paradigms"][0]["entries"])
-    exits_2_naming_a_root_row(["weights", "--split", d / "split.json",
+    exits_2_naming_a_root_row(["weights", "--split", d / "split.json", "--seed", "2",
                                "--out", d / "partial_weights.json"], lines, dev_slot)
-    exits_2_naming_a_root_row(["run", "--data", lex, "--out-dir", tmp_path / "partial"],
+    exits_2_naming_a_root_row(["run", "--data", lex, "--out-dir", tmp_path / "partial"] + flags,
                               lines, dev_slot)
     # a mapping given twice, once as given and once as a <ROOT> root row, exits 2
     twice = tmp_path / "twice.tsv"
@@ -996,7 +1083,7 @@ def test_dev_pass_worker_failure(tmp_path, caplog, monkeypatch, failing):
     store, split = tmp_path / "store.json", tmp_path / "split.json"
     assert main(["ingest", "--data", str(lex), "--out", str(store)]) == 0
     assert main(["split", "--store", str(store), "--out", str(split), "--seed", "2"]
-                + SMALL) == 0
+                + SMALL_SPLIT) == 0
     dev = [p["entries"] for p in json.loads(split.read_text())["dev_paradigms"]]
     assert len(dev) == 20
     lacking = {"child lacks a row": [15], "parent and child lack a row": [3, 15],
@@ -1094,6 +1181,26 @@ def test_run_does_not_depend_on_hash_seed(tmp_path, regime):
     assert made[0] == made[1]
 
 
+@pytest.mark.parametrize("regime", ["purple", "green"])
+def test_run_does_not_depend_on_cpu_count(tmp_path, monkeypatch, regime):
+    """`run` on the golden lexicon writes byte-identical point.csv, tree.json
+    and manifest.json on one CPU and on three, where its dev pass forks two
+    children.  Both runs write to the one --out-dir, whose path the config
+    hash covers, and the bytes are read in between."""
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path, regime)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    made = []
+    for cpus in ({0}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert main(["run", "--config", "golden.cfg"]) == 0
+        made.append({name: (tmp_path / "run" / name).read_bytes()
+                     for name in ("point.csv", "tree.json", "manifest.json")})
+    assert len(forks) == 2
+    assert made[0] == made[1]
+
+
 # ----------------------------------------------------------- perfbench tracer
 
 def load_tracer():
@@ -1119,9 +1226,10 @@ def test_perfbench_tracer_counts_the_hot_methods(partial_runs, tmp_path):
     try:
         d = partial_runs
         calls = []
-        for argv in (["run", "--data", d / "lex.tsv", "--out-dir", tmp_path / "run"],
-                     ["train", "--split", d / "split.json", "--out", tmp_path / "model.json"]):
-            assert main([str(a) for a in argv + ["--seed", "3"] + SMALL]) == 0, argv[0]
+        for argv in (["run", "--data", d / "lex.tsv", "--out-dir", tmp_path / "run"] + SMALL,
+                     ["train", "--split", d / "split.json", "--out", tmp_path / "model.json",
+                      "--order", "2"]):
+            assert main([str(a) for a in argv + ["--seed", "3"]]) == 0, argv[0]
             calls.append({name: tracer.counters["strmodel.%s.calls" % name] for name in hot})
         after_run, total = calls
         assert all(n > 0 for n in total.values()), total
