@@ -241,8 +241,7 @@ def stage_measure(labels, split, scorer, tree):
 
 # ---------------------------------------------------------------- subcommands
 
-def cmd_ingest(args):
-    cfg = resolve_config(args)
+def cmd_ingest(args, cfg):
     inventory, paradigms = stage_ingest(cfg)
     full = sum(1 for p in paradigms if len(p.entries) == len(inventory))
     if len(paradigms) < PARADIGM_WARN_THRESHOLD:
@@ -263,8 +262,7 @@ def cmd_ingest(args):
     return EXIT_OK
 
 
-def cmd_split(args):
-    cfg = resolve_config(args)
+def cmd_split(args, cfg):
     labels, inventory, paradigms = read_artifact(args.store, _load_store)
     split = corpus.make_split(paradigms, cfg, inventory)
     _write_json(args.out, dict(corpus.split_to_json(split), **labels), cfg)
@@ -273,8 +271,7 @@ def cmd_split(args):
     return EXIT_OK
 
 
-def cmd_train(args):
-    cfg = resolve_config(args)
+def cmd_train(args, cfg):
     split, _ = read_artifact(args.split, _load_split)
     model = strmodel.train(split.train_pairs, cfg["order"], cfg["alpha"])
     structure.compute_weights(model, split.dev_paradigms, split.inventory, lambda_grid(cfg))
@@ -283,27 +280,30 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_weights(args):
-    cfg = resolve_config(args)
-    split, _ = read_artifact(args.split, _load_split)
+def cmd_weights(args, cfg):
+    split, labels = read_artifact(args.split, _load_split)
     W = structure.compute_weights(read_scorer(cfg, args.model), split.dev_paradigms,
                                   split.inventory)
-    _write_json(args.out, W.to_json(), cfg)
+    _write_json(args.out, W.to_json(), dict(cfg, seed=labels["seed"]))
     print("weights over %d slots written to %s" % (W.n, args.out))
     return EXIT_OK
 
 
-def cmd_learn_tree(args):
-    cfg = resolve_config(args)
-    W = read_artifact(args.weights, lambda p: structure.WeightMatrix.from_json(_json(p)))
+def _load_weights(path):
+    """The weight matrix and the seed of the split it was computed on."""
+    obj = _json(path)
+    return structure.WeightMatrix.from_json(obj), _labels(obj, ("seed",), "weights")
+
+
+def cmd_learn_tree(args, cfg):
+    W, labels = read_artifact(args.weights, _load_weights)
     tree = structure.max_arborescence(W)
-    score = write_tree(cfg, tree, W, args.out, args.dot)
+    score = write_tree(dict(cfg, **labels), tree, W, args.out, args.dot)
     print("root: %s, score: %.4f bits" % (tree.slots[tree.root], score))
     return EXIT_OK
 
 
-def cmd_measure(args):
-    cfg = resolve_config(args)
+def cmd_measure(args, cfg):
     split, labels = read_artifact(args.split, _load_split)
     scorer = read_scorer(cfg, args.model)
     tree = read_artifact(args.tree, lambda p: structure.Arborescence.from_json(
@@ -314,8 +314,7 @@ def cmd_measure(args):
     return EXIT_OK
 
 
-def cmd_run(args):
-    cfg = resolve_config(args)
+def cmd_run(args, cfg):
     out_dir = Path(cfg.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     inventory, paradigms = stage_ingest(cfg)
@@ -357,8 +356,7 @@ def _read_points(fh):
     return by_pos
 
 
-def cmd_pareto(args):
-    cfg = resolve_config(args)
+def cmd_pareto(args, cfg):
     by_pos = read_artifact(args.points or bundled("table2_green.csv"), _text(_read_points))
     out_dir = Path(cfg.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -382,41 +380,26 @@ def cmd_pareto(args):
     return EXIT_OK
 
 
-def cmd_plat(args):
-    cfg = resolve_config(args)
-    plat = read_artifact(args.plat or bundled("greek_plat.tsv"), _text(platbaseline.parse_plat))
+def _read_plat(args):
+    """The --plat table, by default the bundled Greek plat."""
+    return read_artifact(args.plat or bundled("greek_plat.tsv"), _text(platbaseline.parse_plat))
+
+
+def cmd_plat(args, cfg):
+    plat = _read_plat(args)
     print("plat: %d classes x %d slots" % (len(plat.classes), len(plat.slots)))
     for i in plat.slots:
         for j in plat.slots:
             if i != j:
                 print("H(%s | %s) = %.6f bits" % (i, j, platbaseline.cond_entropy(plat, i, j)))
-    avg = platbaseline.avg_cond_entropy(plat)
-    print("average conditional entropy: %.6f bits" % avg)
-    if args.critique:
-        _critique(cfg, plat)
+    print("average conditional entropy: %.6f bits" % platbaseline.avg_cond_entropy(plat))
     return EXIT_OK
 
 
-def _critique(cfg, plat):
-    joint = platbaseline.joint_per_form_entropy(plat)
-    avg = platbaseline.avg_cond_entropy(plat)
-    print("critique: per-form joint entropy %.6f <= average conditional %.6f: %s"
-          % (joint, avg, joint <= avg + 1e-9))
-    # suppletion: the plat gives 'went' zero probability, the string model does not
-    dist = platbaseline.cond_dist(plat, plat.slots[0], plat.slots[1],
-                                  plat.exponent[0][1])
-    go = corpus.Paradigm("go", {"V;NFIN": "go", "V;PST": "went"})
-    model = strmodel.train(corpus.PairView([go], [("go", "V;NFIN", "V;PST")]),
-                           cfg["order"], cfg["alpha"])
-    lp = model.logprob("V;PST", "flew", [("V;NFIN", "fly")])[0][0]
-    print("critique: plat support is only %r; string model gives an unseen "
-          "irregular logprob %.2f bits (finite)" % (sorted(dist), lp))
-
-
-def cmd_critique(args):
-    cfg = resolve_config(args)
+def cmd_critique(args, cfg):
     if args.trials < 1:
         raise ValueError("--trials must be >= 1, got %d" % args.trials)
+    plat = _read_plat(args)
     rng = random.Random(cfg["seed"])
     worst = float("inf")
     for _ in range(args.trials):
@@ -426,17 +409,27 @@ def cmd_critique(args):
         n_classes = rng.randint(8, 16)
         n_slots = rng.randint(6, 10)
         pool = ["", "a", "o", "es"]
-        plat = platbaseline.Plat(
+        table = platbaseline.Plat(
             classes=[str(c) for c in range(n_classes)],
             slots=["S%d" % s for s in range(n_slots)],
             exponent=[[rng.choice(pool) for _ in range(n_slots)]
                       for _ in range(n_classes)])
-        gap = platbaseline.avg_cond_entropy(plat) - platbaseline.joint_per_form_entropy(plat)
+        gap = platbaseline.avg_cond_entropy(table) - platbaseline.joint_per_form_entropy(table)
         worst = min(worst, gap)
     print("joint-vs-average over %d random plats: min(avg - joint) = %.6f bits (>= 0: %s)"
           % (args.trials, worst, worst >= -1e-9))
-    with open(bundled("greek_plat.tsv"), encoding="utf-8") as fh:
-        _critique(cfg, platbaseline.parse_plat(fh))
+    joint = platbaseline.joint_per_form_entropy(plat)
+    avg = platbaseline.avg_cond_entropy(plat)
+    print("critique: per-form joint entropy %.6f <= average conditional %.6f: %s"
+          % (joint, avg, joint <= avg + 1e-9))
+    # suppletion: the plat gives 'went' zero probability, the string model does not
+    dist = platbaseline.cond_dist(plat, plat.slots[0], plat.slots[1], plat.exponent[0][1])
+    go = corpus.Paradigm("go", {"V;NFIN": "go", "V;PST": "went"})
+    model = strmodel.train(corpus.PairView([go], [("go", "V;NFIN", "V;PST")]),
+                           cfg["order"], cfg["alpha"])
+    lp = model.logprob("V;PST", "flew", [("V;NFIN", "fly")])[0][0]
+    print("critique: plat support is only %r; string model gives an unseen "
+          "irregular logprob %.2f bits (finite)" % (sorted(dist), lp))
     return EXIT_OK
 
 
@@ -449,7 +442,7 @@ def _command(sub, name, func, help, keys=()):
     sp.add_argument("--config", help="flat key = value config file")
     for key in keys:
         sp.add_argument("--" + key.replace("_", "-"), dest=key, type=CONFIG_FIELDS[key])
-    if name in ("train", "measure"):  # unread, while the benchmark passes it (ROADMAP item 1)
+    if name in ("train", "weights", "measure"):  # unread; the benchmark passes it (ROADMAP 1)
         sp.add_argument("--seed", type=lambda v: log.info("%s ignores --seed", name) or int(v))
     return sp
 
@@ -475,7 +468,7 @@ def build_parser():
     sp.add_argument("--split", required=True)
     sp.add_argument("--out", required=True)
 
-    sp = _command(sub, "weights", cmd_weights, "compute the dev weight matrix", ("scores", "seed"))
+    sp = _command(sub, "weights", cmd_weights, "compute the dev weight matrix", ("scores",))
     sp.add_argument("--split", required=True)
     sp.add_argument("--model")
     sp.add_argument("--out", required=True)
@@ -499,13 +492,12 @@ def build_parser():
                   ("n_perm", "seed", "out_dir"))
     sp.add_argument("--points", help="ComplexityPoint CSV (default: bundled reference table)")
 
-    sp = _command(sub, "plat", cmd_plat, "conditional-entropy baseline over a plat",
-                  ("order", "alpha"))
+    sp = _command(sub, "plat", cmd_plat, "conditional-entropy baseline over a plat")
     sp.add_argument("--plat", help="plat TSV (default: bundled Greek plat)")
-    sp.add_argument("--critique", action="store_true")
 
     sp = _command(sub, "critique", cmd_critique, "baseline-vs-joint demonstrations",
                   ("order", "alpha", "seed"))
+    sp.add_argument("--plat", help="plat TSV (default: bundled Greek plat)")
     sp.add_argument("--trials", type=int, default=100)
 
     return ap
@@ -515,7 +507,7 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, resolve_config(args))
     except ValueError as e:
         # every ValueError checks an input or argument, when it is read or by
         # the stage that uses it, e.g. an empty test set

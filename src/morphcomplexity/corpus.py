@@ -47,14 +47,6 @@ def target_groups(entries, cut=0):
         yield tgt_slot, entries[tgt_slot], [sf for sf in cut_forms if sf[0] != tgt_slot]
 
 
-def mappings(entries):
-    """A paradigm's mappings one by one, in `target_groups` order, as
-    (src, src_slot, tgt_slot, tgt) tuples: the key of a `ScoreTable` row."""
-    for tgt_slot, tgt, sources in target_groups(entries):
-        for src_slot, src in [(ROOT, EMPTY)] + sources:
-            yield src, src_slot, tgt_slot, tgt
-
-
 def can_hold_out(paradigm):
     """Whether a paradigm may be a dev or test paradigm: it fills >= 2 slots."""
     return len(paradigm.entries) >= 2
@@ -68,8 +60,9 @@ def stem_length(entries):
 
 @dataclass
 class PairView:
-    """Sized, lazy view of training mappings: every paradigm's (purple), or
-    the sampled (lexeme, src_slot, tgt_slot) cells in order (green)."""
+    """Sized, lazy view of training mappings: every paradigm's, in
+    `target_groups` order (purple), or the sampled (lexeme, src_slot,
+    tgt_slot) cells in order (green)."""
     paradigms: list
     cells: list = None
 
@@ -78,18 +71,8 @@ class PairView:
             return sum(len(p) ** 2 for p in self.paradigms)
         return len(self.cells)
 
-    def __iter__(self):
-        if self.cells is None:
-            for p in self.paradigms:
-                yield from mappings(p.entries)
-            return
-        entries = {p.lexeme: p.entries for p in self.paradigms}
-        for lx, src_slot, tgt_slot in self.cells:
-            # ROOT is no slot, so a root cell's source is EMPTY
-            yield entries[lx].get(src_slot, EMPTY), src_slot, tgt_slot, entries[lx][tgt_slot]
-
     def groups(self):
-        """The mappings in `__iter__`'s order, grouped for counting as
+        """The mappings in the view's order, grouped for counting as
         (count, cut, tgt_slot, tgt, sources): `count` mappings, the root one
         among them, go to tgt, and sources holds the non-root ones' (src_slot,
         src), src without its first `cut` characters, its paradigm's
@@ -170,8 +153,11 @@ def build_paradigms(words, pos_filter=None):
 
 
 def expand_paradigm_pairs(paradigms):
-    """The `mappings` of every paradigm, as a list."""
-    return list(PairView(paradigms))
+    """Every paradigm's mappings in `target_groups` order, as (src, src_slot,
+    tgt_slot, tgt) tuples: the key of a `ScoreTable` row."""
+    return [(src, src_slot, tgt_slot, tgt) for p in paradigms
+            for tgt_slot, tgt, sources in target_groups(p.entries)
+            for src_slot, src in [(ROOT, EMPTY)] + sources]
 
 
 def make_split(paradigms, spec, inventory):

@@ -95,9 +95,9 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
     from one pass that scores each dev mapping once.
 
     The pass visits each dev paradigm's `target_groups` among the
-    inventory's slots, the order of its `mappings`, and scores each target
-    against its root context (ROOT, EMPTY) and all its sources with one
-    call of the scorer's `logprob`, which gives a row for each.  With a
+    inventory's slots, the order of `expand_paradigm_pairs`, and scores each
+    target against its root context (ROOT, EMPTY) and all its sources with
+    one call of the scorer's `logprob`, which gives a row for each.  With a
     lambda grid it scores them under every lambda; the lambda of least dev
     cross-entropy (the first among equals) is set on the scorer and the
     matrix is the one at that lambda.  Without a grid it scores them at the

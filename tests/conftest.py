@@ -2,11 +2,23 @@ import pytest
 
 from morphcomplexity import strmodel
 from morphcomplexity.cli import CONFIG_DEFAULTS, bundled
+from morphcomplexity.corpus import EMPTY, expand_paradigm_pairs
 
 
 def split_config(**overrides):
     """The config `corpus.make_split` reads: the CLI defaults, overridden."""
     return dict(CONFIG_DEFAULTS, **overrides)
+
+
+def pair_list(view):
+    """A `PairView`'s mappings one by one, in the order `groups` counts them,
+    as (src, src_slot, tgt_slot, tgt) tuples: every paradigm's (purple), or
+    each sampled cell's (green), whose source is EMPTY from the root."""
+    if view.cells is None:
+        return expand_paradigm_pairs(view.paradigms)
+    entries = {p.lexeme: p.entries for p in view.paradigms}
+    return [(entries[lx].get(src_slot, EMPTY), src_slot, tgt_slot, entries[lx][tgt_slot])
+            for lx, src_slot, tgt_slot in view.cells]
 
 
 def train(pairs, order=CONFIG_DEFAULTS["order"], alpha=CONFIG_DEFAULTS["alpha"]):

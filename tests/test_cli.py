@@ -20,8 +20,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import morphcomplexity
 from morphcomplexity import cli, strmodel
 from morphcomplexity.cli import main
-from morphcomplexity.corpus import mappings
+from morphcomplexity.corpus import Paradigm, PairView
 
+from conftest import pair_list
 from test_golden import write_inputs
 
 
@@ -97,8 +98,8 @@ def test_ingest_wrong_pos_exit_3(toy_lexicon_path):
 # ----------------------------------------------------------- config handling
 
 # each subcommand with its required arguments, and the config keys it takes
-# as flags: those its stage reads, and the --seed that train and measure
-# accept unread while the benchmark passes it
+# as flags: those its stage reads, and the --seed that train, weights and
+# measure accept unread while the benchmark passes it
 SURFACE = {
     "ingest": ("ingest", ("data", "synth", "synth_paradigms", "language", "pos", "seed")),
     "split": ("split --store s.json --out o.json",
@@ -110,7 +111,7 @@ SURFACE = {
     "measure": ("measure --split s.json --tree t.json --out o.csv", ("scores", "seed")),
     "run": ("run", tuple(key for key in cli.CONFIG_FIELDS if key != "n_perm")),
     "pareto": ("pareto", ("n_perm", "seed", "out_dir")),
-    "plat": ("plat", ("order", "alpha")),
+    "plat": ("plat", ()),
     "critique": ("critique", ("order", "alpha", "seed")),
 }
 
@@ -120,7 +121,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads(name, tmp_path):
     """A config flag that a stage does not read ends in argparse's exit 2,
     before `main` runs the stage; each one it reads is parsed.  A config
     file may still set every key, as one file serves the whole chain."""
-    assert sum(len(keys) for _, keys in SURFACE.values()) == 44
+    assert sum(len(keys) for _, keys in SURFACE.values()) == 42
     base, keys = SURFACE[name]
     value = {int: 2, float: 0.5, str: "0.5"}
     for key, typ in cli.CONFIG_FIELDS.items():
@@ -143,7 +144,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads(name, tmp_path):
     ("ingest --synth {synth}", 2),
     ("split --store {d}/store.json --out {tmp}/o.json", 2),
     ("train --split {d}/split.json --out {tmp}/o.json --order 2", 0),
-    ("weights --split {d}/split.json --model {d}/model.json --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {d}/model.json --out {tmp}/o.json", 0),
     ("learn-tree --weights {d}/weights.json --out {tmp}/o.json", 0),
     ("measure --split {d}/split.json --model {d}/model.json --tree {d}/tree.json "
      "--out {tmp}/o.csv", 0),
@@ -155,12 +156,13 @@ def test_each_subcommand_takes_only_the_flags_it_reads(name, tmp_path):
 def test_seed_required_for_stochastic_commands(partial_runs, tmp_path, caplog, argv, code):
     """Without a seed, a stage that reads one exits 2, and so does ingest of
     a --synth input; ingest of --data, train, measure and plat read none,
-    and learn-tree stamps seed 0 when its config sets none."""
+    and weights and learn-tree stamp the seed of their input, here the
+    partial chain's seed 3."""
     argv = argv.format(d=partial_runs, tmp=tmp_path, synth=cli.bundled("synth_two_class.json"))
     assert main(argv.split()) == code
     assert ("--seed is required" in caplog.text) == bool(code)
-    if argv.startswith("learn-tree"):
-        assert json.loads((tmp_path / "o.json").read_text())["seed"] == 0
+    if argv.startswith(("weights", "learn-tree")):
+        assert json.loads((tmp_path / "o.json").read_text())["seed"] == 3
 
 
 def test_train_ignores_the_seed(partial_runs, tmp_path, caplog):
@@ -174,6 +176,21 @@ def test_train_ignores_the_seed(partial_runs, tmp_path, caplog):
     assert (tmp_path / "unseeded.json").read_bytes() == model
     assert (tmp_path / "seeded.json").read_bytes() == model
     assert caplog.text.count("train ignores --seed") == 1
+
+
+def test_weights_stamps_the_split_seed(partial_runs, tmp_path, caplog):
+    """weights stamps the seed of the split it reads, not its --seed, and
+    logs once that it ignores the flag; learn-tree stamps that seed again."""
+    caplog.set_level(logging.INFO)
+    weights, tree = tmp_path / "weights.json", tmp_path / "tree.json"
+    assert main(["weights", "--split", str(partial_runs / "split.json"), "--model",
+                 str(partial_runs / "model.json"), "--seed", "9", "--out", str(weights)]) == 0
+    assert main(["learn-tree", "--weights", str(weights), "--out", str(tree)]) == 0
+    assert caplog.text.count("weights ignores --seed") == 1
+    staged = json.loads((partial_runs / "weights.json").read_text())
+    stamped = json.loads(weights.read_text())
+    assert stamped["seed"] == json.loads(tree.read_text())["seed"] == 3
+    assert dict(stamped, config_hash=None) == dict(staged, config_hash=None)
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -545,17 +562,20 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("plat --plat {nan_weight_plat}", 2),
     ("plat --plat {neg_weight_plat}", 2),
     ("learn-tree --weights {d}/weights.json --out {tmp}/no_dir/o.json", 4),
+    ("weights --split {d}/split.json --scores {word_logprob_scores} --out {tmp}/o.json", 2),
+    ("measure --split {d}/split.json --model {d}/model.json --tree {cyclic_tree} "
+     "--out {tmp}/o.csv", 2),
 ])
 def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv, code):
-    """A missing input file exits 3; an unparsable one, or a tree over other
-    slots than the split's inventory, exits 2, as does an input that the
-    stage using it rejects, such as an empty train, dev or test set, weights
+    """A missing input file exits 3; an unparsable one, a tree over other
+    slots than the split's inventory or a tree with a cycle, exits 2, as
+    does an input that the stage using it rejects, such as an empty train, dev or test set, weights
     over no slot or a plat of one slot; a failed write exits 4; each with
     one ERROR line.  Paradigm records fill only slots of the inventory and
     give each lexeme once across train, dev and test, and each dev or test
     paradigm fills two slots or more; plat class weights are finite and >= 0.
     Weights must be finite numbers, not booleans, and n x n over distinct
-    slots, scores finite and
+    slots, scores finite numbers and
     given for every mapping the stage reads, a training cell must not map a
     slot to itself, and Pareto points have finite x > 0 and y >= 0 and a POS
     that can name a file, checked before any permutation test runs; a points
@@ -604,7 +624,10 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
              "neg_weight_plat": "class\tweight\tS1\tS2\nc1\t1.5\ta\tb\nc2\t-0.5\ta\tc\n",
              "root_slot_lexicon": "walk\twalked\t<ROOT>\nwalk\twalks\t<ROOT>;3SG\n",
              "root_target_scores": "a\tS\t<ROOT>\tx\t-1.0\n",
-             "empty_target_scores": "\t\t\tx\t-2.0\n"}
+             "empty_target_scores": "\t\t\tx\t-2.0\n",
+             # a header comment and a blank line are skipped, so line 3 is named
+             "word_logprob_scores": "# src\tsrc_slot\ttgt_slot\ttgt\tlog2prob\n\n"
+                                    "a\tS\tT\tb\tlow\n"}
     for name, text in texts.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     header = "language,pos,regime,e_complexity,i_total_bits,i_per_form_bits,d,seed\n"
@@ -640,6 +663,11 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     # a tree over the five filled slots only, as the old staged chain learned it
     tree = {"root": PARTIAL_SLOTS[0], "edges": {s: PARTIAL_SLOTS[0] for s in PARTIAL_SLOTS[1:]}}
     (tmp_path / "foreign_tree.json").write_text(json.dumps(tree), encoding="utf-8")
+    # a tree over the inventory whose second and third slots are each other's parent
+    slots = split["inventory"]
+    tree = {"root": slots[0], "edges": dict({s: slots[0] for s in slots[3:]},
+                                            **{slots[1]: slots[2], slots[2]: slots[1]})}
+    (tmp_path / "cyclic_tree.json").write_text(json.dumps(tree), encoding="utf-8")
     # paradigm records whose form, lexeme or slot is not a string
     store = json.loads((partial_runs / "store.json").read_text())
     bad_records = {
@@ -719,6 +747,7 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
              "foreign_cell": tmp_path / "foreign_cell.json",
              "self_cell": tmp_path / "self_cell.json",
              "foreign_tree": tmp_path / "foreign_tree.json",
+             "cyclic_tree": tmp_path / "cyclic_tree.json",
              "synth": cli.bundled("synth_two_class.json"),
              **{name: tmp_path / name
                 for name in [*files, "nan_scores", "partial_scores", "root_row_with_src",
@@ -739,6 +768,10 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
         assert "line 1: a root row has an empty source form" in errors[0].getMessage()
     if "target_scores" in argv:
         assert "line 1: the target slot is empty or <ROOT>" in errors[0].getMessage()
+    if "word_logprob_scores" in argv:
+        assert "line 3: bad log2prob 'low'" in errors[0].getMessage()
+    if "cyclic_tree" in argv:
+        assert "tree has a cycle through" in errors[0].getMessage()
     if "--data" in argv and "--synth" in argv:
         assert errors[0].getMessage() == "give exactly one input: --data or --synth"
 
@@ -825,9 +858,11 @@ def test_byte_flipped_artifact_exit_0_2_or_3(partial_runs, tmp_path, caplog, dat
 
 
 # top-level keys that record where an artifact came from; no reader uses
-# them, but for the point labels of a store and a split (LABELS_READ)
+# them, but for the point labels of a store and a split and the seed of the
+# weights (LABELS_READ)
 PROVENANCE = {"config_hash", "seed", "language", "pos", "regime", "score_bits"}
-LABELS_READ = {"store.json": {"language", "pos"}, "split.json": {"language", "pos", "seed"}}
+LABELS_READ = {"store.json": {"language", "pos"}, "split.json": {"language", "pos", "seed"},
+               "weights.json": {"seed"}}
 JSON_VALUES = {"object": {}, "array": [], "string": "x", "number": 1, "boolean": True,
                "null": None}
 
@@ -845,7 +880,8 @@ def test_swapped_json_type_exit_2_or_3(partial_runs, tmp_path, caplog):
     subcommand that consumes it: exit 2 or 3, one ERROR line, no traceback.
     A provenance key may hold anything, as no reader uses it: exit 0.  The
     point labels that `split` copies from the store, and `measure` reads from
-    the split, are no provenance there."""
+    the split, are no provenance there, nor is the seed that `learn-tree`
+    copies from the weights."""
     failures = []
     for name, argv in sorted(TRUNCATED.items()):
         obj = json.loads((partial_runs / name).read_text())
@@ -1084,16 +1120,17 @@ def test_dev_pass_worker_failure(tmp_path, caplog, monkeypatch, failing):
     assert main(["ingest", "--data", str(lex), "--out", str(store)]) == 0
     assert main(["split", "--store", str(store), "--out", str(split), "--seed", "2"]
                 + SMALL_SPLIT) == 0
-    dev = [p["entries"] for p in json.loads(split.read_text())["dev_paradigms"]]
+    dev = [pair_list(PairView([Paradigm(p["lexeme"], p["entries"])]))
+           for p in json.loads(split.read_text())["dev_paradigms"]]
     assert len(dev) == 20
     lacking = {"child lacks a row": [15], "parent and child lack a row": [3, 15],
                "parent lacks a row, children killed": [3]}.get(failing, [])
     # the last mapping of each lacking paradigm, which no other dev paradigm has
-    dropped = [list(mappings(dev[k]))[-1] for k in lacking]
-    assert all(sum(m in mappings(p) for p in dev) == 1 for m in dropped)
+    dropped = [dev[k][-1] for k in lacking]
+    assert all(sum(m in pairs for pairs in dev) == 1 for m in dropped)
     table = tmp_path / "scores.tsv"
-    table.write_text("".join("%s\t%s\t%s\t%s\t-1.0\n" % m for p in dev
-                             for m in mappings(p) if m not in dropped), encoding="utf-8")
+    table.write_text("".join("%s\t%s\t%s\t%s\t-1.0\n" % m for pairs in dev
+                             for m in pairs if m not in dropped), encoding="utf-8")
     parent, logprob = os.getpid(), strmodel.ScoreTable.logprob
 
     def failing_logprob(self, *args):
@@ -1129,12 +1166,12 @@ def test_plat_command_greek(capsys):
     assert out.count("H(") == 8 * 8 - 8
 
 
-def test_plat_critique_flag(capsys):
-    code = main(["plat", "--critique"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "per-form joint entropy" in out
-    assert "(finite)" in out
+@pytest.mark.parametrize("flag", ["--critique", "--order 2", "--alpha 0.5"])
+def test_plat_takes_no_critique_flags(flag):
+    """The critique runs only as `critique`; plat reads no config key."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["plat"] + flag.split())
+    assert exit_.value.code == 2
 
 
 def test_plat_bad_file_exit_2(tmp_path):
@@ -1148,7 +1185,21 @@ def test_critique_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert ">= 0: True" in out
+    assert "per-form joint entropy" in out
     assert "(finite)" in out
+
+
+def test_critique_plat_flag(tmp_path, capsys):
+    """critique reads the bundled Greek plat unless --plat names another; a
+    malformed one exits 2."""
+    argv = ["critique", "--trials", "5", "--seed", "1"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--plat", str(cli.bundled("greek_plat.tsv"))]) == 0
+    assert capsys.readouterr().out == default
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("header only\n", encoding="utf-8")
+    assert main(argv + ["--plat", str(bad)]) == 2
 
 
 # ----------------------------------------------------------- bundled fixtures

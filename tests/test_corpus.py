@@ -11,7 +11,7 @@ from morphcomplexity.corpus import (
     parse_unimorph, split_from_json, split_to_json,
 )
 
-from conftest import split_config
+from conftest import pair_list, split_config
 
 SIX_LINES = """\
 Hand\tHand\tN;NOM;SG
@@ -105,7 +105,8 @@ def test_make_split_purple_counts():
     split = make_split(paradigms, split_config(regime="purple", seed=3), slots)
     # 600 paradigms x (4*3 slot pairs + 4 root pairs) = 600 * 16
     assert len(split.train_pairs) == 600 * 16
-    assert sum(1 for _, src_slot, _, _ in split.train_pairs if src_slot == ROOT) == 600 * 4
+    assert sum(1 for _, src_slot, _, _ in pair_list(split.train_pairs)
+               if src_slot == ROOT) == 600 * 4
     assert len(split.dev_paradigms) == 50 and len(split.test_paradigms) == 50
     # dev expansion: n(n-1) non-identity pairs per full paradigm, plus n roots
     dev_pairs = expand_paradigm_pairs(split.dev_paradigms)
@@ -118,7 +119,7 @@ def test_make_split_deterministic():
     spec = split_config(regime="green", pair_count=500, seed=11)
     a = make_split(paradigms, spec, slots)
     b = make_split(paradigms, spec, slots)
-    assert list(a.train_pairs) == list(b.train_pairs)
+    assert pair_list(a.train_pairs) == pair_list(b.train_pairs)
     assert [p.lexeme for p in a.dev_paradigms] == [p.lexeme for p in b.dev_paradigms]
     assert [p.lexeme for p in a.test_paradigms] == [p.lexeme for p in b.test_paradigms]
 
@@ -146,7 +147,7 @@ def test_make_split_no_identity_pairs():
     split = make_split(paradigms, split_config(regime="purple", paradigm_count=40, seed=1),
                        slots)
     for _, src_slot, tgt_slot, _ in itertools.chain(
-            split.train_pairs, expand_paradigm_pairs(split.dev_paradigms),
+            pair_list(split.train_pairs), expand_paradigm_pairs(split.dev_paradigms),
             expand_paradigm_pairs(split.test_paradigms)):
         assert src_slot != tgt_slot
 
@@ -173,7 +174,7 @@ def test_split_json_roundtrip():
                        slots)
     obj = split_to_json(split)
     back = split_from_json(obj)
-    assert list(back.train_pairs) == list(split.train_pairs)
+    assert pair_list(back.train_pairs) == pair_list(split.train_pairs)
     assert [p.entries for p in back.dev_paradigms] == [p.entries for p in split.dev_paradigms]
     assert back.inventory == slots
     del obj["inventory"]
@@ -211,6 +212,6 @@ def test_green_draws_match_pool_sample(pair_count):
     # each pool mapping beside its lexeme; rng.sample draws by length alone
     pool = [(p.lexeme, m) for p in rest for m in expand_paradigm_pairs([p])]
     want = pool if len(pool) <= pair_count else ref.sample(pool, pair_count)
-    assert list(split.train_pairs) == [m for _, m in want]
+    assert pair_list(split.train_pairs) == [m for _, m in want]
     assert len(split.train_pairs) == len(want)
     assert {p.lexeme for p in split.train_pairs.paradigms} == {lx for lx, _ in want}

@@ -83,6 +83,8 @@ def test_plat_weight_validation():
              weights=[0.7, 0.7])
     with pytest.raises(ValueError, match="one weight per class"):
         Plat(classes=["a"], slots=["s"], exponent=[["x"]], weights=[0.5, 0.5])
+    with pytest.raises(ValueError, match="every class row must fill every slot"):
+        Plat(classes=["a", "b"], slots=["s", "t"], exponent=[["x", "y"], ["z"]])
     for weights in ([float("nan"), 0.5], [1.5, -0.5], [float("inf"), 0.0]):
         with pytest.raises(ValueError, match="finite, >= 0"):
             Plat(classes=["a", "b"], slots=["s"], exponent=[["x"], ["y"]], weights=weights)

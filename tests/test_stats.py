@@ -59,6 +59,8 @@ def test_tied_x_takes_max_y():
 def test_curve_rejects_bad_points():
     with pytest.raises(ValueError):
         pareto_curve([])
+    with pytest.raises(ValueError, match="no points"):
+        pareto_area([])
     with pytest.raises(ValueError):
         pareto_curve([(0.0, 1.0)])
     with pytest.raises(ValueError):

@@ -13,14 +13,14 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from morphcomplexity import strmodel, structure
 from morphcomplexity.complexity import SyntheticSystem
 from morphcomplexity.corpus import (
-    EMPTY, ROOT, PairView, Paradigm, expand_paradigm_pairs, make_split, mappings, target_groups,
+    EMPTY, ROOT, PairView, Paradigm, expand_paradigm_pairs, make_split, target_groups,
 )
 from morphcomplexity.strmodel import (
     CharNGram, ConditionalParadigmModel, ScoreTable, extract_rule, joint_logprob, load_scores,
 )
 from morphcomplexity.structure import compute_weights
 
-from conftest import split_config, train
+from conftest import pair_list, split_config, train
 
 
 GRID = (0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
@@ -215,7 +215,7 @@ def test_mle_more_data_improves_dev_ce():
     for seed in range(5):
         rng = random.Random(seed)
         data = gen(rng, 900)
-        dev = list(mk_pairs(gen(rng, 200)))
+        dev = pair_list(mk_pairs(gen(rng, 200)))
         ces = [cross_entropy(train(mk_pairs(data[:size])), dev)
                for size in (100, 300, 900)]
         deltas.append(ces[0] - ces[-1])
@@ -273,7 +273,7 @@ def test_train_equals_per_mapping_counts(paradigms, pair_count, seed):
                                                dev_paradigms=0, test_paradigms=0, seed=seed),
                        ["A", "B", "C", "D"]).train_pairs
     for pairs in (PairView(paradigms), green):
-        model, want = train(pairs, order=2), train_per_mapping(list(pairs), order=2)
+        model, want = train(pairs, order=2), train_per_mapping(pair_list(pairs), order=2)
         assert list(model.rule_tables) == list(want.rule_tables)
         for key, rows in want.rule_tables.items():
             assert model.rule_tables[key] == rows
@@ -437,7 +437,8 @@ def per_mapping_weights(model, dev, slots, grid):
     cell_sum = [[[0.0] * g for _ in range(n + 1)] for _ in range(n)]
     total = [0.0] * g
     for p in dev:
-        for m in mappings({s: f for s, f in p.entries.items() if s in index}):
+        entries = {s: f for s, f in p.entries.items() if s in index}
+        for m in pair_list(PairView([Paradigm(p.lexeme, entries)])):
             i, j = index[m[2]], column[m[1]]
             cnt[i][j] += 1
             for k, lam in enumerate(grid):
@@ -527,7 +528,7 @@ def test_dev_pass_does_not_depend_on_worker_count(monkeypatch, caplog, cpus):
     dev list still exits as an input error and forks nothing."""
     model, dev, slots = six_slot_model()
     table = ScoreTable({m: model.logprob(m[2], m[3], [(m[1], m[0])])[0][0]
-                        for p in dev for m in mappings(p.entries)})
+                        for m in pair_list(PairView(dev))})
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -604,7 +605,8 @@ def test_model_version_check():
 # ----------------------------------------------------------- score tables
 
 def test_load_scores_roundtrip():
-    table = load_scores(io.StringIO("\t\tV;PST\twalked\t-2.5\n"
+    table = load_scores(io.StringIO("# src\tsrc_slot\ttgt_slot\ttgt\tlog2prob\n\n"
+                                    "\t\tV;PST\twalked\t-2.5\n"
                                     "walk\tV;NFIN\tV;PST\twalked\t-0.1\n"))
     contexts = [(ROOT, EMPTY), ("V;NFIN", "walk")]
     assert table.logprob("V;PST", "walked", contexts) == [[-2.5], [-0.1]]
