@@ -422,8 +422,10 @@ def cmd_critique(args, cfg):
     avg = platbaseline.avg_cond_entropy(plat)
     print("critique: per-form joint entropy %.6f <= average conditional %.6f: %s"
           % (joint, avg, joint <= avg + 1e-9))
-    # suppletion: the plat gives 'went' zero probability, the string model does not
-    dist = platbaseline.cond_dist(plat, plat.slots[0], plat.slots[1], plat.exponent[0][1])
+    # suppletion: the plat gives 'went' zero probability, the string model does not;
+    # conditioned on a class of nonzero weight, as a mass-0 exponent has no distribution
+    row = next(row for row, w in zip(plat.exponent, plat.weights) if w > 0)
+    dist = platbaseline.cond_dist(plat, plat.slots[0], plat.slots[1], row[1])
     go = corpus.Paradigm("go", {"V;NFIN": "go", "V;PST": "went"})
     model = strmodel.train(corpus.PairView([go], [("go", "V;NFIN", "V;PST")]),
                            cfg["order"], cfg["alpha"])

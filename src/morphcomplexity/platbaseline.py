@@ -96,12 +96,14 @@ def marginal(plat, slot):
 
 def cond_entropy(plat, slot_i, slot_j):
     """H(slot_i | slot_j) in bits: the exponent-marginal of column j times
-    the entropy of each conditional exponent distribution."""
+    the entropy of each conditional exponent distribution.  Exponents of
+    mass 0 (only in zero-weight classes) add nothing and are skipped."""
     if slot_i == slot_j:
         raise ValueError("conditional entropy of a slot given itself is excluded")
     h = 0.0
     for e_j, p in marginal(plat, slot_j).items():
-        h += p * _entropy(cond_dist(plat, slot_i, slot_j, e_j))
+        if p > 0:
+            h += p * _entropy(cond_dist(plat, slot_i, slot_j, e_j))
     return h
 
 

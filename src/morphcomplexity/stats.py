@@ -68,42 +68,57 @@ def pareto_area(points):
         raise ValueError("no points")
     for x, y in points:
         check_point(x, y)
-    return _area_of(*_area_plan([x for x, _ in points]), [y for _, y in points])
+    return _area_of(_area_plan([x for x, _ in points]), [y for _, y in points])
 
 
 def _area_plan(xs):
     """Precomputed iteration plan for areas of permuted scatters.
 
-    Returns (order, widths): point indices sorted by descending x and the
-    rectangle width attached to each position (zero between tied x values,
-    the last width reaching down to 0).
+    Returns (index, width) pairs: point indices by descending x, each with
+    the rectangle width attached to its position (zero between tied x
+    values, the last width reaching down to 0).
     """
     order = sorted(range(len(xs)), key=lambda i: -xs[i])
-    widths = []
-    for k, i in enumerate(order):
-        nxt = xs[order[k + 1]] if k + 1 < len(order) else 0.0
-        widths.append(xs[i] - nxt)
-    return order, widths
+    below = [xs[i] for i in order[1:]] + [0.0]
+    return [(i, xs[i] - x) for i, x in zip(order, below)]
 
 
-def _area_of(order, widths, ys):
+def _area_of(plan, ys, bound=math.inf):
+    """Area under the step curve of the plan's x values and ys, or the first
+    partial sum above bound: with `check_point`'s x > 0 and y >= 0 the
+    partial sums never fall, so comparing either with bound is the same."""
     area = 0.0
     height = 0.0
-    for i, w in zip(order, widths):
+    for i, w in plan:
         if ys[i] > height:
             height = ys[i]
         area += w * height
+        if area > bound:
+            break
     return area
 
 
-def _count_leq(order, widths, ys, observed, seed, start, stop):
-    """How many replicas in range(start, stop) have area <= observed."""
+def _count_leq(plan, ys, observed, seed, start, stop):
+    """How many replicas in range(start, stop) have area <= observed.
+
+    Replica rep shuffles ys with the draws of
+    random.Random(seed * 1000003 + rep).shuffle: its loop, with each
+    _randbelow(i + 1) inlined as getrandbits((i + 1).bit_length()) redrawn
+    while above i, from one generator reseeded per replica.
+    """
+    rng = random.Random()
+    reseed, getrandbits = rng.seed, rng.getrandbits
+    steps = [(i, (i + 1).bit_length()) for i in range(len(ys) - 1, 0, -1)]
     count = 0
     for rep in range(start, stop):
-        rng = random.Random(seed * 1000003 + rep)
+        reseed(seed * 1000003 + rep)
         yy = ys[:]
-        rng.shuffle(yy)
-        if _area_of(order, widths, yy) <= observed:
+        for i, k in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            yy[i], yy[j] = yy[j], yy[i]
+        if _area_of(plan, yy, observed) <= observed:
             count += 1
     return count
 
@@ -192,9 +207,9 @@ def _work_in_child(work, start, stop, out, readers):
 def perm_test(points, n_perm, seed):
     """Monte Carlo permutation test for emptiness of the upper-right corner.
 
-    Permutes the y values uniformly at random (Fisher-Yates via
-    random.shuffle) and counts how often the permuted scatter's Pareto area
-    is <= the observed one; the p-value is add-one smoothed so it is never
+    Permutes the y values uniformly at random (Fisher-Yates, with the draws
+    of random.shuffle) and counts how often the permuted scatter's Pareto
+    area is <= the observed one; the p-value is add-one smoothed so it is never
     exactly 0.  Each replica draws its permutation from an RNG stream keyed
     by (seed, replica index), so the result does not depend on evaluation
     order, nor on how many CPUs count the replicas: `forked_ranges` cuts
@@ -204,11 +219,12 @@ def perm_test(points, n_perm, seed):
         raise ValueError("permutation test needs at least 3 points, got %d" % len(points))
     if n_perm < 1:
         raise ValueError("n_perm must be >= 1")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    order, widths = _area_plan(xs)
-    observed = _area_of(order, widths, ys)
+    for x, y in points:
+        check_point(x, y)
+    ys = [y for _, y in points]
+    plan = _area_plan([x for x, _ in points])
+    observed = _area_of(plan, ys)
     count = sum(forked_ranges(n_perm, lambda start, stop: [
-        _count_leq(order, widths, ys, observed, seed, start, stop)]))
+        _count_leq(plan, ys, observed, seed, start, stop)]))
     return PermTestResult(observed_area=observed, n_perm=n_perm, count_leq=count,
                           p_value=(count + 1) / (n_perm + 1), seed=seed)

@@ -1202,6 +1202,14 @@ def test_critique_plat_flag(tmp_path, capsys):
     assert main(argv + ["--plat", str(bad)]) == 2
 
 
+def test_plat_with_a_zero_weight_class(tmp_path):
+    """A zero-weight class is a valid plat: plat and critique read it."""
+    plat = tmp_path / "plat.tsv"
+    plat.write_text("class\tweight\tS1\tS2\nc1\t0\ta\tb\nc2\t1\tc\td\n", encoding="utf-8")
+    assert main(["plat", "--plat", str(plat)]) == 0
+    assert main(["critique", "--trials", "5", "--seed", "1", "--plat", str(plat)]) == 0
+
+
 # ----------------------------------------------------------- bundled fixtures
 
 def test_all_fixtures_bundled():

@@ -195,6 +195,15 @@ def test_cond_dist_unknown_exponent(greek_plat):
         cond_dist(greek_plat, "NOM;SG", "ACC;PL", "zzz")
 
 
+def test_zero_weight_class_adds_nothing():
+    """An exponent seen only in a zero-weight class has mass 0 and no
+    conditional distribution; it is skipped, not an error."""
+    plat = parse_plat(io.StringIO("class\tweight\tS1\tS2\nc1\t0\ta\tb\nc2\t1\tc\td\n"))
+    assert cond_entropy(plat, "S1", "S2") == 0.0
+    assert cond_entropy(plat, "S2", "S1") == 0.0
+    assert avg_cond_entropy(plat) == 0.0
+
+
 def test_avg_needs_two_slots():
     plat = Plat(classes=["c"], slots=["A"], exponent=[["x"]])
     with pytest.raises(ValueError, match="at least 2 slots"):

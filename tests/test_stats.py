@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from morphcomplexity import cli
 from morphcomplexity.stats import (
-    ParetoCurve, PermTestResult, forked_ranges, pareto_area, pareto_curve, perm_test,
+    ParetoCurve, PermTestResult, _area_of, _area_plan, forked_ranges, pareto_area,
+    pareto_curve, perm_test,
 )
 
 from test_cli import children_and_fds
@@ -170,14 +171,30 @@ def test_perm_test_brute_force_small():
 
 
 def test_perm_test_pins_the_table2_stream():
-    """The replica stream on the bundled table 2: a faster shuffle or another
-    cut of the replicas into ranges must not move a count (criterion 1 reads
-    N at seed 0 as p = 612 / 10001 = 0.0612)."""
+    """The replica stream on the bundled table 2, over the seeds 0-19 of
+    criterion 1 and of the reports benchmark: a faster shuffle or another cut
+    of the replicas into ranges must not move a count (criterion 1 reads N at
+    seed 0 as p = 612 / 10001 = 0.0612)."""
     with open(cli.bundled("table2_green.csv"), encoding="utf-8") as fh:
         by_pos = cli._read_points(fh)
-    expected = {(0, "N"): 611, (0, "V"): 165, (1, "N"): 664, (1, "V"): 140}
-    for (seed, pos), count in expected.items():
-        assert perm_test(by_pos[pos], n_perm=10000, seed=seed).count_leq == count
+    expected = {
+        "N": [611, 664, 673, 672, 709, 689, 683, 676, 670, 692,
+              662, 696, 649, 700, 685, 721, 701, 685, 660, 698],
+        "V": [165, 140, 149, 142, 146, 142, 145, 153, 162, 152,
+              173, 155, 160, 178, 156, 166, 164, 158, 138, 177],
+    }
+    for pos, counts in expected.items():
+        assert [perm_test(by_pos[pos], n_perm=10000, seed=seed).count_leq
+                for seed in range(20)] == counts
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (-2.0, 1.0),
+                                 (1.0, -0.5), (math.inf, 1.0), (1.0, math.inf)])
+def test_perm_test_rejects_bad_points(bad):
+    """perm_test checks its points as pareto_area does: x > 0 keeps every
+    width >= 0, so the replicas' early stop stays exact."""
+    with pytest.raises(ValueError, match="finite x > 0 and y >= 0"):
+        perm_test([bad, (2.0, 3.0), (3.0, 1.0)], n_perm=100, seed=0)
 
 
 def serial_perm_test(points, n_perm, seed):
@@ -212,6 +229,32 @@ def test_perm_test_does_not_depend_on_worker_count(monkeypatch, cpus):
             assert perm_test(points, n_perm=n_perm, seed=seed) == \
                 serial_perm_test(points, n_perm, seed)
             assert len(forks) == min(cpus or 1, n_perm) - 1
+
+
+# x values from a few ties and a float range; y values 0 or a float
+scatters = st.lists(
+    st.tuples(st.one_of(st.sampled_from([1.0, 2.0, 3.5]), st.floats(0.01, 100.0)),
+              st.one_of(st.just(0.0), st.floats(0.0, 100.0))),
+    min_size=3, max_size=40)
+
+
+@given(points=scatters, n_perm=st.integers(1, 40), seed=st.integers(0, 10**6))
+def test_perm_test_matches_random_shuffle(points, n_perm, seed):
+    """The replica kernel draws the permutations random.shuffle draws, and
+    counts and sums areas as the reference does, bit for bit."""
+    assert perm_test(points, n_perm=n_perm, seed=seed) == serial_perm_test(points, n_perm, seed)
+
+
+@given(points=scatters, seed=st.integers(0, 10**6), bound=st.floats(0.0, 1e4))
+def test_area_early_stop_is_exact(points, seed, bound):
+    """A bounded area compares with its bound as the full area does, for a
+    drawn bound and for the exact area of another permutation."""
+    plan = _area_plan([x for x, _ in points])
+    ys = [y for _, y in points]
+    other = ys[:]
+    random.Random(seed).shuffle(other)
+    for b in (bound, _area_of(plan, other)):
+        assert (_area_of(plan, ys, b) <= b) == (_area_of(plan, ys) <= b)
 
 
 @pytest.mark.parametrize("parent_fails", [False, True])
