@@ -5,6 +5,7 @@ import itertools
 import logging
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -35,16 +36,14 @@ class Paradigm:
         return len(self.entries)
 
 
-def target_groups(entries, cut=0):
+def target_groups(entries):
     """A paradigm's mappings by sorted target slot: (tgt_slot, tgt, sources),
     the root mapping (EMPTY, ROOT) first and implicit, then (src_slot, src)
-    of every other filled slot in sorted order, src without its first `cut`
-    characters.  The order fixes the float sums of training counts and dev
-    weights."""
+    of every other filled slot in sorted order.  The order fixes the float
+    sums of training counts and dev weights."""
     slots = sorted(entries)
-    cut_forms = [(s, entries[s][cut:]) for s in slots]
     for tgt_slot in slots:
-        yield tgt_slot, entries[tgt_slot], [sf for sf in cut_forms if sf[0] != tgt_slot]
+        yield tgt_slot, entries[tgt_slot], [(s, entries[s]) for s in slots if s != tgt_slot]
 
 
 def can_hold_out(paradigm):
@@ -62,7 +61,7 @@ def stem_length(entries):
 class PairView:
     """Sized, lazy view of training mappings: every paradigm's, in
     `target_groups` order (purple), or the sampled (lexeme, src_slot,
-    tgt_slot) cells in order (green)."""
+    tgt_slot) cells in order (green).  `counts` is the one walk of them."""
     paradigms: list
     cells: list = None
 
@@ -71,24 +70,55 @@ class PairView:
             return sum(len(p) ** 2 for p in self.paradigms)
         return len(self.cells)
 
-    def groups(self):
-        """The mappings in the view's order, grouped for counting as
-        (count, cut, tgt_slot, tgt, sources): `count` mappings, the root one
-        among them, go to tgt, and sources holds the non-root ones' (src_slot,
-        src), src without its first `cut` characters, its paradigm's
-        `stem_length`.  Purple gives a group per paradigm and target, green
-        one per cell."""
+    def counts(self):
+        """The view's mappings counted as (forms, targets, tables): the set
+        of every form a mapping reads; each (tgt_slot, tgt)'s mapping count,
+        the root's included; and ((src_slot, tgt_slot), ends) per slot pair
+        of the non-root mappings, ends counting their (src_end, tgt_end),
+        the forms without their paradigm's `stem_length`.  All come in
+        first-seen order.  Purple cuts each paradigm once, into one column
+        of endings per slot (None where unfilled), and builds a table's ends
+        from two columns only when the table is reached, so they also count
+        pairs with a None side.  A table first appears in the first paradigm
+        that fills both its slots, at its target's turn in `target_groups`.
+        Green counts each cell into its table as it comes."""
         if self.cells is None:
-            for p in self.paradigms:
+            n = len(self.paradigms)
+            targets, distinct, columns, filled = {}, {}, {}, {}
+            for i, p in enumerate(self.paradigms):
                 cut = stem_length(p.entries)
-                for tgt_slot, tgt, sources in target_groups(p.entries, cut):
-                    yield len(p), cut, tgt_slot, tgt, sources
-            return
+                for slot in sorted(p.entries):
+                    form = p.entries[slot]
+                    targets[slot, form] = targets.get((slot, form), 0) + len(p)
+                    if slot not in columns:
+                        columns[slot], filled[slot] = [None] * n, 0
+                    end = form[cut:]
+                    columns[slot][i] = distinct.setdefault(end, end)
+                    filled[slot] |= 1 << i
+            # the lowest paradigm filling both slots, as its bit's position
+            first = sorted(((both & -both).bit_length(), tgt, src)
+                           for tgt in filled for src in filled
+                           if src != tgt and (both := filled[src] & filled[tgt]))
+            tables = (((src, tgt), Counter(zip(columns[src], columns[tgt])))
+                      for _, tgt, src in first)
+            return {form for _, form in targets}, targets, tables
         stems = {p.lexeme: (p.entries, stem_length(p.entries)) for p in self.paradigms}
+        forms, targets, by_pair = set(), {}, {}
         for lx, src_slot, tgt_slot in self.cells:
             entries, cut = stems[lx]
-            sources = [] if src_slot == ROOT else [(src_slot, entries[src_slot][cut:])]
-            yield 1, cut, tgt_slot, entries[tgt_slot], sources
+            tgt = entries[tgt_slot]
+            targets[tgt_slot, tgt] = targets.get((tgt_slot, tgt), 0) + 1
+            if src_slot == ROOT:
+                continue
+            src = entries[src_slot]
+            forms.add(src)
+            ends = by_pair.get((src_slot, tgt_slot))
+            if ends is None:
+                ends = by_pair[src_slot, tgt_slot] = {}
+            pair = src[cut:], tgt[cut:]
+            ends[pair] = ends.get(pair, 0) + 1
+        forms.update(form for _, form in targets)
+        return forms, targets, ((key, by_pair.pop(key)) for key in list(by_pair))
 
 
 @dataclass

@@ -107,7 +107,8 @@ def _count_leq(plan, ys, observed, seed, start, stop):
     while above i, from one generator reseeded per replica.
     """
     rng = random.Random()
-    reseed, getrandbits = rng.seed, rng.getrandbits
+    # the C seed: Random.seed's wrapper only checks the type and clears gauss_next
+    reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
     steps = [(i, (i + 1).bit_length()) for i in range(len(ys) - 1, 0, -1)]
     count = 0
     for rep in range(start, stop):

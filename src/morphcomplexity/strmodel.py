@@ -265,7 +265,8 @@ class ConditionalParadigmModel:
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, ensure_ascii=False, sort_keys=True)
+            # json.dumps, unlike json.dump, runs the C encoder
+            fh.write(json.dumps(self.to_json(), ensure_ascii=False, sort_keys=True))
 
     @classmethod
     def load(cls, path):
@@ -283,35 +284,35 @@ def _is_rule_table(table):
 
 
 def train(pairs, order, alpha):
-    """Fit the shared conditional model by accumulating rule and n-gram
-    counts from a `corpus.PairView`, one group of `PairView.groups` at a
-    time: the target once, times its mapping count, then each source's rule,
-    taken from the two forms' endings after their paradigm's shared stem
-    (the endings themselves when their first letters differ).  The counts
+    """Fit the shared conditional model from a `corpus.PairView`'s
+    `PairView.counts`: each target form is added to its slot's n-gram once,
+    times its mapping count, and each rule table is built from its slot
+    pair's counts of (source ending, target ending) pairs, the two forms'
+    endings after their paradigm's shared stem.  A pair's rule is the two
+    endings themselves when their first letters differ, else
+    `extract_rule`'s; pairs with a None side are no mapping.  The counts
     and the rule order in each table, which fixes its float sums, are those
-    of one pass over the mappings; each table is then frozen as (src_suffix,
-    tgt_suffix, count) rows.  The mixture weight stays DEFAULT_LAMBDA until
+    of one pass over the mappings; each table is frozen as (src_suffix,
+    tgt_suffix, count) rows before the next is counted.  The alphabet is
+    that of the view's forms.  The mixture weight stays DEFAULT_LAMBDA until
     the dev pass of `structure.compute_weights` picks it."""
-    targets, rule_tables = Counter(), defaultdict(Counter)
-    for count, cut, tgt_slot, tgt, sources in pairs.groups():
-        targets[tgt_slot, tgt] += count
-        end = tgt[cut:]
-        for src_slot, src in sources:
-            rule = (src, end) if src[:1] != end[:1] else extract_rule(src, end)
-            rule_tables[src_slot, tgt_slot][rule] += 1
+    forms, targets, tables = pairs.counts()
     if not targets:
         raise ValueError("cannot train on an empty pair list")
-    # a source form is its rule's source side after a prefix of the target,
-    # so the targets and the rules' source sides spell every source
-    alphabet = set().union(*(form for _, form in targets))
-    for key, table in rule_tables.items():
-        alphabet.update(*(s for s, _ in table))
-        rule_tables[key] = [(s, t, c) for (s, t), c in table.items()]
-    alphabet = sorted(alphabet)
+    rule_tables = {}
+    for key, ends in tables:
+        rules = {}
+        for (src, end), count in ends.items():
+            if src is None or end is None:
+                continue
+            rule = (src, end) if src[:1] != end[:1] else extract_rule(src, end)
+            rules[rule] = rules.get(rule, 0) + count
+        rule_tables[key] = [(s, t, c) for (s, t), c in rules.items()]
+    alphabet = sorted(set().union(*forms))
     char_models = defaultdict(lambda: CharNGram(order, alpha, alphabet))
     for (slot, form), count in targets.items():
         char_models[slot].add(count, form)
-    return ConditionalParadigmModel(alphabet, order, alpha, dict(rule_tables), dict(char_models))
+    return ConditionalParadigmModel(alphabet, order, alpha, rule_tables, dict(char_models))
 
 
 def joint_logprob(model, tree, paradigm):

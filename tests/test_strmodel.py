@@ -264,11 +264,19 @@ def paradigm_lists(draw, slots="ABCD"):
 
 @settings(max_examples=200, deadline=None)
 @given(paradigm_lists(), st.integers(1, 40), st.integers(0, 2 ** 16))
+# purple: the pair (A, C) is first filled by both slots in the third paradigm
+@example([Paradigm("lx0", {"A": "ba", "B": "bb"}), Paradigm("lx1", {"C": "ac", "D": "a"}),
+          Paradigm("lx2", {"A": "xa", "C": "ab"})], 40, 0)
+# green: every mapping, so the cells of tables (B, A) and (A, B) alternate
+@example([Paradigm("lx0", {"A": "aa", "B": "ab"}), Paradigm("lx1", {"A": "bc", "B": "b"})],
+         40, 0)
+# green: the one cell maps A to B, so "a" is only in a source form
+@example([Paradigm("lx0", {"A": "a", "B": "c"})], 1, 0)
 def test_train_equals_per_mapping_counts(paradigms, pair_count, seed):
-    """Counting per paradigm and target, with each paradigm's shared stem cut
-    off, gives the tables, the rule order in every table, the alphabet and
-    the char-model counts of counting every mapping on its own, for a purple
-    view and a green view."""
+    """Counting one slot-pair table at a time, with each paradigm's shared
+    stem cut off, gives the tables in the order of their first mappings, the
+    rule order in every table, the alphabet and the char-model counts of
+    counting every mapping on its own, for a purple view and a green view."""
     green = make_split(paradigms, split_config(regime="green", pair_count=pair_count,
                                                dev_paradigms=0, test_paradigms=0, seed=seed),
                        ["A", "B", "C", "D"]).train_pairs
@@ -350,6 +358,19 @@ def test_model_json_roundtrip(tmp_path):
     assert back.alphabet == model.alphabet
     for src, tgt in [("hand", "hände"), ("xyz", "xyzn"), ("", "")]:
         assert back.logprob("T", tgt, [("S", src)]) == model.logprob("T", tgt, [("S", src)])
+
+
+def test_model_save_writes_the_sorted_json_text(tmp_path):
+    """`save` writes the sorted JSON text in UTF-8, non-ASCII characters as
+    themselves: the bytes that `json.dump` writes too."""
+    model = train(mk_pairs([("hand", "hände"), ("gabel", "gabeln")]))
+    model.save(tmp_path / "model.json")
+    want = json.dumps(model.to_json(), ensure_ascii=False, sort_keys=True)
+    assert (tmp_path / "model.json").read_bytes() == want.encode("utf-8")
+    assert "ände" in want
+    dumped = io.StringIO()
+    json.dump(model.to_json(), dumped, ensure_ascii=False, sort_keys=True)
+    assert dumped.getvalue() == want
 
 
 def six_slot_model():
