@@ -173,6 +173,14 @@ def _load_split(path):
     return corpus.split_from_json(obj), _labels(obj, LABELS, "split")
 
 
+def dev_sha256(split):
+    """sha256 of the split's inventory and dev paradigms as split.json
+    stores them: all that a dev pass over the split reads of it."""
+    blob = json.dumps([split.inventory, corpus.paradigms_to_json(split.dev_paradigms)],
+                      ensure_ascii=False, sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def write_tree(cfg, tree, W, json_path, dot_path=None):
     """Write tree.json (and tree.dot when asked); return the tree score."""
     obj = tree.to_json()
@@ -274,16 +282,25 @@ def cmd_split(args, cfg):
 def cmd_train(args, cfg):
     split, _ = read_artifact(args.split, _load_split)
     model = strmodel.train(split.train_pairs, cfg["order"], cfg["alpha"])
-    structure.compute_weights(model, split.dev_paradigms, split.inventory, lambda_grid(cfg))
+    W = structure.compute_weights(model, split.dev_paradigms, split.inventory, lambda_grid(cfg))
+    model.dev_weights = dev_sha256(split), W
     model.save(args.out)
     print("trained on %d pairs; lambda=%g" % (len(split.train_pairs), model.lam))
     return EXIT_OK
 
 
 def cmd_weights(args, cfg):
+    """The matrix that `train` kept, if the model was trained on this dev
+    set, else the dev pass at the scorer's own lambda."""
     split, labels = read_artifact(args.split, _load_split)
-    W = structure.compute_weights(read_scorer(cfg, args.model), split.dev_paradigms,
-                                  split.inventory)
+    scorer = read_scorer(cfg, args.model)
+    if args.model and scorer.dev_weights[0] == dev_sha256(split):
+        W = scorer.dev_weights[1]
+        if W.slots != split.inventory:
+            raise ValueError("the model's dev weights are not over the split's inventory; "
+                             "re-run train")
+    else:
+        W = structure.compute_weights(scorer, split.dev_paradigms, split.inventory)
     _write_json(args.out, W.to_json(), dict(cfg, seed=labels["seed"]))
     print("weights over %d slots written to %s" % (W.n, args.out))
     return EXIT_OK

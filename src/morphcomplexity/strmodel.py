@@ -12,10 +12,12 @@ anywhere a scorer is needed.
 import json
 import math
 from collections import Counter, defaultdict
+from functools import cached_property
 
 from .corpus import ROOT, EMPTY
+from .structure import WeightMatrix
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DEFAULT_LAMBDA = 0.05
 
 BOS = "<S>"
@@ -135,13 +137,14 @@ class ConditionalParadigmModel:
     rule_tables[(src_slot, tgt_slot)] is a list of (src_suffix, tgt_suffix,
     count) rows, one per distinct rule, in the order training first saw them.
     char_models[tgt_slot] is the per-slot n-gram over `alphabet`.  The model
-    is built whole, by `train` or `from_json`: the constructor sums the slot
-    n-grams' counts into the fallback n-gram, which covers slots unseen as
-    targets in training, and nothing changes the tables or the n-grams
-    afterwards.  Only `lam` is set later, by the dev pass.
+    is built whole, by `train` or `from_json`, and nothing changes the tables
+    or the n-grams afterwards.  Only `lam` is set later, by the dev pass, and
+    `dev_weights`, by the `train` stage: None, or (sha256 of the dev set,
+    `WeightMatrix`) from the dev pass that picked `lam`.
     """
 
-    def __init__(self, alphabet, order, alpha, rule_tables, char_models, lam=DEFAULT_LAMBDA):
+    def __init__(self, alphabet, order, alpha, rule_tables, char_models, lam=DEFAULT_LAMBDA,
+                 dev_weights=None):
         if not (isinstance(lam, float) and 0.0 < lam < 1.0):
             raise ValueError("model lambda %r is not a number in (0, 1)" % (lam,))
         self.alphabet = sorted(alphabet)
@@ -150,12 +153,20 @@ class ConditionalParadigmModel:
         self.lam = lam
         self.rule_tables = rule_tables
         self.char_models = char_models
-        self.fallback_char = CharNGram(order, alpha, self.alphabet)
-        for m in char_models.values():
-            self.fallback_char.add_counts(m.counts.items())
+        self.dev_weights = dev_weights
+
+    @cached_property
+    def fallback_char(self):
+        """The n-gram of slots unseen as targets in training: the slot
+        n-grams' counts summed, built when a first such slot is scored."""
+        fallback = CharNGram(self.order, self.alpha, self.alphabet)
+        for m in self.char_models.values():
+            fallback.add_counts(m.counts.items())
+        return fallback
 
     def char_model(self, tgt_slot):
-        return self.char_models.get(tgt_slot, self.fallback_char)
+        m = self.char_models.get(tgt_slot)
+        return self.fallback_char if m is None else m
 
     def logprob(self, tgt_slot, tgt, contexts, lambda_grid=None):
         """log2 q(tgt | context) in bits (<= 0, always finite) under every lam
@@ -216,6 +227,14 @@ class ConditionalParadigmModel:
         return (1.0 - self.lam) * rule_mass + self.lam * char_mass
 
     def to_json(self):
+        """The model as JSON values; the rule rows are the model's own
+        tuples, which the encoder writes as arrays, so parse the text to
+        read it back."""
+        if self.dev_weights is None:
+            dev = None
+        else:
+            dev_sha256, W = self.dev_weights
+            dev = dict(W.to_json(), dev_sha256=dev_sha256)
         return {
             "version": FORMAT_VERSION,
             "alphabet": self.alphabet,
@@ -225,15 +244,17 @@ class ConditionalParadigmModel:
             # rows in their order: a loaded model then sums each table in
             # the same order as the trained one, to the last bit
             "rule_tables": [
-                [src_slot, tgt_slot, [list(row) for row in rows]]
+                [src_slot, tgt_slot, rows]
                 for (src_slot, tgt_slot), rows in sorted(self.rule_tables.items())
             ],
             "char_models": {slot: m.to_json() for slot, m in sorted(self.char_models.items())},
+            "dev_weights": dev,
         }
 
     @classmethod
     def from_json(cls, obj):
-        """The model `to_json` wrote; a field of another shape is a ValueError."""
+        """The model `to_json` wrote, its dev weights included; a field of
+        another shape is a ValueError."""
         if not isinstance(obj, dict):
             raise ValueError("model is not a JSON object")
         if obj.get("version") != FORMAT_VERSION:
@@ -261,7 +282,12 @@ class ConditionalParadigmModel:
         order, alpha = obj["order"], obj["alpha"]
         char_models = {slot: CharNGram.from_json(counts, order, alpha, alphabet)
                        for slot, counts in chars.items()}
-        return cls(alphabet, order, alpha, rule_tables, char_models, lam=obj["lambda"])
+        dev = obj["dev_weights"]
+        if not (isinstance(dev, dict) and isinstance(dev.get("dev_sha256"), str)):
+            raise ValueError("dev_weights is not an object with a dev_sha256 string; "
+                             "re-run train")
+        return cls(alphabet, order, alpha, rule_tables, char_models, lam=obj["lambda"],
+                   dev_weights=(dev["dev_sha256"], WeightMatrix.from_json(dev)))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -194,7 +194,8 @@ def _edmonds(w, root):
         return max(pairs, key=lambda p: (p[0], -p[1]))
 
     m = len(w)
-    pa = [best((w[v][u], u) for u in range(m))[1] for v in range(m)]
+    # max returns the first of equal weights and index finds its first place
+    pa = [row.index(max(row)) for row in w]
     done = {root}
     for start in range(m):
         path = {}

@@ -193,6 +193,42 @@ def test_weights_stamps_the_split_seed(partial_runs, tmp_path, caplog):
     assert dict(stamped, config_hash=None) == dict(staged, config_hash=None)
 
 
+def test_weights_writes_the_matrix_train_kept(partial_runs, tmp_path, monkeypatch):
+    """`weights --model` over the dev set the model was trained with writes
+    the matrix that train's dev pass kept and scores nothing: with the dev
+    pass made to raise, it writes the bytes the dev pass writes.  Over
+    another split's dev set it runs the dev pass, at the model's lambda."""
+    d = partial_runs
+    model, split = (json.loads((d / name).read_text()) for name in ("model.json", "split.json"))
+    foreign = tmp_path / "foreign_digest.json"
+    foreign.write_text(json.dumps(dict(model, dev_weights=dict(model["dev_weights"],
+                                                               dev_sha256="0" * 64))))
+    other = tmp_path / "other_dev.json"
+    other.write_text(json.dumps(dict(split, dev_paradigms=split["test_paradigms"],
+                                     test_paradigms=split["dev_paradigms"])))
+    passes = []
+    compute = cli.structure.compute_weights
+    monkeypatch.setattr(cli.structure, "compute_weights",
+                        lambda *args: passes.append(args) or compute(*args))
+
+    def weights(split_path, model_path, out):
+        assert main(["weights", "--split", str(split_path), "--model", str(model_path),
+                     "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out).read_bytes()
+
+    scored = weights(d / "split.json", foreign, "scored.json")
+    assert len(passes) == 1
+    assert weights(other, d / "model.json", "other.json") != scored
+    assert len(passes) == 2 and passes[1][0].lam == model["lambda"]
+    assert passes[1][1] == cli.corpus.paradigms_from_json(split["test_paradigms"],
+                                                           split["inventory"])
+
+    def no_dev_pass(*args):
+        raise AssertionError("the dev pass ran")
+    monkeypatch.setattr(cli.structure, "compute_weights", no_dev_pass)
+    assert weights(d / "split.json", d / "model.json", "kept.json") == scored
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("language = greek\nseed = 5\norder = 2\n", encoding="utf-8")
@@ -402,10 +438,10 @@ def test_measure_labels_its_point_from_the_split(tmp_path, caplog):
        fill=st.sampled_from([0.5, 0.8, 1.0]), regime=st.sampled_from(["purple", "green"]),
        seed=st.integers(0, 2 ** 16))
 def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
-    """On random small partial lexicons the staged chain, which scores dev
-    in `train` and again in `weights`, gives the point and tree that `run`
-    gives from its one dev pass; `measure`, given no --regime, labels a
-    green point green."""
+    """On random small partial lexicons the staged chain, whose one dev pass
+    is `train`'s and whose `weights` writes the matrix `train` kept, gives
+    the point and tree that `run` gives from its one dev pass; `measure`,
+    given no --regime, labels a green point green."""
     rng = random.Random(seed)
     slots = ["N;C%d" % i for i in range(n_slots)]
     classes = [[rng.choice(["", "a", "en", "s", "ib"]) for _ in slots] for _ in range(3)]
@@ -485,6 +521,12 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("learn-tree --weights {dup_slot} --out {tmp}/o.json", 2),
     ("learn-tree --weights {int_slots} --out {tmp}/o.json", 2),
     ("weights --split {d}/split.json --model {format_1} --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {d}/split.json --model {format_2} --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {d}/split.json --model {dev_weights_short} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {dev_weights_nan} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {dev_weights_bool} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {dev_digest_int} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {dev_weights_renamed} --out {tmp}/o.json", 2),
     ("weights --split {d}/split.json --model {long_history} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {foreign_symbol} --out {tmp}/o.json --seed 0", 2),
     ("split --store {d}/store.json --out {tmp}/o.json --seed 0 --dev-paradigms -3", 2),
@@ -585,7 +627,9 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     and its seed, each of the JSON type its writer writes; a split lacking
     one says to re-run split.  A lambda grid, or a saved model's lambda, lies in
     (0, 1); a saved alpha is finite and > 0, its order an integer >= 1, its
-    alphabet distinct characters and its format the current one;
+    alphabet distinct characters and its format the current one, whose dev
+    weights are n x n finite numbers, not booleans, beside a string digest,
+    and are over the split's inventory when the digest is its dev set's;
     each char model's counts are of histories of order - 1
     symbols and of symbols in the alphabet, UNK or stop, given as a list of
     [history, counts] pairs, and each rule count is a positive integer, of
@@ -726,6 +770,17 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     long_history = [[["<S>"] + hist, c] for hist, c in counts]
     foreign_symbol = [[counts[0][0], dict(counts[0][1], **{"☃": 1})]] + counts[1:]
     bad_lambdas = {"lambda_big": 1.5, "lambda_zero": 0.0, "lambda_one": 1.0, "lambda_str": "x"}
+    dev = model["dev_weights"]
+    bad_dev = {"dev_weights_short": dict(dev, root=dev["root"][1:]),
+               "dev_weights_nan": dict(dev, edge=[[float("nan")] + dev["edge"][0][1:]]
+                                       + dev["edge"][1:]),
+               "dev_weights_bool": dict(dev, root=[True] + dev["root"][1:]),
+               "dev_digest_int": dict(dev, dev_sha256=7),
+               # the digest of the split's dev set over slots of another name
+               "dev_weights_renamed": dict(dev, slots=[s + "x" for s in dev["slots"]])}
+    bad_records.update({name: dict(model, dev_weights=v) for name, v in bad_dev.items()},
+                       format_2={k: v for k, v in dict(model, version=2).items()
+                                 if k != "dev_weights"})
     bad_records.update({name: dict(model, **{"lambda": v}) for name, v in bad_lambdas.items()},
                        neg_alpha=dict(model, alpha=-0.1), char_order_0=dict(model, order=0),
                        format_1=dict(model, version=1),
@@ -762,7 +817,7 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
         assert not (tmp_path / "pareto_report.json").exists()
     if "no_inventory" in argv or "pair_list" in argv or "no_labels" in argv:
         assert "re-run split" in errors[0].getMessage()
-    if "format_1" in argv:
+    if "format_" in argv or "dev_digest" in argv or "dev_weights_renamed" in argv:
         assert "re-run train" in errors[0].getMessage()
     if "root_row_with_src" in argv:
         assert "line 1: a root row has an empty source form" in errors[0].getMessage()

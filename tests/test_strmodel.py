@@ -45,6 +45,15 @@ def pick_lambda(model, dev_paradigms, grid=GRID):
     return model
 
 
+def reloaded(model):
+    """The model read back from its JSON text, as `load` reads model.json;
+    a model that went through no dev pass gets a matrix over no slot."""
+    obj = model.to_json()
+    if obj["dev_weights"] is None:
+        obj["dev_weights"] = {"dev_sha256": "", "slots": [], "edge": [], "root": []}
+    return ConditionalParadigmModel.from_json(json.loads(json.dumps(obj)))
+
+
 def cross_entropy(scorer, pairs):
     """Mean negative log2 probability over a list of mapping tuples, in bits."""
     total = 0.0
@@ -349,13 +358,17 @@ def test_joint_logprob_partial_parent_missing(stub_scorer):
 # ----------------------------------------------------------- serialization
 
 def test_model_json_roundtrip(tmp_path):
-    model = pick_lambda(train(mk_pairs([("hand", "hände"), ("gabel", "gabeln")])),
-                        mk_paradigms([("wand", "wände")]))
+    """A saved model loads with its lambda, its order, its alphabet, its
+    scores and the dev matrix that picked its lambda."""
+    model = train(mk_pairs([("hand", "hände"), ("gabel", "gabeln")]))
+    W = compute_weights(model, mk_paradigms([("wand", "wände")]), ["S", "T"], GRID)
+    model.dev_weights = "f00d", W
     path = tmp_path / "model.json"
     model.save(path)
     back = ConditionalParadigmModel.load(path)
     assert back.lam == model.lam and back.order == model.order
     assert back.alphabet == model.alphabet
+    assert back.dev_weights == model.dev_weights
     for src, tgt in [("hand", "hände"), ("xyz", "xyzn"), ("", "")]:
         assert back.logprob("T", tgt, [("S", src)]) == model.logprob("T", tgt, [("S", src)])
 
@@ -390,7 +403,7 @@ def six_slot_model():
 
 def test_model_json_roundtrip_weights_bit_for_bit():
     model, dev, slots = six_slot_model()
-    back = ConditionalParadigmModel.from_json(model.to_json())
+    back = reloaded(model)
     trained = compute_weights(model, dev, slots)
     loaded = compute_weights(back, dev, slots)
     assert loaded.root == trained.root and loaded.edge == trained.edge
@@ -423,8 +436,9 @@ def test_dev_pass_matches_cross_entropy_bit_for_bit(caplog):
     """The dev pass scores each mapping once for the whole lambda grid: the
     dev CE it logs for each lambda equals `cross_entropy` with `lam` set to
     that lambda, and the written-out mixture, bit for bit; its matrix at the
-    chosen lambda equals the one staged `weights --model` computes from the
-    saved model, cell for cell."""
+    chosen lambda equals the one a dev pass at that lambda alone computes
+    from the saved model, cell for cell, so staged `weights --model` may
+    write the matrix that `train` kept."""
     model, dev, slots = six_slot_model()
     caplog.set_level(logging.INFO, logger="morphcomplexity.structure")
     W = compute_weights(model, dev, slots, GRID)
@@ -441,8 +455,7 @@ def test_dev_pass_matches_cross_entropy_bit_for_bit(caplog):
             total -= reference_logprob(model, lam, *p)
         assert ce == total / len(pairs)
     model.lam = chosen
-    back = ConditionalParadigmModel.from_json(json.loads(json.dumps(model.to_json())))
-    staged = compute_weights(back, dev, slots)
+    staged = compute_weights(reloaded(model), dev, slots)
     assert staged.root == W.root and staged.edge == W.edge
 
 
@@ -609,11 +622,12 @@ def test_train_adds_each_form_once_per_char_model(monkeypatch):
     for m in model.char_models.values():
         for hist, c in m.counts.items():
             summed.update({(hist, sym): n for sym, n in c.items()})
+    assert "fallback_char" not in vars(model)   # built on first use
     fallback = model.fallback_char
     assert {(hist, sym): n for hist, c in fallback.counts.items()
             for sym, n in c.items()} == summed
     assert all(fallback._totals[h] == sum(c.values()) for h, c in fallback.counts.items())
-    back = ConditionalParadigmModel.from_json(json.loads(json.dumps(model.to_json())))
+    back = reloaded(model)
     assert back.fallback_char.counts == fallback.counts
     assert back.fallback_char._totals == fallback._totals
 

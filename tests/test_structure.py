@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from morphcomplexity import strmodel
+from morphcomplexity import strmodel, structure
 from morphcomplexity.corpus import EMPTY, ROOT, PairView, Paradigm
 from morphcomplexity.structure import (
     Arborescence, WeightMatrix, compute_weights, max_arborescence, tree_score,
@@ -196,6 +196,61 @@ def test_beats_star_from_root():
             star = Arborescence(slots=list(W.slots), root=hub,
                                 parent={i: hub for i in range(n) if i != hub})
             assert best >= tree_score(star, W) - 1e-12
+
+
+def key_rule_edmonds(w, root):
+    """`structure._edmonds` as it picked each vertex's best parent before,
+    by `max` over (weight, index) pairs with a key: the highest weight, ties
+    to the lowest index.  The reference for its `row.index(max(row))`."""
+    def best(pairs):
+        return max(pairs, key=lambda p: (p[0], -p[1]))
+
+    m = len(w)
+    pa = [best((w[v][u], u) for u in range(m))[1] for v in range(m)]
+    done = {root}
+    for start in range(m):
+        path = {}
+        v = start
+        while v not in done and v not in path:
+            path[v] = len(path)
+            v = pa[v]
+        if v in path:
+            break
+        done.update(path)
+    else:
+        return pa
+    cycle = list(path)[path[v]:]
+    rest = [u for u in range(m) if u not in cycle]
+    k = len(rest)
+    leave = [best((w[x][u], u) for u in cycle) for x in rest]
+    enter = [best((w[v][u] - w[v][pa[v]], v) for v in cycle) for u in rest]
+    w2 = [[w[x][u] for u in rest] + [leave[i][0]] for i, x in enumerate(rest)]
+    w2.append([gain for gain, _ in enter] + [-math.inf])
+    pa2 = key_rule_edmonds(w2, rest.index(root))
+    parent = pa[:]
+    for i, x in enumerate(rest):
+        parent[x] = leave[i][1] if pa2[i] == k else rest[pa2[i]]
+    parent[enter[pa2[k]][1]] = rest[pa2[k]]
+    return parent
+
+
+def test_best_parent_pick_equals_the_key_rule(monkeypatch):
+    """On tie-heavy matrices, weights drawn from four values, Edmonds gives
+    the tree of the key-based parent rule: the same root and parents."""
+    rng = random.Random(25)
+    values = (-0.5, -1.0, -2.0, -3.0)
+    matrices = []
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        matrices.append(WeightMatrix(
+            slots=["S%d" % i for i in range(n)],
+            edge=[[rng.choice(values) if i != j else 0.0 for j in range(n)] for i in range(n)],
+            root=[rng.choice(values) for _ in range(n)]))
+    trees = [max_arborescence(W) for W in matrices]
+    monkeypatch.setattr(structure, "_edmonds", key_rule_edmonds)
+    for W, tree in zip(matrices, trees):
+        want = max_arborescence(W)
+        assert (tree.root, tree.parent) == (want.root, want.parent)
 
 
 def test_deterministic_tie_break_prefers_low_root():
