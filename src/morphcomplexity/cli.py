@@ -225,14 +225,19 @@ def stage_ingest(cfg):
     return inventory, paradigms
 
 
-def read_scorer(cfg, model_path):
+def read_scorer(cfg, model_path, split):
     """The one scorer of `weights` and `measure`, --model or --scores; a
-    saved model scores at its own lambda."""
+    saved model scores at its own lambda, and only splits of its alphabet."""
     if bool(model_path) == bool(cfg.get("scores")):
         raise ValueError("give exactly one scorer: --model or --scores")
-    if model_path:
-        return read_artifact(model_path, strmodel.ConditionalParadigmModel.load)
-    return read_artifact(cfg["scores"], _text(strmodel.load_scores))
+    if not model_path:
+        return read_artifact(cfg["scores"], _text(strmodel.load_scores))
+    model = read_artifact(model_path, strmodel.ConditionalParadigmModel.load)
+    foreign = set(split.alphabet).difference(model.alphabet)
+    if foreign:
+        raise ValueError("the split has characters %r outside the model's alphabet; "
+                         "re-run train" % "".join(sorted(foreign)))
+    return model
 
 
 def stage_measure(labels, split, scorer, tree):
@@ -281,7 +286,7 @@ def cmd_split(args, cfg):
 
 def cmd_train(args, cfg):
     split, _ = read_artifact(args.split, _load_split)
-    model = strmodel.train(split.train_pairs, cfg["order"], cfg["alpha"])
+    model = strmodel.train(split.train_pairs, cfg["order"], cfg["alpha"], split.alphabet)
     W = structure.compute_weights(model, split.dev_paradigms, split.inventory, lambda_grid(cfg))
     model.dev_weights = dev_sha256(split), W
     model.save(args.out)
@@ -293,7 +298,7 @@ def cmd_weights(args, cfg):
     """The matrix that `train` kept, if the model was trained on this dev
     set, else the dev pass at the scorer's own lambda."""
     split, labels = read_artifact(args.split, _load_split)
-    scorer = read_scorer(cfg, args.model)
+    scorer = read_scorer(cfg, args.model, split)
     if args.model and scorer.dev_weights[0] == dev_sha256(split):
         W = scorer.dev_weights[1]
         if W.slots != split.inventory:
@@ -322,7 +327,7 @@ def cmd_learn_tree(args, cfg):
 
 def cmd_measure(args, cfg):
     split, labels = read_artifact(args.split, _load_split)
-    scorer = read_scorer(cfg, args.model)
+    scorer = read_scorer(cfg, args.model, split)
     tree = read_artifact(args.tree, lambda p: structure.Arborescence.from_json(
         _json(p), split.inventory))
     point = stage_measure(labels, split, scorer, tree)
@@ -337,9 +342,9 @@ def cmd_run(args, cfg):
     inventory, paradigms = stage_ingest(cfg)
     split = corpus.make_split(paradigms, cfg, inventory)
     if cfg.get("scores"):
-        scorer, grid = read_scorer(cfg, None), None
+        scorer, grid = read_scorer(cfg, None, split), None
     else:
-        scorer = strmodel.train(split.train_pairs, cfg["order"], cfg["alpha"])
+        scorer = strmodel.train(split.train_pairs, cfg["order"], cfg["alpha"], split.alphabet)
         grid = lambda_grid(cfg)
     W = structure.compute_weights(scorer, split.dev_paradigms, split.inventory, grid)
     tree = structure.max_arborescence(W)
@@ -347,8 +352,7 @@ def cmd_run(args, cfg):
 
     write_point(point, out_dir / "point.csv")
     write_tree(cfg, tree, W, out_dir / "tree.json", out_dir / "tree.dot")
-    _write_json(out_dir / "manifest.json",
-                {"config": cfg, "format_version": strmodel.FORMAT_VERSION}, cfg)
+    _write_json(out_dir / "manifest.json", {"config": cfg}, cfg)
     print("%s/%s (%s): e=%d, i_total=%.4f bits, i_per_form=%.4f bits"
           % (point.language, point.pos, point.regime, point.e_complexity,
              point.i_total_bits, point.i_per_form_bits))
@@ -445,7 +449,7 @@ def cmd_critique(args, cfg):
     dist = platbaseline.cond_dist(plat, plat.slots[0], plat.slots[1], row[1])
     go = corpus.Paradigm("go", {"V;NFIN": "go", "V;PST": "went"})
     model = strmodel.train(corpus.PairView([go], [("go", "V;NFIN", "V;PST")]),
-                           cfg["order"], cfg["alpha"])
+                           cfg["order"], cfg["alpha"], set("gowentflyflew"))
     lp = model.logprob("V;PST", "flew", [("V;NFIN", "fly")])[0][0]
     print("critique: plat support is only %r; string model gives an unseen "
           "irregular logprob %.2f bits (finite)" % (sorted(dist), lp))

@@ -71,17 +71,16 @@ class PairView:
         return len(self.cells)
 
     def counts(self):
-        """The view's mappings counted as (forms, targets, tables): the set
-        of every form a mapping reads; each (tgt_slot, tgt)'s mapping count,
-        the root's included; and ((src_slot, tgt_slot), ends) per slot pair
-        of the non-root mappings, ends counting their (src_end, tgt_end),
-        the forms without their paradigm's `stem_length`.  All come in
-        first-seen order.  Purple cuts each paradigm once, into one column
-        of endings per slot (None where unfilled), and builds a table's ends
-        from two columns only when the table is reached, so they also count
-        pairs with a None side.  A table first appears in the first paradigm
-        that fills both its slots, at its target's turn in `target_groups`.
-        Green counts each cell into its table as it comes."""
+        """The view's mappings counted as (targets, tables): each (tgt_slot,
+        tgt)'s mapping count, the root's included; and ((src_slot, tgt_slot),
+        ends) per slot pair of the non-root mappings, ends counting their
+        (src_end, tgt_end), the forms without their paradigm's `stem_length`.
+        Both come in first-seen order.  Purple cuts each paradigm once, into
+        one column of endings per slot (None where unfilled), and builds a
+        table's ends from two columns only when the table is reached, so they
+        also count pairs with a None side.  A table first appears in the first
+        paradigm that fills both its slots, at its target's turn in
+        `target_groups`.  Green counts each cell into its table as it comes."""
         if self.cells is None:
             n = len(self.paradigms)
             targets, distinct, columns, filled = {}, {}, {}, {}
@@ -101,24 +100,21 @@ class PairView:
                            if src != tgt and (both := filled[src] & filled[tgt]))
             tables = (((src, tgt), Counter(zip(columns[src], columns[tgt])))
                       for _, tgt, src in first)
-            return {form for _, form in targets}, targets, tables
+            return targets, tables
         stems = {p.lexeme: (p.entries, stem_length(p.entries)) for p in self.paradigms}
-        forms, targets, by_pair = set(), {}, {}
+        targets, by_pair = {}, {}
         for lx, src_slot, tgt_slot in self.cells:
             entries, cut = stems[lx]
             tgt = entries[tgt_slot]
             targets[tgt_slot, tgt] = targets.get((tgt_slot, tgt), 0) + 1
             if src_slot == ROOT:
                 continue
-            src = entries[src_slot]
-            forms.add(src)
             ends = by_pair.get((src_slot, tgt_slot))
             if ends is None:
                 ends = by_pair[src_slot, tgt_slot] = {}
-            pair = src[cut:], tgt[cut:]
+            pair = entries[src_slot][cut:], tgt[cut:]
             ends[pair] = ends.get(pair, 0) + 1
-        forms.update(form for _, form in targets)
-        return forms, targets, ((key, by_pair.pop(key)) for key in list(by_pair))
+        return targets, ((key, by_pair.pop(key)) for key in list(by_pair))
 
 
 @dataclass
@@ -127,6 +123,12 @@ class DataSplit:
     dev_paradigms: list
     test_paradigms: list
     inventory: list                 # the ingested slot inventory, sorted
+
+    @property
+    def alphabet(self):
+        """The sorted characters of the forms of all the split's paradigms."""
+        paradigms = self.train_pairs.paradigms + self.dev_paradigms + self.test_paradigms
+        return sorted(set("".join(f for p in paradigms for f in p.entries.values())))
 
 
 def parse_unimorph(stream):

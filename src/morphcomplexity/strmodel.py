@@ -22,14 +22,14 @@ DEFAULT_LAMBDA = 0.05
 
 BOS = "<S>"
 EOS = "</S>"
-UNK = "<UNK>"
 
 
 class CharNGram:
-    """Add-alpha smoothed character n-gram over Sigma* (stop symbol included).
+    """Add-alpha smoothed character n-gram over Sigma* (stop symbol included),
+    Sigma being its alphabet, fixed before any form is counted.
 
-    Every history assigns positive probability to every character, to UNK and
-    to stopping, so the model is a proper distribution over all finite strings.
+    Every history assigns positive probability to every character of Sigma
+    and to stopping, so the model is a proper distribution over Sigma*.
     `logprob` is computed afresh on each call: the dev pass asks it once per
     dev target, so a per-form memo would not hit.
     """
@@ -42,21 +42,15 @@ class CharNGram:
         self.order = order
         self.alpha = alpha
         self.alphabet = sorted(alphabet)
-        # normalization vocabulary is Sigma plus stop; out-of-alphabet
-        # characters are scored through an UNK escape with the bare add-alpha
-        # numerator, outside the normalization, so Sigma* mass still sums to 1
         self._vocab = self.alphabet + [EOS]
-        self._known = set(self.alphabet)
         self.counts = defaultdict(Counter)   # history tuple -> next symbol counts
         self._totals = {}
 
     def _events(self, form):
         hist = (BOS,) * (self.order - 1)
-        known = self._known
         for ch in form:
-            sym = ch if ch in known else UNK
-            yield hist, sym
-            hist = (hist + (sym,))[1:]
+            yield hist, ch
+            hist = (hist + (ch,))[1:]
         yield hist, EOS
 
     def add(self, count, form):
@@ -85,9 +79,8 @@ class CharNGram:
         return lp
 
     def mass_upto(self, max_len):
-        """Total probability of strings over the known alphabet with length
-        <= max_len, by dynamic programming over histories (UNK excluded:
-        the mass is over Sigma* proper)."""
+        """Total probability of the strings of the alphabet with length
+        <= max_len, by dynamic programming over histories."""
         init = (BOS,) * (self.order - 1)
         states = {init: 1.0}
         mass = 0.0
@@ -114,8 +107,8 @@ class CharNGram:
                 and isinstance(x[1], dict) for x in obj)):
             raise ValueError("char model counts are not a list of [history, {symbol: count}]")
         counts = [(tuple(h), dict(c)) for h, c in obj]
-        if not all(len(h) == order - 1 and m._known | {BOS, UNK} >= set(h)
-                   and m._known | {UNK, EOS} >= c.keys()
+        if not all(len(h) == order - 1 and {BOS, *m.alphabet} >= set(h)
+                   and set(m._vocab) >= c.keys()
                    and all(type(n) is int and n > 0 for n in c.values()) for h, c in counts):
             raise ValueError("char model counts do not fit order %d and the alphabet" % order)
         m.add_counts(counts)
@@ -309,7 +302,7 @@ def _is_rule_table(table):
             and all(two_strings_and_one(r) and type(r[2]) is int and r[2] > 0 for r in table[2]))
 
 
-def train(pairs, order, alpha):
+def train(pairs, order, alpha, alphabet):
     """Fit the shared conditional model from a `corpus.PairView`'s
     `PairView.counts`: each target form is added to its slot's n-gram once,
     times its mapping count, and each rule table is built from its slot
@@ -319,10 +312,10 @@ def train(pairs, order, alpha):
     `extract_rule`'s; pairs with a None side are no mapping.  The counts
     and the rule order in each table, which fixes its float sums, are those
     of one pass over the mappings; each table is frozen as (src_suffix,
-    tgt_suffix, count) rows before the next is counted.  The alphabet is
-    that of the view's forms.  The mixture weight stays DEFAULT_LAMBDA until
-    the dev pass of `structure.compute_weights` picks it."""
-    forms, targets, tables = pairs.counts()
+    tgt_suffix, count) rows before the next is counted.  The n-grams are over
+    the split's `alphabet` (`corpus.DataSplit.alphabet`).  The mixture weight
+    stays DEFAULT_LAMBDA until `structure.compute_weights`'s dev pass picks it."""
+    targets, tables = pairs.counts()
     if not targets:
         raise ValueError("cannot train on an empty pair list")
     rule_tables = {}
@@ -334,7 +327,6 @@ def train(pairs, order, alpha):
             rule = (src, end) if src[:1] != end[:1] else extract_rule(src, end)
             rules[rule] = rules.get(rule, 0) + count
         rule_tables[key] = [(s, t, c) for (s, t), c in rules.items()]
-    alphabet = sorted(set().union(*forms))
     char_models = defaultdict(lambda: CharNGram(order, alpha, alphabet))
     for (slot, form), count in targets.items():
         char_models[slot].add(count, form)

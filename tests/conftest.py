@@ -21,9 +21,15 @@ def pair_list(view):
             for lx, src_slot, tgt_slot in view.cells]
 
 
+def view_alphabet(view):
+    """The characters of every form of a `PairView`'s paradigms, sorted."""
+    return sorted(set("".join(f for p in view.paradigms for f in p.entries.values())))
+
+
 def train(pairs, order=CONFIG_DEFAULTS["order"], alpha=CONFIG_DEFAULTS["alpha"]):
-    """`strmodel.train` at the CLI's default order and alpha unless given."""
-    return strmodel.train(pairs, order, alpha)
+    """`strmodel.train` at the CLI's default order and alpha unless given,
+    over the alphabet of the view's paradigms."""
+    return strmodel.train(pairs, order, alpha, view_alphabet(pairs))
 
 
 @pytest.fixture

@@ -229,6 +229,32 @@ def test_weights_writes_the_matrix_train_kept(partial_runs, tmp_path, monkeypatc
     assert weights(d / "split.json", d / "model.json", "kept.json") == scored
 
 
+def test_model_alphabet_is_the_splits(tmp_path):
+    """`train` fits the n-grams over every character of the split, so a
+    character only in a dev form (c) and one only in a test form (d) are in
+    the model's alphabet, and each context's q has mass <= 1 over the
+    split's strings, the mass that enumerating them gives."""
+    def paradigm(lexeme, stem):
+        return {"lexeme": lexeme, "entries": {"S": stem, "T": stem + "b"}}
+    split = {"inventory": ["S", "T"], "train_cells": None,
+             "train_paradigms": [paradigm("l%d" % i, stem)
+                                 for i, stem in enumerate(["a", "aa", "ab", "ba"])],
+             "dev_paradigms": [paradigm("dev", "ac")], "test_paradigms": [paradigm("test", "ad")],
+             "language": "x", "pos": "N", "seed": 0}
+    (tmp_path / "split.json").write_text(json.dumps(split), encoding="utf-8")
+    assert main(["train", "--split", str(tmp_path / "split.json"), "--order", "2",
+                 "--out", str(tmp_path / "model.json")]) == 0
+    model = strmodel.ConditionalParadigmModel.load(tmp_path / "model.json")
+    assert model.alphabet == ["a", "b", "c", "d"]
+    for context in [("S", "ac"), ("S", "ad"), ("S", "a"), (cli.corpus.ROOT, "")]:
+        for max_len in (3, 5):
+            brute = sum(2.0 ** model.logprob("T", "".join(tgt), [context])[0][0]
+                        for n in range(max_len + 1)
+                        for tgt in itertools.product(model.alphabet, repeat=n))
+            mass = model.mass_upto(context[1], context[0], "T", max_len)
+            assert mass <= 1.0 and mass == pytest.approx(brute, abs=1e-12)
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("language = greek\nseed = 5\norder = 2\n", encoding="utf-8")
@@ -297,6 +323,7 @@ def test_run_emits_artifacts(tmp_path, capsys):
     assert float(pt["i_per_form_bits"]) * 3 == pytest.approx(float(pt["i_total_bits"]),
                                                              abs=5e-6)
     manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest) == ["config", "config_hash", "seed"]
     assert manifest["seed"] == 1 and manifest["config_hash"]
 
 
@@ -607,6 +634,12 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("weights --split {d}/split.json --scores {word_logprob_scores} --out {tmp}/o.json", 2),
     ("measure --split {d}/split.json --model {d}/model.json --tree {cyclic_tree} "
      "--out {tmp}/o.csv", 2),
+    # a character the model was not trained over, in the kept dev weights'
+    # split (its test set) and in another dev set
+    ("weights --split {test_only_char} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
+    ("weights --split {dev_only_char} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
+    ("measure --split {test_only_char} --model {d}/model.json --tree {d}/tree.json "
+     "--out {tmp}/o.csv", 2),
 ])
 def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv, code):
     """A missing input file exits 3; an unparsable one, a tree over other
@@ -630,8 +663,10 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     alphabet distinct characters and its format the current one, whose dev
     weights are n x n finite numbers, not booleans, beside a string digest,
     and are over the split's inventory when the digest is its dev set's;
+    a model scores only a split whose characters are all in its alphabet,
+    checked before `weights` reuses its dev weights or runs the dev pass;
     each char model's counts are of histories of order - 1
-    symbols and of symbols in the alphabet, UNK or stop, given as a list of
+    symbols and of symbols in the alphabet or stop, given as a list of
     [history, counts] pairs, and each rule count is a positive integer, of
     a rule given once in a table given once, whose source is not the root.
     An inventory, a plat header and the weights repeat no slot and name
@@ -736,8 +771,13 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     synth["stem_lenght"] = synth.pop("stem_len")
     bad_records["synth_typo"] = synth
     bad_records["dup_inventory"] = dict(store, inventory=store["inventory"] * 2)
-    # empty sets, slots outside the inventory and lexemes given twice
+    # empty sets, slots outside the inventory, lexemes given twice and a
+    # character, q, outside the model's alphabet in every form of one paradigm
     train, test = split["train_paradigms"], split["test_paradigms"]
+
+    def with_q(paradigms):
+        first, *rest = paradigms
+        return [dict(first, entries={s: f + "q" for s, f in first["entries"].items()}), *rest]
     bad_records.update(
         no_train=dict(split, train_paradigms=[], train_cells=None),
         no_dev=dict(split, dev_paradigms=[]), no_test=dict(split, test_paradigms=[]),
@@ -749,6 +789,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
             dict(p, entries={"X" + s: f for s, f in p["entries"].items()}) for p in test]),
         twice_in_train=dict(split, train_paradigms=train + train[:1]),
         train_and_test=dict(split, test_paradigms=test + train[:1]),
+        dev_only_char=dict(split, dev_paradigms=with_q(split["dev_paradigms"])),
+        test_only_char=dict(split, test_paradigms=with_q(test)),
         foreign_store_slot=dict(store, paradigms=store["paradigms"] + [
             {"lexeme": "zz", "entries": {"X": "x"}}]),
         twice_in_store=dict(store, paradigms=store["paradigms"] * 2))
@@ -810,6 +852,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
                              *bad_pos, *bad_records]}}
     if argv.startswith("pareto"):
         monkeypatch.setattr(cli.stats, "perm_test", None)   # must not be reached
+    if "only_char" in argv:
+        monkeypatch.setattr(cli.structure, "compute_weights", None)   # must not be reached
     assert main(argv.format(**paths).split()) == code
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
@@ -817,7 +861,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
         assert not (tmp_path / "pareto_report.json").exists()
     if "no_inventory" in argv or "pair_list" in argv or "no_labels" in argv:
         assert "re-run split" in errors[0].getMessage()
-    if "format_" in argv or "dev_digest" in argv or "dev_weights_renamed" in argv:
+    if ("format_" in argv or "dev_digest" in argv or "dev_weights_renamed" in argv
+            or "only_char" in argv):
         assert "re-run train" in errors[0].getMessage()
     if "root_row_with_src" in argv:
         assert "line 1: a root row has an empty source form" in errors[0].getMessage()

@@ -20,7 +20,7 @@ from morphcomplexity.strmodel import (
 )
 from morphcomplexity.structure import compute_weights
 
-from conftest import pair_list, split_config, train
+from conftest import pair_list, split_config, train, view_alphabet
 
 
 GRID = (0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
@@ -94,7 +94,7 @@ def test_char_ngram_sums_to_one_per_history():
     for hist in list(m.counts) + [("x",)]:
         total = sum(m.prob(hist, sym) for sym in m.alphabet + ["</S>"])
         assert total == pytest.approx(1.0, abs=1e-12)
-        assert all(m.prob(hist, sym) > 0 for sym in m.alphabet + ["</S>", "<UNK>"])
+        assert all(m.prob(hist, sym) > 0 for sym in m.alphabet + ["</S>"])
 
 
 def test_char_ngram_mass_matches_enumeration():
@@ -231,16 +231,14 @@ def test_mle_more_data_improves_dev_ce():
     assert sum(deltas) / len(deltas) > -0.05
 
 
-def train_per_mapping(pairs, order=3, alpha=0.1):
-    """The model by one `extract_rule` of the full forms and one target
-    count per mapping, in the mappings' order."""
-    sources, targets, rule_tables = set(), Counter(), defaultdict(Counter)
+def train_per_mapping(pairs, alphabet, order=3, alpha=0.1):
+    """The model over `alphabet` by one `extract_rule` of the full forms and
+    one target count per mapping, in the mappings' order."""
+    targets, rule_tables = Counter(), defaultdict(Counter)
     for src, src_slot, tgt_slot, tgt in pairs:
-        sources.add(src)
         if src_slot != ROOT:
             rule_tables[(src_slot, tgt_slot)][extract_rule(src, tgt)] += 1
         targets[tgt_slot, tgt] += 1
-    alphabet = sorted(set().union(*sources, *(form for _, form in targets)))
     char_models = {}
     for (slot, form), count in targets.items():
         if slot not in char_models:
@@ -290,7 +288,8 @@ def test_train_equals_per_mapping_counts(paradigms, pair_count, seed):
                                                dev_paradigms=0, test_paradigms=0, seed=seed),
                        ["A", "B", "C", "D"]).train_pairs
     for pairs in (PairView(paradigms), green):
-        model, want = train(pairs, order=2), train_per_mapping(pair_list(pairs), order=2)
+        model = train(pairs, order=2)
+        want = train_per_mapping(pair_list(pairs), view_alphabet(pairs), order=2)
         assert list(model.rule_tables) == list(want.rule_tables)
         for key, rows in want.rule_tables.items():
             assert model.rule_tables[key] == rows
