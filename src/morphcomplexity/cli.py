@@ -110,11 +110,13 @@ def lambda_grid(cfg):
     return tuple(float(x) for x in str(cfg["lambda_grid"]).split(","))
 
 
-def _write_json(path, obj, cfg):
-    """Write an artifact, stamped with the hash of the config and its seed."""
+def _write_json(path, obj, cfg, compact=False):
+    """Write an artifact, stamped with the hash of the config and its seed:
+    indented, or compact on one line, which json.dumps writes in C."""
     blob = json.dumps(cfg, sort_keys=True).encode("utf-8")
     obj = dict(obj, config_hash=hashlib.sha256(blob).hexdigest()[:16], seed=cfg["seed"])
-    Path(path).write_text(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n",
+    layout = {"separators": (",", ":")} if compact else {"indent": 1}
+    Path(path).write_text(json.dumps(obj, ensure_ascii=False, sort_keys=True, **layout) + "\n",
                           encoding="utf-8")
 
 
@@ -164,7 +166,7 @@ def _load_store(path):
     obj = _json(path)
     inventory = corpus.inventory_from_json(obj)
     return (_labels(obj, ("language", "pos"), "ingest"), inventory,
-            corpus.paradigms_from_json(obj["paradigms"], inventory))
+            corpus.paradigms_from_json(obj["paradigms"], inventory, "ingest"))
 
 
 def _load_split(path):
@@ -176,8 +178,8 @@ def _load_split(path):
 def dev_sha256(split):
     """sha256 of the split's inventory and dev paradigms as split.json
     stores them: all that a dev pass over the split reads of it."""
-    blob = json.dumps([split.inventory, corpus.paradigms_to_json(split.dev_paradigms)],
-                      ensure_ascii=False, sort_keys=True)
+    rows = corpus.paradigms_to_json(split.dev_paradigms, split.inventory)
+    blob = json.dumps([split.inventory, rows], ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -263,10 +265,10 @@ def cmd_ingest(args, cfg):
     store = {
         "language": cfg["language"], "pos": cfg["pos"],
         "inventory": inventory,
-        "paradigms": corpus.paradigms_to_json(paradigms),
+        "paradigms": corpus.paradigms_to_json(paradigms, inventory),
     }
     if args.out:
-        _write_json(args.out, store, cfg)
+        _write_json(args.out, store, cfg, compact=True)
     print("lexemes: %d" % len(paradigms))
     print("slots: %d" % len(inventory))
     print("full paradigms: %d" % full)
@@ -278,7 +280,7 @@ def cmd_ingest(args, cfg):
 def cmd_split(args, cfg):
     labels, inventory, paradigms = read_artifact(args.store, _load_store)
     split = corpus.make_split(paradigms, cfg, inventory)
-    _write_json(args.out, dict(corpus.split_to_json(split), **labels), cfg)
+    _write_json(args.out, dict(corpus.split_to_json(split), **labels), cfg, compact=True)
     print("train pairs: %d, dev paradigms: %d, test paradigms: %d"
           % (len(split.train_pairs), len(split.dev_paradigms), len(split.test_paradigms)))
     return EXIT_OK

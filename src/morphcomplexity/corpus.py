@@ -5,7 +5,8 @@ import itertools
 import logging
 import os
 import random
-from collections import Counter
+import sys
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -20,11 +21,7 @@ class InsufficientDataError(ValueError):
     """Missing or too little data."""
 
 
-@dataclass(frozen=True)
-class WordType:
-    lexeme: str
-    slot: str
-    form: str
+WordType = namedtuple("WordType", "lexeme slot form")
 
 
 @dataclass
@@ -148,7 +145,8 @@ def parse_unimorph(stream):
             errors.append("line %d: expected 3 tab-separated fields, got: %r" % (lineno, line))
             continue
         lemma, form, feats = (f.strip() for f in fields)
-        words.append(WordType(lexeme=lemma, slot=feats, form=form))
+        # a lexicon repeats each slot string once per lexeme: keep one copy
+        words.append(WordType(lemma, sys.intern(feats), form))
     return words, errors
 
 
@@ -253,21 +251,33 @@ def make_split(paradigms, spec, inventory):
                      test_paradigms=test, inventory=list(inventory))
 
 
-def paradigms_to_json(paradigms):
-    return [{"lexeme": p.lexeme, "entries": p.entries} for p in paradigms]
+def paradigms_to_json(paradigms, inventory):
+    """Paradigms in the layout of `store.json` and `split.json`: one row per
+    paradigm, [lexeme, then the form of each inventory slot in inventory
+    order, null where the paradigm does not fill it].  A row holds no slot
+    name, so it is shorter than a {slot: form} record while the paradigm
+    fills more than about a quarter of the inventory."""
+    return [[p.lexeme, *map(p.entries.get, inventory)] for p in paradigms]
 
 
-def paradigms_from_json(records, inventory):
-    """Paradigm records, each of a lexeme no other gives, over inventory slots."""
-    if not isinstance(records, list):
+def paradigms_from_json(rows, inventory, stage):
+    """The paradigms of `paradigms_to_json` rows over `inventory`, each of a
+    lexeme no other row gives; a record of the old {"lexeme", "entries"}
+    layout says to re-run `stage`, the stage that wrote it."""
+    if not isinstance(rows, list):
         raise ValueError("a paradigm list is not a JSON list")
-    paradigms = [Paradigm(r["lexeme"], dict(r["entries"])) for r in records]
-    slots = set(inventory)
-    for p in paradigms:
-        if not isinstance(p.lexeme, str) or not all(
-                s in slots and isinstance(f, str) for s, f in p.entries.items()):
-            raise ValueError("paradigm %r: lexeme and forms must be strings and slots "
-                             "of the inventory" % (p.lexeme,))
+    width = 1 + len(inventory)
+    paradigms = []
+    for row in rows:
+        if isinstance(row, dict):
+            raise ValueError("a paradigm is a record of an old layout; re-run %s" % stage)
+        if not (isinstance(row, list) and len(row) == width):
+            raise ValueError("a paradigm row is not a list of %d items, the lexeme and a "
+                             "form or null per inventory slot" % width)
+        entries = {s: f for s, f in zip(inventory, row[1:]) if f is not None}
+        if not isinstance(row[0], str) or not all(isinstance(f, str) for f in entries.values()):
+            raise ValueError("paradigm %r: lexeme and forms must be strings" % (row[0],))
+        paradigms.append(Paradigm(row[0], entries))
     if len({p.lexeme for p in paradigms}) < len(paradigms):
         raise ValueError("a paradigm list gives a lexeme twice")
     return paradigms
@@ -290,10 +300,10 @@ def inventory_from_json(obj):
 def split_to_json(split):
     return {
         "inventory": split.inventory,
-        "train_paradigms": paradigms_to_json(split.train_pairs.paradigms),
+        "train_paradigms": paradigms_to_json(split.train_pairs.paradigms, split.inventory),
         "train_cells": split.train_pairs.cells,
-        "dev_paradigms": paradigms_to_json(split.dev_paradigms),
-        "test_paradigms": paradigms_to_json(split.test_paradigms),
+        "dev_paradigms": paradigms_to_json(split.dev_paradigms, split.inventory),
+        "test_paradigms": paradigms_to_json(split.test_paradigms, split.inventory),
     }
 
 
@@ -301,7 +311,7 @@ def split_from_json(obj):
     if "inventory" not in obj or "train_pairs" in obj:
         raise ValueError("split has an old layout (no inventory or a pair list); re-run split")
     inventory = inventory_from_json(obj)
-    train, dev, test = (paradigms_from_json(obj[k], inventory)
+    train, dev, test = (paradigms_from_json(obj[k], inventory, "split")
                         for k in ("train_paradigms", "dev_paradigms", "test_paradigms"))
     if len({p.lexeme for p in train + dev + test}) < len(train) + len(dev) + len(test):
         raise ValueError("a lexeme is in two of train, dev and test")

@@ -283,14 +283,35 @@ class ConditionalParadigmModel:
                    dev_weights=(dev["dev_sha256"], WeightMatrix.from_json(dev)))
 
     def save(self, path):
+        """Write the sorted JSON text of `to_json` in UTF-8, one rule table
+        or char model at a time: json.dumps holds its pieces and their join
+        at once, two copies of the text it returns."""
         with open(path, "w", encoding="utf-8") as fh:
-            # json.dumps, unlike json.dump, runs the C encoder
-            fh.write(json.dumps(self.to_json(), ensure_ascii=False, sort_keys=True))
+            fh.writelines(_json_pieces(self.to_json(), 2))
 
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
+
+
+def _json_pieces(value, depth):
+    """The text of json.dumps(value, ensure_ascii=False, sort_keys=True) in
+    pieces: the objects and arrays of the top `depth` levels piece by piece,
+    each value below them through json.dumps, which runs the C encoder."""
+    if depth and isinstance(value, (dict, list)):
+        keyed = isinstance(value, dict)
+        yield "{" if keyed else "["
+        for i, item in enumerate(sorted(value) if keyed else value):
+            if i:
+                yield ", "
+            if keyed:
+                yield json.dumps(item, ensure_ascii=False) + ": "
+                item = value[item]
+            yield from _json_pieces(item, depth - 1)
+        yield "}" if keyed else "]"
+    else:
+        yield json.dumps(value, ensure_ascii=False, sort_keys=True)
 
 
 def _is_rule_table(table):

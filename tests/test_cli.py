@@ -20,9 +20,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import morphcomplexity
 from morphcomplexity import cli, strmodel
 from morphcomplexity.cli import main
-from morphcomplexity.corpus import Paradigm, PairView
+from morphcomplexity.corpus import PairView
 
-from conftest import pair_list
+from conftest import pair_list, split_config
 from test_golden import write_inputs
 
 
@@ -51,6 +51,11 @@ def read_point(path):
 
 SMALL_SPLIT = ["--paradigm-count", "40", "--dev-paradigms", "20", "--test-paradigms", "20"]
 SMALL = SMALL_SPLIT + ["--order", "2"]
+
+
+def row_entries(obj, row):
+    """A paradigm row's {slot: form}, over the inventory of its store or split."""
+    return {s: f for s, f in zip(obj["inventory"], row[1:]) if f is not None}
 
 
 def write_config(path, flags, **keys):
@@ -221,7 +226,7 @@ def test_weights_writes_the_matrix_train_kept(partial_runs, tmp_path, monkeypatc
     assert weights(other, d / "model.json", "other.json") != scored
     assert len(passes) == 2 and passes[1][0].lam == model["lambda"]
     assert passes[1][1] == cli.corpus.paradigms_from_json(split["test_paradigms"],
-                                                           split["inventory"])
+                                                           split["inventory"], "split")
 
     def no_dev_pass(*args):
         raise AssertionError("the dev pass ran")
@@ -235,7 +240,7 @@ def test_model_alphabet_is_the_splits(tmp_path):
     the model's alphabet, and each context's q has mass <= 1 over the
     split's strings, the mass that enumerating them gives."""
     def paradigm(lexeme, stem):
-        return {"lexeme": lexeme, "entries": {"S": stem, "T": stem + "b"}}
+        return [lexeme, stem, stem + "b"]
     split = {"inventory": ["S", "T"], "train_cells": None,
              "train_paradigms": [paradigm("l%d" % i, stem)
                                  for i, stem in enumerate(["a", "aa", "ab", "ba"])],
@@ -380,6 +385,35 @@ def write_partial_lexicon(path, count=120):
     return path
 
 
+@pytest.mark.parametrize("regime", ["purple", "green"])
+def test_store_and_split_round_trip_as_rows(tmp_path, regime):
+    """`ingest` and `split` write each paradigm as one row, its lexeme and a
+    form or null per inventory slot, in compact JSON on one line; the
+    paradigms, cells and inventory read back are those the stages built."""
+    lex = write_partial_lexicon(tmp_path / "lex.tsv")
+    store, split = tmp_path / "store.json", tmp_path / "split.json"
+    assert main(["ingest", "--data", str(lex), "--out", str(store)]) == 0
+    assert main(["split", "--store", str(store), "--out", str(split), "--regime", regime,
+                 "--pair-count", "300", "--seed", "4"] + SMALL_SPLIT) == 0
+    labels, inventory, paradigms = cli._load_store(store)
+    assert (inventory, paradigms) == cli.stage_ingest(split_config(data=str(lex)))
+    rows = json.loads(store.read_text(encoding="utf-8"))["paradigms"]
+    assert rows[[p.lexeme for p in paradigms].index("rare")] == [
+        "rare", *("rareo" if slot == RARE_SLOT else None for slot in inventory)]
+    want = cli.corpus.make_split(paradigms, split_config(
+        regime=regime, pair_count=300, paradigm_count=40, dev_paradigms=20,
+        test_paradigms=20, seed=4), inventory)
+    got, _ = cli._load_split(split)
+    assert got.inventory == want.inventory == inventory
+    assert got.train_pairs.paradigms == want.train_pairs.paradigms
+    assert pair_list(got.train_pairs) == pair_list(want.train_pairs)
+    assert (got.dev_paradigms, got.test_paradigms) == (want.dev_paradigms, want.test_paradigms)
+    for path in (store, split):
+        text = path.read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert ", " not in text and ": " not in text
+
+
 def staged_and_run(d, lex, flags):
     """Run the staged chain and `run` on one lexicon into `d` and `d/run`,
     every stage reading the one config file that holds the lexicon and the
@@ -412,7 +446,7 @@ def test_stagewise_pipeline_matches_run(partial_runs):
     split = json.loads((d / "split.json").read_text())
     sampled = set()
     for p in split["train_paradigms"] + split["dev_paradigms"] + split["test_paradigms"]:
-        sampled.update(p["entries"])
+        sampled.update(row_entries(split, p))
     assert RARE_SLOT not in sampled   # the fixture's point: no sampled paradigm fills it
     assert (d / "point.csv").read_bytes() == (d / "run" / "point.csv").read_bytes()
     staged = json.loads((d / "tree.json").read_text())
@@ -640,14 +674,23 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("weights --split {dev_only_char} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
     ("measure --split {test_only_char} --model {d}/model.json --tree {d}/tree.json "
      "--out {tmp}/o.csv", 2),
+    # paradigm rows of the wrong length or with a form neither a string nor
+    # null, and paradigms in the old record layout
+    ("weights --split {short_row_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
+    ("train --split {long_row_train} --out {tmp}/o.json", 2),
+    ("weights --split {bool_form_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
+    ("split --store {old_record_store} --out {tmp}/o.json --seed 0", 2),
+    ("train --split {old_record_split} --out {tmp}/o.json", 2),
 ])
 def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv, code):
     """A missing input file exits 3; an unparsable one, a tree over other
     slots than the split's inventory or a tree with a cycle, exits 2, as
     does an input that the stage using it rejects, such as an empty train, dev or test set, weights
     over no slot or a plat of one slot; a failed write exits 4; each with
-    one ERROR line.  Paradigm records fill only slots of the inventory and
-    give each lexeme once across train, dev and test, and each dev or test
+    one ERROR line.  A paradigm row is a list of its lexeme and one form or
+    null per inventory slot, lexeme and forms strings, and a record of the
+    old {"lexeme", "entries"} layout says to re-run the stage that wrote it.
+    A split gives each lexeme once across train, dev and test, and each dev or test
     paradigm fills two slots or more; plat class weights are finite and >= 0.
     Weights must be finite numbers, not booleans, and n x n over distinct
     slots, scores finite numbers and
@@ -732,11 +775,11 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
                                  "tgt_slot": PARTIAL_SLOTS[0]}]
     (tmp_path / "pair_list.json").write_text(json.dumps(pair_list), encoding="utf-8")
     # a green cell from a slot its paradigm does not fill
-    lexeme = split["train_paradigms"][0]["lexeme"]
+    lexeme = split["train_paradigms"][0][0]
     foreign_cell = dict(split, train_cells=[[lexeme, RARE_SLOT, PARTIAL_SLOTS[1]]])
     (tmp_path / "foreign_cell.json").write_text(json.dumps(foreign_cell), encoding="utf-8")
     # a green cell from a slot to itself
-    slot = min(split["train_paradigms"][0]["entries"])
+    slot = min(row_entries(split, split["train_paradigms"][0]))
     self_cell = dict(split, train_cells=[[lexeme, slot, slot]])
     (tmp_path / "self_cell.json").write_text(json.dumps(self_cell), encoding="utf-8")
     # a tree over the five filled slots only, as the old staged chain learned it
@@ -747,14 +790,30 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     tree = {"root": slots[0], "edges": dict({s: slots[0] for s in slots[3:]},
                                             **{slots[1]: slots[2], slots[2]: slots[1]})}
     (tmp_path / "cyclic_tree.json").write_text(json.dumps(tree), encoding="utf-8")
-    # paradigm records whose form, lexeme or slot is not a string
+    # paradigm rows whose lexeme or form is not a string, the form here an
+    # int or an old record's [slot, form] pair
     store = json.loads((partial_runs / "store.json").read_text())
+    assert store["inventory"] == split["inventory"]
+
+    def row(lexeme, *forms):
+        return [lexeme, *forms] + [None] * (len(split["inventory"]) - len(forms))
+    train, dev, test = (split[k] for k in ("train_paradigms", "dev_paradigms", "test_paradigms"))
     bad_records = {
-        "int_form_store": dict(store, paradigms=[{"lexeme": "x", "entries": {"A": 5}}]),
-        "int_form_train": dict(split, train_paradigms=[{"lexeme": "x", "entries": {"A": 5}}],
-                               train_cells=None),
-        "int_lexeme_dev": dict(split, dev_paradigms=[{"lexeme": 7, "entries": {"A": "a"}}]),
-        "int_slot_test": dict(split, test_paradigms=[{"lexeme": "x", "entries": [[1, "a"]]}]),
+        "int_form_store": dict(store, paradigms=[row("x", 5)]),
+        "int_form_train": dict(split, train_paradigms=[row("x", 5)], train_cells=None),
+        "int_lexeme_dev": dict(split, dev_paradigms=[row(7, "a", "a")]),
+        "int_slot_test": dict(split, test_paradigms=[row("x", [1, "a"], "a")]),
+        "bool_form_dev": dict(split, dev_paradigms=[[dev[0][0], False, *dev[0][2:]], *dev[1:]]),
+        # a row one item short (its last slot's) or one long (a trailing null)
+        "short_row_dev": dict(split, dev_paradigms=[dev[0][:-1], *dev[1:]]),
+        "long_row_train": dict(split, train_paradigms=[train[0] + [None], *train[1:]]),
+        # every paradigm as a {"lexeme", "entries"} record, the old layout
+        "old_record_store": dict(store, paradigms=[
+            {"lexeme": p[0], "entries": row_entries(store, p)} for p in store["paradigms"]]),
+        "old_record_split": dict(split, **{k: [{"lexeme": p[0], "entries": row_entries(split, p)}
+                                               for p in split[k]]
+                                           for k in ("train_paradigms", "dev_paradigms",
+                                                     "test_paradigms")}),
         # the point labels a split copies from its store, and its own seed
         "no_labels": {k: v for k, v in split.items() if k not in ("language", "pos", "seed")},
         "bool_seed": dict(split, seed=True),
@@ -771,28 +830,24 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     synth["stem_lenght"] = synth.pop("stem_len")
     bad_records["synth_typo"] = synth
     bad_records["dup_inventory"] = dict(store, inventory=store["inventory"] * 2)
-    # empty sets, slots outside the inventory, lexemes given twice and a
-    # character, q, outside the model's alphabet in every form of one paradigm
-    train, test = split["train_paradigms"], split["test_paradigms"]
+    # empty sets, forms of a slot past the inventory (a row one item long),
+    # lexemes given twice and a character, q, outside the model's alphabet
+    # in every form of one paradigm
 
     def with_q(paradigms):
-        first, *rest = paradigms
-        return [dict(first, entries={s: f + "q" for s, f in first["entries"].items()}), *rest]
+        (lexeme, *forms), *rest = paradigms
+        return [[lexeme, *(f if f is None else f + "q" for f in forms)], *rest]
     bad_records.update(
         no_train=dict(split, train_paradigms=[], train_cells=None),
         no_dev=dict(split, dev_paradigms=[]), no_test=dict(split, test_paradigms=[]),
-        one_slot_dev=dict(split, dev_paradigms=split["dev_paradigms"] + [
-            {"lexeme": "zz", "entries": {PARTIAL_SLOTS[0]: "zz"}}]),
-        empty_test=dict(split, test_paradigms=test + [
-            {"lexeme": "zz%d" % i, "entries": {}} for i in range(20)]),
-        foreign_test_slots=dict(split, test_paradigms=[
-            dict(p, entries={"X" + s: f for s, f in p["entries"].items()}) for p in test]),
+        one_slot_dev=dict(split, dev_paradigms=dev + [row("zz", "zz")]),
+        empty_test=dict(split, test_paradigms=test + [row("zz%d" % i) for i in range(20)]),
+        foreign_test_slots=dict(split, test_paradigms=[p + ["x"] for p in test]),
         twice_in_train=dict(split, train_paradigms=train + train[:1]),
         train_and_test=dict(split, test_paradigms=test + train[:1]),
-        dev_only_char=dict(split, dev_paradigms=with_q(split["dev_paradigms"])),
+        dev_only_char=dict(split, dev_paradigms=with_q(dev)),
         test_only_char=dict(split, test_paradigms=with_q(test)),
-        foreign_store_slot=dict(store, paradigms=store["paradigms"] + [
-            {"lexeme": "zz", "entries": {"X": "x"}}]),
+        foreign_store_slot=dict(store, paradigms=store["paradigms"] + [row("zz", "x") + ["x"]]),
         twice_in_store=dict(store, paradigms=store["paradigms"] * 2))
     model = json.loads((partial_runs / "model.json").read_text())
     src_slot, tgt_slot, rules = model["rule_tables"][0]
@@ -859,8 +914,11 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     assert len(errors) == 1 and errors[0].exc_info is None
     if argv.startswith("pareto"):   # a failed call leaves no report behind
         assert not (tmp_path / "pareto_report.json").exists()
-    if "no_inventory" in argv or "pair_list" in argv or "no_labels" in argv:
+    if ("no_inventory" in argv or "pair_list" in argv or "no_labels" in argv
+            or "old_record_split" in argv):
         assert "re-run split" in errors[0].getMessage()
+    if "old_record_store" in argv:
+        assert "re-run ingest" in errors[0].getMessage()
     if ("format_" in argv or "dev_digest" in argv or "dev_weights_renamed" in argv
             or "only_char" in argv):
         assert "re-run train" in errors[0].getMessage()
@@ -1050,7 +1108,7 @@ def test_external_scores_pipeline(tmp_path, caplog):
     # the tree reads for the test set give the full table's point
     split = json.loads((d / "split.json").read_text())
     read = set()
-    for entries in (p["entries"] for p in split["test_paradigms"]):
+    for entries in (row_entries(split, p) for p in split["test_paradigms"]):
         for slot, form in entries.items():
             parent = staged["edges"].get(slot)
             src = (entries[parent], parent) if parent in entries else ("", "")
@@ -1076,7 +1134,7 @@ def test_external_scores_pipeline(tmp_path, caplog):
     # a root row that measure reads, the tree root slot's, is still needed
     exits_2_naming_a_root_row(measure, read, staged["root"])
     # the dev pass scores every dev target's root context
-    dev_slot = min(split["dev_paradigms"][0]["entries"])
+    dev_slot = min(row_entries(split, split["dev_paradigms"][0]))
     exits_2_naming_a_root_row(["weights", "--split", d / "split.json", "--seed", "2",
                                "--out", d / "partial_weights.json"], lines, dev_slot)
     exits_2_naming_a_root_row(["run", "--data", lex, "--out-dir", tmp_path / "partial"] + flags,
@@ -1220,8 +1278,9 @@ def test_dev_pass_worker_failure(tmp_path, caplog, monkeypatch, failing):
     assert main(["ingest", "--data", str(lex), "--out", str(store)]) == 0
     assert main(["split", "--store", str(store), "--out", str(split), "--seed", "2"]
                 + SMALL_SPLIT) == 0
-    dev = [pair_list(PairView([Paradigm(p["lexeme"], p["entries"])]))
-           for p in json.loads(split.read_text())["dev_paradigms"]]
+    obj = json.loads(split.read_text())
+    dev = [pair_list(PairView([p])) for p in cli.corpus.paradigms_from_json(
+        obj["dev_paradigms"], obj["inventory"], "split")]
     assert len(dev) == 20
     lacking = {"child lacks a row": [15], "parent and child lack a row": [3, 15],
                "parent lacks a row, children killed": [3]}.get(failing, [])

@@ -408,6 +408,22 @@ def test_model_json_roundtrip_weights_bit_for_bit():
     assert loaded.root == trained.root and loaded.edge == trained.edge
 
 
+def test_model_save_writes_the_json_dumps_text_in_pieces(tmp_path):
+    """`save` encodes a rule table or char model at a time, and the file is
+    still the json.dumps text of the whole model, dev weights included;
+    the pieces of any value join to its json.dumps text."""
+    model, dev, slots = six_slot_model()
+    model.dev_weights = "0" * 64, compute_weights(model, dev, slots, GRID)
+    model.save(tmp_path / "model.json")
+    want = json.dumps(model.to_json(), ensure_ascii=False, sort_keys=True)
+    assert (tmp_path / "model.json").read_text(encoding="utf-8") == want
+    for value in [{}, [], "ä", 1.5, [[], {}], {"b": [None, {"z": 1, "y": [2]}], "a": {}},
+                  [{"ü": ["ß", 0.1]}, [True, [[]]]]]:
+        for depth in range(4):
+            assert "".join(strmodel._json_pieces(value, depth)) == json.dumps(
+                value, ensure_ascii=False, sort_keys=True)
+
+
 def reference_logprob(model, lam, src, src_slot, tgt_slot, tgt):
     """log2 q by the mixture's float operations written out one by one."""
     lc = CharNGram.from_json(model.char_model(tgt_slot).to_json(), model.order, model.alpha,
