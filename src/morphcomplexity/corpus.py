@@ -3,10 +3,9 @@
 import bisect
 import itertools
 import logging
-import os
 import random
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -48,17 +47,11 @@ def can_hold_out(paradigm):
     return len(paradigm.entries) >= 2
 
 
-def stem_length(entries):
-    """Length of the shared stem, the prefix common to all of a paradigm's
-    forms: the longest common prefix of any two of them is at least as long."""
-    return len(os.path.commonprefix(list(entries.values())))
-
-
 @dataclass
 class PairView:
-    """Sized, lazy view of training mappings: every paradigm's, in
-    `target_groups` order (purple), or the sampled (lexeme, src_slot,
-    tgt_slot) cells in order (green).  `counts` is the one walk of them."""
+    """Sized view of training mappings, which `strmodel.train` walks: every
+    paradigm's, in `target_groups` order (purple), or the sampled (lexeme,
+    src_slot, tgt_slot) cells in order (green)."""
     paradigms: list
     cells: list = None
 
@@ -66,52 +59,6 @@ class PairView:
         if self.cells is None:
             return sum(len(p) ** 2 for p in self.paradigms)
         return len(self.cells)
-
-    def counts(self):
-        """The view's mappings counted as (targets, tables): each (tgt_slot,
-        tgt)'s mapping count, the root's included; and ((src_slot, tgt_slot),
-        ends) per slot pair of the non-root mappings, ends counting their
-        (src_end, tgt_end), the forms without their paradigm's `stem_length`.
-        Both come in first-seen order.  Purple cuts each paradigm once, into
-        one column of endings per slot (None where unfilled), and builds a
-        table's ends from two columns only when the table is reached, so they
-        also count pairs with a None side.  A table first appears in the first
-        paradigm that fills both its slots, at its target's turn in
-        `target_groups`.  Green counts each cell into its table as it comes."""
-        if self.cells is None:
-            n = len(self.paradigms)
-            targets, distinct, columns, filled = {}, {}, {}, {}
-            for i, p in enumerate(self.paradigms):
-                cut = stem_length(p.entries)
-                for slot in sorted(p.entries):
-                    form = p.entries[slot]
-                    targets[slot, form] = targets.get((slot, form), 0) + len(p)
-                    if slot not in columns:
-                        columns[slot], filled[slot] = [None] * n, 0
-                    end = form[cut:]
-                    columns[slot][i] = distinct.setdefault(end, end)
-                    filled[slot] |= 1 << i
-            # the lowest paradigm filling both slots, as its bit's position
-            first = sorted(((both & -both).bit_length(), tgt, src)
-                           for tgt in filled for src in filled
-                           if src != tgt and (both := filled[src] & filled[tgt]))
-            tables = (((src, tgt), Counter(zip(columns[src], columns[tgt])))
-                      for _, tgt, src in first)
-            return targets, tables
-        stems = {p.lexeme: (p.entries, stem_length(p.entries)) for p in self.paradigms}
-        targets, by_pair = {}, {}
-        for lx, src_slot, tgt_slot in self.cells:
-            entries, cut = stems[lx]
-            tgt = entries[tgt_slot]
-            targets[tgt_slot, tgt] = targets.get((tgt_slot, tgt), 0) + 1
-            if src_slot == ROOT:
-                continue
-            ends = by_pair.get((src_slot, tgt_slot))
-            if ends is None:
-                ends = by_pair[src_slot, tgt_slot] = {}
-            pair = entries[src_slot][cut:], tgt[cut:]
-            ends[pair] = ends.get(pair, 0) + 1
-        return targets, ((key, by_pair.pop(key)) for key in list(by_pair))
 
 
 @dataclass

@@ -23,6 +23,8 @@ class Plat:
     weights: list = field(default=None)
 
     def __post_init__(self):
+        if not self.slots:
+            raise ValueError("a plat needs at least one slot")
         if self.weights is None:
             self.weights = [1.0 / len(self.classes)] * len(self.classes)
         if len(self.weights) != len(self.classes):
@@ -39,7 +41,7 @@ class Plat:
 def parse_plat(stream):
     """Parse the plat TSV: header of slot ids, then one row per class
     (class id, optional numeric weight, exponents)."""
-    rows = [line.rstrip("\n").split("\t") for line in stream
+    rows = [line.rstrip("\n").rstrip("\r").split("\t") for line in stream
             if line.strip() and not line.lstrip().startswith("#")]
     if len(rows) < 2:
         raise ValueError("plat needs a header row and at least one class row")

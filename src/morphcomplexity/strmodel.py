@@ -11,6 +11,7 @@ anywhere a scorer is needed.
 
 import json
 import math
+import os
 from collections import Counter, defaultdict
 from functools import cached_property
 
@@ -35,10 +36,6 @@ class CharNGram:
     """
 
     def __init__(self, order, alpha, alphabet):
-        if not (type(order) is int and order >= 1
-                and type(alpha) in (int, float) and 0 < alpha < math.inf):
-            raise ValueError("char model order %r is not an int >= 1 or alpha %r not > 0"
-                             % (order, alpha))
         self.order = order
         self.alpha = alpha
         self.alphabet = sorted(alphabet)
@@ -115,12 +112,16 @@ class CharNGram:
         return m
 
 
+def stem_length(forms):
+    """Length of the longest common prefix of the forms: the stem all forms
+    of a paradigm share, or the part of a source and a target that a rule
+    keeps."""
+    return len(os.path.commonprefix(list(forms)))
+
+
 def extract_rule(src, tgt):
     """Suffix-rewrite rule from the longest common prefix of src and tgt."""
-    i = 0
-    n = min(len(src), len(tgt))
-    while i < n and src[i] == tgt[i]:
-        i += 1
+    i = stem_length((src, tgt))
     return src[i:], tgt[i:]
 
 
@@ -140,6 +141,10 @@ class ConditionalParadigmModel:
                  dev_weights=None):
         if not (isinstance(lam, float) and 0.0 < lam < 1.0):
             raise ValueError("model lambda %r is not a number in (0, 1)" % (lam,))
+        if not (type(order) is int and order >= 1
+                and type(alpha) in (int, float) and 0 < alpha < math.inf):
+            raise ValueError("char model order %r is not an int >= 1 or alpha %r not > 0"
+                             % (order, alpha))
         self.alphabet = sorted(alphabet)
         self.order = order
         self.alpha = alpha
@@ -324,21 +329,58 @@ def _is_rule_table(table):
 
 
 def train(pairs, order, alpha, alphabet):
-    """Fit the shared conditional model from a `corpus.PairView`'s
-    `PairView.counts`: each target form is added to its slot's n-gram once,
-    times its mapping count, and each rule table is built from its slot
-    pair's counts of (source ending, target ending) pairs, the two forms'
-    endings after their paradigm's shared stem.  A pair's rule is the two
-    endings themselves when their first letters differ, else
-    `extract_rule`'s; pairs with a None side are no mapping.  The counts
-    and the rule order in each table, which fixes its float sums, are those
-    of one pass over the mappings; each table is frozen as (src_suffix,
-    tgt_suffix, count) rows before the next is counted.  The n-grams are over
-    the split's `alphabet` (`corpus.DataSplit.alphabet`).  The mixture weight
-    stays DEFAULT_LAMBDA until `structure.compute_weights`'s dev pass picks it."""
-    targets, tables = pairs.counts()
-    if not targets:
+    """Fit the shared conditional model from a `corpus.PairView` in one walk
+    of its training mappings, with the counts of counting each on its own.
+
+    Each paradigm is cut once at its stem, the `stem_length` of its forms,
+    into one column of endings per slot (None where unfilled).  A target
+    form is added to its slot's n-gram once, times its mapping count: a
+    purple paradigm's filled-slot count, a green cell's 1.  A (src_slot,
+    tgt_slot) rule table counts its mappings' (source ending, target ending)
+    pairs.  Purple zips the two columns, in C, the tables in the order of
+    their first mappings: in the first paradigm filling both slots, at the
+    target's turn in `corpus.target_groups`.  Green counts each cell as it
+    comes.  A pair's rule is the two endings when their first letters
+    differ, else `extract_rule`'s; a pair with a None side is no mapping.
+    Rules enter a table in first-seen order, which fixes its float sums, and
+    each table is frozen as (src_suffix, tgt_suffix, count) rows before the
+    next is counted.  The n-grams are over the split's `alphabet`; the
+    mixture weight stays DEFAULT_LAMBDA until `structure.compute_weights`'s
+    dev pass picks it."""
+    paradigms, cells = pairs.paradigms, pairs.cells
+    if not len(pairs):
         raise ValueError("cannot train on an empty pair list")
+    purple = cells is None
+    targets, filled, distinct = {}, {}, {}
+    columns = defaultdict(lambda: [None] * len(paradigms))
+    for i, p in enumerate(paradigms):
+        cut = stem_length(p.entries.values())
+        for slot, form in sorted(p.entries.items()):
+            end = form[cut:]
+            columns[slot][i] = distinct.setdefault(end, end)
+            if purple:
+                targets[slot, form] = targets.get((slot, form), 0) + len(p)
+                filled[slot] = filled.get(slot, 0) | 1 << i
+    if purple:
+        # the lowest paradigm filling both slots, as its bit's position
+        first = sorted(((both & -both).bit_length(), tgt, src)
+                       for tgt in filled for src in filled
+                       if src != tgt and (both := filled[src] & filled[tgt]))
+        tables = (((src, tgt), Counter(zip(columns[src], columns[tgt])))
+                  for _, tgt, src in first)
+    else:
+        index = {p.lexeme: i for i, p in enumerate(paradigms)}
+        by_pair = {}
+        for lx, src_slot, tgt_slot in cells:
+            i = index[lx]
+            tgt = paradigms[i].entries[tgt_slot]
+            targets[tgt_slot, tgt] = targets.get((tgt_slot, tgt), 0) + 1
+            if src_slot == ROOT:
+                continue
+            ends = by_pair.setdefault((src_slot, tgt_slot), {})
+            pair = columns[src_slot][i], columns[tgt_slot][i]
+            ends[pair] = ends.get(pair, 0) + 1
+        tables = ((key, by_pair.pop(key)) for key in list(by_pair))
     rule_tables = {}
     for key, ends in tables:
         rules = {}

@@ -11,7 +11,7 @@ def split_config(**overrides):
 
 
 def pair_list(view):
-    """A `PairView`'s mappings one by one, in the order `PairView.counts` counts them,
+    """A `PairView`'s mappings one by one, in the order `strmodel.train` counts them,
     as (src, src_slot, tgt_slot, tgt) tuples: every paradigm's (purple), or
     each sampled cell's (green), whose source is EMPTY from the root."""
     if view.cells is None:

@@ -579,6 +579,14 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
      "--out {tmp}/o.csv", 2),
     ("measure --split {d}/split.json --model {char_order_0} --tree {d}/tree.json "
      "--out {tmp}/o.csv", 2),
+    # no char model whose counts could be checked against the order and
+    # alpha, and a dev digest that `weights` would reuse
+    ("weights --split {d}/split.json --model {no_chars_order_0} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {no_chars_neg_alpha} --out {tmp}/o.json", 2),
+    ("measure --split {d}/split.json --model {no_chars_order_0} --tree {d}/tree.json "
+     "--out {tmp}/o.csv", 2),
+    ("measure --split {d}/split.json --model {no_chars_neg_alpha} --tree {d}/tree.json "
+     "--out {tmp}/o.csv", 2),
     ("learn-tree --weights {dup_slot} --out {tmp}/o.json", 2),
     ("learn-tree --weights {int_slots} --out {tmp}/o.json", 2),
     ("weights --split {d}/split.json --model {format_1} --out {tmp}/o.json --seed 0", 2),
@@ -645,6 +653,8 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
      "--out {tmp}/o.csv", 2),
     ("learn-tree --weights {no_slots} --out {tmp}/o.json", 2),
     ("plat --plat {one_slot_plat}", 2),
+    ("plat --plat {zero_slot_plat}", 2),
+    ("critique --seed 0 --trials 1 --plat {zero_slot_plat}", 2),
     ("plat --plat {dup_slot_plat}", 2),
     ("train --split {no_train} --out {tmp}/o.json", 2),
     ("train --split {no_dev} --out {tmp}/o.json", 2),
@@ -691,7 +701,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     null per inventory slot, lexeme and forms strings, and a record of the
     old {"lexeme", "entries"} layout says to re-run the stage that wrote it.
     A split gives each lexeme once across train, dev and test, and each dev or test
-    paradigm fills two slots or more; plat class weights are finite and >= 0.
+    paradigm fills two slots or more; a plat names a slot or more, and its
+    class weights are finite and >= 0.
     Weights must be finite numbers, not booleans, and n x n over distinct
     slots, scores finite numbers and
     given for every mapping the stage reads, a training cell must not map a
@@ -702,7 +713,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     <ROOT>.  A store holds its language and pos labels, and a split those
     and its seed, each of the JSON type its writer writes; a split lacking
     one says to re-run split.  A lambda grid, or a saved model's lambda, lies in
-    (0, 1); a saved alpha is finite and > 0, its order an integer >= 1, its
+    (0, 1); a saved alpha is finite and > 0 and its order an integer >= 1,
+    whatever char models it holds, its
     alphabet distinct characters and its format the current one, whose dev
     weights are n x n finite numbers, not booleans, beside a string digest,
     and are over the split's inventory when the digest is its dev set's;
@@ -741,6 +753,7 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     (tmp_path / "root_row_with_src").write_text("walk\t<ROOT>\tV;PST\twalked\t-3.5\n",
                                                 encoding="utf-8")
     texts = {"one_slot_plat": "class\tS1\nc1\ta\nc2\tb\n",
+             "zero_slot_plat": "class\nc1\nc2\n",
              "dup_slot_plat": "class\tA\tA\tB\nc1\tx\tx\tz\nc2\ty\ty\tz\n",
              "nan_weight_plat": "class\tweight\tS1\tS2\nc1\tnan\ta\tb\nc2\t0.5\ta\tc\n",
              "neg_weight_plat": "class\tweight\tS1\tS2\nc1\t1.5\ta\tb\nc2\t-0.5\ta\tc\n",
@@ -880,6 +893,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
                                  if k != "dev_weights"})
     bad_records.update({name: dict(model, **{"lambda": v}) for name, v in bad_lambdas.items()},
                        neg_alpha=dict(model, alpha=-0.1), char_order_0=dict(model, order=0),
+                       no_chars_order_0=dict(model, char_models={}, order=0),
+                       no_chars_neg_alpha=dict(model, char_models={}, alpha=-1),
                        format_1=dict(model, version=1),
                        alphabet_repeated=dict(model, alphabet=model["alphabet"] * 2),
                        long_history=dict(model, char_models=dict(model["char_models"],

@@ -75,6 +75,18 @@ def test_parse_errors():
     # over three slots
     with pytest.raises(ValueError, match="plat header is not a list of distinct slot names"):
         parse_plat(io.StringIO("class\tA\tA\tB\nc1\tx\tx\tz\nc2\ty\ty\tz\n"))
+    # a header of the class column alone: no per-form entropy to divide
+    with pytest.raises(ValueError, match="at least one slot"):
+        parse_plat(io.StringIO("class\nc1\nc2\n"))
+
+
+def test_parse_crlf_equals_lf():
+    """A plat with CRLF line ends parses as its LF text does: no slot name,
+    exponent or weight keeps the carriage return."""
+    text = "class\tweight\tA\tB\nc1\t0.75\tx\ty\nc2\t0.25\tz\t-\n"
+    crlf = parse_plat(io.StringIO(text.replace("\n", "\r\n"), newline=""))
+    assert crlf == parse_plat(io.StringIO(text))
+    assert crlf.slots == ["A", "B"]
 
 
 def test_plat_weight_validation():

@@ -80,9 +80,12 @@ def test_extract_rule_pure_suffix():
 
 @given(st.text("abc", max_size=8), st.text("abc", max_size=8))
 def test_extract_rule_roundtrip(src, tgt):
+    """The rule rewrites src into tgt and keeps their longest common prefix:
+    the two suffixes never start with the same letter."""
     s_sfx, t_sfx = extract_rule(src, tgt)
     assert src.endswith(s_sfx)
     assert src[:len(src) - len(s_sfx)] + t_sfx == tgt
+    assert not (s_sfx and t_sfx and s_sfx[0] == t_sfx[0])
 
 
 # ----------------------------------------------------------- char n-gram
