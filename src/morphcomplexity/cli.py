@@ -88,11 +88,10 @@ def resolve_config(args):
                              "command line)")
         cfg["seed"] = 0
     for key in ("synth_paradigms", "paradigm_count", "pair_count", "dev_paradigms",
-                "test_paradigms", "order", "n_perm"):
+                "test_paradigms", "n_perm"):
         if cfg[key] < 1:
             raise ValueError("%s must be >= 1, got %r" % (key, cfg[key]))
-    if not 0.0 < cfg["alpha"] < float("inf"):
-        raise ValueError("alpha must be finite and > 0, got %r" % cfg["alpha"])
+    strmodel.check_order_alpha(cfg["order"], cfg["alpha"])
     if cfg["regime"] not in ("purple", "green"):
         raise ValueError("regime must be purple or green, got %r" % cfg["regime"])
     try:

@@ -13,13 +13,18 @@ import json
 import math
 import os
 from collections import Counter, defaultdict
+from collections.abc import Iterator
 from functools import cached_property
+from itertools import chain
 
-from .corpus import ROOT, EMPTY
+from .corpus import ROOT, EMPTY, check_slot_names
 from .structure import WeightMatrix
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 DEFAULT_LAMBDA = 0.05
+# each n-gram history holds order - 1 symbols, so the order bounds memory;
+# an order past a form's length + 1 conditions on nothing more
+MAX_ORDER = 32
 
 BOS = "<S>"
 EOS = "</S>"
@@ -91,23 +96,50 @@ class CharNGram:
         return mass
 
     def to_json(self):
-        """The counts by history; order, alpha and alphabet are the model's."""
-        return [[list(h), dict(c)] for h, c in sorted(self.counts.items())]
+        """The counts as {history: [stop count, seen, count, ...]}; order,
+        alpha and alphabet are the model's.  A history is its characters,
+        its start padding left implicit (training puts none after a
+        character), and `seen` the symbols counted after it but stop, in
+        alphabet order, as one string, each count in that order."""
+        out = {}
+        for hist, c in self.counts.items():
+            seen = sorted(c.keys() - {EOS})
+            out["".join(hist[hist.count(BOS):])] = [c[EOS], "".join(seen), *map(c.get, seen)]
+        return out
 
     @classmethod
     def from_json(cls, obj, order, alpha, alphabet):
-        """The n-gram with the counts `to_json` wrote: positive integer counts
-        of symbols it emits after histories of order - 1 symbols."""
+        """The n-gram with the counts `to_json` wrote: histories of at most
+        order - 1 characters of the alphabet, each with a stop count >= 0
+        and a count > 0 of each symbol seen, the seen symbols distinct and
+        in alphabet order, and a positive total."""
         m = cls(order, alpha, alphabet)
-        if not (isinstance(obj, list) and all(
-                isinstance(x, list) and len(x) == 2 and isinstance(x[0], list)
-                and isinstance(x[1], dict) for x in obj)):
-            raise ValueError("char model counts are not a list of [history, {symbol: count}]")
-        counts = [(tuple(h), dict(c)) for h, c in obj]
-        if not all(len(h) == order - 1 and {BOS, *m.alphabet} >= set(h)
-                   and set(m._vocab) >= c.keys()
-                   and all(type(n) is int and n > 0 for n in c.values()) for h, c in counts):
-            raise ValueError("char model counts do not fit order %d and the alphabet" % order)
+        rows = list(obj.values()) if isinstance(obj, dict) else [None]
+        if not all(type(r) is list and len(r) >= 2 and type(r[1]) is str
+                   and len(r) == 2 + len(r[1]) for r in rows):
+            raise ValueError("char model counts are not an object of {history: "
+                             "[stop count, symbols seen, one count per symbol]}")
+        stops, seens = [r[0] for r in rows], [r[1] for r in rows]
+        seen_counts = [n for r in rows for n in r[2:]]
+        if not ({*map(type, stops), *map(type, seen_counts)} <= {int}
+                and min(stops, default=0) >= 0 and min(seen_counts, default=1) > 0
+                # a positive total: a stop, or a symbol seen (its count is > 0)
+                and all(stop or seen for stop, seen in zip(stops, seens))):
+            raise ValueError("char model counts are not integers, stop counts >= 0 and "
+                             "symbol counts > 0 with a positive total per history")
+        known = set(m.alphabet)
+        if not (max(map(len, obj), default=0) < order and known.issuperset("".join(obj))
+                and known.issuperset("".join(seens))
+                and all(seen == "".join(sorted(set(seen))) for seen in seens)):
+            raise ValueError("char model histories are not of at most %d characters of the "
+                             "alphabet, or their symbols seen not distinct alphabet characters "
+                             "in alphabet order" % (order - 1))
+        pad, counts = (BOS,) * (order - 1), []
+        for hist, (stop, seen, *n) in obj.items():
+            c = dict(zip(seen, n))
+            if stop:
+                c[EOS] = stop
+            counts.append((pad[len(hist):] + tuple(hist), c))
         m.add_counts(counts)
         return m
 
@@ -141,10 +173,7 @@ class ConditionalParadigmModel:
                  dev_weights=None):
         if not (isinstance(lam, float) and 0.0 < lam < 1.0):
             raise ValueError("model lambda %r is not a number in (0, 1)" % (lam,))
-        if not (type(order) is int and order >= 1
-                and type(alpha) in (int, float) and 0 < alpha < math.inf):
-            raise ValueError("char model order %r is not an int >= 1 or alpha %r not > 0"
-                             % (order, alpha))
+        check_order_alpha(order, alpha)
         self.alphabet = sorted(alphabet)
         self.order = order
         self.alpha = alpha
@@ -225,9 +254,19 @@ class ConditionalParadigmModel:
         return (1.0 - self.lam) * rule_mass + self.lam * char_mass
 
     def to_json(self):
-        """The model as JSON values; the rule rows are the model's own
-        tuples, which the encoder writes as arrays, so parse the text to
-        read it back."""
+        """The model as JSON values (format 4): every slot a rule table or
+        char model names, sorted, once, and the tables and n-grams by slot
+        index.  A table's (src_suffix, tgt_suffix, count) rows are one flat
+        list, in their order: a loaded model then sums each table in the
+        same order as the trained one, to the last bit."""
+        return {key: list(v) if isinstance(v, Iterator) else v
+                for key, v in self._json_fields().items()}
+
+    def _json_fields(self):
+        """The fields of `to_json`, its rule tables and char models as
+        iterators that build each item when it is reached."""
+        slots = sorted({s for pair in self.rule_tables for s in pair}.union(self.char_models))
+        index = {slot: i for i, slot in enumerate(slots)}
         if self.dev_weights is None:
             dev = None
         else:
@@ -239,13 +278,11 @@ class ConditionalParadigmModel:
             "order": self.order,
             "alpha": self.alpha,
             "lambda": self.lam,
-            # rows in their order: a loaded model then sums each table in
-            # the same order as the trained one, to the last bit
-            "rule_tables": [
-                [src_slot, tgt_slot, rows]
-                for (src_slot, tgt_slot), rows in sorted(self.rule_tables.items())
-            ],
-            "char_models": {slot: m.to_json() for slot, m in sorted(self.char_models.items())},
+            "slots": slots,
+            "rule_tables": ([index[src_slot], index[tgt_slot], list(chain.from_iterable(rows))]
+                            for (src_slot, tgt_slot), rows in sorted(self.rule_tables.items())),
+            "char_models": ([index[slot], m.to_json()]
+                            for slot, m in sorted(self.char_models.items())),
             "dev_weights": dev,
         }
 
@@ -262,24 +299,31 @@ class ConditionalParadigmModel:
         if not (isinstance(alphabet, list) and len(set(alphabet)) == len(alphabet)
                 and all(isinstance(c, str) and len(c) == 1 for c in alphabet)):
             raise ValueError("model alphabet is not a list of distinct characters")
-        if not (isinstance(tables, list) and all(map(_is_rule_table, tables))):
-            raise ValueError("rule_tables is not a list of [src slot, tgt slot, "
-                             "[[src suffix, tgt suffix, count > 0], ...]]")
-        if not isinstance(chars, dict):
-            raise ValueError("char_models is not a JSON object")
+        # no slot is the root context, so no rule table conditions on it:
+        # the char model alone scores the root context
+        slots = check_slot_names(obj["slots"], "model slot list")
+        if not (isinstance(tables, list)
+                and all(_is_rule_table(table, len(slots)) for table in tables)):
+            raise ValueError("rule_tables is not a list of [src slot index, tgt slot index, "
+                             "[src suffix, tgt suffix, count > 0, ...]]")
+        if not (isinstance(chars, list) and all(
+                isinstance(x, list) and len(x) == 2 and _is_index(x[0], len(slots))
+                for x in chars)):
+            raise ValueError("char_models is not a list of [slot index, counts]")
         rule_tables = {}
-        for src_slot, tgt_slot, rules in tables:
-            if src_slot == ROOT:
-                raise ValueError("rule table %s -> %s conditions on the root context, "
-                                 "which the char model alone scores" % (src_slot, tgt_slot))
-            if ((src_slot, tgt_slot) in rule_tables
-                    or len({(s, t) for s, t, _ in rules}) < len(rules)):
-                raise ValueError("rule table %s -> %s is given twice or repeats a rule"
-                                 % (src_slot, tgt_slot))
-            rule_tables[(src_slot, tgt_slot)] = [tuple(rule) for rule in rules]
+        for src, tgt, flat in tables:
+            key = slots[src], slots[tgt]
+            if key in rule_tables or 3 * len(set(zip(flat[0::3], flat[1::3]))) < len(flat):
+                raise ValueError("rule table %s -> %s is given twice or repeats a rule" % key)
+            it = iter(flat)
+            rule_tables[key] = list(zip(it, it, it))
         order, alpha = obj["order"], obj["alpha"]
-        char_models = {slot: CharNGram.from_json(counts, order, alpha, alphabet)
-                       for slot, counts in chars.items()}
+        check_order_alpha(order, alpha)   # before a history is padded to the order
+        char_models = {}
+        for i, counts in chars:
+            if slots[i] in char_models:
+                raise ValueError("char model of slot %s is given twice" % slots[i])
+            char_models[slots[i]] = CharNGram.from_json(counts, order, alpha, alphabet)
         dev = obj["dev_weights"]
         if not (isinstance(dev, dict) and isinstance(dev.get("dev_sha256"), str)):
             raise ValueError("dev_weights is not an object with a dev_sha256 string; "
@@ -288,11 +332,11 @@ class ConditionalParadigmModel:
                    dev_weights=(dev["dev_sha256"], WeightMatrix.from_json(dev)))
 
     def save(self, path):
-        """Write the sorted JSON text of `to_json` in UTF-8, one rule table
-        or char model at a time: json.dumps holds its pieces and their join
-        at once, two copies of the text it returns."""
+        """Write the compact sorted JSON text of `to_json` in UTF-8, one rule
+        table or char model at a time: json.dumps holds its pieces and their
+        join at once, two copies of the text it returns."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(_json_pieces(self.to_json(), 2))
+            fh.writelines(_json_pieces(self._json_fields(), 2))
 
     @classmethod
     def load(cls, path):
@@ -300,32 +344,53 @@ class ConditionalParadigmModel:
             return cls.from_json(json.load(fh))
 
 
+def check_order_alpha(order, alpha):
+    """A ValueError unless the n-gram order is an int in [1, MAX_ORDER] and
+    alpha a finite number > 0: the check of a configured and a saved model."""
+    if not (type(order) is int and 1 <= order <= MAX_ORDER
+            and type(alpha) in (int, float) and 0 < alpha < math.inf):
+        raise ValueError("char model order %r is not an int in [1, %d] or alpha %r is not "
+                         "finite and > 0" % (order, MAX_ORDER, alpha))
+
+
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
+
+
 def _json_pieces(value, depth):
-    """The text of json.dumps(value, ensure_ascii=False, sort_keys=True) in
-    pieces: the objects and arrays of the top `depth` levels piece by piece,
-    each value below them through json.dumps, which runs the C encoder."""
-    if depth and isinstance(value, (dict, list)):
+    """The compact text of json.dumps(value, ensure_ascii=False,
+    sort_keys=True, separators=(",", ":")) in pieces: the objects and arrays
+    (an iterator as an array) of the top `depth` levels piece by piece, each
+    value below them through the C encoder."""
+    if depth and isinstance(value, (dict, list, Iterator)):
         keyed = isinstance(value, dict)
         yield "{" if keyed else "["
         for i, item in enumerate(sorted(value) if keyed else value):
             if i:
-                yield ", "
+                yield ","
             if keyed:
-                yield json.dumps(item, ensure_ascii=False) + ": "
+                yield _encode(item) + ":"
                 item = value[item]
             yield from _json_pieces(item, depth - 1)
         yield "}" if keyed else "]"
     else:
-        yield json.dumps(value, ensure_ascii=False, sort_keys=True)
+        yield _encode(value)
 
 
-def _is_rule_table(table):
-    """Whether a JSON value is [src_slot, tgt_slot, [[src_suffix, tgt_suffix,
-    count > 0], ...]], a rule table as `to_json` writes it."""
-    def two_strings_and_one(row):
-        return isinstance(row, list) and len(row) == 3 and all(isinstance(x, str) for x in row[:2])
-    return (two_strings_and_one(table) and isinstance(table[2], list)
-            and all(two_strings_and_one(r) and type(r[2]) is int and r[2] > 0 for r in table[2]))
+def _is_index(i, n):
+    """Whether a JSON value is an index into n items (an int, not a boolean)."""
+    return type(i) is int and 0 <= i < n
+
+
+def _is_rule_table(table, n):
+    """Whether a JSON value is [src index, tgt index, [src_suffix, tgt_suffix,
+    count > 0, ...]] over n slots, a rule table as `to_json` writes it."""
+    if not (isinstance(table, list) and len(table) == 3 and _is_index(table[0], n)
+            and _is_index(table[1], n) and isinstance(table[2], list)):
+        return False
+    flat = table[2]
+    return (len(flat) % 3 == 0 and all(isinstance(x, str) for x in flat[0::3])
+            and all(isinstance(x, str) for x in flat[1::3])
+            and all(type(x) is int and x > 0 for x in flat[2::3]))
 
 
 def train(pairs, order, alpha, alphabet):

@@ -649,7 +649,7 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("measure --split {d}/split.json --model {table_repeated} --tree {d}/tree.json "
      "--out {tmp}/o.csv", 2),
     ("split --store {dup_inventory} --out {tmp}/o.json --seed 0", 2),
-    ("measure --split {d}/split.json --model {char_counts_object} --tree {d}/tree.json "
+    ("measure --split {d}/split.json --model {char_counts_list} --tree {d}/tree.json "
      "--out {tmp}/o.csv", 2),
     ("learn-tree --weights {no_slots} --out {tmp}/o.json", 2),
     ("plat --plat {one_slot_plat}", 2),
@@ -691,6 +691,32 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("weights --split {bool_form_dev} --model {d}/model.json --out {tmp}/o.json --seed 0", 2),
     ("split --store {old_record_store} --out {tmp}/o.json --seed 0", 2),
     ("train --split {old_record_split} --out {tmp}/o.json", 2),
+    # a model.json of format 4 whose slot indices, rule rows or char counts
+    # do not fit its slots and alphabet, and one that format 3 wrote
+    ("weights --split {d}/split.json --model {rule_index_bool} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {rule_index_range} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {rules_not_triples} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {rule_suffix_int} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {slots_repeated} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {char_index_range} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {char_model_repeated} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {foreign_history} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {seen_repeated} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {seen_unsorted} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {seen_count_missing} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {seen_count_zero} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {seen_count_bool} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {stop_count_neg} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {zero_total} --out {tmp}/o.json", 2),
+    ("weights --split {d}/split.json --model {format_3} --out {tmp}/o.json", 2),
+    # an n-gram order past MAX_ORDER, from the flag, the config and model.json
+    ("train --split {d}/split.json --out {tmp}/o.json --order 10000", 2),
+    ("train --split {d}/split.json --out {tmp}/o.json --config {big_order}", 2),
+    ("run --data {d}/lex.tsv --seed 3 --out-dir {tmp} " + " ".join(SMALL_SPLIT)
+     + " --order 10000", 2),
+    ("weights --split {d}/split.json --model {huge_order} --out {tmp}/o.json", 2),
+    ("measure --split {d}/split.json --model {no_chars_huge_order} --tree {d}/tree.json "
+     "--out {tmp}/o.csv", 2),
 ])
 def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv, code):
     """A missing input file exits 3; an unparsable one, a tree over other
@@ -713,17 +739,22 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     <ROOT>.  A store holds its language and pos labels, and a split those
     and its seed, each of the JSON type its writer writes; a split lacking
     one says to re-run split.  A lambda grid, or a saved model's lambda, lies in
-    (0, 1); a saved alpha is finite and > 0 and its order an integer >= 1,
-    whatever char models it holds, its
-    alphabet distinct characters and its format the current one, whose dev
+    (0, 1); an alpha, configured or saved, is finite and > 0 and an order
+    an integer in [1, 32], whatever char models a saved model holds, its
+    alphabet distinct characters and its format the current one (an older
+    one says to re-run train), whose dev
     weights are n x n finite numbers, not booleans, beside a string digest,
     and are over the split's inventory when the digest is its dev set's;
     a model scores only a split whose characters are all in its alphabet,
-    checked before `weights` reuses its dev weights or runs the dev pass;
-    each char model's counts are of histories of order - 1
-    symbols and of symbols in the alphabet or stop, given as a list of
-    [history, counts] pairs, and each rule count is a positive integer, of
-    a rule given once in a table given once, whose source is not the root.
+    checked before `weights` reuses its dev weights or runs the dev pass.
+    A saved model's slots are distinct names other than the root's, and its
+    tables and char models give each slot as a non-boolean index into them;
+    each char model's counts are an object of {history: [stop count >= 0,
+    symbols seen, count > 0 per symbol]}, of histories of at most order - 1
+    alphabet characters, the seen symbols distinct and in alphabet order,
+    with a positive total, each slot's given once; a table's rules are
+    (src suffix, tgt suffix, count > 0) triples in one flat list, each rule
+    given once in a table given once.
     An inventory, a plat header and the weights repeat no slot and name
     none <ROOT>, the root context, and weight slots are strings.
     Config values, the regime among them, are checked before any stage runs;
@@ -758,6 +789,7 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
              "nan_weight_plat": "class\tweight\tS1\tS2\nc1\tnan\ta\tb\nc2\t0.5\ta\tc\n",
              "neg_weight_plat": "class\tweight\tS1\tS2\nc1\t1.5\ta\tb\nc2\t-0.5\ta\tc\n",
              "root_slot_lexicon": "walk\twalked\t<ROOT>\nwalk\twalks\t<ROOT>;3SG\n",
+             "big_order": "order = 10000\n",
              "root_target_scores": "a\tS\t<ROOT>\tx\t-1.0\n",
              "empty_target_scores": "\t\t\tx\t-2.0\n",
              # a header comment and a blank line are skipped, so line 3 is named
@@ -863,22 +895,61 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
         foreign_store_slot=dict(store, paradigms=store["paradigms"] + [row("zz", "x") + ["x"]]),
         twice_in_store=dict(store, paradigms=store["paradigms"] * 2))
     model = json.loads((partial_runs / "model.json").read_text())
-    src_slot, tgt_slot, rules = model["rule_tables"][0]
+    slots, tables, chars = model["slots"], model["rule_tables"], model["char_models"]
+    src, tgt, flat = tables[0]
+
+    def with_tables(first, *more):
+        return dict(model, rule_tables=[first, *tables[1:], *more])
     for name, count in {"rule_count_neg": -1, "rule_count_str": "1"}.items():
-        tables = [[src_slot, tgt_slot, [rules[0][:2] + [count]] + rules[1:]]]
-        bad_records[name] = dict(model, rule_tables=tables + model["rule_tables"][1:])
+        bad_records[name] = with_tables([src, tgt, flat[:2] + [count] + flat[3:]])
     # a rule given twice, the second time with another count
-    tables = [[src_slot, tgt_slot, rules + [rules[0][:2] + [rules[0][2] + 5]]]]
-    bad_records["rule_repeated"] = dict(model, rule_tables=tables + model["rule_tables"][1:])
-    bad_records["table_repeated"] = dict(model, rule_tables=model["rule_tables"] + [
-        [src_slot, tgt_slot, [rules[0][:2] + [rules[0][2] + 5]]]])
+    bad_records["rule_repeated"] = with_tables([src, tgt, flat + flat[:2] + [flat[2] + 5]])
+    bad_records["table_repeated"] = with_tables(tables[0], [src, tgt, flat[:2] + [flat[2] + 5]])
     # a table conditioning on the root context, which training never writes
-    bad_records["root_rule_table"] = dict(model, rule_tables=model["rule_tables"] + [
-        ["<ROOT>", tgt_slot, [rules[0]]]])
-    first = min(model["char_models"])
-    counts = model["char_models"][first]
-    long_history = [[["<S>"] + hist, c] for hist, c in counts]
-    foreign_symbol = [[counts[0][0], dict(counts[0][1], **{"☃": 1})]] + counts[1:]
+    bad_records["root_rule_table"] = dict(with_tables(tables[0], [len(slots), tgt, flat[:3]]),
+                                          slots=slots + ["<ROOT>"])
+    bad_records.update(
+        # every source index 1 a boolean, a slot index past the slots
+        rule_index_bool=dict(model, rule_tables=[[True if s == 1 else s, t, f]
+                                                 for s, t, f in tables]),
+        rule_index_range=with_tables([src, len(slots), flat]),
+        rules_not_triples=with_tables([src, tgt, flat[:-1]]),
+        rule_suffix_int=with_tables([src, tgt, [5] + flat[1:]]),
+        slots_repeated=dict(model, slots=slots + slots[:1]),
+        char_index_range=dict(model, char_models=[[len(slots), chars[0][1]], *chars[1:]]),
+        char_model_repeated=dict(model, char_models=chars + chars[:1]))
+    # the same model as format 3 wrote it: slot names in each table and by
+    # char model, rules as triples, histories padded with <S>, counts by symbol
+    pad = ["<S>"] * (model["order"] - 1)
+    format_3 = dict(model, version=3, rule_tables=[
+        [slots[s], slots[t], [f[i:i + 3] for i in range(0, len(f), 3)]] for s, t, f in tables
+    ], char_models={slots[i]: [
+        [pad[len(h):] + list(h),
+         dict(zip(row[1], row[2:]), **({"</S>": row[0]} if row[0] else {}))]
+        for h, row in sorted(c.items())] for i, c in chars})
+    del format_3["slots"]
+    # the first char model's counts with a history changed or added; the one
+    # with the most symbols seen has at least two, so their order can break
+    slot, counts = chars[0]
+    hist, (stop, seen, *seen_counts) = max(counts.items(), key=lambda item: len(item[1][1]))
+    assert len(seen) >= 2
+    bad_counts = {
+        "long_history": {h + model["alphabet"][0] * model["order"]: row
+                         for h, row in counts.items()},
+        "foreign_history": {**counts, "☃": [1, ""]},
+        "foreign_symbol": {**counts, hist: [stop, seen + "☃", *seen_counts, 1]},
+        "seen_repeated": {**counts, hist: [stop, seen[0] + seen, seen_counts[0], *seen_counts]},
+        "seen_unsorted": {**counts, hist: [stop, seen[::-1], *seen_counts[::-1]]},
+        "seen_count_missing": {**counts, hist: [stop, seen, *seen_counts[1:]]},
+        "seen_count_zero": {**counts, hist: [stop, seen, 0, *seen_counts[1:]]},
+        "seen_count_bool": {**counts, hist: [stop, seen, True, *seen_counts[1:]]},
+        "stop_count_neg": {**counts, hist: [-1, seen, *seen_counts]},
+        "zero_total": {**counts, hist: [0, ""]},
+        # the format-3 layout of the counts: a list of [history, counts] pairs
+        "char_counts_list": format_3["char_models"][slots[slot]],
+    }
+    bad_records.update({name: dict(model, char_models=[[slot, v], *chars[1:]])
+                        for name, v in bad_counts.items()})
     bad_lambdas = {"lambda_big": 1.5, "lambda_zero": 0.0, "lambda_one": 1.0, "lambda_str": "x"}
     dev = model["dev_weights"]
     bad_dev = {"dev_weights_short": dict(dev, root=dev["root"][1:]),
@@ -893,16 +964,13 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
                                  if k != "dev_weights"})
     bad_records.update({name: dict(model, **{"lambda": v}) for name, v in bad_lambdas.items()},
                        neg_alpha=dict(model, alpha=-0.1), char_order_0=dict(model, order=0),
-                       no_chars_order_0=dict(model, char_models={}, order=0),
-                       no_chars_neg_alpha=dict(model, char_models={}, alpha=-1),
-                       format_1=dict(model, version=1),
-                       alphabet_repeated=dict(model, alphabet=model["alphabet"] * 2),
-                       long_history=dict(model, char_models=dict(model["char_models"],
-                                                                 **{first: long_history})),
-                       foreign_symbol=dict(model, char_models=dict(model["char_models"],
-                                                                   **{first: foreign_symbol})),
-                       char_counts_object=dict(model, char_models=dict(model["char_models"],
-                                                                       **{first: {}})))
+                       no_chars_order_0=dict(model, char_models=[], order=0),
+                       no_chars_neg_alpha=dict(model, char_models=[], alpha=-1),
+                       # an order past MAX_ORDER
+                       huge_order=dict(model, order=10 ** 4),
+                       no_chars_huge_order=dict(model, char_models=[], order=10 ** 4),
+                       format_1=dict(model, version=1), format_3=format_3,
+                       alphabet_repeated=dict(model, alphabet=model["alphabet"] * 2))
     for name, obj in bad_records.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     (tmp_path / "empty_grid").write_text("lambda_grid =\n", encoding="utf-8")
@@ -934,6 +1002,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
         assert "re-run split" in errors[0].getMessage()
     if "old_record_store" in argv:
         assert "re-run ingest" in errors[0].getMessage()
+    if "10000" in argv or "big_order" in argv or "huge_order" in argv:
+        assert "is not an int in [1, 32]" in errors[0].getMessage()
     if ("format_" in argv or "dev_digest" in argv or "dev_weights_renamed" in argv
             or "only_char" in argv):
         assert "re-run train" in errors[0].getMessage()

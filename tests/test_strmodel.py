@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import random
+import tempfile
 from collections import Counter, defaultdict
 
 import pytest
@@ -375,17 +376,70 @@ def test_model_json_roundtrip(tmp_path):
         assert back.logprob("T", tgt, [("S", src)]) == model.logprob("T", tgt, [("S", src)])
 
 
+COMPACT = {"ensure_ascii": False, "sort_keys": True, "separators": (",", ":")}
+
+
 def test_model_save_writes_the_sorted_json_text(tmp_path):
-    """`save` writes the sorted JSON text in UTF-8, non-ASCII characters as
-    themselves: the bytes that `json.dump` writes too."""
+    """`save` writes the compact sorted JSON text in UTF-8, non-ASCII
+    characters as themselves: the bytes that `json.dump` writes too."""
     model = train(mk_pairs([("hand", "hände"), ("gabel", "gabeln")]))
     model.save(tmp_path / "model.json")
-    want = json.dumps(model.to_json(), ensure_ascii=False, sort_keys=True)
+    want = json.dumps(model.to_json(), **COMPACT)
     assert (tmp_path / "model.json").read_bytes() == want.encode("utf-8")
     assert "ände" in want
     dumped = io.StringIO()
-    json.dump(model.to_json(), dumped, ensure_ascii=False, sort_keys=True)
+    json.dump(model.to_json(), dumped, **COMPACT)
     assert dumped.getvalue() == want
+
+
+def test_model_json_layout():
+    """Format 4 names each slot once and indexes it; a table's rules are one
+    flat list in first-seen order; a history is its characters without the
+    <S> padding, with its stop count, its symbols seen in alphabet order
+    and one count each."""
+    char = CharNGram(3, 0.1, "abi")
+    for count, form in [(4, "b"), (2, "ba"), (1, "bi")]:
+        char.add(count, form)
+    assert char.to_json() == {"": [0, "b", 7], "b": [4, "ai", 2, 1], "ba": [2, ""], "bi": [1, ""]}
+    model = ConditionalParadigmModel("abi", 3, 0.1, {("T", "S"): [("a", "", 2), ("i", "x", 1)]},
+                                     {"T": char})
+    obj = model.to_json()
+    assert obj["slots"] == ["S", "T"]
+    assert obj["rule_tables"] == [[1, 0, ["a", "", 2, "i", "x", 1]]]
+    assert obj["char_models"] == [[1, char.to_json()]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(paradigm_lists(), st.integers(1, 40), st.integers(0, 2 ** 16), st.integers(1, 4))
+def test_model_save_load_save_is_byte_identical(paradigms, pair_count, seed, order):
+    """A saved model, purple or green, at any order and with its dev
+    weights, loads as the trained model, field by field, and saves again as
+    the same text."""
+    green = make_split(paradigms, split_config(regime="green", pair_count=pair_count,
+                                               dev_paradigms=0, test_paradigms=0, seed=seed),
+                       ["A", "B", "C", "D"]).train_pairs
+    for pairs in (PairView(paradigms), green):
+        model = train(pairs, order=order)
+        model.dev_weights = "%064x" % seed, compute_weights(model, paradigms, list("ABCD"), GRID)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            model.save(path)
+            back = ConditionalParadigmModel.load(path)
+            with open(path, encoding="utf-8") as fh:
+                saved = fh.read()
+            back.save(path)
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == saved
+        assert back.rule_tables == model.rule_tables   # each table's rows in order
+        assert back.char_models.keys() == model.char_models.keys()
+        for slot, char in model.char_models.items():
+            assert back.char_models[slot].counts == char.counts
+            assert back.char_models[slot]._totals == char._totals
+        assert back.fallback_char.counts == model.fallback_char.counts
+        assert back.fallback_char._totals == model.fallback_char._totals
+        assert (back.alphabet, back.order, back.alpha, back.lam, back.dev_weights) == (
+            model.alphabet, model.order, model.alpha, model.lam, model.dev_weights)
+        assert back.to_json() == model.to_json()
 
 
 def six_slot_model():
@@ -418,13 +472,16 @@ def test_model_save_writes_the_json_dumps_text_in_pieces(tmp_path):
     model, dev, slots = six_slot_model()
     model.dev_weights = "0" * 64, compute_weights(model, dev, slots, GRID)
     model.save(tmp_path / "model.json")
-    want = json.dumps(model.to_json(), ensure_ascii=False, sort_keys=True)
+    want = json.dumps(model.to_json(), **COMPACT)
     assert (tmp_path / "model.json").read_text(encoding="utf-8") == want
     for value in [{}, [], "ä", 1.5, [[], {}], {"b": [None, {"z": 1, "y": [2]}], "a": {}},
                   [{"ü": ["ß", 0.1]}, [True, [[]]]]]:
         for depth in range(4):
-            assert "".join(strmodel._json_pieces(value, depth)) == json.dumps(
-                value, ensure_ascii=False, sort_keys=True)
+            assert "".join(strmodel._json_pieces(value, depth)) == json.dumps(value, **COMPACT)
+    # an iterator above the depth is written as the array of its items
+    for depth in (2, 3):
+        pieces = strmodel._json_pieces({"b": iter([[1, "ä"], {"z": [], "y": 2}]), "a": 0}, depth)
+        assert "".join(pieces) == '{"a":0,"b":[[1,"ä"],{"y":2,"z":[]}]}'
 
 
 def reference_logprob(model, lam, src, src_slot, tgt_slot, tgt):
