@@ -51,9 +51,10 @@ CONFIG_DEFAULTS = {
 
 
 def load_config(path):
-    """Flat key = value config file; '#' comments and blank lines skipped."""
+    """Flat key = value UTF-8 config file; '#' comments, blank lines and a
+    leading byte-order mark skipped."""
     cfg = {}
-    text = read_artifact(path, lambda p: Path(p).read_text(encoding="utf-8"))
+    text = read_artifact(path, lambda p: Path(p).read_text(encoding="utf-8-sig"))
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -122,9 +123,10 @@ def _write_json(path, obj, cfg, compact=False):
 # ---------------------------------------------------------------- artifacts
 
 def _text(parse):
-    """Loader that applies a stream parser to the UTF-8 file at a path."""
+    """Loader that applies a stream parser to the UTF-8 file at a path; a
+    leading byte-order mark is dropped."""
     def load(path):
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse(fh)
     return load
 
@@ -215,12 +217,12 @@ def stage_ingest(cfg):
     if not path:
         raise corpus.InsufficientDataError("either a data file or a synthetic generator "
                                            "config is required")
-    words, errors = read_artifact(path, _text(corpus.parse_unimorph))
+    inventory, paradigms, errors = read_artifact(
+        path, _text(lambda fh: corpus.parse_unimorph(fh, pos_filter=cfg["pos"])))
     for err in errors:
         log.error("%s: %s", path, err)
     if errors:
         raise ValueError("%d malformed lines in %s" % (len(errors), path))
-    inventory, paradigms = corpus.build_paradigms(words, pos_filter=cfg["pos"])
     if not paradigms:
         raise corpus.InsufficientDataError("no paradigms for POS %r in %s" % (cfg["pos"], path))
     return inventory, paradigms

@@ -1,11 +1,11 @@
-"""Lexicon ingestion, paradigm grouping, pair expansion and train/dev/test splits."""
+"""Lexicon ingestion, which reads each line straight into its paradigm, pair
+expansion and train/dev/test splits."""
 
 import bisect
 import itertools
 import logging
 import random
 import sys
-from collections import namedtuple
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -18,9 +18,6 @@ EMPTY = ""
 
 class InsufficientDataError(ValueError):
     """Missing or too little data."""
-
-
-WordType = namedtuple("WordType", "lexeme slot form")
 
 
 @dataclass
@@ -75,13 +72,18 @@ class DataSplit:
         return sorted(set("".join(f for p in paradigms for f in p.entries.values())))
 
 
-def parse_unimorph(stream):
-    """Parse UniMorph-style TSV lines (lemma, form, ;-joined features).
+def parse_unimorph(stream, pos_filter=None):
+    """Read UniMorph-style TSV lines (lemma, form, ;-joined features) straight
+    into paradigms, one line at a time.
 
-    Blank lines and '#'-comments are skipped.  Returns (words, errors) where
-    errors holds one message per malformed line.
+    Blank lines and '#'-comments are skipped, and so is a well-formed line
+    whose POS is not `pos_filter` (None keeps every POS).  Returns
+    (inventory, paradigms, errors): inventory is the sorted list of distinct
+    slots kept, paradigms a list of Paradigm sorted by lexeme, and errors one
+    message per malformed line, of any POS.  A repeated (lexeme, slot) cell
+    keeps its first form; a later, different form is logged and dropped.
     """
-    words = []
+    by_lexeme = {}
     errors = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n").rstrip("\r")
@@ -92,41 +94,21 @@ def parse_unimorph(stream):
             errors.append("line %d: expected 3 tab-separated fields, got: %r" % (lineno, line))
             continue
         lemma, form, feats = (f.strip() for f in fields)
+        if pos_filter is not None and pos_of(feats) != pos_filter:
+            continue
         # a lexicon repeats each slot string once per lexeme: keep one copy
-        words.append(WordType(lemma, sys.intern(feats), form))
-    return words, errors
+        slot = sys.intern(feats)
+        kept = by_lexeme.setdefault(lemma, {}).setdefault(slot, form)
+        if kept != form:
+            log.warning("duplicate cell %s/%s: keeping %r, dropping %r", lemma, slot, kept, form)
+    inventory = check_slot_names(sorted(set().union(*by_lexeme.values())), "lexicon slot list")
+    paradigms = [Paradigm(lexeme=lx, entries=by_lexeme[lx]) for lx in sorted(by_lexeme)]
+    return inventory, paradigms, errors
 
 
 def pos_of(slot):
     """First feature token of a slot string, the UniMorph POS."""
     return slot.split(";", 1)[0]
-
-
-def build_paradigms(words, pos_filter=None):
-    """Group word types by lexeme into paradigms.
-
-    Returns (inventory, paradigms): inventory is the lexicographically
-    sorted list of distinct slots observed (after the POS filter), and
-    paradigms is a list of Paradigm sorted by lexeme.  Duplicate
-    (lexeme, slot) entries keep the first occurrence; later conflicting
-    forms are logged and dropped.
-    """
-    slots = set()
-    by_lexeme = {}
-    for w in words:
-        if pos_filter is not None and pos_of(w.slot) != pos_filter:
-            continue
-        slots.add(w.slot)
-        entries = by_lexeme.setdefault(w.lexeme, {})
-        if w.slot in entries:
-            if entries[w.slot] != w.form:
-                log.warning("duplicate cell %s/%s: keeping %r, dropping %r",
-                            w.lexeme, w.slot, entries[w.slot], w.form)
-            continue
-        entries[w.slot] = w.form
-    inventory = check_slot_names(sorted(slots), "lexicon slot list")
-    paradigms = [Paradigm(lexeme=lx, entries=by_lexeme[lx]) for lx in sorted(by_lexeme)]
-    return inventory, paradigms
 
 
 def expand_paradigm_pairs(paradigms):

@@ -100,6 +100,58 @@ def test_ingest_wrong_pos_exit_3(toy_lexicon_path):
     assert main(["ingest", "--data", toy_lexicon_path, "--pos", "V"]) == 3
 
 
+def test_ingest_checks_the_fields_of_every_pos(tmp_path):
+    """A malformed line exits 2 even when its POS is not the one kept."""
+    lex = write_lexicon(tmp_path / "lex.tsv")
+    with open(lex, "a", encoding="utf-8") as fh:
+        fh.write("walk\twalked\tV;PST\textra\n")
+    assert main(["ingest", "--data", str(lex), "--pos", "N"]) == 2
+
+
+@pytest.mark.parametrize("pos", ["N", "V"])
+def test_ingest_pos_filter_writes_the_one_pos_store(tmp_path, pos):
+    """`ingest --pos` on a two-POS lexicon writes the bytes that the lexicon
+    of that POS's lines alone writes, the lexemes of both POS shared in part."""
+    nouns = write_lexicon(tmp_path / "n.tsv").read_text(encoding="utf-8").splitlines()
+    verbs = [line.replace("N;", "V;") for line in write_lexicon(
+        tmp_path / "v.tsv", count=160).read_text(encoding="utf-8").splitlines()]
+    lex, store = tmp_path / "lex.tsv", tmp_path / "store.json"
+
+    def ingest(lines):
+        lex.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["ingest", "--data", str(lex), "--pos", pos, "--out", str(store)]) == 0
+        return store.read_bytes()
+
+    both = [line for pair in itertools.zip_longest(nouns, verbs) for line in pair if line]
+    assert ingest(both) == ingest(nouns if pos == "N" else verbs)
+
+
+def test_lexicon_with_a_bom_reads_as_without(tmp_path):
+    """A lexicon saved with a UTF-8 byte-order mark writes the store of the
+    lexicon without one: the mark makes no phantom first lexeme."""
+    lex, store = write_lexicon(tmp_path / "lex.tsv"), tmp_path / "store.json"
+    plain = lex.read_text(encoding="utf-8")
+    stores = []
+    for text in (plain, "\ufeff" + plain):
+        lex.write_text(text, encoding="utf-8")
+        assert main(["ingest", "--data", str(lex), "--out", str(store)]) == 0
+        stores.append(store.read_bytes())
+    assert stores[0] == stores[1]
+
+
+def test_config_with_a_bom_reads_as_without(tmp_path):
+    """A config file saved with a UTF-8 byte-order mark resolves like the
+    file without one: the mark makes no unknown first key."""
+    cfgfile = tmp_path / "run.cfg"
+    resolved = []
+    for bom in ("", "\ufeff"):
+        cfgfile.write_text(bom + "order = 2\nseed = 5\n", encoding="utf-8")
+        assert cli.load_config(str(cfgfile)) == {"order": 2, "seed": 5}
+        resolved.append(cli.resolve_config(cli.build_parser().parse_args(
+            ["run", "--config", str(cfgfile)])))
+    assert resolved[0] == resolved[1]
+
+
 # ----------------------------------------------------------- config handling
 
 # each subcommand with its required arguments, and the config keys it takes
@@ -1540,6 +1592,8 @@ def test_perfbench_tracer_counts_the_hot_methods(partial_runs, tmp_path):
         model_logprob = "ConditionalParadigmModel.logprob"
         assert total[model_logprob] > after_run[model_logprob], calls
         assert total[model_logprob] == total["CharNGram.logprob"], total
+        # run's ingest, the one read of the lexicon, goes through the patched name
+        assert tracer.counters["corpus.parse_unimorph.calls"] == 1
     finally:
         tracer.uninstall()
     assert [dict(vars(cls)) for cls in classes] == originals

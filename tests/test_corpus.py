@@ -6,8 +6,8 @@ import pytest
 
 from morphcomplexity import corpus
 from morphcomplexity.corpus import (
-    ROOT, Paradigm, WordType,
-    build_paradigms, expand_paradigm_pairs, make_split,
+    ROOT, Paradigm,
+    expand_paradigm_pairs, make_split,
     parse_unimorph, split_from_json, split_to_json,
 )
 
@@ -24,74 +24,60 @@ Gabel\tGabeln\tN;DAT;PL
 
 
 def test_parse_single_line():
-    words, errors = parse_unimorph(io.StringIO("Hand\tHänden\tN;DAT;PL\n"))
+    inventory, paradigms, errors = parse_unimorph(io.StringIO("Hand\tHänden\tN;DAT;PL\n"))
     assert errors == []
-    assert words == [WordType(lexeme="Hand", slot="N;DAT;PL", form="Händen")]
+    assert inventory == ["N;DAT;PL"]
+    assert paradigms == [Paradigm(lexeme="Hand", entries={"N;DAT;PL": "Händen"})]
 
 
 def test_parse_empty_input():
-    words, errors = parse_unimorph(io.StringIO(""))
-    assert words == [] and errors == []
-
-
-def test_parse_six_line_fixture():
-    words, errors = parse_unimorph(io.StringIO(SIX_LINES))
-    assert len(words) == 6 and not errors
-    inventory, paradigms = build_paradigms(words)
-    assert len(paradigms) == 2
+    assert parse_unimorph(io.StringIO("")) == ([], [], [])
 
 
 def test_parse_reports_line_numbers():
     stream = io.StringIO("good\tform\tN;SG\nbadline-without-tabs\n")
-    words, errors = parse_unimorph(stream)
-    assert len(words) == 1
+    inventory, paradigms, errors = parse_unimorph(stream)
+    assert paradigms == [Paradigm("good", {"N;SG": "form"})]
     assert len(errors) == 1 and errors[0].startswith("line 2:")
 
 
 def test_parse_skips_comments_and_blanks():
-    words, _ = parse_unimorph(io.StringIO("# comment\n\nHand\tHand\tN;NOM;SG\n"))
-    assert len(words) == 1
+    _, paradigms, errors = parse_unimorph(io.StringIO("# comment\n\nHand\tHand\tN;NOM;SG\n"))
+    assert paradigms == [Paradigm("Hand", {"N;NOM;SG": "Hand"})] and errors == []
 
 
-def test_build_paradigms_fixture():
-    words, _ = parse_unimorph(io.StringIO(SIX_LINES))
-    inventory, paradigms = build_paradigms(words)
+def test_parse_groups_the_fixture_into_paradigms():
+    inventory, paradigms, errors = parse_unimorph(io.StringIO(SIX_LINES))
+    assert errors == []
     assert inventory == sorted(["N;NOM;SG", "N;NOM;PL", "N;DAT;PL"])
-    assert len(paradigms) == 2
+    assert [p.lexeme for p in paradigms] == ["Gabel", "Hand"]
     assert all(len(p.entries) == 3 for p in paradigms)
 
 
-def test_build_paradigms_pos_filter():
-    words = [
-        WordType("walk", "V;PST", "walked"),
-        WordType("hand", "N;NOM;SG", "hand"),
-    ]
-    inventory, paradigms = build_paradigms(words, pos_filter="N")
+def test_parse_pos_filter():
+    text = "walk\twalked\tV;PST\nhand\thand\tN;NOM;SG\n"
+    inventory, paradigms, _ = parse_unimorph(io.StringIO(text), pos_filter="N")
     assert inventory == ["N;NOM;SG"]
     assert [p.lexeme for p in paradigms] == ["hand"]
+    assert parse_unimorph(io.StringIO(text), pos_filter="ADJ")[:2] == ([], [])
 
 
-def test_build_paradigms_partial_allowed():
-    words = [
-        WordType("a", "N;SG", "a"),
-        WordType("a", "N;PL", "as"),
-        WordType("b", "N;SG", "b"),
-        WordType("b", "N;PL", "bs"),
-        WordType("b", "N;DU", "bd"),
-    ]
-    inventory, paradigms = build_paradigms(words)
+def test_parse_partial_paradigms_allowed():
+    text = "a\ta\tN;SG\na\tas\tN;PL\nb\tb\tN;SG\nb\tbs\tN;PL\nb\tbd\tN;DU\n"
+    inventory, paradigms, _ = parse_unimorph(io.StringIO(text))
     assert len(inventory) == 3
     sizes = {p.lexeme: len(p.entries) for p in paradigms}
     assert sizes == {"a": 2, "b": 3}
 
 
 def test_duplicate_cell_keeps_first(caplog):
-    words = [
-        WordType("a", "N;SG", "first"),
-        WordType("a", "N;SG", "second"),
-    ]
-    _, paradigms = build_paradigms(words)
-    assert paradigms[0].entries["N;SG"] == "first"
+    text = "a\tfirst\tN;SG\na\tsecond\tN;SG\na\tfirst\tN;SG\n"
+    with caplog.at_level("WARNING", logger="morphcomplexity.corpus"):
+        _, paradigms, errors = parse_unimorph(io.StringIO(text))
+    assert paradigms[0].entries["N;SG"] == "first" and errors == []
+    # the differing form is reported once; the repeat of the kept form is not
+    assert [r.getMessage() for r in caplog.records] == [
+        "duplicate cell a/N;SG: keeping 'first', dropping 'second'"]
 
 
 def _full_paradigms(count, n=4):
