@@ -32,8 +32,8 @@ class Paradigm:
 def target_groups(entries):
     """A paradigm's mappings by sorted target slot: (tgt_slot, tgt, sources),
     the root mapping (EMPTY, ROOT) first and implicit, then (src_slot, src)
-    of every other filled slot in sorted order.  The order fixes the float
-    sums of training counts and dev weights."""
+    of every other filled slot in sorted order: the order in which the dev
+    pass adds its scores and green sampling numbers a paradigm's cells."""
     slots = sorted(entries)
     for tgt_slot in slots:
         yield tgt_slot, entries[tgt_slot], [(s, entries[s]) for s in slots if s != tgt_slot]
@@ -46,9 +46,10 @@ def can_hold_out(paradigm):
 
 @dataclass
 class PairView:
-    """Sized view of training mappings, which `strmodel.train` walks: every
-    paradigm's, in `target_groups` order (purple), or the sampled (lexeme,
-    src_slot, tgt_slot) cells in order (green)."""
+    """Sized view of training mappings, which `strmodel.train` counts: every
+    mapping of each paradigm (purple), or the sampled (lexeme, src_slot,
+    tgt_slot) cells (green).  The paradigm order (purple) or the cell order
+    (green) orders each rule table's rows; no other order reaches the model."""
     paradigms: list
     cells: list = None
 

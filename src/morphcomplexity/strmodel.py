@@ -401,15 +401,15 @@ def train(pairs, order, alpha, alphabet):
     into one column of endings per slot (None where unfilled).  A target
     form is added to its slot's n-gram once, times its mapping count: a
     purple paradigm's filled-slot count, a green cell's 1.  A (src_slot,
-    tgt_slot) rule table counts its mappings' (source ending, target ending)
-    pairs.  Purple zips the two columns, in C, the tables in the order of
-    their first mappings: in the first paradigm filling both slots, at the
-    target's turn in `corpus.target_groups`.  Green counts each cell as it
-    comes.  A pair's rule is the two endings when their first letters
-    differ, else `extract_rule`'s; a pair with a None side is no mapping.
-    Rules enter a table in first-seen order, which fixes its float sums, and
-    each table is frozen as (src_suffix, tgt_suffix, count) rows before the
-    next is counted.  The n-grams are over the split's `alphabet`; the
+    tgt_slot) rule table counts the (source ending, target ending) pairs of
+    its mappings, in C: a purple table zips the two slots' whole columns, a
+    green one the two columns read at its cells' paradigms, in cell order.
+    A pair's rule is the two endings when their first letters differ, else
+    `extract_rule`'s; a pair with a None side is no mapping.  The counts are
+    integers, so one order alone reaches a float: a table's rows are its
+    rules in first-seen order, by paradigm (purple) or by cell (green), and
+    `logprob` sums them in that order.  Each table is frozen as rows before
+    the next is counted.  The n-grams are over the split's `alphabet`; the
     mixture weight stays DEFAULT_LAMBDA until `structure.compute_weights`'s
     dev pass picks it."""
     paradigms, cells = pairs.paradigms, pairs.cells
@@ -420,19 +420,16 @@ def train(pairs, order, alpha, alphabet):
     columns = defaultdict(lambda: [None] * len(paradigms))
     for i, p in enumerate(paradigms):
         cut = stem_length(p.entries.values())
-        for slot, form in sorted(p.entries.items()):
+        for slot, form in p.entries.items():
             end = form[cut:]
             columns[slot][i] = distinct.setdefault(end, end)
             if purple:
                 targets[slot, form] = targets.get((slot, form), 0) + len(p)
                 filled[slot] = filled.get(slot, 0) | 1 << i
     if purple:
-        # the lowest paradigm filling both slots, as its bit's position
-        first = sorted(((both & -both).bit_length(), tgt, src)
-                       for tgt in filled for src in filled
-                       if src != tgt and (both := filled[src] & filled[tgt]))
-        tables = (((src, tgt), Counter(zip(columns[src], columns[tgt])))
-                  for _, tgt, src in first)
+        # a table for each slot pair that some paradigm fills both of
+        tables = (((src, tgt), columns[src], columns[tgt]) for src in filled for tgt in filled
+                  if src != tgt and filled[src] & filled[tgt])
     else:
         index = {p.lexeme: i for i, p in enumerate(paradigms)}
         by_pair = {}
@@ -440,16 +437,16 @@ def train(pairs, order, alpha, alphabet):
             i = index[lx]
             tgt = paradigms[i].entries[tgt_slot]
             targets[tgt_slot, tgt] = targets.get((tgt_slot, tgt), 0) + 1
-            if src_slot == ROOT:
-                continue
-            ends = by_pair.setdefault((src_slot, tgt_slot), {})
-            pair = columns[src_slot][i], columns[tgt_slot][i]
-            ends[pair] = ends.get(pair, 0) + 1
-        tables = ((key, by_pair.pop(key)) for key in list(by_pair))
+            if src_slot != ROOT:
+                by_pair.setdefault((src_slot, tgt_slot), []).append(i)
+        # a table's paradigm indices, in cell order, are dropped as it is reached
+        tables = (((src, tgt), map(columns[src].__getitem__, at),
+                   map(columns[tgt].__getitem__, at))
+                  for src, tgt in list(by_pair) for at in [by_pair.pop((src, tgt))])
     rule_tables = {}
-    for key, ends in tables:
+    for key, src_ends, tgt_ends in tables:
         rules = {}
-        for (src, end), count in ends.items():
+        for (src, end), count in Counter(zip(src_ends, tgt_ends)).items():
             if src is None or end is None:
                 continue
             rule = (src, end) if src[:1] != end[:1] else extract_rule(src, end)

@@ -11,9 +11,10 @@ def split_config(**overrides):
 
 
 def pair_list(view):
-    """A `PairView`'s mappings one by one, in the order `strmodel.train` counts them,
-    as (src, src_slot, tgt_slot, tgt) tuples: every paradigm's (purple), or
-    each sampled cell's (green), whose source is EMPTY from the root."""
+    """A `PairView`'s mappings one by one, in an order that gives each of
+    `strmodel.train`'s tables its rows in order, as (src, src_slot, tgt_slot,
+    tgt) tuples: every paradigm's (purple), or each sampled cell's (green),
+    whose source is EMPTY from the root."""
     if view.cells is None:
         return expand_paradigm_pairs(view.paradigms)
     entries = {p.lexeme: p.entries for p in view.paradigms}

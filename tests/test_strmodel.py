@@ -275,7 +275,7 @@ def paradigm_lists(draw, slots="ABCD"):
 
 @settings(max_examples=200, deadline=None)
 @given(paradigm_lists(), st.integers(1, 40), st.integers(0, 2 ** 16))
-# purple: the pair (A, C) is first filled by both slots in the third paradigm
+# purple: only the third paradigm fills both A and C; the others give (A, C) None pairs
 @example([Paradigm("lx0", {"A": "ba", "B": "bb"}), Paradigm("lx1", {"C": "ac", "D": "a"}),
           Paradigm("lx2", {"A": "xa", "C": "ab"})], 40, 0)
 # green: every mapping, so the cells of tables (B, A) and (A, B) alternate
@@ -285,20 +285,20 @@ def paradigm_lists(draw, slots="ABCD"):
 @example([Paradigm("lx0", {"A": "a", "B": "c"})], 1, 0)
 def test_train_equals_per_mapping_counts(paradigms, pair_count, seed):
     """Counting one slot-pair table at a time, with each paradigm's shared
-    stem cut off, gives the tables in the order of their first mappings, the
-    rule order in every table, the alphabet and the char-model counts of
-    counting every mapping on its own, for a purple view and a green view."""
+    stem cut off, gives the tables, the rule order in every table, the
+    alphabet and the char-model counts of counting every mapping on its own,
+    for a purple view and a green view."""
     green = make_split(paradigms, split_config(regime="green", pair_count=pair_count,
                                                dev_paradigms=0, test_paradigms=0, seed=seed),
                        ["A", "B", "C", "D"]).train_pairs
     for pairs in (PairView(paradigms), green):
         model = train(pairs, order=2)
         want = train_per_mapping(pair_list(pairs), view_alphabet(pairs), order=2)
-        assert list(model.rule_tables) == list(want.rule_tables)
+        assert model.rule_tables.keys() == want.rule_tables.keys()
         for key, rows in want.rule_tables.items():
             assert model.rule_tables[key] == rows
         assert model.alphabet == want.alphabet
-        assert list(model.char_models) == list(want.char_models)
+        assert model.char_models.keys() == want.char_models.keys()
         for slot, char in want.char_models.items():
             assert model.char_models[slot].counts == char.counts
             assert model.char_models[slot]._totals == char._totals
@@ -442,10 +442,10 @@ def test_model_save_load_save_is_byte_identical(paradigms, pair_count, seed, ord
         assert back.to_json() == model.to_json()
 
 
-def six_slot_model():
-    """(model, dev paradigms, slots) over six slots whose rule tables hold
-    several rules per context, so their sums depend on order; every third
-    dev paradigm lacks a slot."""
+def six_slot_paradigms():
+    """(training paradigms, dev paradigms, slots) over six slots whose rule
+    tables hold several rules per context, so their sums depend on order;
+    every third dev paradigm lacks a slot."""
     rng = random.Random(0)
     slots = ["S%d" % i for i in range(6)]
     suffixes = [[rng.choice(["", "a", "ab", "ba", "bb", "aba"]) for _ in slots]
@@ -454,7 +454,55 @@ def six_slot_model():
     paradigms = system.sample_paradigms(120, rng)
     dev = [Paradigm(p.lexeme, {s: f for s, f in p.entries.items() if i % 3 or s != slots[i % 6]})
            for i, p in enumerate(paradigms[100:])]
-    return train(PairView(paradigms[:100])), dev, slots
+    return paradigms[:100], dev, slots
+
+
+def six_slot_model():
+    """(model, dev paradigms, slots): the `six_slot_paradigms` trained purple."""
+    paradigms, dev, slots = six_slot_paradigms()
+    return train(PairView(paradigms)), dev, slots
+
+
+def test_train_keeps_no_slot_order(tmp_path):
+    """Paradigms holding their entries in reversed insertion order give a
+    purple and a green model of the same saved bytes and the same dev
+    scores, to the bit, under every lambda of the grid: no order of slots or
+    of tables reaches a float.  Paradigm order (purple) and cell order
+    (green) still set the order of each table's rows."""
+    paradigms, dev, slots = six_slot_paradigms()
+    # every fourth paradigm lacks a slot, so the columns hold None
+    paradigms = [Paradigm(p.lexeme, {s: f for s, f in p.entries.items()
+                                     if i % 4 or s != slots[i % 6]})
+                 for i, p in enumerate(paradigms)]
+    green = make_split(paradigms, split_config(regime="green", pair_count=400, dev_paradigms=0,
+                                               test_paradigms=0, seed=0), slots).train_pairs
+
+    def fit(view):
+        model = train(view)
+        model.dev_weights = "0" * 64, compute_weights(model, dev, slots, GRID)
+        model.save(tmp_path / "model.json")
+        return model, (tmp_path / "model.json").read_bytes()
+
+    for view in (PairView(paradigms), green):
+        model, saved = fit(view)
+        back, back_saved = fit(PairView([Paradigm(p.lexeme, dict(reversed(p.entries.items())))
+                                         for p in view.paradigms], view.cells))
+        assert back_saved == saved
+        assert back.lam == model.lam
+        assert back.dev_weights[1].root == model.dev_weights[1].root
+        assert back.dev_weights[1].edge == model.dev_weights[1].edge
+        for p in dev:
+            for tgt_slot, tgt, sources in target_groups(p.entries):
+                contexts = [(ROOT, EMPTY)] + sources
+                assert (back.logprob(tgt_slot, tgt, contexts, GRID)
+                        == model.logprob(tgt_slot, tgt, contexts, GRID))
+        # the same rules, counts and tables, but rows in another order
+        flipped = train(PairView(view.paradigms[::-1]) if view.cells is None
+                        else PairView(view.paradigms, view.cells[::-1]))
+        assert flipped.rule_tables.keys() == model.rule_tables.keys()
+        for key, rows in flipped.rule_tables.items():
+            assert sorted(rows) == sorted(model.rule_tables[key])
+        assert flipped.rule_tables != model.rule_tables
 
 
 def test_model_json_roundtrip_weights_bit_for_bit():
