@@ -248,9 +248,8 @@ def stage_measure(labels, split, scorer, tree):
     labelled with the language, pos and seed in `labels` (the config in
     `run`, the split's in `measure`) and the regime the split was sampled in."""
     i_total, i_per_form = complexity.i_complexity(scorer, tree, split.test_paradigms)
-    regime = "purple" if split.train_pairs.cells is None else "green"
     return complexity.ComplexityPoint(
-        language=labels["language"], pos=labels["pos"], regime=regime,
+        language=labels["language"], pos=labels["pos"], regime=split.regime,
         e_complexity=len(tree.slots), i_total_bits=i_total, i_per_form_bits=i_per_form,
         d=len(split.test_paradigms), seed=labels["seed"])
 
@@ -290,10 +289,11 @@ def cmd_split(args, cfg):
 def cmd_train(args, cfg):
     split, _ = read_artifact(args.split, _load_split)
     model = strmodel.train(split.train_pairs, cfg["order"], cfg["alpha"], split.alphabet)
+    pairs, split.train_pairs = len(split.train_pairs), None   # freed before the dev pass forks
     W = structure.compute_weights(model, split.dev_paradigms, split.inventory, lambda_grid(cfg))
     model.dev_weights = dev_sha256(split), W
     model.save(args.out)
-    print("trained on %d pairs; lambda=%g" % (len(split.train_pairs), model.lam))
+    print("trained on %d pairs; lambda=%g" % (pairs, model.lam))
     return EXIT_OK
 
 
@@ -344,11 +344,13 @@ def cmd_run(args, cfg):
     out_dir.mkdir(parents=True, exist_ok=True)
     inventory, paradigms = stage_ingest(cfg)
     split = corpus.make_split(paradigms, cfg, inventory)
+    del paradigms   # the split holds every paradigm that a later stage reads
     if cfg.get("scores"):
         scorer, grid = read_scorer(cfg, None, split), None
     else:
         scorer = strmodel.train(split.train_pairs, cfg["order"], cfg["alpha"], split.alphabet)
         grid = lambda_grid(cfg)
+    split.train_pairs = None   # freed before the dev pass forks
     W = structure.compute_weights(scorer, split.dev_paradigms, split.inventory, grid)
     tree = structure.max_arborescence(W)
     point = stage_measure(cfg, split, scorer, tree)

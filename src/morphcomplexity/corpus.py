@@ -61,10 +61,13 @@ class PairView:
 
 @dataclass
 class DataSplit:
+    """The training mappings and the held-out paradigms.  A caller that
+    has trained may set `train_pairs` to None: no later stage reads it."""
     train_pairs: PairView
     dev_paradigms: list
     test_paradigms: list
     inventory: list                 # the ingested slot inventory, sorted
+    regime: str                     # "purple" or "green", how train_pairs was sampled
 
     @property
     def alphabet(self):
@@ -178,7 +181,7 @@ def make_split(paradigms, spec, inventory):
     else:
         raise ValueError("unknown regime %r" % spec["regime"])
     return DataSplit(train_pairs=PairView(train, cells), dev_paradigms=dev,
-                     test_paradigms=test, inventory=list(inventory))
+                     test_paradigms=test, inventory=list(inventory), regime=spec["regime"])
 
 
 def paradigms_to_json(paradigms, inventory):
@@ -255,4 +258,5 @@ def split_from_json(obj):
                                      and src != tgt for lx, src, tgt in cells):
         raise ValueError("a training cell is not in its paradigm or maps a slot to itself")
     return DataSplit(train_pairs=PairView(train, cells), dev_paradigms=dev,
-                     test_paradigms=test, inventory=inventory)
+                     test_paradigms=test, inventory=inventory,
+                     regime="purple" if cells is None else "green")

@@ -11,7 +11,6 @@ anywhere a scorer is needed.
 
 import json
 import math
-import os
 from collections import Counter, defaultdict
 from collections.abc import Iterator
 from functools import cached_property
@@ -148,7 +147,15 @@ def stem_length(forms):
     """Length of the longest common prefix of the forms: the stem all forms
     of a paradigm share, or the part of a source and a target that a rule
     keeps."""
-    return len(os.path.commonprefix(list(forms)))
+    if not forms:
+        return 0
+    # every form sorts between the least and the greatest, so it shares their
+    # common prefix; hi[i] is in range, as a proper prefix of lo would sort first
+    lo, hi = min(forms), max(forms)
+    for i, c in enumerate(lo):
+        if c != hi[i]:
+            return i
+    return len(lo)
 
 
 def extract_rule(src, tgt):

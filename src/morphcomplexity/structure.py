@@ -187,41 +187,51 @@ def _edmonds(w, root):
 
     Every vertex takes its best parent, ties to the lowest index.  A cycle
     is contracted into one vertex that is entered through the lowest-index
-    cycle vertex among equals; the smaller matrix is solved the same way
-    and the cycle expanded again.
+    cycle vertex among equals, and the smaller matrix is solved the same
+    way, until no cycle is left.  The loop holds one contracted matrix at a
+    time: each contraction stacks only what its expansion needs, and the
+    cycles are expanded again from the last one back.
     """
     def best(pairs):
         return max(pairs, key=lambda p: (p[0], -p[1]))
 
-    m = len(w)
-    # max returns the first of equal weights and index finds its first place
-    pa = [row.index(max(row)) for row in w]
-    done = {root}
-    for start in range(m):
-        path = {}
-        v = start
-        while v not in done and v not in path:
-            path[v] = len(path)
-            v = pa[v]
-        if v in path:
+    stack = []
+    while True:
+        m = len(w)
+        # max returns the first of equal weights and index finds its first place
+        pa = [row.index(max(row)) for row in w]
+        done = {root}
+        for start in range(m):
+            path = {}
+            v = start
+            while v not in done and v not in path:
+                path[v] = len(path)
+                v = pa[v]
+            if v in path:
+                break
+            done.update(path)
+        else:
             break
-        done.update(path)
-    else:
-        return pa
-    cycle = list(path)[path[v]:]
-    rest = [u for u in range(m) if u not in cycle]
-    k = len(rest)   # index of the contracted vertex
-    # (weight, cycle parent) of the best edge from the cycle into each x, and
-    # (gain, cycle child) of the best edge from each u into the cycle
-    leave = [best((w[x][u], u) for u in cycle) for x in rest]
-    enter = [best((w[v][u] - w[v][pa[v]], v) for v in cycle) for u in rest]
-    w2 = [[w[x][u] for u in rest] + [leave[i][0]] for i, x in enumerate(rest)]
-    w2.append([gain for gain, _ in enter] + [-math.inf])
-    pa2 = _edmonds(w2, rest.index(root))
-    parent = pa[:]
-    for i, x in enumerate(rest):
-        parent[x] = leave[i][1] if pa2[i] == k else rest[pa2[i]]
-    parent[enter[pa2[k]][1]] = rest[pa2[k]]
+        cycle = list(path)[path[v]:]
+        rest = [u for u in range(m) if u not in cycle]
+        # (weight, cycle parent) of the best edge from the cycle into each x, and
+        # (gain, cycle child) of the best edge from each u into the cycle
+        leave = [best((w[x][u], u) for u in cycle) for x in rest]
+        enter = [best((w[v][u] - w[v][pa[v]], v) for v in cycle) for u in rest]
+        w = [[w[x][u] for u in rest] + [weight] for x, (weight, _) in zip(rest, leave)]
+        w.append([gain for gain, _ in enter] + [-math.inf])
+        stack.append((pa, rest, [u for _, u in leave], [v for _, v in enter]))
+        root = rest.index(root)
+    parent = pa
+    while stack:
+        # `inner` solves the contracted matrix, in which the cycle is vertex k:
+        # its parent enters the cycle through one vertex, and its children
+        # leave the cycle from their best parents in it
+        inner, (parent, rest, leave, enter) = parent, stack.pop()
+        k = len(rest)
+        for i, x in enumerate(rest):
+            parent[x] = leave[i] if inner[i] == k else rest[inner[i]]
+        parent[enter[inner[k]]] = rest[inner[k]]
     return parent
 
 
@@ -240,10 +250,11 @@ def max_arborescence(W):
         raise ValueError("empty weight matrix")
     weights = W.root + [W.edge[i][j] for i in range(n) for j in range(n) if i != j]
     penalty = n * (max(weights) - min(weights)) + 1
-    w = [[W.edge[i][j] if i != j else -math.inf for j in range(n)] + [W.root[i] - penalty]
-         for i in range(n)]
-    w.append([-math.inf] * (n + 1))
-    parent = _edmonds(w, n)
+    del weights
+    rows = ([W.edge[i][j] if i != j else -math.inf for j in range(n)] + [W.root[i] - penalty]
+            for i in range(n))
+    # the matrix is _edmonds' alone, so it is freed once the first contraction is built
+    parent = _edmonds([*rows, [-math.inf] * (n + 1)], n)
     (root,) = [i for i in range(n) if parent[i] == n]
     tree = Arborescence(slots=list(W.slots), root=root,
                         parent={i: parent[i] for i in range(n) if i != root})

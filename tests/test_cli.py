@@ -1,6 +1,7 @@
 import ast
 import builtins
 import csv
+import gc
 import importlib.util
 import itertools
 import json
@@ -11,6 +12,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -413,6 +415,41 @@ def test_run_synthetic_source(tmp_path):
 def test_run_insufficient_data_exit_3(tmp_path, toy_lexicon_path):
     assert main(["run", "--data", toy_lexicon_path, "--seed", "0",
                  "--out-dir", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("stage", ["run", "train"])
+def test_training_data_is_freed_before_the_dev_pass(tmp_path, monkeypatch, stage):
+    """`run` (green) and the staged `train` (purple) hold no reference to
+    the split's training view or to a training paradigm once the model is
+    trained: when the dev pass starts, a collection finds both gone."""
+    lex = write_lexicon(tmp_path / "lex.tsv")
+    store, split = tmp_path / "store.json", tmp_path / "split.json"
+    if stage == "run":
+        argv = ["run", "--data", str(lex), "--regime", "green", "--pair-count", "200",
+                "--seed", "1", "--out-dir", str(tmp_path / "out")] + SMALL
+        maker = "make_split"
+    else:
+        assert main(["ingest", "--data", str(lex), "--out", str(store)]) == 0
+        assert main(["split", "--store", str(store), "--seed", "1", "--out", str(split)]
+                    + SMALL_SPLIT) == 0
+        argv = ["train", "--split", str(split), "--order", "2", "--out", str(tmp_path / "m.json")]
+        maker = "split_from_json"
+    refs, alive = [], []
+    make, compute = getattr(cli.corpus, maker), cli.structure.compute_weights
+
+    def made(*args):
+        made_split = make(*args)
+        refs.extend(map(weakref.ref, (made_split.train_pairs, made_split.train_pairs.paradigms[0])))
+        return made_split
+
+    def dev_pass(*args):
+        gc.collect()
+        alive.extend(ref() is not None for ref in refs)
+        return compute(*args)
+    monkeypatch.setattr(cli.corpus, maker, made)
+    monkeypatch.setattr(cli.structure, "compute_weights", dev_pass)
+    assert main(argv) == 0
+    assert alive == [False, False]
 
 
 # ----------------------------------------------------------- staged pipeline

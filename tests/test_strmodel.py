@@ -18,6 +18,7 @@ from morphcomplexity.corpus import (
 )
 from morphcomplexity.strmodel import (
     CharNGram, ConditionalParadigmModel, ScoreTable, extract_rule, joint_logprob, load_scores,
+    stem_length,
 )
 from morphcomplexity.structure import compute_weights
 
@@ -87,6 +88,16 @@ def test_extract_rule_roundtrip(src, tgt):
     assert src.endswith(s_sfx)
     assert src[:len(src) - len(s_sfx)] + t_sfx == tgt
     assert not (s_sfx and t_sfx and s_sfx[0] == t_sfx[0])
+
+
+@given(st.lists(st.text("abc", max_size=6), max_size=5))
+@example([])
+def test_stem_length_is_the_longest_common_prefix(forms):
+    """`stem_length` of a paradigm's forms equals the length of
+    `os.path.commonprefix`, the reference; a paradigm with no form, as a
+    split.json row of nulls gives, has a stem of length 0."""
+    want = len(os.path.commonprefix(forms))
+    assert stem_length(forms) == stem_length(dict(enumerate(forms)).values()) == want
 
 
 # ----------------------------------------------------------- char n-gram

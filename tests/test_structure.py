@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -251,6 +253,25 @@ def test_best_parent_pick_equals_the_key_rule(monkeypatch):
     for W, tree in zip(matrices, trees):
         want = max_arborescence(W)
         assert (tree.root, tree.parent) == (want.root, want.parent)
+
+
+def test_edmonds_holds_one_contracted_matrix_at_a_time():
+    """On a seeded 112-slot random matrix, which Edmonds contracts about 60
+    times, the memory traced inside `max_arborescence` peaks below three
+    (n + 1)-square matrices: each contraction frees the matrix before it.
+    Keeping every level's matrix, as a recursion does, peaks at about 17."""
+    n = 112
+    W = random_matrix(random.Random(112), n)
+    matrix = (n + 1) * sys.getsizeof([0.0] * (n + 1)) + sys.getsizeof([None] * (n + 1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        max_arborescence(W)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * matrix, "peak %.1f matrices" % (peak / matrix)
 
 
 def test_deterministic_tie_break_prefers_low_root():
