@@ -51,14 +51,10 @@ CONFIG_DEFAULTS = {
 
 
 def load_config(path):
-    """Flat key = value UTF-8 config file; '#' comments, blank lines and a
-    leading byte-order mark skipped."""
+    """Flat key = value config file; only its `corpus.data_lines` are read."""
     cfg = {}
-    text = read_artifact(path, lambda p: Path(p).read_text(encoding="utf-8-sig"))
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_artifact(path, lambda fh: list(corpus.data_lines(fh))):
+        line = line.strip()
         if "=" not in line:
             raise ValueError("%s:%d: expected key = value" % (path, lineno))
         key, _, value = line.partition("=")
@@ -122,28 +118,22 @@ def _write_json(path, obj, cfg, compact=False):
 
 # ---------------------------------------------------------------- artifacts
 
-def _text(parse):
-    """Loader that applies a stream parser to the UTF-8 file at a path; a
-    leading byte-order mark is dropped."""
-    def load(path):
-        with open(path, encoding="utf-8-sig") as fh:
-            return parse(fh)
-    return load
-
-
-def _json(path):
-    """The JSON object in the file at a path; every JSON input is one object."""
-    obj = _text(json.load)(path)
+def _json(fh):
+    """The JSON object in a stream; every JSON input is one object."""
+    obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("the top level is not a JSON object")
     return obj
 
 
-def read_artifact(path, load):
-    """load(path) for an input file: a missing or unreadable file is missing
-    data, one that does not parse or does not fit the other inputs a ValueError."""
+def read_artifact(path, parse):
+    """parse(stream) of the input file at a path, the one place that opens
+    one: UTF-8 text, a leading byte-order mark dropped.  A missing or
+    unreadable file is missing data, one that does not parse or does not fit
+    the other inputs a ValueError."""
     try:
-        return load(path)
+        with open(path, encoding="utf-8-sig") as fh:
+            return parse(fh)
     except OSError as e:
         raise corpus.InsufficientDataError("cannot read %s: %s" % (path, e))
     except (ValueError, KeyError, TypeError) as e:
@@ -163,16 +153,16 @@ def _labels(obj, keys, stage):
     return {key: obj[key] for key in keys}
 
 
-def _load_store(path):
-    obj = _json(path)
+def _load_store(fh):
+    obj = _json(fh)
     inventory = corpus.inventory_from_json(obj)
     return (_labels(obj, ("language", "pos"), "ingest"), inventory,
             corpus.paradigms_from_json(obj["paradigms"], inventory, "ingest"))
 
 
-def _load_split(path):
+def _load_split(fh):
     """The split and the labels of the point it is measured for."""
-    obj = _json(path)
+    obj = _json(fh)
     return corpus.split_from_json(obj), _labels(obj, LABELS, "split")
 
 
@@ -210,7 +200,7 @@ def stage_ingest(cfg):
         raise ValueError("give exactly one input: --data or --synth")
     if cfg.get("synth"):
         # a generator config holds SyntheticSystem's parameters: another key is a TypeError
-        system = read_artifact(cfg["synth"], lambda p: complexity.SyntheticSystem(**_json(p)))
+        system = read_artifact(cfg["synth"], lambda fh: complexity.SyntheticSystem(**_json(fh)))
         rng = random.Random(cfg["seed"])
         return sorted(system.slots), system.sample_paradigms(cfg["synth_paradigms"], rng)
     path = cfg.get("data")
@@ -218,7 +208,7 @@ def stage_ingest(cfg):
         raise corpus.InsufficientDataError("either a data file or a synthetic generator "
                                            "config is required")
     inventory, paradigms, errors = read_artifact(
-        path, _text(lambda fh: corpus.parse_unimorph(fh, pos_filter=cfg["pos"])))
+        path, lambda fh: corpus.parse_unimorph(fh, pos_filter=cfg["pos"]))
     for err in errors:
         log.error("%s: %s", path, err)
     if errors:
@@ -234,7 +224,7 @@ def read_scorer(cfg, model_path, split):
     if bool(model_path) == bool(cfg.get("scores")):
         raise ValueError("give exactly one scorer: --model or --scores")
     if not model_path:
-        return read_artifact(cfg["scores"], _text(strmodel.load_scores))
+        return read_artifact(cfg["scores"], strmodel.load_scores)
     model = read_artifact(model_path, strmodel.ConditionalParadigmModel.load)
     foreign = set(split.alphabet).difference(model.alphabet)
     if foreign:
@@ -314,9 +304,9 @@ def cmd_weights(args, cfg):
     return EXIT_OK
 
 
-def _load_weights(path):
+def _load_weights(fh):
     """The weight matrix and the seed of the split it was computed on."""
-    obj = _json(path)
+    obj = _json(fh)
     return structure.WeightMatrix.from_json(obj), _labels(obj, ("seed",), "weights")
 
 
@@ -331,8 +321,8 @@ def cmd_learn_tree(args, cfg):
 def cmd_measure(args, cfg):
     split, labels = read_artifact(args.split, _load_split)
     scorer = read_scorer(cfg, args.model, split)
-    tree = read_artifact(args.tree, lambda p: structure.Arborescence.from_json(
-        _json(p), split.inventory))
+    tree = read_artifact(args.tree, lambda fh: structure.Arborescence.from_json(
+        _json(fh), split.inventory))
     point = stage_measure(labels, split, scorer, tree)
     write_point(point, args.out)
     print("i_total=%.4f bits over %d test paradigms" % (point.i_total_bits, point.d))
@@ -383,7 +373,7 @@ def _read_points(fh):
 
 
 def cmd_pareto(args, cfg):
-    by_pos = read_artifact(args.points or bundled("table2_green.csv"), _text(_read_points))
+    by_pos = read_artifact(args.points or bundled("table2_green.csv"), _read_points)
     out_dir = Path(cfg.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {"per_pos": {}}
@@ -408,7 +398,7 @@ def cmd_pareto(args, cfg):
 
 def _read_plat(args):
     """The --plat table, by default the bundled Greek plat."""
-    return read_artifact(args.plat or bundled("greek_plat.tsv"), _text(platbaseline.parse_plat))
+    return read_artifact(args.plat or bundled("greek_plat.tsv"), platbaseline.parse_plat)
 
 
 def cmd_plat(args, cfg):

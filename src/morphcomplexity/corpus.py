@@ -76,23 +76,28 @@ class DataSplit:
         return sorted(set("".join(f for p in paradigms for f in p.entries.values())))
 
 
-def parse_unimorph(stream, pos_filter=None):
-    """Read UniMorph-style TSV lines (lemma, form, ;-joined features) straight
-    into paradigms, one line at a time.
+def data_lines(stream):
+    """(line number, line) of each line of a text stream but the blank and
+    the '#' comment lines, its line end dropped: every line format's data."""
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\r\n")
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield lineno, line
 
-    Blank lines and '#'-comments are skipped, and so is a well-formed line
-    whose POS is not `pos_filter` (None keeps every POS).  Returns
-    (inventory, paradigms, errors): inventory is the sorted list of distinct
-    slots kept, paradigms a list of Paradigm sorted by lexeme, and errors one
-    message per malformed line, of any POS.  A repeated (lexeme, slot) cell
-    keeps its first form; a later, different form is logged and dropped.
-    """
+
+def parse_unimorph(stream, pos_filter=None):
+    """Read the `data_lines` of a UniMorph-style TSV (lemma, form, ;-joined
+    features) straight into paradigms, one line at a time.
+
+    A well-formed line whose POS is not `pos_filter` is skipped (None keeps
+    every POS).  Returns (inventory, paradigms, errors): inventory is the
+    sorted list of distinct slots kept, paradigms a list of Paradigm sorted
+    by lexeme, and errors one message per malformed line, of any POS.  A
+    repeated (lexeme, slot) cell keeps its first form; a later, different
+    form is logged and dropped."""
     by_lexeme = {}
     errors = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in data_lines(stream):
         fields = line.split("\t")
         if len(fields) != 3 or not all(f.strip() for f in fields):
             errors.append("line %d: expected 3 tab-separated fields, got: %r" % (lineno, line))

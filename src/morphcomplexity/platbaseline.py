@@ -10,7 +10,7 @@ model is the point of the comparison.
 import math
 from dataclasses import dataclass, field
 
-from .corpus import check_slot_names
+from .corpus import check_slot_names, data_lines
 
 EMPTY_MARKS = {"∅", "-", ""}
 
@@ -41,8 +41,7 @@ class Plat:
 def parse_plat(stream):
     """Parse the plat TSV: header of slot ids, then one row per class
     (class id, optional numeric weight, exponents)."""
-    rows = [line.rstrip("\n").rstrip("\r").split("\t") for line in stream
-            if line.strip() and not line.lstrip().startswith("#")]
+    rows = [line.split("\t") for _, line in data_lines(stream)]
     if len(rows) < 2:
         raise ValueError("plat needs a header row and at least one class row")
     header = rows[0]

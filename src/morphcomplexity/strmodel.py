@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from functools import cached_property
 from itertools import chain
 
-from .corpus import ROOT, EMPTY, check_slot_names
+from .corpus import ROOT, EMPTY, check_slot_names, data_lines
 from .structure import WeightMatrix
 
 FORMAT_VERSION = 4
@@ -346,9 +346,8 @@ class ConditionalParadigmModel:
             fh.writelines(_json_pieces(self._json_fields(), 2))
 
     @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+    def load(cls, fh):
+        return cls.from_json(json.load(fh))
 
 
 def check_order_alpha(order, alpha):
@@ -409,21 +408,22 @@ def train(pairs, order, alpha, alphabet):
     form is added to its slot's n-gram once, times its mapping count: a
     purple paradigm's filled-slot count, a green cell's 1.  A (src_slot,
     tgt_slot) rule table counts the (source ending, target ending) pairs of
-    its mappings, in C: a purple table zips the two slots' whole columns, a
-    green one the two columns read at its cells' paradigms, in cell order.
-    A pair's rule is the two endings when their first letters differ, else
-    `extract_rule`'s; a pair with a None side is no mapping.  The counts are
-    integers, so one order alone reaches a float: a table's rows are its
-    rules in first-seen order, by paradigm (purple) or by cell (green), and
-    `logprob` sums them in that order.  Each table is frozen as rows before
-    the next is counted.  The n-grams are over the split's `alphabet`; the
+    its mappings, in C: a purple table, one per ordered pair of trained
+    slots, zips the two slots' whole columns, a green one the two columns
+    read at its cells' paradigms, in cell order.  A pair's rule is the two
+    endings when their first letters differ, else `extract_rule`'s; a pair
+    with a None side is no mapping.  The counts are integers, so one order
+    alone reaches a float: a table's rows are its rules in first-seen order,
+    by paradigm (purple) or by cell (green), and `logprob` sums them in that
+    order.  Each table is frozen as rows before the next is counted, and
+    kept if it has a row.  The n-grams are over the split's `alphabet`; the
     mixture weight stays DEFAULT_LAMBDA until `structure.compute_weights`'s
     dev pass picks it."""
     paradigms, cells = pairs.paradigms, pairs.cells
     if not len(pairs):
         raise ValueError("cannot train on an empty pair list")
     purple = cells is None
-    targets, filled, distinct = {}, {}, {}
+    targets, distinct = {}, {}
     columns = defaultdict(lambda: [None] * len(paradigms))
     for i, p in enumerate(paradigms):
         cut = stem_length(p.entries.values())
@@ -432,11 +432,9 @@ def train(pairs, order, alpha, alphabet):
             columns[slot][i] = distinct.setdefault(end, end)
             if purple:
                 targets[slot, form] = targets.get((slot, form), 0) + len(p)
-                filled[slot] = filled.get(slot, 0) | 1 << i
     if purple:
-        # a table for each slot pair that some paradigm fills both of
-        tables = (((src, tgt), columns[src], columns[tgt]) for src in filled for tgt in filled
-                  if src != tgt and filled[src] & filled[tgt])
+        tables = (((src, tgt), columns[src], columns[tgt]) for src in columns for tgt in columns
+                  if src != tgt)
     else:
         index = {p.lexeme: i for i, p in enumerate(paradigms)}
         by_pair = {}
@@ -458,7 +456,8 @@ def train(pairs, order, alpha, alphabet):
                 continue
             rule = (src, end) if src[:1] != end[:1] else extract_rule(src, end)
             rules[rule] = rules.get(rule, 0) + count
-        rule_tables[key] = [(s, t, c) for (s, t), c in rules.items()]
+        if rules:
+            rule_tables[key] = [(s, t, c) for (s, t), c in rules.items()]
     char_models = defaultdict(lambda: CharNGram(order, alpha, alphabet))
     for (slot, form), count in targets.items():
         char_models[slot].add(count, form)
@@ -520,10 +519,7 @@ def load_scores(stream):
     mapping.
     """
     scores = {}
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in data_lines(stream):
         fields = line.split("\t")
         if len(fields) != 5:
             raise ValueError("line %d: expected 5 tab-separated fields" % lineno)

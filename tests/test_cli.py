@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -126,32 +127,6 @@ def test_ingest_pos_filter_writes_the_one_pos_store(tmp_path, pos):
 
     both = [line for pair in itertools.zip_longest(nouns, verbs) for line in pair if line]
     assert ingest(both) == ingest(nouns if pos == "N" else verbs)
-
-
-def test_lexicon_with_a_bom_reads_as_without(tmp_path):
-    """A lexicon saved with a UTF-8 byte-order mark writes the store of the
-    lexicon without one: the mark makes no phantom first lexeme."""
-    lex, store = write_lexicon(tmp_path / "lex.tsv"), tmp_path / "store.json"
-    plain = lex.read_text(encoding="utf-8")
-    stores = []
-    for text in (plain, "\ufeff" + plain):
-        lex.write_text(text, encoding="utf-8")
-        assert main(["ingest", "--data", str(lex), "--out", str(store)]) == 0
-        stores.append(store.read_bytes())
-    assert stores[0] == stores[1]
-
-
-def test_config_with_a_bom_reads_as_without(tmp_path):
-    """A config file saved with a UTF-8 byte-order mark resolves like the
-    file without one: the mark makes no unknown first key."""
-    cfgfile = tmp_path / "run.cfg"
-    resolved = []
-    for bom in ("", "\ufeff"):
-        cfgfile.write_text(bom + "order = 2\nseed = 5\n", encoding="utf-8")
-        assert cli.load_config(str(cfgfile)) == {"order": 2, "seed": 5}
-        resolved.append(cli.resolve_config(cli.build_parser().parse_args(
-            ["run", "--config", str(cfgfile)])))
-    assert resolved[0] == resolved[1]
 
 
 # ----------------------------------------------------------- config handling
@@ -303,7 +278,7 @@ def test_model_alphabet_is_the_splits(tmp_path):
     (tmp_path / "split.json").write_text(json.dumps(split), encoding="utf-8")
     assert main(["train", "--split", str(tmp_path / "split.json"), "--order", "2",
                  "--out", str(tmp_path / "model.json")]) == 0
-    model = strmodel.ConditionalParadigmModel.load(tmp_path / "model.json")
+    model = cli.read_artifact(tmp_path / "model.json", strmodel.ConditionalParadigmModel.load)
     assert model.alphabet == ["a", "b", "c", "d"]
     for context in [("S", "ac"), ("S", "ad"), ("S", "a"), (cli.corpus.ROOT, "")]:
         for max_len in (3, 5):
@@ -484,7 +459,7 @@ def test_store_and_split_round_trip_as_rows(tmp_path, regime):
     assert main(["ingest", "--data", str(lex), "--out", str(store)]) == 0
     assert main(["split", "--store", str(store), "--out", str(split), "--regime", regime,
                  "--pair-count", "300", "--seed", "4"] + SMALL_SPLIT) == 0
-    labels, inventory, paradigms = cli._load_store(store)
+    labels, inventory, paradigms = cli.read_artifact(store, cli._load_store)
     assert (inventory, paradigms) == cli.stage_ingest(split_config(data=str(lex)))
     rows = json.loads(store.read_text(encoding="utf-8"))["paradigms"]
     assert rows[[p.lexeme for p in paradigms].index("rare")] == [
@@ -492,7 +467,7 @@ def test_store_and_split_round_trip_as_rows(tmp_path, regime):
     want = cli.corpus.make_split(paradigms, split_config(
         regime=regime, pair_count=300, paradigm_count=40, dev_paradigms=20,
         test_paradigms=20, seed=4), inventory)
-    got, _ = cli._load_split(split)
+    got, _ = cli.read_artifact(split, cli._load_split)
     assert got.inventory == want.inventory == inventory
     assert got.train_pairs.paradigms == want.train_pairs.paradigms
     assert pair_list(got.train_pairs) == pair_list(want.train_pairs)
@@ -1142,6 +1117,47 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_one_door_for_every_input():
+    """`cli.read_artifact` is the one place in the package that opens a file
+    path for reading, and `corpus.data_lines` the one that tests a line for
+    a '#' comment: every input is read as the same text, and every line
+    format skips the same lines.  Writes are no input, and neither are the
+    pipe ends (file descriptors of `os.pipe`) that `open` wraps."""
+    reads, comments = [], []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner, pipes = {}, set()
+        for func in ast.walk(tree):   # outer functions first, so the inner one wins
+            if isinstance(func, ast.FunctionDef):
+                owner.update((node, "%s.%s" % (path.stem, func.name)) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and ast.unparse(node.value.func) == "os.pipe"):
+                pipes.update((owner.get(node), ast.unparse(name))
+                             for name in ast.walk(node.targets[0]) if isinstance(name, ast.Name))
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = ast.unparse(call.func).rsplit(".", 1)[-1]
+            where = owner.get(call, path.stem)
+            if name == "open":
+                # open(file, mode) or a path's .open(mode)
+                args = call.args[1:] if isinstance(call.func, ast.Name) else call.args
+                mode = [k.value for k in call.keywords if k.arg == "mode"] + args[:1]
+                writes = mode and isinstance(mode[0], ast.Constant) and any(
+                    c in str(mode[0].value) for c in "wax")
+                pipe = call.args and (where, ast.unparse(call.args[0])) in pipes
+                if not (writes or pipe):
+                    reads.append((where, ast.unparse(call)))
+            elif name in ("read_text", "read_bytes"):
+                reads.append((where, ast.unparse(call)))
+            elif (name == "startswith" and call.args and isinstance(call.args[0], ast.Constant)
+                  and "#" in str(call.args[0].value)):
+                comments.append(where)
+    assert [where for where, _ in reads] == ["cli.read_artifact"], reads
+    assert comments == ["corpus.data_lines"]
+
+
 TRUNCATED = {
     "store.json": "split --store {cut} --out {tmp}/o.json --seed 0",
     "split.json": "train --split {cut} --out {tmp}/o.json",
@@ -1486,6 +1502,78 @@ def test_dev_pass_worker_failure(tmp_path, caplog, monkeypatch, failing):
         assert code == 4 and ("-9" if "killed" in failing else "child range") in errors[0]
     assert not (tmp_path / "w.json").exists()
     assert children_and_fds() == before == (False, before[1])
+
+
+def chain_file(name):
+    return lambda d: (d / name).read_text(encoding="utf-8")
+
+
+def bundled_file(name):
+    return lambda d: cli.bundled(name).read_text(encoding="utf-8")
+
+
+def measure_scores(d):
+    """A score table of every mapping that `measure` reads of d's split
+    under d's tree, at -1 bit, after a comment line and a blank line."""
+    split, tree = (json.loads((d / name).read_text()) for name in ("split.json", "tree.json"))
+    rows = ["# src\tsrc_slot\ttgt_slot\ttgt\tlog2prob", ""]
+    for entries in (row_entries(split, p) for p in split["test_paradigms"]):
+        for slot, form in sorted(entries.items()):
+            parent = tree["edges"].get(slot)
+            src = (entries[parent], parent) if parent in entries else ("", "")
+            rows.append("%s\t%s\t%s\t%s\t-1.0" % (*src, slot, form))
+    return "\n".join(rows) + "\n"
+
+
+# each input flag (--model for each of its two readers): the text of its
+# file, given the staged chain's directory d, and the command that reads it
+# from {f}, writing into {o}
+INPUTS = {
+    "data": (chain_file("lex.tsv"), "ingest --data {f} --out {o}/store.json"),
+    "config": (lambda d: "# the chain's input\n\nlanguage = partial\n  data = %s\n"
+               % (d / "lex.tsv"), "ingest --config {f} --out {o}/store.json"),
+    "store": (chain_file("store.json"),
+              "split --store {f} --out {o}/split.json --seed 3 " + " ".join(SMALL_SPLIT)),
+    "split": (chain_file("split.json"), "train --split {f} --out {o}/model.json --order 2"),
+    "model": (chain_file("model.json"),
+              "weights --split {d}/split.json --model {f} --out {o}/weights.json"),
+    "model-measure": (chain_file("model.json"), "measure --split {d}/split.json --model {f} "
+                      "--tree {d}/tree.json --out {o}/point.csv"),
+    "weights": (chain_file("weights.json"),
+                "learn-tree --weights {f} --out {o}/tree.json --dot {o}/tree.dot"),
+    "tree": (chain_file("tree.json"), "measure --split {d}/split.json --model {d}/model.json "
+             "--tree {f} --out {o}/point.csv"),
+    "scores": (measure_scores, "measure --split {d}/split.json --scores {f} "
+               "--tree {d}/tree.json --out {o}/point.csv"),
+    "points": (bundled_file("table2_green.csv"),
+               "pareto --points {f} --n-perm 200 --seed 0 --out-dir {o}"),
+    "plat": (bundled_file("greek_plat.tsv"), "plat --plat {f}"),
+    "synth": (bundled_file("synth_two_class.json"),
+              "ingest --synth {f} --seed 0 --synth-paradigms 50 --out {o}/store.json"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(INPUTS))
+def test_input_with_a_bom_and_crlf_reads_as_without(partial_runs, tmp_path, capsys, flag):
+    """Every input file, saved with a UTF-8 byte-order mark and CRLF line
+    ends, gives the exit code, the output files and the stdout of the plain
+    file: the mark makes no phantom first lexeme or unknown first key, and
+    no line keeps a CR."""
+    text, argv = INPUTS[flag]
+    plain = text(partial_runs)
+    assert "\r" not in plain and not plain.startswith("\ufeff")
+    f, out = tmp_path / ("input-" + flag), tmp_path / "out"
+    results = []
+    for data in (plain, "\ufeff" + plain.replace("\n", "\r\n")):
+        f.write_bytes(data.encode("utf-8"))
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        code = main(argv.format(d=partial_runs, f=f, o=out).split())
+        results.append((code, capsys.readouterr().out,
+                        {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    code, stdout, _ = results[0]
+    assert code == 0 and stdout
+    assert results[1] == results[0]
 
 
 # ----------------------------------------------------------- plat and critique

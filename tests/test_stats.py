@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -186,6 +187,92 @@ def test_perm_test_pins_the_table2_stream():
     for pos, counts in expected.items():
         assert [perm_test(by_pos[pos], n_perm=10000, seed=seed).count_leq
                 for seed in range(20)] == counts
+
+
+def exact_p_leq(points):
+    """P(area <= observed) over the n! orderings of the y values, the
+    probability that one replica of `perm_test` counts, exact but for float
+    rounding in the sum of the probabilities.
+
+    By descending x (`_area_plan`), the height at position k is the value of
+    the running maximum's rank among the sorted ys, a Markov chain: from
+    rank r after k draws (r = -1 before any) it stays with probability
+    (r + 1 - k) / (n - k), and moves to each higher rank with probability
+    1 / (n - k).  A dict maps (rank, partial area) to probability, each area
+    summed as `_area_of` sums it.  Partial areas never fall, so a path above
+    the observed area is dropped, and one that the largest y at every
+    remaining position cannot lift past it is counted at once.  Table 2's
+    nouns (18 rows) give 0.068300 in about 2 s; its verbs (33 rows) give
+    0.015239 in about 14 s on a 2-vCPU Xeon, too slow for this suite."""
+    plan = _area_plan([x for x, _ in points])
+    widths = [w for _, w in plan]
+    ys = sorted(y for _, y in points)
+    n = len(ys)
+    observed = _area_of(plan, [y for _, y in points])
+    tail = [0.0] * (n + 1)   # the most that positions k.. can add
+    for k in range(n - 1, -1, -1):
+        tail[k] = tail[k + 1] + widths[k] * ys[-1]
+    leq, states = 0.0, {(-1, 0.0): 1.0}
+    for k, w in enumerate(widths):
+        nxt = {}
+        for (r, area), p in states.items():
+            p /= n - k
+            # the stay (none when r = k - 1: the k draws were the k lowest), then each higher rank
+            for rank in range(r if r >= k else r + 1, n):
+                a = area + w * ys[rank]
+                if a > observed:
+                    break   # and so is every higher rank's
+                q = p * (r + 1 - k) if rank == r else p
+                if (a + tail[k + 1]) * (1 + 1e-12) <= observed:   # the margin covers rounding
+                    leq += q
+                else:
+                    nxt[rank, a] = nxt.get((rank, a), 0.0) + q
+        states = nxt
+    return leq + sum(states.values())
+
+
+def brute_p_leq(points):
+    plan = _area_plan([x for x, _ in points])
+    ys = [y for _, y in points]
+    observed = _area_of(plan, ys)
+    perms = list(itertools.permutations(ys))
+    return sum(_area_of(plan, list(perm)) <= observed for perm in perms) / len(perms)
+
+
+def tied_scatter(rng, n):
+    """n points whose x and y values are drawn from few values, so both tie."""
+    return [(float(rng.choice([1, 2, 3, 5, 8])), float(rng.choice([0, 1, 2, 3])) + rng.choice(
+        [0.0, rng.random()])) for _ in range(n)]
+
+
+def test_exact_p_matches_brute_force():
+    """The DP gives the share of all n! orderings, on 200 scatters of 3-7
+    points with tied x and tied y."""
+    rng = random.Random(15)
+    for _ in range(200):
+        points = tied_scatter(rng, rng.randint(3, 7))
+        assert exact_p_leq(points) == pytest.approx(brute_p_leq(points), abs=1e-12), points
+
+
+def test_perm_test_is_within_four_standard_errors_of_the_exact_p():
+    """count_leq / n_perm, the Monte Carlo estimate of P(area <= observed),
+    lies within 4 standard errors plus 1 / n_perm of the exact value."""
+    rng = random.Random(23)
+    n_perm = 2000
+    for seed in range(20):
+        points = tied_scatter(rng, rng.randint(3, 8))
+        exact = exact_p_leq(points)
+        res = perm_test(points, n_perm=n_perm, seed=seed)
+        se = math.sqrt(exact * (1 - exact) / n_perm)
+        assert abs(res.count_leq / n_perm - exact) <= 4 * se + 1 / n_perm, points
+
+
+def test_exact_p_of_the_table2_nouns():
+    """Criterion 1's nouns: the exact P(area <= observed) is 0.068300, above
+    the criterion's 0.05, so no seed or replica count can pass it."""
+    with open(cli.bundled("table2_green.csv"), encoding="utf-8") as fh:
+        nouns = cli._read_points(fh)["N"]
+    assert exact_p_leq(nouns) == pytest.approx(0.068300, abs=1e-6)
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (-2.0, 1.0),

@@ -379,7 +379,8 @@ def test_model_json_roundtrip(tmp_path):
     model.dev_weights = "f00d", W
     path = tmp_path / "model.json"
     model.save(path)
-    back = ConditionalParadigmModel.load(path)
+    with open(path, encoding="utf-8") as fh:
+        back = ConditionalParadigmModel.load(fh)
     assert back.lam == model.lam and back.order == model.order
     assert back.alphabet == model.alphabet
     assert back.dev_weights == model.dev_weights
@@ -435,9 +436,9 @@ def test_model_save_load_save_is_byte_identical(paradigms, pair_count, seed, ord
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "model.json")
             model.save(path)
-            back = ConditionalParadigmModel.load(path)
             with open(path, encoding="utf-8") as fh:
                 saved = fh.read()
+            back = ConditionalParadigmModel.load(io.StringIO(saved))
             back.save(path)
             with open(path, encoding="utf-8") as fh:
                 assert fh.read() == saved
