@@ -32,8 +32,10 @@ class Paradigm:
 def target_groups(entries):
     """A paradigm's mappings by sorted target slot: (tgt_slot, tgt, sources),
     the root mapping (EMPTY, ROOT) first and implicit, then (src_slot, src)
-    of every other filled slot in sorted order: the order in which the dev
-    pass adds its scores and green sampling numbers a paradigm's cells."""
+    of every other filled slot in sorted order: the order of
+    `expand_paradigm_pairs` and the one in which green sampling numbers a
+    paradigm's cells.  The dev pass gives each target its sources in the
+    same order, but adds its scores by target slot (`compute_weights`)."""
     slots = sorted(entries)
     for tgt_slot in slots:
         yield tgt_slot, entries[tgt_slot], [(s, entries[s]) for s in slots if s != tgt_slot]

@@ -11,9 +11,10 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import add
 
-from .corpus import EMPTY, ROOT, check_slot_names, target_groups
+from .corpus import EMPTY, ROOT, check_slot_names
 from .stats import forked_ranges
 
 log = logging.getLogger(__name__)
@@ -94,67 +95,66 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
     """Average dev log2-probabilities for every slot pair and root context,
     from one pass that scores each dev mapping once.
 
-    The pass visits each dev paradigm's `target_groups` among the
-    inventory's slots, the order of `expand_paradigm_pairs`, and scores each
-    target against its root context (ROOT, EMPTY) and all its sources with
-    one call of the scorer's `logprob`, which gives a row for each.  With a
-    lambda grid it scores them under every lambda; the lambda of least dev
-    cross-entropy (the first among equals) is set on the scorer and the
-    matrix is the one at that lambda.  Without a grid it scores them at the
-    scorer's own lambda.  Each cell's sum and the flat dev total per lambda
-    add the mappings' scores one by one in mapping order.
+    The pass builds the matrix a row at a time: for target slot i it walks
+    the dev paradigms that fill it, in dev order, and scores the target
+    against its root context (ROOT, EMPTY) and every other filled slot of
+    the inventory, in sorted order, with one call of the scorer's
+    `logprob`, which gives a row for each.  Each cell's count and sum get
+    the mappings' scores one by one in dev order.  With a lambda grid it
+    scores them under every lambda: the dev cross-entropy of a lambda is
+    minus the sum of the cell sums, row by row and the root column last,
+    over the mapping count, and the lambda of least dev cross-entropy (the
+    first among equals) is set on the scorer and the matrix is the one at
+    that lambda.  Without a grid it scores them at the scorer's own lambda.
 
     The scoring runs on every CPU the process may run on: `forked_ranges`
-    cuts the dev paradigms into one contiguous range per CPU, scores the
-    first here and each later one in a forked child.  It walks each paradigm
-    once: per target, the record holds the target's index, the columns of
-    its rows (n for the root, then each source's index) and the rows.  All
-    the adding happens here, in dev order, so the result is the same bits
-    on any number of CPUs.  A scorer's ValueError in a child is raised at
-    its paradigm's turn, as on one CPU.
+    cuts the target slots into one contiguous range per CPU, works the
+    first here and each later one in a forked child.  A worker sends one
+    record per row, (i, counts, sums), and this process only places the
+    rows, so the result is the same bits on any number of CPUs.  A scorer's
+    ValueError in a child is raised at its row's turn, as on one CPU.
 
     Cell (i, j) averages over the dev paradigms where both slots are filled;
     root[i] over those where slot i is filled.  A slot never filled in dev
     gets the language-average root weight, the seen root weights folded left
     with `+` in slot order over their count, for all its entries and is flagged.
     """
-    n = len(slots)
+    n, g = len(slots), 1 if lambda_grid is None else len(lambda_grid)
     index = {s: i for i, s in enumerate(slots)}
-    # per target i and source j, j == n for the root context: the mapping
-    # count and, per lambda k, the sum cell_sum[i][k][j]; beside them the
-    # flat dev total per lambda, one per column of the scorer's rows, sized
-    # at its first call.  Each gets its scores one by one, in order.
-    cnt = [[0] * (n + 1) for _ in range(n)]
-    cell_sum = total = None
+    filled = [{s: p.entries[s] for s in sorted(p.entries) if s in index} for p in dev_paradigms]
+    if not any(filled):
+        raise ValueError("no slot of the inventory is filled in any dev paradigm")
 
     def score(start, stop):
-        for p in dev_paradigms[start:stop]:
-            filled = {s: f for s, f in p.entries.items() if s in index}
-            yield [(index[tgt_slot], [n] + [index[s] for s, _ in sources],
-                    scorer.logprob(tgt_slot, tgt, [(ROOT, EMPTY)] + sources, lambda_grid))
-                   for tgt_slot, tgt, sources in target_groups(filled)]
+        # per row i, with j == n for the root context: the mapping count and,
+        # per lambda k, the sum sums[k][j]
+        for i in range(start, stop):
+            tgt_slot, counts, sums = slots[i], [0] * (n + 1), [[0.0] * (n + 1) for _ in range(g)]
+            for entries in filled:
+                if tgt_slot not in entries:
+                    continue
+                sources = [(s, f) for s, f in entries.items() if s != tgt_slot]
+                columns = [n] + [index[s] for s, _ in sources]
+                rows = scorer.logprob(tgt_slot, entries[tgt_slot],
+                                      [(ROOT, EMPTY)] + sources, lambda_grid)
+                for j in columns:
+                    counts[j] += 1
+                for row_sums, lps in zip(sums, zip(*rows)):
+                    for j, lp in zip(columns, lps):
+                        row_sums[j] += lp
+            yield i, counts, sums
 
-    for record in forked_ranges(len(dev_paradigms), score):
-        for i, columns, rows in record:
-            for j in columns:
-                cnt[i][j] += 1
-            per_lambda = list(zip(*rows))
-            if total is None:
-                cell_sum = [[[0.0] * (n + 1) for _ in per_lambda] for _ in range(n)]
-                total = [0.0] * len(per_lambda)
-            for sums, lps in zip(cell_sum[i], per_lambda):
-                for j, lp in zip(columns, lps):
-                    sums[j] += lp
-            total = [reduce(add, lps, t) for t, lps in zip(total, per_lambda)]
-    scored = sum(map(sum, cnt))
-    if not scored:
-        raise ValueError("no slot of the inventory is filled in any dev paradigm")
+    cnt, cell_sum = [None] * n, [None] * n
+    for i, counts, sums in forked_ranges(n, score):
+        cnt[i], cell_sum[i] = counts, sums
     k = 0
     if lambda_grid is not None:
-        ces = [-t / scored for t in total]
+        scored = sum(map(sum, cnt))
+        ces = [-reduce(add, chain.from_iterable(sums[k] for sums in cell_sum), 0.0) / scored
+               for k in range(g)]
         for lam, ce in zip(lambda_grid, ces):
             log.info("lambda=%g: dev CE %.4f bits", lam, ce)
-        k = min(range(len(ces)), key=ces.__getitem__)
+        k = min(range(g), key=ces.__getitem__)
         scorer.lam = lambda_grid[k]
         log.info("selected lambda=%g (dev CE %.4f bits)", scorer.lam, ces[k])
     root = [cell_sum[i][k][n] / cnt[i][n] if cnt[i][n] else None for i in range(n)]

@@ -1457,26 +1457,32 @@ def test_pareto_permutation_worker_failure(tmp_path, caplog, monkeypatch, failin
                                      "child killed", "child raises",
                                      "parent lacks a row, children killed"])
 def test_dev_pass_worker_failure(tmp_path, caplog, monkeypatch, failing):
-    """The dev pass over three CPUs scores dev paradigms 0-5 here and 6-12
-    and 13-19 in forked children.  A score table that lacks a dev mapping
-    makes `weights` exit 2 naming the first such mapping in dev order,
-    whichever process scores it; a child that dies or raises anything else
-    makes it exit 4, unless the parent's own range fails first.  There is
-    one ERROR line, and no child or pipe is left behind."""
+    """The dev pass over three CPUs scores the split's three target slots,
+    one per process: the first here and the second and the third in forked
+    children.  A score table that lacks a dev mapping makes `weights` exit 2
+    naming the first such mapping in (target slot, dev paradigm, source)
+    order, whichever process scores it; a child that dies or raises anything
+    else makes it exit 4, unless the parent's own range fails first.  There
+    is one ERROR line, and no child or pipe is left behind."""
     lex = write_lexicon(tmp_path / "lex.tsv")
     store, split = tmp_path / "store.json", tmp_path / "split.json"
     assert main(["ingest", "--data", str(lex), "--out", str(store)]) == 0
     assert main(["split", "--store", str(store), "--out", str(split), "--seed", "2"]
                 + SMALL_SPLIT) == 0
     obj = json.loads(split.read_text())
+    inventory = obj["inventory"]
     dev = [pair_list(PairView([p])) for p in cli.corpus.paradigms_from_json(
-        obj["dev_paradigms"], obj["inventory"], "split")]
-    assert len(dev) == 20
-    lacking = {"child lacks a row": [15], "parent and child lack a row": [3, 15],
-               "parent lacks a row, children killed": [3]}.get(failing, [])
-    # the last mapping of each lacking paradigm, which no other dev paradigm has
-    dropped = [dev[k][-1] for k in lacking]
+        obj["dev_paradigms"], inventory, "split")]
+    assert len(inventory) == 3 and len(dev) == 20
+    # (target slot, dev paradigm) of each dropped mapping: slot 0 is the
+    # parent's range, slot 2 the last child's
+    lacking = {"child lacks a row": [(2, 15)], "parent and child lack a row": [(2, 3), (0, 15)],
+               "parent lacks a row, children killed": [(0, 3)]}.get(failing, [])
+    # the target's last mapping in its paradigm, which no other dev paradigm has
+    dropped = [[m for m in dev[k] if m[2] == inventory[i]][-1] for i, k in lacking]
     assert all(sum(m in pairs for pairs in dev) == 1 for m in dropped)
+    order = {m: (inventory.index(m[2]), k, pos)
+             for k, pairs in enumerate(dev) for pos, m in enumerate(pairs)}
     table = tmp_path / "scores.tsv"
     table.write_text("".join("%s\t%s\t%s\t%s\t-1.0\n" % m for pairs in dev
                              for m in pairs if m not in dropped), encoding="utf-8")
@@ -1497,7 +1503,8 @@ def test_dev_pass_worker_failure(tmp_path, caplog, monkeypatch, failing):
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1
     if lacking:
-        assert code == 2 and "has no score for mapping %r" % (dropped[0],) in errors[0]
+        first = min(dropped, key=order.get)
+        assert code == 2 and "has no score for mapping %r" % (first,) in errors[0]
     else:
         assert code == 4 and ("-9" if "killed" in failing else "child range") in errors[0]
     assert not (tmp_path / "w.json").exists()

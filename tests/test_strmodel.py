@@ -569,11 +569,13 @@ def reference_logprob(model, lam, src, src_slot, tgt_slot, tgt):
 
 def test_dev_pass_matches_cross_entropy_bit_for_bit(caplog):
     """The dev pass scores each mapping once for the whole lambda grid: the
-    dev CE it logs for each lambda equals `cross_entropy` with `lam` set to
-    that lambda, and the written-out mixture, bit for bit; its matrix at the
-    chosen lambda equals the one a dev pass at that lambda alone computes
-    from the saved model, cell for cell, so staged `weights --model` may
-    write the matrix that `train` kept."""
+    dev CE it logs for each lambda is, bit for bit, the written-out
+    mixture's per-mapping scores added to their cells in dev order and the
+    cells summed row by row, the root column last; it lies within 1e-12
+    (relative) of `cross_entropy`, the flat per-mapping mean, with `lam` set
+    to that lambda.  Its matrix at the chosen lambda equals the one a dev
+    pass at that lambda alone computes from the saved model, cell for cell,
+    so staged `weights --model` may write the matrix that `train` kept."""
     model, dev, slots = six_slot_model()
     caplog.set_level(logging.INFO, logger="morphcomplexity.structure")
     W = compute_weights(model, dev, slots, GRID)
@@ -581,14 +583,13 @@ def test_dev_pass_matches_cross_entropy_bit_for_bit(caplog):
     assert [lam for lam, _ in logged] == list(GRID)
     chosen = model.lam
     assert chosen == min(logged, key=lambda r: r[1])[0]
+    ces, flat_ces, _, _, _ = per_mapping_weights(model, dev, slots, GRID)
+    assert bits(ce for _, ce in logged) == bits(ces)
     pairs = expand_paradigm_pairs(dev)
-    for lam, ce in logged:
+    for (lam, ce), flat in zip(logged, flat_ces):
         model.lam = lam
-        assert ce == cross_entropy(model, pairs)
-        total = 0.0
-        for p in pairs:
-            total -= reference_logprob(model, lam, *p)
-        assert ce == total / len(pairs)
+        assert flat == cross_entropy(model, pairs)
+        assert math.isclose(ce, flat, rel_tol=1e-12, abs_tol=0.0)
     model.lam = chosen
     staged = compute_weights(reloaded(model), dev, slots)
     assert staged.root == W.root and staged.edge == W.edge
@@ -597,8 +598,11 @@ def test_dev_pass_matches_cross_entropy_bit_for_bit(caplog):
 def per_mapping_weights(model, dev, slots, grid):
     """The dev pass as one loop over the mappings: each scored on its own
     under every lambda by `reference_logprob` and added with += to its cell
-    and to the flat total.  Returns (dev CE per lambda, chosen lambda, root
-    weights, edge weights) as `compute_weights` logs, sets and returns them."""
+    and to the flat total.  Returns (dev CE per lambda, flat CE per lambda,
+    chosen lambda, root weights, edge weights): the dev CE, the chosen
+    lambda and the weights as `compute_weights` logs, sets and returns them,
+    the dev CE from the cell sums added row by row, the root column last;
+    the flat CE from the flat total, in mapping order."""
     n, g = len(slots), len(grid)
     index = {s: i for i, s in enumerate(slots)}
     column = {**index, ROOT: n}
@@ -614,7 +618,13 @@ def per_mapping_weights(model, dev, slots, grid):
                 lp = reference_logprob(model, lam, *m)
                 total[k] += lp
                 cell_sum[i][j][k] += lp
-    ces = [-t / sum(map(sum, cnt)) for t in total]
+    scored = sum(map(sum, cnt))
+    ces = [0.0] * g
+    for k in range(g):
+        for i in range(n):
+            for j in range(n + 1):
+                ces[k] += cell_sum[i][j][k]
+    ces = [-c / scored for c in ces]
     k = min(range(g), key=ces.__getitem__)
     root = [cell_sum[i][n][k] / cnt[i][n] if cnt[i][n] else None for i in range(n)]
     fallback = 0.0
@@ -625,7 +635,8 @@ def per_mapping_weights(model, dev, slots, grid):
     edge = [[fallback] * n if root[i] is None else
             [0.0 if i == j else cell_sum[i][j][k] / cnt[i][j] if cnt[i][j] else root[i]
              for j in range(n)] for i in range(n)]
-    return ces, grid[k], [fallback if r is None else r for r in root], edge
+    return (ces, [-t / scored for t in total], grid[k],
+            [fallback if r is None else r for r in root], edge)
 
 
 def bits(xs):
@@ -647,7 +658,8 @@ def test_logprob_and_dev_pass_equal_per_mapping_loop(caplog, train_paradigms, de
     sources gives, for every source and lambda, the bits the mixture
     written out gives for that one mapping; and the dev pass built on it
     gives the per-mapping loop's dev CE per lambda, chosen lambda, root
-    weights and every edge weight, bit for bit.  Training fills A-C only,
+    weights and every edge weight, bit for bit, and a dev CE within 1e-12
+    (relative) of the loop's flat per-mapping CE.  Training fills A-C only,
     so D is scored with the fallback n-gram and no rule table, and E with
     neither is left out of the matrix.  The training paradigms are dev
     paradigms too, so most draws have rules that apply and give the target
@@ -667,13 +679,15 @@ def test_logprob_and_dev_pass_equal_per_mapping_loop(caplog, train_paradigms, de
                         for lam in GRID]
                 assert bits(row) == bits(want)
                 assert bits(own_row) == bits([want[GRID.index(model.lam)]])
-    ces, chosen, root, edge = per_mapping_weights(model, dev, INVENTORY, GRID)
+    ces, flat_ces, chosen, root, edge = per_mapping_weights(model, dev, INVENTORY, GRID)
     caplog.clear()
     caplog.set_level(logging.INFO, logger="morphcomplexity.structure")
     W = compute_weights(model, dev, INVENTORY, GRID)
     logged = [r.args for r in caplog.records if r.msg.startswith("lambda=")]
     assert [lam for lam, _ in logged] == list(GRID)
     assert bits(ce for _, ce in logged) == bits(ces)
+    for (_, ce), flat in zip(logged, flat_ces):
+        assert math.isclose(ce, flat, rel_tol=1e-12, abs_tol=0.0)
     assert model.lam == chosen
     assert bits(W.root) == bits(root)
     assert [bits(r) for r in W.edge] == [bits(r) for r in edge]
@@ -689,12 +703,13 @@ def test_dev_pass_changes_only_lambda_in_model_json():
 
 @pytest.mark.parametrize("cpus", [None, 1, 2, 3])
 def test_dev_pass_does_not_depend_on_worker_count(monkeypatch, caplog, cpus):
-    """The dev pass scores one range of dev paradigms per CPU, forking one
-    child per range after the first, and adds the scores in dev order: the
-    logged dev CE per lambda, the chosen lambda and every weight are the
-    1-CPU run's bits, for the model over a grid and for a score table.
-    Without os.sched_getaffinity (cpus None) there is one worker; an empty
-    dev list still exits as an input error and forks nothing."""
+    """The dev pass scores one range of target slots per CPU, forking one
+    child per range after the first, and adds each cell's scores in dev
+    order: the logged dev CE per lambda, the chosen lambda and every weight
+    are the 1-CPU run's bits, for the model over a grid and for a score
+    table.  Without os.sched_getaffinity (cpus None) there is one worker; an
+    empty dev list, or one that fills no slot of the inventory, still exits
+    as an input error and forks nothing."""
     model, dev, slots = six_slot_model()
     table = ScoreTable({m: model.logprob(m[2], m[3], [(m[1], m[0])])[0][0]
                         for m in pair_list(PairView(dev))})
@@ -714,7 +729,7 @@ def test_dev_pass_does_not_depend_on_worker_count(monkeypatch, caplog, cpus):
         if grid is not None:
             scorer.lam = strmodel.DEFAULT_LAMBDA
         W = compute_weights(scorer, dev, slots, grid)
-        assert len(forks) == min(workers or 1, len(dev)) - 1
+        assert len(forks) == min(workers or 1, len(slots)) - 1
         return ([r.args[1].hex() for r in caplog.records if r.msg.startswith("lambda=")],
                 grid and scorer.lam, bits(W.root), [bits(r) for r in W.edge])
 
@@ -722,22 +737,55 @@ def test_dev_pass_does_not_depend_on_worker_count(monkeypatch, caplog, cpus):
         for n_dev in (1, 2, 3, len(dev)):
             assert dev_pass(scorer, grid, dev[:n_dev], cpus) == \
                 dev_pass(scorer, grid, dev[:n_dev], 1)
-        with pytest.raises(ValueError, match="no slot of the inventory is filled in any dev"):
-            dev_pass(scorer, grid, [], cpus)
-        assert not forks
+        for unfilled in ([], [Paradigm("z", {"Z1": "za", "Z2": "zb"})]):
+            with pytest.raises(ValueError, match="no slot of the inventory is filled in any dev"):
+                dev_pass(scorer, grid, unfilled, cpus)
+            assert not forks
 
 
-def test_dev_pass_walks_each_dev_paradigm_once(monkeypatch):
-    """On one CPU the dev pass enumerates each dev paradigm's target groups
-    once, where it scores them: the adding reads the cells from the scoring
-    records and walks no paradigm a second time."""
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_dev_pass_scores_each_filled_target_once_per_row(monkeypatch, tmp_path, cpus):
+    """The dev pass cuts the target slots into one range per CPU: whichever
+    process scores it, each (target slot, dev paradigm) that is filled gets
+    exactly one `logprob` call, and each record a worker sends is one
+    matrix row (i, counts, sums), the rows in slot order."""
     model, dev, slots = six_slot_model()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    walked = []
-    monkeypatch.setattr(structure, "target_groups",
-                        lambda entries: walked.append(1) or target_groups(entries))
-    compute_weights(model, dev, slots, GRID)
-    assert len(walked) == len(dev)
+    n = len(slots)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    logprob, forked_ranges = ConditionalParadigmModel.logprob, structure.forked_ranges
+    records = []
+
+    def recorded(size, work):
+        for record in forked_ranges(size, work):
+            records.append(record)
+            yield record
+
+    # every process appends its calls to one file, a write at a time
+    fd = os.open(tmp_path / "calls", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def logged(self, tgt_slot, tgt, contexts, lambda_grid=None):
+        os.write(fd, (json.dumps([os.getpid(), tgt_slot, tgt, contexts]) + "\n").encode())
+        return logprob(self, tgt_slot, tgt, contexts, lambda_grid)
+
+    monkeypatch.setattr(ConditionalParadigmModel, "logprob", logged)
+    monkeypatch.setattr(structure, "forked_ranges", recorded)
+    try:
+        W = compute_weights(model, dev, slots, GRID)
+    finally:
+        os.close(fd)
+    calls = [json.loads(line) for line in (tmp_path / "calls").read_text().splitlines()]
+    assert Counter(json.dumps(call[1:]) for call in calls) == Counter(
+        json.dumps([tgt_slot, tgt, [(ROOT, EMPTY)] + sources])
+        for p in dev for tgt_slot, tgt, sources in target_groups(p.entries))
+    assert len({call[0] for call in calls}) == min(cpus, n)
+    assert [i for i, _, _ in records] == list(range(n))
+    k = GRID.index(model.lam)
+    for i, counts, sums in records:
+        fills = [p.entries.keys() for p in dev if slots[i] in p.entries]
+        assert counts == [0 if j == i else sum(slots[j] in f for f in fills)
+                          for j in range(n)] + [len(fills)]
+        assert len(sums) == len(GRID) and all(len(row) == n + 1 for row in sums)
+        assert W.root[i] == sums[k][n] / counts[n]
 
 
 def test_train_adds_each_form_once_per_char_model(monkeypatch):
