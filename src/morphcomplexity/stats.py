@@ -1,4 +1,5 @@
-"""Pareto step curve, area under it, and the Monte Carlo permutation test."""
+"""Pareto step curve, area under it, the Monte Carlo permutation test, and
+`forked_ranges`, the helper that works a range of items on every CPU."""
 
 import marshal
 import math
@@ -125,20 +126,19 @@ def _count_leq(plan, ys, observed, seed, start, stop):
 
 
 def forked_ranges(n, work):
-    """Yield the records of work(start, stop) for one contiguous range of
-    range(n) per CPU the process may run on (at most n, at least one), range
-    after range in order.
+    """The records of work(start, stop) for one contiguous range of range(n)
+    per CPU the process may run on (at most n, at least one), joined in
+    range order in one list.
 
-    The first range is worked here, as its records are consumed.  Each later
-    range is worked in a forked child, which dumps every record with
-    `marshal` and writes them to its own pipe once its range is done.  Work
-    yields no str, since a child's str record is its error message: a
-    ValueError in a child is raised here in its turn, after the records
-    before it, and a child that fails otherwise or dies raises
-    ChildProcessError.  Every read end is closed before any child is reaped,
-    so a child blocked on a full pipe cannot hang this process, and no child
-    or pipe outlives the generator.  Without an affinity call (macOS,
-    Windows) all of range(n) is worked here.
+    The first range is worked here, before any child is read.  Each later
+    range is worked in a forked child, which sends its records in one
+    `marshal` message through its own pipe (`_work_in_child`); a record may
+    be anything marshal dumps.  A ValueError in a child is raised here in
+    its turn, after the ranges before it, and a child that fails otherwise
+    or dies raises ChildProcessError naming its status.  Every read end is
+    closed before any child is reaped, so a child blocked on a full pipe
+    cannot hang this process, and no child or pipe outlives the call.
+    Without an affinity call (macOS, Windows) all of range(n) is worked here.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = max(1, min(n, cpus))
@@ -153,25 +153,21 @@ def forked_ranges(n, work):
                 if pid == 0:
                     _work_in_child(work, start, stop, out, readers)
             pids.append(pid)
-        yield from work(0, cuts[1])
+        records = list(work(0, cuts[1]))
         while pids:
             with readers.pop(0) as fh:
-                error = None
-                while error is None:
-                    try:
-                        record = marshal.loads(marshal.load(fh))
-                    except EOFError:
-                        break
-                    if isinstance(record, str):
-                        error = record
-                    else:
-                        yield record
+                data = fh.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
             if code:
-                raise ChildProcessError("a forked worker exited with status %d: %s"
-                                        % (code, error or "no message"))
-            if error is not None:
-                raise ValueError(error)
+                # only status 1 comes with a message, in ASCII; a killed
+                # child's bytes are never parsed
+                raise ChildProcessError("a forked worker exited with status %d: %s" % (
+                    code, code == 1 and data.decode("ascii", "replace") or "no message"))
+            ok, value = marshal.loads(data)
+            if not ok:
+                raise ValueError(value)
+            records += value
+        return records
     finally:
         for fh in readers:
             fh.close()
@@ -180,25 +176,23 @@ def forked_ranges(n, work):
 
 
 def _work_in_child(work, start, stop, out, readers):
-    """In a forked child: close the parent's read ends, dump the records of
-    work(start, stop) and write them to `out` once all are made, then exit.
-    Each record goes as the dump of its dump, a bytes object that
-    `marshal.load` takes from the pipe in three reads, not a read or two per
-    value.  An error's message ends the records, with exit status 0 for a
-    ValueError and 1 for any other error; anything else exits 1 at once."""
+    """In a forked child: close the parent's read ends, work(start, stop)
+    and write one `marshal` message to `out`, (True, records) or, for a
+    ValueError, (False, its message), then exit 0.  Any other error, a
+    record that marshal cannot dump among them, writes its message in ASCII
+    and exits 1; anything else exits 1 at once."""
     try:
         for fh in readers:
             fh.close()
-        dumps, status = [], 0
         try:
-            for record in work(start, stop):
-                dumps.append(marshal.dumps(marshal.dumps(record)))
-        except ValueError as e:
-            dumps.append(marshal.dumps(marshal.dumps(str(e))))
+            try:
+                message = True, list(work(start, stop))
+            except ValueError as e:
+                message = False, str(e)
+            data, status = marshal.dumps(message), 0
         except Exception as e:
-            dumps.append(marshal.dumps(marshal.dumps(ascii(e)[:500])))
-            status = 1
-        out.writelines(dumps)
+            data, status = ascii(e)[:500].encode(), 1
+        out.write(data)
         out.flush()
         os._exit(status)
     finally:

@@ -109,10 +109,11 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
 
     The scoring runs on every CPU the process may run on: `forked_ranges`
     cuts the target slots into one contiguous range per CPU, works the
-    first here and each later one in a forked child.  A worker sends one
-    record per row, (i, counts, sums), and this process only places the
-    rows, so the result is the same bits on any number of CPUs.  A scorer's
-    ValueError in a child is raised at its row's turn, as on one CPU.
+    first here and each later one in a forked child.  A worker makes one
+    record per row, (counts, sums), and the records come back in row order,
+    so this process adds no score and the result is the same bits on any
+    number of CPUs.  A scorer's ValueError in a child is raised in its
+    range's turn, after the ranges before it, as on one CPU.
 
     Cell (i, j) averages over the dev paradigms where both slots are filled;
     root[i] over those where slot i is filled.  A slot never filled in dev
@@ -142,11 +143,9 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
                 for row_sums, lps in zip(sums, zip(*rows)):
                     for j, lp in zip(columns, lps):
                         row_sums[j] += lp
-            yield i, counts, sums
+            yield counts, sums
 
-    cnt, cell_sum = [None] * n, [None] * n
-    for i, counts, sums in forked_ranges(n, score):
-        cnt[i], cell_sum[i] = counts, sums
+    cnt, cell_sum = zip(*forked_ranges(n, score))
     k = 0
     if lambda_grid is not None:
         scored = sum(map(sum, cnt))

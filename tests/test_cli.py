@@ -1729,3 +1729,16 @@ def test_perfbench_tracer_counts_the_hot_methods(partial_runs, tmp_path):
     finally:
         tracer.uninstall()
     assert [dict(vars(cls)) for cls in classes] == originals
+
+
+def test_perfbench_smoke():
+    """`perfbench/smoke.py` runs every benchmark workload at toy sizes,
+    untraced and traced, from the repo root, as the benchmark runs: it exits
+    0 and prints six ok=True lines, so the outputs pass their checks and the
+    metrics are the ones BENCHMARK.json lists.  It writes only under the
+    gitignored `.bench_work/smoke`."""
+    root = Path(__file__).parents[1]
+    done = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("ok=True") == 6, done.stdout

@@ -374,6 +374,20 @@ def test_forked_ranges_with_children_blocked_on_full_pipes(monkeypatch, parent_f
     assert children_and_fds() == before == (False, before[1])
 
 
+def test_forked_ranges_sends_any_marshallable_record(monkeypatch):
+    """A child's records cross its pipe whatever their type, so long as
+    marshal dumps them: a str record is a record, not an error message.  A
+    record that marshal cannot dump is the worker's fault, not the input's:
+    it raises ChildProcessError, not ValueError.  No child or pipe is left."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    before = children_and_fds()
+    assert forked_ranges(4, lambda start, stop: ["a str", (start, stop)]) == [
+        "a str", (0, 2), "a str", (2, 4)]
+    with pytest.raises(ChildProcessError, match=r"status 1: .*unmarshallable object"):
+        forked_ranges(4, lambda start, stop: [object()] if start else [])
+    assert children_and_fds() == before == (False, before[1])
+
+
 def test_result_json_fields():
     res = PermTestResult(observed_area=1.5, n_perm=100, count_leq=4,
                          p_value=0.0495, seed=2)
