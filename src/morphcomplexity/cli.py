@@ -278,8 +278,8 @@ def cmd_split(args, cfg):
 
 def cmd_train(args, cfg):
     split, _ = read_artifact(args.split, _load_split)
-    model = strmodel.train(split.train_pairs, cfg["order"], cfg["alpha"], split.alphabet)
-    pairs, split.train_pairs = len(split.train_pairs), None   # freed before the dev pass forks
+    pairs = len(split.train_pairs)
+    model = strmodel.train(split, cfg["order"], cfg["alpha"])
     W = structure.compute_weights(model, split.dev_paradigms, split.inventory, lambda_grid(cfg))
     model.dev_weights = dev_sha256(split), W
     model.save(args.out)
@@ -337,10 +337,9 @@ def cmd_run(args, cfg):
     del paradigms   # the split holds every paradigm that a later stage reads
     if cfg.get("scores"):
         scorer, grid = read_scorer(cfg, None, split), None
+        split.train_pairs = None   # no later stage reads it: freed before the dev pass forks
     else:
-        scorer = strmodel.train(split.train_pairs, cfg["order"], cfg["alpha"], split.alphabet)
-        grid = lambda_grid(cfg)
-    split.train_pairs = None   # freed before the dev pass forks
+        scorer, grid = strmodel.train(split, cfg["order"], cfg["alpha"]), lambda_grid(cfg)
     W = structure.compute_weights(scorer, split.dev_paradigms, split.inventory, grid)
     tree = structure.max_arborescence(W)
     point = stage_measure(cfg, split, scorer, tree)
@@ -443,8 +442,11 @@ def cmd_critique(args, cfg):
     row = next(row for row, w in zip(plat.exponent, plat.weights) if w > 0)
     dist = platbaseline.cond_dist(plat, plat.slots[0], plat.slots[1], row[1])
     go = corpus.Paradigm("go", {"V;NFIN": "go", "V;PST": "went"})
-    model = strmodel.train(corpus.PairView([go], [("go", "V;NFIN", "V;PST")]),
-                           cfg["order"], cfg["alpha"], set("gowentflyflew"))
+    fly = corpus.Paradigm("fly", {"V;NFIN": "fly", "V;PST": "flew"})
+    # fly is the one test paradigm, so the model's alphabet holds its letters
+    split = corpus.DataSplit(corpus.PairView([go], [("go", "V;NFIN", "V;PST")]), [], [fly],
+                             sorted(go.entries), "green")
+    model = strmodel.train(split, cfg["order"], cfg["alpha"])
     lp = model.logprob("V;PST", "flew", [("V;NFIN", "fly")])[0][0]
     print("critique: plat support is only %r; string model gives an unseen "
           "irregular logprob %.2f bits (finite)" % (sorted(dist), lp))

@@ -63,8 +63,9 @@ class PairView:
 
 @dataclass
 class DataSplit:
-    """The training mappings and the held-out paradigms.  A caller that
-    has trained may set `train_pairs` to None: no later stage reads it."""
+    """The training mappings and the held-out paradigms.  `strmodel.train`
+    takes `train_pairs`: it reads the `alphabet` and sets `train_pairs` to
+    None, since no later stage reads it (nor the alphabet)."""
     train_pairs: PairView
     dev_paradigms: list
     test_paradigms: list
@@ -261,9 +262,14 @@ def split_from_json(obj):
     if cells is not None and not isinstance(cells, list):
         raise ValueError("train_cells is neither null nor a list")
     entries = {p.lexeme: p.entries for p in train}
-    if cells is not None and not all(tgt in entries[lx] and (src == ROOT or src in entries[lx])
-                                     and src != tgt for lx, src, tgt in cells):
-        raise ValueError("a training cell is not in its paradigm or maps a slot to itself")
+    for cell in cells or ():
+        filled = (isinstance(cell, list) and len(cell) == 3
+                  and all(isinstance(x, str) for x in cell) and entries.get(cell[0]))
+        if not (filled and cell[2] in filled and (cell[1] == ROOT or cell[1] in filled)
+                and cell[1] != cell[2]):
+            raise ValueError("training cell %r is not [lexeme, source slot, target slot] "
+                             "with two different slots that the lexeme's training paradigm "
+                             "fills (or the source %s)" % (cell, ROOT))
     return DataSplit(train_pairs=PairView(train, cells), dev_paradigms=dev,
                      test_paradigms=test, inventory=inventory,
                      regime="purple" if cells is None else "green")

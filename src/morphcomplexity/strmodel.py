@@ -399,9 +399,13 @@ def _is_rule_table(table, n):
             and all(type(x) is int and x > 0 for x in flat[2::3]))
 
 
-def train(pairs, order, alpha, alphabet):
-    """Fit the shared conditional model from a `corpus.PairView` in one walk
-    of its training mappings, with the counts of counting each on its own.
+def train(split, order, alpha):
+    """Fit the shared conditional model from a `corpus.DataSplit`'s training
+    view in one walk of its mappings, with the counts of counting each on
+    its own.  Train takes the view: it sets the split's `train_pairs` to
+    None, and once the walk is done it holds no paradigm or cell, so what
+    no one else holds is freed before the model is built.  A split whose
+    view is already taken is a ValueError.
 
     Each paradigm is cut once at its stem, the `stem_length` of its forms,
     into one column of endings per slot (None where unfilled).  A target
@@ -415,35 +419,27 @@ def train(pairs, order, alpha, alphabet):
     with a None side is no mapping.  The counts are integers, so one order
     alone reaches a float: a table's rows are its rules in first-seen order,
     by paradigm (purple) or by cell (green), and `logprob` sums them in that
-    order.  Each table is frozen as rows before the next is counted, and
-    kept if it has a row.  The n-grams are over the split's `alphabet`; the
-    mixture weight stays DEFAULT_LAMBDA until `structure.compute_weights`'s
-    dev pass picks it."""
-    paradigms, cells = pairs.paradigms, pairs.cells
-    if not len(pairs):
+    order.  The n-grams are built first, each slot's target counts dropped
+    as its n-gram is built; then each table is frozen as rows before the
+    next is counted, and kept if it has a row.  The n-grams are over the
+    split's `alphabet`; the mixture weight stays DEFAULT_LAMBDA until
+    `structure.compute_weights`'s dev pass picks it."""
+    if split.train_pairs is None:
+        raise ValueError("the split's training view was taken by an earlier train")
+    if not len(split.train_pairs):
         raise ValueError("cannot train on an empty pair list")
-    purple = cells is None
-    targets, distinct = {}, {}
-    columns = defaultdict(lambda: [None] * len(paradigms))
-    for i, p in enumerate(paradigms):
-        cut = stem_length(p.entries.values())
-        for slot, form in p.entries.items():
-            end = form[cut:]
-            columns[slot][i] = distinct.setdefault(end, end)
-            if purple:
-                targets[slot, form] = targets.get((slot, form), 0) + len(p)
-    if purple:
+    alphabet = split.alphabet
+    columns, targets, by_pair = _walk(split.train_pairs)
+    split.train_pairs = None   # from here on this call holds no paradigm or cell
+    char_models = {}
+    for slot in list(targets):
+        m = char_models[slot] = CharNGram(order, alpha, alphabet)
+        for form, count in targets.pop(slot).items():
+            m.add(count, form)
+    if by_pair is None:
         tables = (((src, tgt), columns[src], columns[tgt]) for src in columns for tgt in columns
                   if src != tgt)
     else:
-        index = {p.lexeme: i for i, p in enumerate(paradigms)}
-        by_pair = {}
-        for lx, src_slot, tgt_slot in cells:
-            i = index[lx]
-            tgt = paradigms[i].entries[tgt_slot]
-            targets[tgt_slot, tgt] = targets.get((tgt_slot, tgt), 0) + 1
-            if src_slot != ROOT:
-                by_pair.setdefault((src_slot, tgt_slot), []).append(i)
         # a table's paradigm indices, in cell order, are dropped as it is reached
         tables = (((src, tgt), map(columns[src].__getitem__, at),
                    map(columns[tgt].__getitem__, at))
@@ -458,10 +454,39 @@ def train(pairs, order, alpha, alphabet):
             rules[rule] = rules.get(rule, 0) + count
         if rules:
             rule_tables[key] = [(s, t, c) for (s, t), c in rules.items()]
-    char_models = defaultdict(lambda: CharNGram(order, alpha, alphabet))
-    for (slot, form), count in targets.items():
-        char_models[slot].add(count, form)
-    return ConditionalParadigmModel(alphabet, order, alpha, rule_tables, dict(char_models))
+    return ConditionalParadigmModel(alphabet, order, alpha, rule_tables, char_models)
+
+
+def _walk(pairs):
+    """`train`'s one walk of a `corpus.PairView`: (columns, targets,
+    by_pair), none of which holds a paradigm or a cell.  columns[slot] is
+    the slot's column of interned endings, one per paradigm in view order
+    (None where unfilled), targets[slot] each target form's mapping count,
+    and by_pair[(src_slot, tgt_slot)] a green table's paradigm indices in
+    cell order (None for a purple view)."""
+    paradigms, cells = pairs.paradigms, pairs.cells
+    n, purple = len(paradigms), cells is None
+    targets, distinct = defaultdict(dict), {}
+    columns = defaultdict(lambda: [None] * n)
+    for i, p in enumerate(paradigms):
+        cut = stem_length(p.entries.values())
+        for slot, form in p.entries.items():
+            end = form[cut:]
+            columns[slot][i] = distinct.setdefault(end, end)
+            if purple:
+                counts = targets[slot]
+                counts[form] = counts.get(form, 0) + len(p)
+    if purple:
+        return columns, targets, None
+    index = {p.lexeme: i for i, p in enumerate(paradigms)}
+    by_pair = {}
+    for lx, src_slot, tgt_slot in cells:
+        i = index[lx]
+        counts, tgt = targets[tgt_slot], paradigms[i].entries[tgt_slot]
+        counts[tgt] = counts.get(tgt, 0) + 1
+        if src_slot != ROOT:
+            by_pair.setdefault((src_slot, tgt_slot), []).append(i)
+    return columns, targets, by_pair
 
 
 def joint_logprob(model, tree, paradigm):

@@ -9,6 +9,7 @@ penalized so that exactly one of them is used; see `max_arborescence`.
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
@@ -109,11 +110,15 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
 
     The scoring runs on every CPU the process may run on: `forked_ranges`
     cuts the target slots into one contiguous range per CPU, works the
-    first here and each later one in a forked child.  A worker makes one
-    record per row, (counts, sums), and the records come back in row order,
-    so this process adds no score and the result is the same bits on any
-    number of CPUs.  A scorer's ValueError in a child is raised in its
-    range's turn, after the ranges before it, as on one CPU.
+    first here and each later one in a forked child.  A worker adds a row's
+    sums in lists and makes one record per finished row, (counts, sums
+    packed): the sums as the bytes of an array of doubles, lambda-major,
+    the cell (k, j) at k * (n + 1) + j, which this process reads in place.
+    A packed row holds 8 bytes per sum where a list of floats holds about
+    32.  The records come back in row order, so this process adds no score
+    and the result is the same bits on any number of CPUs.  A scorer's
+    ValueError in a child is raised in its range's turn, after the ranges
+    before it, as on one CPU.
 
     Cell (i, j) averages over the dev paradigms where both slots are filled;
     root[i] over those where slot i is filled.  A slot never filled in dev
@@ -143,20 +148,25 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
                 for row_sums, lps in zip(sums, zip(*rows)):
                     for j, lp in zip(columns, lps):
                         row_sums[j] += lp
-            yield counts, sums
+            yield counts, array("d", chain.from_iterable(sums)).tobytes()
 
-    cnt, cell_sum = zip(*forked_ranges(n, score))
+    cnt, packed = zip(*forked_ranges(n, score))
+    unpacked = [memoryview(record).cast("d") for record in packed]
+
+    def sums_at(k):
+        """Each row's cell sums under lambda k, the root column last."""
+        return [row[k * (n + 1):(k + 1) * (n + 1)] for row in unpacked]
     k = 0
     if lambda_grid is not None:
         scored = sum(map(sum, cnt))
-        ces = [-reduce(add, chain.from_iterable(sums[k] for sums in cell_sum), 0.0) / scored
-               for k in range(g)]
+        ces = [-reduce(add, chain.from_iterable(sums_at(k)), 0.0) / scored for k in range(g)]
         for lam, ce in zip(lambda_grid, ces):
             log.info("lambda=%g: dev CE %.4f bits", lam, ce)
         k = min(range(g), key=ces.__getitem__)
         scorer.lam = lambda_grid[k]
         log.info("selected lambda=%g (dev CE %.4f bits)", scorer.lam, ces[k])
-    root = [cell_sum[i][k][n] / cnt[i][n] if cnt[i][n] else None for i in range(n)]
+    cell_sum = sums_at(k)
+    root = [cell_sum[i][n] / cnt[i][n] if cnt[i][n] else None for i in range(n)]
     seen_roots = [r for r in root if r is not None]
     fallback = reduce(add, seen_roots, 0.0) / len(seen_roots)
     edge = [[0.0] * n for _ in range(n)]
@@ -172,7 +182,7 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
             if i == j:
                 continue
             if cnt[i][j]:
-                edge[i][j] = cell_sum[i][k][j] / cnt[i][j]
+                edge[i][j] = cell_sum[i][j] / cnt[i][j]
             else:
                 # pair never co-filled in dev: no evidence conditioning helps
                 edge[i][j] = root[i]

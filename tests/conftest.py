@@ -2,7 +2,7 @@ import pytest
 
 from morphcomplexity import strmodel
 from morphcomplexity.cli import CONFIG_DEFAULTS, bundled
-from morphcomplexity.corpus import EMPTY, expand_paradigm_pairs
+from morphcomplexity.corpus import EMPTY, DataSplit, expand_paradigm_pairs
 
 
 def split_config(**overrides):
@@ -29,8 +29,11 @@ def view_alphabet(view):
 
 def train(pairs, order=CONFIG_DEFAULTS["order"], alpha=CONFIG_DEFAULTS["alpha"]):
     """`strmodel.train` at the CLI's default order and alpha unless given,
-    over the alphabet of the view's paradigms."""
-    return strmodel.train(pairs, order, alpha, view_alphabet(pairs))
+    on a split of the view and no dev or test paradigm: so over the alphabet
+    of the view's paradigms, and the caller keeps the view."""
+    slots = sorted(set().union(*(p.entries for p in pairs.paradigms)))
+    regime = "purple" if pairs.cells is None else "green"
+    return strmodel.train(DataSplit(pairs, [], [], slots, regime), order, alpha)
 
 
 @pytest.fixture

@@ -392,11 +392,11 @@ def test_run_insufficient_data_exit_3(tmp_path, toy_lexicon_path):
                  "--out-dir", str(tmp_path)]) == 3
 
 
-@pytest.mark.parametrize("stage", ["run", "train"])
-def test_training_data_is_freed_before_the_dev_pass(tmp_path, monkeypatch, stage):
-    """`run` (green) and the staged `train` (purple) hold no reference to
-    the split's training view or to a training paradigm once the model is
-    trained: when the dev pass starts, a collection finds both gone."""
+def watch_training_data(tmp_path, monkeypatch, stage, owner, name):
+    """Run `stage`, `run` (green) or the staged `train` (purple), on a small
+    lexicon with owner.name wrapped: its first call collects garbage and
+    records whether the split's training view and a training paradigm are
+    still alive.  Returns the split and that record."""
     lex = write_lexicon(tmp_path / "lex.tsv")
     store, split = tmp_path / "store.json", tmp_path / "split.json"
     if stage == "run":
@@ -409,22 +409,47 @@ def test_training_data_is_freed_before_the_dev_pass(tmp_path, monkeypatch, stage
                     + SMALL_SPLIT) == 0
         argv = ["train", "--split", str(split), "--order", "2", "--out", str(tmp_path / "m.json")]
         maker = "split_from_json"
-    refs, alive = [], []
-    make, compute = getattr(cli.corpus, maker), cli.structure.compute_weights
+    splits, refs, alive = [], [], []
+    make, watched = getattr(cli.corpus, maker), getattr(owner, name)
 
     def made(*args):
         made_split = make(*args)
+        splits.append(made_split)
         refs.extend(map(weakref.ref, (made_split.train_pairs, made_split.train_pairs.paradigms[0])))
         return made_split
 
-    def dev_pass(*args):
-        gc.collect()
-        alive.extend(ref() is not None for ref in refs)
-        return compute(*args)
+    def first_call_collects(*args):
+        if not alive:
+            gc.collect()
+            alive.extend(ref() is not None for ref in refs)
+        return watched(*args)
     monkeypatch.setattr(cli.corpus, maker, made)
-    monkeypatch.setattr(cli.structure, "compute_weights", dev_pass)
+    monkeypatch.setattr(owner, name, first_call_collects)
     assert main(argv) == 0
+    return splits[0], alive
+
+
+@pytest.mark.parametrize("stage", ["run", "train"])
+def test_training_data_is_freed_before_the_dev_pass(tmp_path, monkeypatch, stage):
+    """`run` (green) and the staged `train` (purple) hold no reference to
+    the split's training view or to a training paradigm once the model is
+    trained: when the dev pass starts, a collection finds both gone."""
+    _, alive = watch_training_data(tmp_path, monkeypatch, stage, cli.structure, "compute_weights")
     assert alive == [False, False]
+
+
+@pytest.mark.parametrize("stage", ["run", "train"])
+def test_training_data_is_freed_before_the_model_is_built(tmp_path, monkeypatch, stage):
+    """`strmodel.train` takes the split's training view and holds no
+    paradigm or cell once it has walked it: when the first form is added to
+    an n-gram, a collection finds the view and a training paradigm gone.
+    The split's `train_pairs` is then None, and training the split again is
+    a ValueError that says why."""
+    split, alive = watch_training_data(tmp_path, monkeypatch, stage, cli.strmodel.CharNGram, "add")
+    assert alive == [False, False]
+    assert split.train_pairs is None
+    with pytest.raises(ValueError, match="training view was taken by an earlier train"):
+        cli.strmodel.train(split, 2, 0.1)
 
 
 # ----------------------------------------------------------- staged pipeline
@@ -600,6 +625,10 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("train --split {pair_list} --out {tmp}/o.json", 2),
     ("train --split {foreign_cell} --out {tmp}/o.json", 2),
     ("train --split {self_cell} --out {tmp}/o.json", 2),
+    # a cell that is not a list of three strings, or names no training lexeme
+    ("train --split {int_cell} --out {tmp}/o.json", 2),
+    ("train --split {short_cell} --out {tmp}/o.json", 2),
+    ("train --split {unknown_lexeme_cell} --out {tmp}/o.json", 2),
     ("weights --split {d}/split.json --model {missing} --out {tmp}/o.json --seed 0", 3),
     ("learn-tree --weights {garbage} --out {tmp}/o.json", 2),
     ("measure --split {d}/split.json --model {d}/model.json --tree {missing} "
@@ -795,9 +824,10 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     class weights are finite and >= 0.
     Weights must be finite numbers, not booleans, and n x n over distinct
     slots, scores finite numbers and
-    given for every mapping the stage reads, a training cell must not map a
-    slot to itself, and Pareto points have finite x > 0 and y >= 0 and a POS
-    that can name a file, checked before any permutation test runs; a points
+    given for every mapping the stage reads, a training cell is three
+    strings, a training lexeme and two different slots its paradigm fills
+    (the source may be the root), or an error quotes it, and Pareto points
+    have finite x > 0 and y >= 0 and a POS that can name a file, checked before any permutation test runs; a points
     file without points exits 3; a score row of the root context has an
     empty source form, and a score row's target slot is neither empty nor
     <ROOT>.  A store holds its language and pos labels, and a split those
@@ -891,6 +921,11 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     slot = min(row_entries(split, split["train_paradigms"][0]))
     self_cell = dict(split, train_cells=[[lexeme, slot, slot]])
     (tmp_path / "self_cell.json").write_text(json.dumps(self_cell), encoding="utf-8")
+    bad_cells = {"int_cell": 1, "short_cell": [lexeme, slot],
+                 "unknown_lexeme_cell": ["zz", slot, PARTIAL_SLOTS[1]]}
+    for name, cell in bad_cells.items():
+        (tmp_path / name).write_text(json.dumps(dict(split, train_cells=[cell])),
+                                     encoding="utf-8")
     # a tree over the five filled slots only, as the old staged chain learned it
     tree = {"root": PARTIAL_SLOTS[0], "edges": {s: PARTIAL_SLOTS[0] for s in PARTIAL_SLOTS[1:]}}
     (tmp_path / "foreign_tree.json").write_text(json.dumps(tree), encoding="utf-8")
@@ -1051,7 +1086,7 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
              **{name: tmp_path / name
                 for name in [*files, "nan_scores", "partial_scores", "root_row_with_src",
                              "no_points", "empty_grid", "bogus_regime", *texts, *bad_points,
-                             *bad_pos, *bad_records]}}
+                             *bad_pos, *bad_records, *bad_cells]}}
     if argv.startswith("pareto"):
         monkeypatch.setattr(cli.stats, "perm_test", None)   # must not be reached
     if "only_char" in argv:
@@ -1073,6 +1108,10 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
         assert "re-run train" in errors[0].getMessage()
     if "root_row_with_src" in argv:
         assert "line 1: a root row has an empty source form" in errors[0].getMessage()
+    for name, cell in bad_cells.items():
+        if "{%s}" % name in argv:
+            assert "training cell %r is not [lexeme, source slot, target slot]" % (cell,) \
+                in errors[0].getMessage()
     if "target_scores" in argv:
         assert "line 1: the target slot is empty or <ROOT>" in errors[0].getMessage()
     if "word_logprob_scores" in argv:
@@ -1609,12 +1648,14 @@ def test_plat_bad_file_exit_2(tmp_path):
 
 
 def test_critique_command(capsys):
+    """critique's string model is trained on go/went over the alphabet of
+    go, went, fly and flew, and scores the unseen irregular flew from fly."""
     code = main(["critique", "--trials", "30", "--seed", "0"])
     out = capsys.readouterr().out
     assert code == 0
     assert ">= 0: True" in out
     assert "per-form joint entropy" in out
-    assert "(finite)" in out
+    assert "unseen irregular logprob -17.61 bits (finite)" in out
 
 
 def test_critique_plat_flag(tmp_path, capsys):

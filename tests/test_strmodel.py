@@ -6,6 +6,7 @@ import math
 import os
 import random
 import tempfile
+from array import array
 from collections import Counter, defaultdict
 
 import pytest
@@ -748,7 +749,8 @@ def test_dev_pass_scores_each_filled_target_once_per_row(monkeypatch, tmp_path, 
     """The dev pass cuts the target slots into one range per CPU: whichever
     process scores it, each (target slot, dev paradigm) that is filled gets
     exactly one `logprob` call, and the records come back one per matrix
-    row, (counts, sums), in slot order."""
+    row, (counts, sums packed), in slot order: the sums as the bytes of an
+    array of doubles, lambda-major, one per (lambda, column)."""
     model, dev, slots = six_slot_model()
     n = len(slots)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -779,12 +781,13 @@ def test_dev_pass_scores_each_filled_target_once_per_row(monkeypatch, tmp_path, 
     assert len({call[0] for call in calls}) == min(cpus, n)
     assert len(records) == n
     k = GRID.index(model.lam)
-    for i, (counts, sums) in enumerate(records):
+    for i, (counts, packed) in enumerate(records):
         fills = [p.entries.keys() for p in dev if slots[i] in p.entries]
         assert counts == [0 if j == i else sum(slots[j] in f for f in fills)
                           for j in range(n)] + [len(fills)]
-        assert len(sums) == len(GRID) and all(len(row) == n + 1 for row in sums)
-        assert W.root[i] == sums[k][n] / counts[n]
+        assert type(packed) is bytes and len(packed) == 8 * len(GRID) * (n + 1)
+        sums = array("d", packed)
+        assert W.root[i] == sums[k * (n + 1) + n] / counts[n]
 
 
 def test_train_adds_each_form_once_per_char_model(monkeypatch):
