@@ -78,8 +78,8 @@ class SyntheticSystem:
         if not (isinstance(stem_len, (list, tuple)) and len(stem_len) == 2
                 and all(type(n) is int for n in stem_len) and 0 <= stem_len[0] <= stem_len[1]):
             raise ValueError("stem_len must be two integers lo, hi with 0 <= lo <= hi")
-        if abs(sum(class_probs) - 1.0) > 1e-9 or any(p < 0 for p in class_probs):
-            raise ValueError("class probabilities must be nonnegative and sum to 1")
+        if not (all(0 <= p < math.inf for p in class_probs) and abs(sum(class_probs) - 1) <= 1e-9):
+            raise ValueError("class probabilities must be finite, nonnegative and sum to 1")
         if len(suffix_table) != len(class_probs):
             raise ValueError("suffix table must have one row per class")
         if not all(isinstance(row, (list, tuple)) and len(row) == len(slots)

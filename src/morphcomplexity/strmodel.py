@@ -35,55 +35,58 @@ class CharNGram:
 
     Every history assigns positive probability to every character of Sigma
     and to stopping, so the model is a proper distribution over Sigma*.
-    `logprob` is computed afresh on each call: the dev pass asks it once per
-    dev target, so a per-form memo would not hit.
+    `counts` maps a history, the order - 1 symbols before (start-padded), to
+    a dict {next symbol: count}; the totals are summed when first read after
+    a change.  `logprob` is computed afresh on each call: the dev pass asks
+    it once per dev target, so a per-form memo would not hit.
     """
 
     def __init__(self, order, alpha, alphabet):
         self.order = order
         self.alpha = alpha
         self.alphabet = sorted(alphabet)
-        self._vocab = self.alphabet + [EOS]
-        self.counts = defaultdict(Counter)   # history tuple -> next symbol counts
-        self._totals = {}
+        self._norm = alpha * (len(self.alphabet) + 1)   # alpha for each symbol and stop
+        self.counts = defaultdict(dict)   # history tuple -> {next symbol: count}
 
-    def _events(self, form):
-        hist = (BOS,) * (self.order - 1)
-        for ch in form:
-            yield hist, ch
-            hist = (hist + (ch,))[1:]
-        yield hist, EOS
+    @cached_property
+    def _totals(self):
+        return {hist: sum(c.values()) for hist, c in self.counts.items()}
 
     def add(self, count, form):
         """Count the form as seen `count` times."""
-        for hist, sym in self._events(form):
-            self.counts[hist][sym] += count
-            self._totals[hist] = self._totals.get(hist, 0) + count
+        self.__dict__.pop("_totals", None)
+        counts, hist = self.counts, (BOS,) * (self.order - 1)
+        for sym in chain(form, (EOS,)):
+            c = counts[hist]
+            c[sym] = c.get(sym, 0) + count
+            hist = (hist + (sym,))[1:]
 
     def add_counts(self, counts):
         """Add (history, {symbol: count}) items to the counts."""
+        self.__dict__.pop("_totals", None)
         for hist, c in counts:
-            self.counts[hist].update(c)
-            self._totals[hist] = self._totals.get(hist, 0) + sum(c.values())
+            mine = self.counts[hist]
+            mine.update({sym: mine.get(sym, 0) + n for sym, n in c.items()})
 
     def prob(self, hist, sym):
         c = self.counts.get(hist)
-        total = self._totals.get(hist, 0)
-        num = (c[sym] if c else 0) + self.alpha
-        return num / (total + self.alpha * len(self._vocab))
+        return ((c.get(sym, 0) + self.alpha) / (self._totals[hist] + self._norm) if c
+                else self.alpha / self._norm)
 
     def logprob(self, form):
         """log2 probability of generating the form and stopping."""
-        lp = 0.0
-        for hist, sym in self._events(form):
-            lp += math.log2(self.prob(hist, sym))
+        counts, totals, alpha, norm = self.counts, self._totals, self.alpha, self._norm
+        lp, hist = 0.0, (BOS,) * (self.order - 1)
+        for sym in chain(form, (EOS,)):
+            c = counts.get(hist)
+            lp += math.log2((c.get(sym, 0) + alpha) / (totals[hist] + norm) if c else alpha / norm)
+            hist = (hist + (sym,))[1:]
         return lp
 
     def mass_upto(self, max_len):
         """Total probability of the strings of the alphabet with length
         <= max_len, by dynamic programming over histories."""
-        init = (BOS,) * (self.order - 1)
-        states = {init: 1.0}
+        states = {(BOS,) * (self.order - 1): 1.0}
         mass = 0.0
         for _ in range(max_len + 1):
             nxt = defaultdict(float)
@@ -101,9 +104,9 @@ class CharNGram:
         character), and `seen` the symbols counted after it but stop, in
         alphabet order, as one string, each count in that order."""
         out = {}
-        for hist, c in self.counts.items():
+        for h, c in self.counts.items():
             seen = sorted(c.keys() - {EOS})
-            out["".join(hist[hist.count(BOS):])] = [c[EOS], "".join(seen), *map(c.get, seen)]
+            out["".join(h[h.count(BOS):])] = [c.get(EOS, 0), "".join(seen), *map(c.get, seen)]
         return out
 
     @classmethod
@@ -133,13 +136,11 @@ class CharNGram:
             raise ValueError("char model histories are not of at most %d characters of the "
                              "alphabet, or their symbols seen not distinct alphabet characters "
                              "in alphabet order" % (order - 1))
-        pad, counts = (BOS,) * (order - 1), []
-        for hist, (stop, seen, *n) in obj.items():
-            c = dict(zip(seen, n))
+        pad = (BOS,) * (order - 1)
+        for hist, (stop, seen, *n) in obj.items():   # distinct histories: each dict set once
+            c = m.counts[pad[len(hist):] + tuple(hist)] = dict(zip(seen, n))
             if stop:
                 c[EOS] = stop
-            counts.append((pad[len(hist):] + tuple(hist), c))
-        m.add_counts(counts)
         return m
 
 
@@ -194,8 +195,7 @@ class ConditionalParadigmModel:
         """The n-gram of slots unseen as targets in training: the slot
         n-grams' counts summed, built when a first such slot is scored."""
         fallback = CharNGram(self.order, self.alpha, self.alphabet)
-        for m in self.char_models.values():
-            fallback.add_counts(m.counts.items())
+        fallback.add_counts(item for m in self.char_models.values() for item in m.counts.items())
         return fallback
 
     def char_model(self, tgt_slot):

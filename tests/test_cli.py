@@ -736,6 +736,7 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("ingest --synth {synth_root_slot} --seed 0", 2),
     ("ingest --data {root_slot_lexicon} --pos <ROOT>", 2),
     ("ingest --synth {synth_int_suffix} --seed 0", 2),
+    ("ingest --synth {synth_nan_prob} --seed 0", 2),
     ("weights --split {d}/split.json --model {rule_count_neg} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {rule_count_str} --out {tmp}/o.json --seed 0", 2),
     ("weights --split {d}/split.json --model {rule_repeated} --out {tmp}/o.json --seed 0", 2),
@@ -854,7 +855,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
     Config values, the regime among them, are checked before any stage runs;
     a generator config has only SyntheticSystem's keys, its slots are one
     or more distinct strings other than <ROOT>, its suffixes strings, its stem alphabet a
-    non-empty string and its stem lengths two integers 0 <= lo <= hi;
+    non-empty string, its stem lengths two integers 0 <= lo <= hi and its
+    class probabilities finite, >= 0 and of sum 1;
     `weights` and `measure` take exactly one scorer, --model or --scores,
     and `ingest` and `run` exactly one input, --data or --synth."""
     garbage = tmp_path / "garbage"
@@ -970,7 +972,9 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
                                            suffix_table=[[]]),
                        synth_no_alphabet=dict(synth, stem_alphabet=""),
                        synth_root_slot=dict(synth, slots=["<ROOT>"] + synth["slots"][1:]),
-                       synth_int_suffix=dict(synth, suffix_table=[[1, 2, 3, 4], [1, 2, 3, 5]]))
+                       synth_int_suffix=dict(synth, suffix_table=[[1, 2, 3, 4], [1, 2, 3, 5]]),
+                       # json.load reads NaN, and a NaN sum is within no tolerance of 1
+                       synth_nan_prob=dict(synth, class_probs=[0.5, float("nan")]))
     synth["stem_lenght"] = synth.pop("stem_len")
     bad_records["synth_typo"] = synth
     bad_records["dup_inventory"] = dict(store, inventory=store["inventory"] * 2)
@@ -1118,6 +1122,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
         assert "line 3: bad log2prob 'low'" in errors[0].getMessage()
     if "cyclic_tree" in argv:
         assert "tree has a cycle through" in errors[0].getMessage()
+    if "synth_nan_prob" in argv:
+        assert "class probabilities must be finite" in errors[0].getMessage()
     if "--data" in argv and "--synth" in argv:
         assert errors[0].getMessage() == "give exactly one input: --data or --synth"
 

@@ -85,10 +85,10 @@ def test_class_entropy_values():
 
 
 def test_invalid_class_probs():
-    with pytest.raises(ValueError):
-        SyntheticSystem(["A"], [0.6, 0.6], [["x"], ["y"]])
-    with pytest.raises(ValueError):
-        SyntheticSystem(["A"], [1.5, -0.5], [["x"], ["y"]])
+    for probs in ([0.6, 0.6], [1.5, -0.5], [0.5, math.nan], [math.nan, math.nan],
+                  [math.inf, 0.0], []):
+        with pytest.raises(ValueError, match="class probabilities must be finite"):
+            SyntheticSystem(["A"], probs, [["x"]] * len(probs))
     with pytest.raises(ValueError):
         SyntheticSystem(["A"], [0.5, 0.5], [["x"]])
     with pytest.raises(ValueError):

@@ -122,6 +122,69 @@ def test_char_ngram_mass_matches_enumeration():
         assert m.mass_upto(L) == pytest.approx(brute, abs=1e-12)
 
 
+def reference_char_counts(order, added):
+    """The n-gram counts of (count, form) items by a walk of every event: a
+    history of order - 1 symbols, start-padded, and the symbol after it."""
+    counts = defaultdict(Counter)
+    for count, form in added:
+        hist = ("<S>",) * (order - 1)
+        for sym in [*form, "</S>"]:
+            counts[hist][sym] += count
+            hist = (hist + (sym,))[1:]
+    return counts
+
+
+def reference_char_logprob(counts, alpha, alphabet, form, order):
+    """log2 of the form and stop, each symbol's add-alpha share of its
+    history's per-event total."""
+    lp, hist = 0.0, ("<S>",) * (order - 1)
+    for sym in [*form, "</S>"]:
+        c = counts.get(hist, Counter())
+        lp += math.log2((c[sym] + alpha) / (sum(c.values()) + alpha * (len(alphabet) + 1)))
+        hist = (hist + (sym,))[1:]
+    return lp
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.lists(st.tuples(st.integers(1, 5), st.text("abc", max_size=5))),
+       st.lists(st.text("abc", max_size=5), max_size=4))
+@example(1, [(2, ""), (3, "ab")], ["c"])
+def test_char_ngram_counts_and_scores_per_event(order, added, unseen):
+    """The counts, their totals and every log2prob equal those of a walk
+    of each event, exactly: the counted forms, the empty one among them,
+    and forms never counted.  Order 1 conditions on the empty history."""
+    m, alpha = CharNGram(order, 0.1, "abc"), 0.1
+    for count, form in added:
+        m.add(count, form)
+    want = reference_char_counts(order, added)
+    assert m.counts == {hist: dict(c) for hist, c in want.items()}
+    assert m._totals == {hist: sum(c.values()) for hist, c in want.items()}
+    if order == 1 and added:
+        assert list(m.counts) == [()]
+    for form in [form for _, form in added] + unseen + [""]:
+        assert m.logprob(form) == reference_char_logprob(want, alpha, "abc", form, order)
+
+
+def test_char_ngram_totals_follow_the_counts():
+    """An `add` or `add_counts` after a score gives the new totals and
+    scores, as a model counted once would."""
+    m = CharNGram(order=2, alpha=0.5, alphabet="ab")
+    m.add(2, "ab")
+    first = m.logprob("ab")
+    m.add(3, "ba")
+    once = CharNGram(order=2, alpha=0.5, alphabet="ab")
+    once.add(2, "ab")
+    once.add(3, "ba")
+    assert m._totals == once._totals
+    assert m.logprob("ab") == once.logprob("ab") != first
+    m.add_counts(list(once.counts.items()))
+    once.add(2, "ab")
+    once.add(3, "ba")
+    assert m.counts == once.counts and m._totals == once._totals
+    assert m.logprob("ba") == once.logprob("ba")
+    assert m.prob(("a",), "b") == once.prob(("a",), "b")
+
+
 def test_char_ngram_empty_string_valid():
     m = CharNGram(order=3, alpha=0.1, alphabet="ab")
     m.add(1, "")
