@@ -1,5 +1,6 @@
 """Golden artifacts: the staged chain and `run` must reproduce, byte for byte,
-the point.csv, tree.json and weights.json committed under tests/data/golden/.
+the point.csv, tree.json and weights.json committed under tests/data/golden/,
+and the staged chain its model.json too.
 
 The goldens were written on CPython 3.11.7, Linux x86_64 (glibc libm).  They
 are float digests.  `sum()` over floats is compensated from Python 3.12 on,
@@ -93,7 +94,7 @@ def check_goldens(tmp_path, monkeypatch, regime):
     write_inputs(tmp_path, regime)
     staged_chain(tmp_path)
     assert main(["run", "--config", "golden.cfg"]) == 0
-    made = {"staged": ["point.csv", "tree.json", "weights.json"],
+    made = {"staged": ["point.csv", "tree.json", "weights.json", "model.json"],
             "run": ["point.csv", "tree.json"]}
     for where, names in made.items():
         out = tmp_path if where == "staged" else tmp_path / "run"
