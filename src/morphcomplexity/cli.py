@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -467,6 +468,7 @@ def _command(sub, name, func, help, keys=()):
     return sp
 
 
+@functools.cache   # one parser for every `main` call of a process
 def build_parser():
     ap = argparse.ArgumentParser(prog="morphcomplexity",
                                  description="Morphological complexity measurement "

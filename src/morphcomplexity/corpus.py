@@ -102,15 +102,18 @@ def parse_unimorph(stream, pos_filter=None):
     errors = []
     for lineno, line in data_lines(stream):
         fields = line.split("\t")
-        if len(fields) != 3 or not all(f.strip() for f in fields):
+        lemma, form, feats = map(str.strip, fields) if len(fields) == 3 else ("", "", "")
+        if not (lemma and form and feats):
             errors.append("line %d: expected 3 tab-separated fields, got: %r" % (lineno, line))
             continue
-        lemma, form, feats = (f.strip() for f in fields)
         if pos_filter is not None and pos_of(feats) != pos_filter:
             continue
         # a lexicon repeats each slot string once per lexeme: keep one copy
         slot = sys.intern(feats)
-        kept = by_lexeme.setdefault(lemma, {}).setdefault(slot, form)
+        entries = by_lexeme.get(lemma)
+        if entries is None:
+            entries = by_lexeme[lemma] = {}
+        kept = entries.setdefault(slot, form)
         if kept != form:
             log.warning("duplicate cell %s/%s: keeping %r, dropping %r", lemma, slot, kept, form)
     inventory = check_slot_names(sorted(set().union(*by_lexeme.values())), "lexicon slot list")

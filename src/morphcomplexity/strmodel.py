@@ -11,10 +11,13 @@ anywhere a scorer is needed.
 
 import json
 import math
+import sys
+from array import array
 from collections import Counter, defaultdict
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import chain
+from operator import or_
 
 from .corpus import ROOT, EMPTY, check_slot_names, data_lines
 from .structure import WeightMatrix
@@ -408,76 +411,97 @@ def train(split, order, alpha):
     view is already taken is a ValueError.
 
     Each paradigm is cut once at its stem, the `stem_length` of its forms,
-    into one column of endings per slot (None where unfilled).  A target
+    into one column of ending codes per slot (0 where unfilled).  A target
     form is added to its slot's n-gram once, times its mapping count: a
     purple paradigm's filled-slot count, a green cell's 1.  A (src_slot,
-    tgt_slot) rule table counts the (source ending, target ending) pairs of
-    its mappings, in C: a purple table, one per ordered pair of trained
-    slots, zips the two slots' whole columns, a green one the two columns
-    read at its cells' paradigms, in cell order.  A pair's rule is the two
-    endings when their first letters differ, else `extract_rule`'s; a pair
-    with a None side is no mapping.  The counts are integers, so one order
-    alone reaches a float: a table's rows are its rules in first-seen order,
-    by paradigm (purple) or by cell (green), and `logprob` sums them in that
-    order.  The n-grams are built first, each slot's target counts dropped
-    as its n-gram is built; then each table is frozen as rows before the
-    next is counted, and kept if it has a row.  The n-grams are over the
-    split's `alphabet`; the mixture weight stays DEFAULT_LAMBDA until
+    tgt_slot) rule table counts the pair codes (src_code << w) | tgt_code
+    of its mappings, in C, w bits holding any slot's largest code: a purple
+    table, one per ordered pair of trained slots, ORs the two slots' whole
+    columns as two ints, a green one the two columns read at its cells'
+    paradigms, in cell order.  Each distinct pair code is decoded once, in
+    first-seen order: its rule is the two endings when their first letters
+    differ, else `extract_rule`'s, and a pair with a code 0 side is no
+    mapping.  The counts are integers, so one order alone reaches a float:
+    a table's rows are its rules in first-seen order, by paradigm (purple)
+    or by cell (green), and `logprob` sums them in that order.  The n-grams
+    are built first, each slot's target counts dropped as its n-gram is
+    built; then each table is frozen as rows before the next is counted,
+    and kept if it has a row.  The n-grams are over the split's `alphabet`;
+    the mixture weight stays DEFAULT_LAMBDA until
     `structure.compute_weights`'s dev pass picks it."""
     if split.train_pairs is None:
         raise ValueError("the split's training view was taken by an earlier train")
     if not len(split.train_pairs):
         raise ValueError("cannot train on an empty pair list")
     alphabet = split.alphabet
-    columns, targets, by_pair = _walk(split.train_pairs)
+    columns, endings, targets, by_pair = _walk(split.train_pairs)
     split.train_pairs = None   # from here on this call holds no paradigm or cell
     char_models = {}
     for slot in list(targets):
         m = char_models[slot] = CharNGram(order, alpha, alphabet)
         for form, count in targets.pop(slot).items():
             m.add(count, form)
+    w = (max(map(len, endings.values())) - 1).bit_length()
+    typecode = next(t for t in "BHIQ" if array(t).itemsize * 8 >= 2 * w)
+    size = len(next(iter(columns.values()))) * array(typecode).itemsize
+    # each slot's codes as one int; its source side shifted by w moves every
+    # code w bits up inside its own 2w-bit (or wider) item
+    lo = {slot: int.from_bytes(array(typecode, col), sys.byteorder)
+          for slot, col in columns.items()}
+    hi = {slot: v << w for slot, v in lo.items()}
     if by_pair is None:
-        tables = (((src, tgt), columns[src], columns[tgt]) for src in columns for tgt in columns
-                  if src != tgt)
+        tables = (((src, tgt), array(typecode, (hi[src] | lo[tgt]).to_bytes(size, sys.byteorder)))
+                  for src in lo for tgt in lo if src != tgt)
     else:
+        lo, hi = ({slot: array(typecode, v.to_bytes(size, sys.byteorder))
+                   for slot, v in side.items()} for side in (lo, hi))
         # a table's paradigm indices, in cell order, are dropped as it is reached
-        tables = (((src, tgt), map(columns[src].__getitem__, at),
-                   map(columns[tgt].__getitem__, at))
+        tables = (((src, tgt),
+                   map(or_, map(hi[src].__getitem__, at), map(lo[tgt].__getitem__, at)))
                   for src, tgt in list(by_pair) for at in [by_pair.pop((src, tgt))])
+    mask = (1 << w) - 1
     rule_tables = {}
-    for key, src_ends, tgt_ends in tables:
+    for (src_slot, tgt_slot), codes in tables:
+        src_ends, tgt_ends = endings[src_slot], endings[tgt_slot]
         rules = {}
-        for (src, end), count in Counter(zip(src_ends, tgt_ends)).items():
+        for code, count in Counter(codes).items():
+            src, end = src_ends[code >> w], tgt_ends[code & mask]
             if src is None or end is None:
                 continue
             rule = (src, end) if src[:1] != end[:1] else extract_rule(src, end)
             rules[rule] = rules.get(rule, 0) + count
         if rules:
-            rule_tables[key] = [(s, t, c) for (s, t), c in rules.items()]
+            rule_tables[src_slot, tgt_slot] = [(s, t, c) for (s, t), c in rules.items()]
     return ConditionalParadigmModel(alphabet, order, alpha, rule_tables, char_models)
 
 
 def _walk(pairs):
-    """`train`'s one walk of a `corpus.PairView`: (columns, targets,
-    by_pair), none of which holds a paradigm or a cell.  columns[slot] is
-    the slot's column of interned endings, one per paradigm in view order
-    (None where unfilled), targets[slot] each target form's mapping count,
-    and by_pair[(src_slot, tgt_slot)] a green table's paradigm indices in
+    """`train`'s one walk of a `corpus.PairView`: (columns, endings,
+    targets, by_pair), none of which holds a paradigm or a cell.
+    columns[slot] is the slot's column of ending codes, one per paradigm in
+    view order (0 where unfilled), endings[slot] the ending of each code,
+    in first-seen order after None for code 0, each ending interned across
+    slots; targets[slot] counts each target form's mappings, and
+    by_pair[(src_slot, tgt_slot)] holds a green table's paradigm indices in
     cell order (None for a purple view)."""
     paradigms, cells = pairs.paradigms, pairs.cells
     n, purple = len(paradigms), cells is None
-    targets, distinct = defaultdict(dict), {}
-    columns = defaultdict(lambda: [None] * n)
+    targets, distinct, codes = defaultdict(dict), {}, defaultdict(dict)
+    columns = defaultdict(lambda: [0] * n)
     for i, p in enumerate(paradigms):
         cut = stem_length(p.entries.values())
         for slot, form in p.entries.items():
-            end = form[cut:]
-            columns[slot][i] = distinct.setdefault(end, end)
+            end, known = form[cut:], codes[slot]
+            code = known.get(end)
+            if code is None:
+                code = known[distinct.setdefault(end, end)] = len(known) + 1
+            columns[slot][i] = code
             if purple:
                 counts = targets[slot]
                 counts[form] = counts.get(form, 0) + len(p)
+    endings = {slot: [None, *known] for slot, known in codes.items()}
     if purple:
-        return columns, targets, None
+        return columns, endings, targets, None
     index = {p.lexeme: i for i, p in enumerate(paradigms)}
     by_pair = {}
     for lx, src_slot, tgt_slot in cells:
@@ -486,7 +510,7 @@ def _walk(pairs):
         counts[tgt] = counts.get(tgt, 0) + 1
         if src_slot != ROOT:
             by_pair.setdefault((src_slot, tgt_slot), []).append(i)
-    return columns, targets, by_pair
+    return columns, endings, targets, by_pair
 
 
 def joint_logprob(model, tree, paradigm):

@@ -381,6 +381,60 @@ def test_train_equals_per_mapping_counts(paradigms, pair_count, seed):
         assert model.to_json() == want.to_json()
 
 
+def wide_paradigms(n_endings, count=320):
+    """Paradigms over slots A, B and C with many endings: A's cycles through
+    n_endings endings, B's through 16, and C takes the ending A had in the
+    paradigm before, so C shares its endings with A.  A's and C's begin
+    with "a", B's with "b"; every seventh paradigm lacks C, every eleventh B."""
+    rng = random.Random(n_endings)
+
+    def ending(first, i):
+        return first + "".join("klmn"[i >> k & 3] for k in (8, 6, 4, 2, 0))
+
+    paradigms = []
+    for i in range(count):
+        stem = "".join(rng.choice("de") for _ in range(rng.randint(2, 4)))
+        cells = {"A": ending("a", i % n_endings), "B": ending("b", i % 16),
+                 "C": ending("a", (i - 1) % n_endings)}
+        paradigms.append(Paradigm("lx%03d" % i, {slot: stem + end for slot, end in cells.items()
+                                                 if not (slot == "C" and i % 7 == 0
+                                                         or slot == "B" and i % 11 == 0)}))
+    return paradigms
+
+
+@pytest.mark.parametrize("n_endings, typecode", [(20, "H"), (300, "I")])
+def test_train_equals_per_mapping_counts_with_wide_codes(monkeypatch, n_endings, typecode):
+    """With more than 15 or 255 endings in a slot, the pair codes need
+    16-bit or 32-bit items, and a purple and a green view still give the
+    model of counting every mapping on its own.  An ending that two slots
+    share is one string object in both tables' rows."""
+    made = []
+
+    def recording_array(code, *items):
+        if items:
+            made.append(code)
+        return array(code, *items)
+
+    monkeypatch.setattr(strmodel, "array", recording_array)
+    paradigms = wide_paradigms(n_endings)
+    green = make_split(paradigms, split_config(regime="green", pair_count=2000, dev_paradigms=0,
+                                               test_paradigms=0, seed=3),
+                       ["A", "B", "C"]).train_pairs
+    for pairs in (PairView(paradigms), green):
+        made.clear()
+        model = train(pairs, order=2)
+        assert set(made) == {typecode}
+        want = train_per_mapping(pair_list(pairs), view_alphabet(pairs), order=2)
+        assert model.rule_tables == want.rule_tables
+        assert model.to_json() == want.to_json()
+        # A's and C's endings begin as B's do not, so these rows hold the endings
+        a_ends, c_ends = ([row[0] for row in model.rule_tables[key]]
+                          for key in (("A", "B"), ("C", "B")))
+        assert set(a_ends) & set(c_ends)
+        first = {}
+        assert all(first.setdefault(end, end) is end for end in a_ends + c_ends)
+
+
 # ----------------------------------------------------------- joint logprob
 
 class Chain3:
