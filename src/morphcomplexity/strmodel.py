@@ -446,8 +446,8 @@ def train(split, order, alpha):
     size = len(next(iter(columns.values()))) * array(typecode).itemsize
     # each slot's codes as one int; its source side shifted by w moves every
     # code w bits up inside its own 2w-bit (or wider) item
-    lo = {slot: int.from_bytes(array(typecode, col), sys.byteorder)
-          for slot, col in columns.items()}
+    lo = {slot: int.from_bytes(array(typecode, columns.pop(slot)), sys.byteorder)
+          for slot in list(columns)}
     hi = {slot: v << w for slot, v in lo.items()}
     if by_pair is None:
         tables = (((src, tgt), array(typecode, (hi[src] | lo[tgt]).to_bytes(size, sys.byteorder)))
