@@ -5,7 +5,6 @@ import bisect
 import itertools
 import logging
 import random
-import sys
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -27,18 +26,6 @@ class Paradigm:
 
     def __len__(self):
         return len(self.entries)
-
-
-def target_groups(entries):
-    """A paradigm's mappings by sorted target slot: (tgt_slot, tgt, sources),
-    the root mapping (EMPTY, ROOT) first and implicit, then (src_slot, src)
-    of every other filled slot in sorted order: the order of
-    `expand_paradigm_pairs` and the one in which green sampling numbers a
-    paradigm's cells.  The dev pass gives each target its sources in the
-    same order, but adds its scores by target slot (`compute_weights`)."""
-    slots = sorted(entries)
-    for tgt_slot in slots:
-        yield tgt_slot, entries[tgt_slot], [(s, entries[s]) for s in slots if s != tgt_slot]
 
 
 def can_hold_out(paradigm):
@@ -100,16 +87,21 @@ def parse_unimorph(stream, pos_filter=None):
     form is logged and dropped."""
     by_lexeme = {}
     errors = []
+    # each slot string to itself, or to "" for another POS: a lexicon repeats
+    # each slot string once per lexeme, so its POS is read once and one copy kept
+    kept_slots = {}
     for lineno, line in data_lines(stream):
         fields = line.split("\t")
         lemma, form, feats = map(str.strip, fields) if len(fields) == 3 else ("", "", "")
         if not (lemma and form and feats):
             errors.append("line %d: expected 3 tab-separated fields, got: %r" % (lineno, line))
             continue
-        if pos_filter is not None and pos_of(feats) != pos_filter:
+        slot = kept_slots.get(feats)
+        if slot is None:
+            slot = kept_slots[feats] = (feats if pos_filter is None or pos_of(feats) == pos_filter
+                                        else "")
+        if not slot:
             continue
-        # a lexicon repeats each slot string once per lexeme: keep one copy
-        slot = sys.intern(feats)
         entries = by_lexeme.get(lemma)
         if entries is None:
             entries = by_lexeme[lemma] = {}
@@ -127,11 +119,14 @@ def pos_of(slot):
 
 
 def expand_paradigm_pairs(paradigms):
-    """Every paradigm's mappings in `target_groups` order, as (src, src_slot,
-    tgt_slot, tgt) tuples: the key of a `ScoreTable` row."""
-    return [(src, src_slot, tgt_slot, tgt) for p in paradigms
-            for tgt_slot, tgt, sources in target_groups(p.entries)
-            for src_slot, src in [(ROOT, EMPTY)] + sources]
+    """Every paradigm's mappings as (src, src_slot, tgt_slot, tgt) tuples,
+    the key of a `ScoreTable` row, in mapping order: per target slot in
+    sorted order, the root mapping (EMPTY from ROOT), then one from every
+    other filled slot in sorted order.  Green sampling numbers a
+    paradigm's cells in the same order."""
+    return [(EMPTY if s == ROOT else p.entries[s], s, t, p.entries[t])
+            for p in paradigms for slots in [sorted(p.entries)]
+            for t in slots for s in [ROOT, *slots] if s != t]
 
 
 def make_split(paradigms, spec, inventory):

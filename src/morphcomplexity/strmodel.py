@@ -17,7 +17,6 @@ from collections import Counter, defaultdict
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import chain
-from operator import or_
 
 from .corpus import ROOT, EMPTY, check_slot_names, data_lines
 from .structure import WeightMatrix
@@ -406,59 +405,37 @@ def train(split, order, alpha):
     """Fit the shared conditional model from a `corpus.DataSplit`'s training
     view in one walk of its mappings, with the counts of counting each on
     its own.  Train takes the view: it sets the split's `train_pairs` to
-    None, and once the walk is done it holds no paradigm or cell, so what
+    None, and once `_walk` is done it holds no paradigm or cell, so what
     no one else holds is freed before the model is built.  A split whose
     view is already taken is a ValueError.
 
-    Each paradigm is cut once at its stem, the `stem_length` of its forms,
-    into one column of ending codes per slot (0 where unfilled).  A target
-    form is added to its slot's n-gram once, times its mapping count: a
-    purple paradigm's filled-slot count, a green cell's 1.  A (src_slot,
-    tgt_slot) rule table counts the pair codes (src_code << w) | tgt_code
-    of its mappings, in C, w bits holding any slot's largest code: a purple
-    table, one per ordered pair of trained slots, ORs the two slots' whole
-    columns as two ints, a green one the two columns read at its cells'
-    paradigms, in cell order.  Each distinct pair code is decoded once, in
-    first-seen order: its rule is the two endings when their first letters
-    differ, else `extract_rule`'s, and a pair with a code 0 side is no
-    mapping.  The counts are integers, so one order alone reaches a float:
-    a table's rows are its rules in first-seen order, by paradigm (purple)
-    or by cell (green), and `logprob` sums them in that order.  The n-grams
-    are built first, each slot's target counts dropped as its n-gram is
-    built; then each table is frozen as rows before the next is counted,
-    and kept if it has a row.  The n-grams are over the split's `alphabet`;
-    the mixture weight stays DEFAULT_LAMBDA until
-    `structure.compute_weights`'s dev pass picks it."""
+    `_walk` gives the target counts and one stream of rule tables, each a
+    (src_slot, tgt_slot) key and the pair codes (src_code << w) | tgt_code
+    of its mappings, whatever the regime.  A target form is added to its
+    slot's n-gram once, times its mapping count: a purple paradigm's
+    filled-slot count, a green cell's 1.  Each table's distinct pair codes
+    are counted in C and decoded once, in first-seen order: its rule is the
+    two endings when their first letters differ, else `extract_rule`'s,
+    and a pair with a code 0 side is no mapping.  The counts are integers,
+    so one order alone reaches a float: a table's rows are its rules in
+    first-seen order, by paradigm (purple) or by cell (green), and
+    `logprob` sums them in that order.  The n-grams are built first, each
+    slot's target counts dropped as its n-gram is built; then each table is
+    frozen as rows before the next is counted, and kept if it has a row.
+    The n-grams are over the split's `alphabet`; the mixture weight stays
+    DEFAULT_LAMBDA until `structure.compute_weights`'s dev pass picks it."""
     if split.train_pairs is None:
         raise ValueError("the split's training view was taken by an earlier train")
     if not len(split.train_pairs):
         raise ValueError("cannot train on an empty pair list")
     alphabet = split.alphabet
-    columns, endings, targets, by_pair = _walk(split.train_pairs)
+    endings, targets, w, tables = _walk(split.train_pairs)
     split.train_pairs = None   # from here on this call holds no paradigm or cell
     char_models = {}
     for slot in list(targets):
         m = char_models[slot] = CharNGram(order, alpha, alphabet)
         for form, count in targets.pop(slot).items():
             m.add(count, form)
-    w = (max(map(len, endings.values())) - 1).bit_length()
-    typecode = next(t for t in "BHIQ" if array(t).itemsize * 8 >= 2 * w)
-    size = len(next(iter(columns.values()))) * array(typecode).itemsize
-    # each slot's codes as one int; its source side shifted by w moves every
-    # code w bits up inside its own 2w-bit (or wider) item
-    lo = {slot: int.from_bytes(array(typecode, columns.pop(slot)), sys.byteorder)
-          for slot in list(columns)}
-    hi = {slot: v << w for slot, v in lo.items()}
-    if by_pair is None:
-        tables = (((src, tgt), array(typecode, (hi[src] | lo[tgt]).to_bytes(size, sys.byteorder)))
-                  for src in lo for tgt in lo if src != tgt)
-    else:
-        lo, hi = ({slot: array(typecode, v.to_bytes(size, sys.byteorder))
-                   for slot, v in side.items()} for side in (lo, hi))
-        # a table's paradigm indices, in cell order, are dropped as it is reached
-        tables = (((src, tgt),
-                   map(or_, map(hi[src].__getitem__, at), map(lo[tgt].__getitem__, at)))
-                  for src, tgt in list(by_pair) for at in [by_pair.pop((src, tgt))])
     mask = (1 << w) - 1
     rule_tables = {}
     for (src_slot, tgt_slot), codes in tables:
@@ -476,14 +453,18 @@ def train(split, order, alpha):
 
 
 def _walk(pairs):
-    """`train`'s one walk of a `corpus.PairView`: (columns, endings,
-    targets, by_pair), none of which holds a paradigm or a cell.
-    columns[slot] is the slot's column of ending codes, one per paradigm in
-    view order (0 where unfilled), endings[slot] the ending of each code,
-    in first-seen order after None for code 0, each ending interned across
-    slots; targets[slot] counts each target form's mappings, and
-    by_pair[(src_slot, tgt_slot)] holds a green table's paradigm indices in
-    cell order (None for a purple view)."""
+    """`train`'s one walk of a `corpus.PairView`: (endings, targets, w,
+    tables), none of which holds a paradigm or a cell.  Each paradigm is
+    cut once at its stem, the `stem_length` of its forms, into one column
+    of ending codes per slot, in view order (0 where unfilled).
+    endings[slot] is the ending of each code, in first-seen order after
+    None for code 0, each ending interned across slots; targets[slot]
+    counts each target form's mappings; w bits hold any slot's largest
+    code.  tables yields each rule table's key and its pair codes, each
+    table built when it is reached: a purple view's, one per ordered pair
+    of slots, OR the two slots' whole columns as two ints, packed in the
+    smallest array type that holds 2w bits; a green view's are its cells'
+    codes, in cell order."""
     paradigms, cells = pairs.paradigms, pairs.cells
     n, purple = len(paradigms), cells is None
     targets, distinct, codes = defaultdict(dict), {}, defaultdict(dict)
@@ -500,8 +481,18 @@ def _walk(pairs):
                 counts = targets[slot]
                 counts[form] = counts.get(form, 0) + len(p)
     endings = {slot: [None, *known] for slot, known in codes.items()}
+    w = (max(map(len, endings.values())) - 1).bit_length()
     if purple:
-        return columns, endings, targets, None
+        typecode = next(t for t in "BHIQ" if array(t).itemsize * 8 >= 2 * w)
+        size = n * array(typecode).itemsize
+        # each slot's codes as one int; its source side shifted by w moves
+        # every code w bits up inside its own 2w-bit (or wider) item
+        lo = {slot: int.from_bytes(array(typecode, columns.pop(slot)), sys.byteorder)
+              for slot in list(columns)}
+        hi = {slot: v << w for slot, v in lo.items()}
+        return endings, targets, w, (
+            ((src, tgt), array(typecode, (hi[src] | lo[tgt]).to_bytes(size, sys.byteorder)))
+            for src in lo for tgt in lo if src != tgt)
     index = {p.lexeme: i for i, p in enumerate(paradigms)}
     by_pair = {}
     for lx, src_slot, tgt_slot in cells:
@@ -509,8 +500,10 @@ def _walk(pairs):
         counts, tgt = targets[tgt_slot], paradigms[i].entries[tgt_slot]
         counts[tgt] = counts.get(tgt, 0) + 1
         if src_slot != ROOT:
-            by_pair.setdefault((src_slot, tgt_slot), []).append(i)
-    return columns, endings, targets, by_pair
+            by_pair.setdefault((src_slot, tgt_slot), []).append(
+                columns[src_slot][i] << w | columns[tgt_slot][i])
+    # each table's codes are dropped as it is reached
+    return endings, targets, w, ((pair, by_pair.pop(pair)) for pair in list(by_pair))
 
 
 def joint_logprob(model, tree, paradigm):

@@ -169,23 +169,17 @@ def compute_weights(scorer, dev_paradigms, slots, lambda_grid=None):
     root = [cell_sum[i][n] / cnt[i][n] if cnt[i][n] else None for i in range(n)]
     seen_roots = [r for r in root if r is not None]
     fallback = reduce(add, seen_roots, 0.0) / len(seen_roots)
-    edge = [[0.0] * n for _ in range(n)]
+    edge = []
     for i in range(n):
         if root[i] is None:
             log.warning("slot %s never filled in dev; weights fall back to the "
                         "language-average root weight", slots[i])
             root[i] = fallback
-            for j in range(n):
-                edge[i][j] = fallback
-            continue
-        for j in range(n):
-            if i == j:
-                continue
-            if cnt[i][j]:
-                edge[i][j] = cell_sum[i][j] / cnt[i][j]
-            else:
-                # pair never co-filled in dev: no evidence conditioning helps
-                edge[i][j] = root[i]
+            edge.append([fallback] * n)
+        else:
+            # root[i] for a pair never co-filled in dev: no evidence conditioning helps
+            edge.append([0.0 if i == j else cell_sum[i][j] / cnt[i][j] if cnt[i][j] else root[i]
+                         for j in range(n)])
     return WeightMatrix(slots=list(slots), edge=edge, root=root)
 
 

@@ -10,6 +10,19 @@ def split_config(**overrides):
     return dict(CONFIG_DEFAULTS, **overrides)
 
 
+def target_groups(entries):
+    """A paradigm's mappings by sorted target slot: (tgt_slot, tgt, sources),
+    the root mapping (EMPTY, ROOT) first and implicit, then (src_slot, src)
+    of every other filled slot in sorted order: the oracle of mapping order,
+    that of `corpus.expand_paradigm_pairs` and the one in which green
+    sampling numbers a paradigm's cells.  The dev pass gives each target its
+    sources in the same order, but adds its scores by target slot
+    (`structure.compute_weights`)."""
+    slots = sorted(entries)
+    for tgt_slot in slots:
+        yield tgt_slot, entries[tgt_slot], [(s, entries[s]) for s in slots if s != tgt_slot]
+
+
 def pair_list(view):
     """A `PairView`'s mappings one by one, in an order that gives each of
     `strmodel.train`'s tables its rows in order, as (src, src_slot, tgt_slot,

@@ -62,6 +62,25 @@ def test_parse_pos_filter():
     assert parse_unimorph(io.StringIO(text), pos_filter="ADJ")[:2] == ([], [])
 
 
+def test_parse_reads_each_slot_strings_pos_once(monkeypatch):
+    """The POS filter reads a slot string's POS the first time it sees it,
+    whatever the POS; a malformed line of any POS is still an error, and
+    each kept slot is one string object in every paradigm."""
+    seen = []
+    pos_of = corpus.pos_of
+    monkeypatch.setattr(corpus, "pos_of", lambda slot: seen.append(slot) or pos_of(slot))
+    lines = ["%s\t%s%s\t%s" % (lx, lx, k, slot) for lx in ("a", "b", "c")
+             for k, slot in enumerate(["N;SG", "V;PST", "N;PL", "V;PRS"])]
+    text = "\n".join(lines + ["d\td\tV;PST;X\textra", "e\t\tN;SG"]) + "\n"
+    inventory, paradigms, errors = parse_unimorph(io.StringIO(text), pos_filter="N")
+    assert sorted(seen) == ["N;PL", "N;SG", "V;PRS", "V;PST"]
+    assert inventory == ["N;PL", "N;SG"]
+    assert [sorted(p.entries.items()) for p in paradigms] == [
+        [("N;PL", lx + "2"), ("N;SG", lx + "0")] for lx in ("a", "b", "c")]
+    assert [e.split(":")[0] for e in errors] == ["line 13", "line 14"]
+    assert len({id(slot) for p in paradigms for slot in p.entries} | set(map(id, inventory))) == 2
+
+
 def test_parse_partial_paradigms_allowed():
     text = "a\ta\tN;SG\na\tas\tN;PL\nb\tb\tN;SG\nb\tbs\tN;PL\nb\tbd\tN;DU\n"
     inventory, paradigms, _ = parse_unimorph(io.StringIO(text))

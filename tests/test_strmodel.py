@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from morphcomplexity import strmodel, structure
 from morphcomplexity.complexity import SyntheticSystem
 from morphcomplexity.corpus import (
-    EMPTY, ROOT, PairView, Paradigm, expand_paradigm_pairs, make_split, target_groups,
+    EMPTY, ROOT, PairView, Paradigm, expand_paradigm_pairs, make_split,
 )
 from morphcomplexity.strmodel import (
     CharNGram, ConditionalParadigmModel, ScoreTable, extract_rule, joint_logprob, load_scores,
@@ -23,7 +23,7 @@ from morphcomplexity.strmodel import (
 )
 from morphcomplexity.structure import compute_weights
 
-from conftest import pair_list, split_config, train, view_alphabet
+from conftest import pair_list, split_config, target_groups, train, view_alphabet
 
 
 GRID = (0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
@@ -405,8 +405,9 @@ def wide_paradigms(n_endings, count=320):
 @pytest.mark.parametrize("n_endings, typecode", [(20, "H"), (300, "I")])
 def test_train_equals_per_mapping_counts_with_wide_codes(monkeypatch, n_endings, typecode):
     """With more than 15 or 255 endings in a slot, the pair codes need
-    16-bit or 32-bit items, and a purple and a green view still give the
-    model of counting every mapping on its own.  An ending that two slots
+    16-bit or 32-bit items (the array a purple view packs), and a purple
+    and a green view still give the model of counting every mapping on its
+    own.  An ending that two slots
     share is one string object in both tables' rows."""
     made = []
 
@@ -423,7 +424,8 @@ def test_train_equals_per_mapping_counts_with_wide_codes(monkeypatch, n_endings,
     for pairs in (PairView(paradigms), green):
         made.clear()
         model = train(pairs, order=2)
-        assert set(made) == {typecode}
+        if pairs.cells is None:
+            assert set(made) == {typecode}
         want = train_per_mapping(pair_list(pairs), view_alphabet(pairs), order=2)
         assert model.rule_tables == want.rule_tables
         assert model.to_json() == want.to_json()
