@@ -4,7 +4,9 @@ expansion and train/dev/test splits."""
 import bisect
 import itertools
 import logging
+import math
 import random
+from array import array
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -129,6 +131,29 @@ def expand_paradigm_pairs(paradigms):
             for t in slots for s in [ROOT, *slots] if s != t]
 
 
+def _sample_range(rng, n, k):
+    """The draws of `rng.sample(range(n), k)` for 0 <= k <= n, in order.
+    Between random.sample's switch from a copied pool to a set of picks and
+    the break-even n = 736 k, it makes random.sample's getrandbits calls
+    but marks each pick in a bitmap of n bits, not a set; elsewhere it is
+    that call."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize or n > 736 * k:
+        return rng.sample(range(n), k)
+    getrandbits, width = rng.getrandbits, n.bit_length()
+    seen = bytearray((n + 7) >> 3)
+    picks = array("q")
+    for _ in range(k):
+        j = getrandbits(width)
+        while j >= n or seen[j >> 3] >> (j & 7) & 1:
+            j = getrandbits(width)
+        seen[j >> 3] |= 1 << (j & 7)
+        picks.append(j)
+    return picks
+
+
 def make_split(paradigms, spec, inventory):
     """Partition paradigms into train pairs plus dev/test held-out paradigms,
     as the config mapping `spec` sets: its `regime`, `paradigm_count`,
@@ -141,7 +166,11 @@ def make_split(paradigms, spec, inventory):
     Purple regime: all mappings from `paradigm_count` sampled paradigms.
     Green regime: `pair_count` mappings sampled without replacement from all
     mappings of the non-held-out paradigms; the split keeps the paradigms
-    that the sampled cells come from.
+    that the sampled cells come from.  Its draws are those of
+    `rng.sample(range(N), pair_count)` over the N mappings, numbered in
+    `expand_paradigm_pairs` order; `_sample_range` keeps the picks in N/8
+    bytes plus 8 per pick, against about 100 per pick for random.sample's
+    set, and calls random.sample past their break-even, N = 736 pair_count.
     """
     rng = random.Random(spec["seed"])
     eligible = list(filter(can_hold_out, paradigms))
@@ -174,7 +203,7 @@ def make_split(paradigms, spec, inventory):
             log.info("only %d training pairs available (requested %d); using all",
                      ends[-1], count)
         elif ends[-1] > count:
-            draws = rng.sample(draws, count)
+            draws = _sample_range(rng, ends[-1], count)
         cells = []
         for i in draws:
             j = bisect.bisect_right(ends, i)
