@@ -133,14 +133,15 @@ def expand_paradigm_pairs(paradigms):
 
 def _sample_range(rng, n, k):
     """The draws of `rng.sample(range(n), k)` for 0 <= k <= n, in order.
-    Between random.sample's switch from a copied pool to a set of picks and
-    the break-even n = 736 k, it makes random.sample's getrandbits calls
-    but marks each pick in a bitmap of n bits, not a set; elsewhere it is
-    that call."""
+    At or below random.sample's switch from a copied pool to a set of picks
+    it is that call.  Above it, it makes random.sample's getrandbits calls
+    but marks each pick in a bitmap of n bits and keeps the picks in an
+    array: n/8 bytes plus 8 per pick, against about 100 per pick for the
+    set, its ints and the result list (measured at k = 60,000)."""
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize or n > 736 * k:
+    if n <= setsize:
         return rng.sample(range(n), k)
     getrandbits, width = rng.getrandbits, n.bit_length()
     seen = bytearray((n + 7) >> 3)
@@ -168,9 +169,7 @@ def make_split(paradigms, spec, inventory):
     mappings of the non-held-out paradigms; the split keeps the paradigms
     that the sampled cells come from.  Its draws are those of
     `rng.sample(range(N), pair_count)` over the N mappings, numbered in
-    `expand_paradigm_pairs` order; `_sample_range` keeps the picks in N/8
-    bytes plus 8 per pick, against about 100 per pick for random.sample's
-    set, and calls random.sample past their break-even, N = 736 pair_count.
+    `expand_paradigm_pairs` order.
     """
     rng = random.Random(spec["seed"])
     eligible = list(filter(can_hold_out, paradigms))

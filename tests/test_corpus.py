@@ -227,16 +227,15 @@ def test_sample_range_matches_random_sample():
     """The green sampler draws what rng.sample(range(n), k) draws, in order
     and leaving the generator in the same state, at random.sample's switch
     from a copied pool to a set of picks, just above it, at an n that is
-    not a multiple of 8, at n >> k and past the break-even of its bits.
-    Between the switch and the break-even it keeps the picks in an array,
-    not a list.  Stdlib only, so any Python runs it."""
+    not a multiple of 8 and at n >> k.  Above the switch it keeps the picks
+    in an array, not a list.  Stdlib only, so any Python runs it."""
     for k in (1, 5, 6, 10, 600, 60000):
         switch = 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
-        for n in (switch, switch + 1, (switch // 8 + 3) * 8 + 7, 100 * k + 9, 736 * k + 1):
+        for n in (switch, switch + 1, (switch // 8 + 3) * 8 + 7, 100 * k + 9):
             for seed in (0, 1, 23):
                 rng, ref = random.Random(seed), random.Random(seed)
                 got = corpus._sample_range(rng, n, k)
                 assert list(got) == ref.sample(range(n), k), (k, n, seed)
                 assert len(set(got)) == k
                 assert rng.getstate() == ref.getstate()
-                assert isinstance(got, list) == (n <= switch or n > 736 * k)
+                assert isinstance(got, list) == (n <= switch)
