@@ -156,7 +156,7 @@ def _labels(obj, keys, stage):
 
 def _load_store(fh):
     obj = _json(fh)
-    inventory = corpus.inventory_from_json(obj)
+    inventory = corpus.check_slot_names(obj["inventory"], "inventory")
     return (_labels(obj, ("language", "pos"), "ingest"), inventory,
             corpus.paradigms_from_json(obj["paradigms"], inventory, "ingest"))
 
@@ -209,7 +209,7 @@ def stage_ingest(cfg):
         raise corpus.InsufficientDataError("either a data file or a synthetic generator "
                                            "config is required")
     inventory, paradigms, errors = read_artifact(
-        path, lambda fh: corpus.parse_unimorph(fh, pos_filter=cfg["pos"]))
+        path, lambda fh: corpus.parse_unimorph(fh, cfg["pos"]))
     for err in errors:
         log.error("%s: %s", path, err)
     if errors:

@@ -77,16 +77,15 @@ def data_lines(stream):
             yield lineno, line
 
 
-def parse_unimorph(stream, pos_filter=None):
+def parse_unimorph(stream, pos):
     """Read the `data_lines` of a UniMorph-style TSV (lemma, form, ;-joined
     features) straight into paradigms, one line at a time.
 
-    A well-formed line whose POS is not `pos_filter` is skipped (None keeps
-    every POS).  Returns (inventory, paradigms, errors): inventory is the
-    sorted list of distinct slots kept, paradigms a list of Paradigm sorted
-    by lexeme, and errors one message per malformed line, of any POS.  A
-    repeated (lexeme, slot) cell keeps its first form; a later, different
-    form is logged and dropped."""
+    A well-formed line whose POS is not `pos` is skipped.  Returns
+    (inventory, paradigms, errors): inventory is the sorted list of distinct
+    slots kept, paradigms a list of Paradigm sorted by lexeme, and errors one
+    message per malformed line, of any POS.  A repeated (lexeme, slot) cell
+    keeps its first form; a later, different form is logged and dropped."""
     by_lexeme = {}
     errors = []
     # each slot string to itself, or to "" for another POS: a lexicon repeats
@@ -100,8 +99,7 @@ def parse_unimorph(stream, pos_filter=None):
             continue
         slot = kept_slots.get(feats)
         if slot is None:
-            slot = kept_slots[feats] = (feats if pos_filter is None or pos_of(feats) == pos_filter
-                                        else "")
+            slot = kept_slots[feats] = feats if pos_of(feats) == pos else ""
         if not slot:
             continue
         entries = by_lexeme.get(lemma)
@@ -259,11 +257,6 @@ def check_slot_names(slots, what):
     return slots
 
 
-def inventory_from_json(obj):
-    """The `inventory` of a paradigm store or split: distinct slot names."""
-    return check_slot_names(obj["inventory"], "inventory")
-
-
 def split_to_json(split):
     return {
         "inventory": split.inventory,
@@ -277,7 +270,7 @@ def split_to_json(split):
 def split_from_json(obj):
     if "inventory" not in obj or "train_pairs" in obj:
         raise ValueError("split has an old layout (no inventory or a pair list); re-run split")
-    inventory = inventory_from_json(obj)
+    inventory = check_slot_names(obj["inventory"], "inventory")
     train, dev, test = (paradigms_from_json(obj[k], inventory, "split")
                         for k in ("train_paradigms", "dev_paradigms", "test_paradigms"))
     if len({p.lexeme for p in train + dev + test}) < len(train) + len(dev) + len(test):

@@ -5,7 +5,7 @@ import marshal
 import math
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -34,8 +34,7 @@ class PermTestResult:
     seed: int
 
     def to_json(self):
-        return {"observed_area": self.observed_area, "n_perm": self.n_perm,
-                "count_leq": self.count_leq, "p_value": self.p_value, "seed": self.seed}
+        return asdict(self)
 
 
 def check_point(x, y):
@@ -44,20 +43,28 @@ def check_point(x, y):
         raise ValueError("points must have finite x > 0 and y >= 0: (%g, %g)" % (x, y))
 
 
-def pareto_curve(points):
-    """Tightest non-increasing step function upper-bounding all points."""
+def _checked_plan(points):
+    """The `_area_plan` of the points' x values and their ys, once there is
+    a point and every point passes `check_point`."""
     if not points:
         raise ValueError("no points")
     for x, y in points:
         check_point(x, y)
+    return _area_plan([x for x, _ in points]), [y for _, y in points]
+
+
+def pareto_curve(points):
+    """Tightest non-increasing step function upper-bounding all points: the
+    running max of y down `_area_plan`, with a breakpoint at each step that
+    has a width, the last of its tied x values."""
+    plan, ys = _checked_plan(points)
     best = []
     height = 0.0
-    for x, y in sorted(points, key=lambda p: -p[0]):
-        height = max(height, y)
-        if best and best[-1][0] == x:
-            best[-1] = (x, height)
-        else:
-            best.append((x, height))
+    for i, w in plan:
+        if ys[i] > height:
+            height = ys[i]
+        if w > 0:
+            best.append((points[i][0], height))
     best.reverse()
     return ParetoCurve(breakpoints=best)
 
@@ -65,15 +72,12 @@ def pareto_curve(points):
 def pareto_area(points):
     """Exact rectangle integral of the step curve over (0, max x], summed as
     `perm_test` sums its observed area."""
-    if not points:
-        raise ValueError("no points")
-    for x, y in points:
-        check_point(x, y)
-    return _area_of(_area_plan([x for x, _ in points]), [y for _, y in points])
+    return _area_of(*_checked_plan(points))
 
 
 def _area_plan(xs):
-    """Precomputed iteration plan for areas of permuted scatters.
+    """The step curve's walk, for `pareto_curve`, its area and the areas
+    of permuted scatters: the one place where tied x values are settled.
 
     Returns (index, width) pairs: point indices by descending x, each with
     the rectangle width attached to its position (zero between tied x
@@ -214,10 +218,7 @@ def perm_test(points, n_perm, seed):
         raise ValueError("permutation test needs at least 3 points, got %d" % len(points))
     if n_perm < 1:
         raise ValueError("n_perm must be >= 1")
-    for x, y in points:
-        check_point(x, y)
-    ys = [y for _, y in points]
-    plan = _area_plan([x for x, _ in points])
+    plan, ys = _checked_plan(points)
     observed = _area_of(plan, ys)
     count = sum(forked_ranges(n_perm, lambda start, stop: [
         _count_leq(plan, ys, observed, seed, start, stop)]))

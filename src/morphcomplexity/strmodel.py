@@ -343,7 +343,11 @@ class ConditionalParadigmModel:
     def save(self, path):
         """Write the compact sorted JSON text of `to_json` in UTF-8, one rule
         table or char model at a time: json.dumps holds its pieces and their
-        join at once, two copies of the text it returns."""
+        join at once, two copies of the text it returns.  A model with no dev
+        pass is a ValueError before the file is opened, as `load` needs one."""
+        if self.dev_weights is None:
+            raise ValueError("the model has no dev pass to save (dev_weights is None); "
+                             "set it from compute_weights first")
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(_json_pieces(self._json_fields(), 2))
 

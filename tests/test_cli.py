@@ -746,6 +746,7 @@ def test_staged_chain_equals_run(n_slots, n_lexemes, fill, regime, seed):
     ("measure --split {d}/split.json --model {char_counts_list} --tree {d}/tree.json "
      "--out {tmp}/o.csv", 2),
     ("learn-tree --weights {no_slots} --out {tmp}/o.json", 2),
+    ("learn-tree --weights {no_slots_seeded} --out {tmp}/o.json", 2),
     ("plat --plat {one_slot_plat}", 2),
     ("plat --plat {zero_slot_plat}", 2),
     ("critique --seed 0 --trials 1 --plat {zero_slot_plat}", 2),
@@ -869,6 +870,7 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
         "dup_slot": {"slots": ["A", "A"], "edge": [[0.0, -1.0], [-1.0, 0.0]],
                      "root": [-1.0, -2.0]},
         "no_slots": {"slots": [], "edge": [], "root": []},
+        "no_slots_seeded": {"slots": [], "edge": [], "root": [], "seed": 0},
         "int_slots": {"slots": [1, 2], "edge": [[0, -1], [-2, 0]], "root": [-1, -3]},
         "bool_weight": {"slots": ["A", "B"], "edge": [[0.0, True], [False, 0.0]],
                         "root": [True, -1.0]},
@@ -1122,6 +1124,8 @@ def test_artifact_input_errors(partial_runs, tmp_path, caplog, monkeypatch, argv
         assert "line 3: bad log2prob 'low'" in errors[0].getMessage()
     if "cyclic_tree" in argv:
         assert "tree has a cycle through" in errors[0].getMessage()
+    if "no_slots_seeded" in argv:
+        assert errors[0].getMessage() == "empty weight matrix"
     if "synth_nan_prob" in argv:
         assert "class probabilities must be finite" in errors[0].getMessage()
     if "--data" in argv and "--synth" in argv:

@@ -25,30 +25,30 @@ Gabel\tGabeln\tN;DAT;PL
 
 
 def test_parse_single_line():
-    inventory, paradigms, errors = parse_unimorph(io.StringIO("Hand\tHänden\tN;DAT;PL\n"))
+    inventory, paradigms, errors = parse_unimorph(io.StringIO("Hand\tHänden\tN;DAT;PL\n"), "N")
     assert errors == []
     assert inventory == ["N;DAT;PL"]
     assert paradigms == [Paradigm(lexeme="Hand", entries={"N;DAT;PL": "Händen"})]
 
 
 def test_parse_empty_input():
-    assert parse_unimorph(io.StringIO("")) == ([], [], [])
+    assert parse_unimorph(io.StringIO(""), "N") == ([], [], [])
 
 
 def test_parse_reports_line_numbers():
     stream = io.StringIO("good\tform\tN;SG\nbadline-without-tabs\n")
-    inventory, paradigms, errors = parse_unimorph(stream)
+    inventory, paradigms, errors = parse_unimorph(stream, "N")
     assert paradigms == [Paradigm("good", {"N;SG": "form"})]
     assert len(errors) == 1 and errors[0].startswith("line 2:")
 
 
 def test_parse_skips_comments_and_blanks():
-    _, paradigms, errors = parse_unimorph(io.StringIO("# comment\n\nHand\tHand\tN;NOM;SG\n"))
+    _, paradigms, errors = parse_unimorph(io.StringIO("# comment\n\nHand\tHand\tN;NOM;SG\n"), "N")
     assert paradigms == [Paradigm("Hand", {"N;NOM;SG": "Hand"})] and errors == []
 
 
 def test_parse_groups_the_fixture_into_paradigms():
-    inventory, paradigms, errors = parse_unimorph(io.StringIO(SIX_LINES))
+    inventory, paradigms, errors = parse_unimorph(io.StringIO(SIX_LINES), "N")
     assert errors == []
     assert inventory == sorted(["N;NOM;SG", "N;NOM;PL", "N;DAT;PL"])
     assert [p.lexeme for p in paradigms] == ["Gabel", "Hand"]
@@ -57,10 +57,10 @@ def test_parse_groups_the_fixture_into_paradigms():
 
 def test_parse_pos_filter():
     text = "walk\twalked\tV;PST\nhand\thand\tN;NOM;SG\n"
-    inventory, paradigms, _ = parse_unimorph(io.StringIO(text), pos_filter="N")
+    inventory, paradigms, _ = parse_unimorph(io.StringIO(text), "N")
     assert inventory == ["N;NOM;SG"]
     assert [p.lexeme for p in paradigms] == ["hand"]
-    assert parse_unimorph(io.StringIO(text), pos_filter="ADJ")[:2] == ([], [])
+    assert parse_unimorph(io.StringIO(text), "ADJ")[:2] == ([], [])
 
 
 def test_parse_reads_each_slot_strings_pos_once(monkeypatch):
@@ -73,7 +73,7 @@ def test_parse_reads_each_slot_strings_pos_once(monkeypatch):
     lines = ["%s\t%s%s\t%s" % (lx, lx, k, slot) for lx in ("a", "b", "c")
              for k, slot in enumerate(["N;SG", "V;PST", "N;PL", "V;PRS"])]
     text = "\n".join(lines + ["d\td\tV;PST;X\textra", "e\t\tN;SG"]) + "\n"
-    inventory, paradigms, errors = parse_unimorph(io.StringIO(text), pos_filter="N")
+    inventory, paradigms, errors = parse_unimorph(io.StringIO(text), "N")
     assert sorted(seen) == ["N;PL", "N;SG", "V;PRS", "V;PST"]
     assert inventory == ["N;PL", "N;SG"]
     assert [sorted(p.entries.items()) for p in paradigms] == [
@@ -84,7 +84,7 @@ def test_parse_reads_each_slot_strings_pos_once(monkeypatch):
 
 def test_parse_partial_paradigms_allowed():
     text = "a\ta\tN;SG\na\tas\tN;PL\nb\tb\tN;SG\nb\tbs\tN;PL\nb\tbd\tN;DU\n"
-    inventory, paradigms, _ = parse_unimorph(io.StringIO(text))
+    inventory, paradigms, _ = parse_unimorph(io.StringIO(text), "N")
     assert len(inventory) == 3
     sizes = {p.lexeme: len(p.entries) for p in paradigms}
     assert sizes == {"a": 2, "b": 3}
@@ -93,7 +93,7 @@ def test_parse_partial_paradigms_allowed():
 def test_duplicate_cell_keeps_first(caplog):
     text = "a\tfirst\tN;SG\na\tsecond\tN;SG\na\tfirst\tN;SG\n"
     with caplog.at_level("WARNING", logger="morphcomplexity.corpus"):
-        _, paradigms, errors = parse_unimorph(io.StringIO(text))
+        _, paradigms, errors = parse_unimorph(io.StringIO(text), "N")
     assert paradigms[0].entries["N;SG"] == "first" and errors == []
     # the differing form is reported once; the repeat of the kept form is not
     assert [r.getMessage() for r in caplog.records] == [
@@ -136,6 +136,14 @@ def test_make_split_green_takes_all_when_short():
                        slots)
     # 60 non-held-out paradigms x 16 mappings each, far fewer than requested
     assert len(split.train_pairs) == 60 * 16
+
+
+def test_make_split_unknown_regime():
+    """A regime that is neither purple nor green is a ValueError naming it,
+    raised after the holdout draws (the CLI checks its config earlier)."""
+    paradigms, slots = _full_paradigms(150, n=2)
+    with pytest.raises(ValueError, match="^unknown regime 'bogus'$"):
+        make_split(paradigms, split_config(regime="bogus", seed=0), slots)
 
 
 def test_make_split_no_leakage():

@@ -85,6 +85,22 @@ def test_curve_is_nonincreasing_upper_bound(points):
         assert curve.value(x) >= y
 
 
+# x values from a short list, so that ties are frequent, or any positive
+# float down to the subnormals; y often exactly 0.0
+_TIED_X = st.one_of(st.sampled_from([5e-324, 1e-310, 0.5, 1.0, 2.5]),
+                    st.floats(min_value=5e-324, max_value=1e6))
+_Y = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6))
+
+
+@given(st.lists(st.tuples(_TIED_X, _Y), min_size=1, max_size=12))
+def test_curve_is_the_staircase_oracle(points):
+    """One breakpoint per distinct x, ascending, at the largest y of the
+    points at that x or to its right, float for float."""
+    xs = [x for x, _ in points]
+    assert pareto_curve(points).breakpoints == [
+        (x, max(y for x2, y in points if x2 >= x)) for x in sorted(set(xs))]
+
+
 def test_area_matches_grid_oracle():
     rng = random.Random(0)
     for _ in range(25):

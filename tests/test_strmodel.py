@@ -508,6 +508,15 @@ def test_model_json_roundtrip(tmp_path):
         assert back.logprob("T", tgt, [("S", src)]) == model.logprob("T", tgt, [("S", src)])
 
 
+def test_model_save_without_a_dev_pass_writes_nothing(tmp_path):
+    """A model straight from `train` has no dev matrix, which `load` needs:
+    `save` says so and creates no file."""
+    model = train(mk_pairs([("hand", "hände")]))
+    with pytest.raises(ValueError, match="no dev pass"):
+        model.save(tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
+
+
 COMPACT = {"ensure_ascii": False, "sort_keys": True, "separators": (",", ":")}
 
 
@@ -515,6 +524,8 @@ def test_model_save_writes_the_sorted_json_text(tmp_path):
     """`save` writes the compact sorted JSON text in UTF-8, non-ASCII
     characters as themselves: the bytes that `json.dump` writes too."""
     model = train(mk_pairs([("hand", "hände"), ("gabel", "gabeln")]))
+    model.dev_weights = "f00d", compute_weights(model, mk_paradigms([("wand", "wände")]),
+                                                ["S", "T"], GRID)
     model.save(tmp_path / "model.json")
     want = json.dumps(model.to_json(), **COMPACT)
     assert (tmp_path / "model.json").read_bytes() == want.encode("utf-8")
