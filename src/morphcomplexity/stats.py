@@ -7,6 +7,8 @@ import os
 import random
 from dataclasses import asdict, dataclass
 
+BLOCK = 100   # permutation replicas per generator seed, whatever the CPU count
+
 
 @dataclass
 class ParetoCurve:
@@ -103,29 +105,31 @@ def _area_of(plan, ys, bound=math.inf):
     return area
 
 
-def _count_leq(plan, ys, observed, seed, start, stop):
-    """How many replicas in range(start, stop) have area <= observed.
+def _count_leq(plan, ys, observed, seed, n_perm, start, stop):
+    """How many replicas of the blocks range(start, stop) have area <= observed.
 
-    Replica rep shuffles ys with the draws of
-    random.Random(seed * 1000003 + rep).shuffle: its loop, with each
+    Block b holds replicas b * BLOCK up to min(n_perm, (b + 1) * BLOCK) - 1
+    and shuffles ys for each in turn with the draws of one
+    random.Random(seed * 1000003 + b).shuffle: its loop, with each
     _randbelow(i + 1) inlined as getrandbits((i + 1).bit_length()) redrawn
-    while above i, from one generator reseeded per replica.
+    while above i, from one generator reseeded per block.
     """
     rng = random.Random()
     # the C seed: Random.seed's wrapper only checks the type and clears gauss_next
     reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
     steps = [(i, (i + 1).bit_length()) for i in range(len(ys) - 1, 0, -1)]
     count = 0
-    for rep in range(start, stop):
-        reseed(seed * 1000003 + rep)
-        yy = ys[:]
-        for i, k in steps:
-            j = getrandbits(k)
-            while j > i:
+    for b in range(start, stop):
+        reseed(seed * 1000003 + b)
+        for _ in range(min(BLOCK, n_perm - b * BLOCK)):
+            yy = ys[:]
+            for i, k in steps:
                 j = getrandbits(k)
-            yy[i], yy[j] = yy[j], yy[i]
-        if _area_of(plan, yy, observed) <= observed:
-            count += 1
+                while j > i:
+                    j = getrandbits(k)
+                yy[i], yy[j] = yy[j], yy[i]
+            if _area_of(plan, yy, observed) <= observed:
+                count += 1
     return count
 
 
@@ -209,10 +213,11 @@ def perm_test(points, n_perm, seed):
     Permutes the y values uniformly at random (Fisher-Yates, with the draws
     of random.shuffle) and counts how often the permuted scatter's Pareto
     area is <= the observed one; the p-value is add-one smoothed so it is never
-    exactly 0.  Each replica draws its permutation from an RNG stream keyed
-    by (seed, replica index), so the result does not depend on evaluation
-    order, nor on how many CPUs count the replicas: `forked_ranges` cuts
-    them into one range per CPU and counts each in its own process.
+    exactly 0.  The replicas are cut into blocks of BLOCK, and block b draws
+    its replicas in turn from one RNG seeded by (seed, b), so the result does
+    not depend on evaluation order, nor on how many CPUs count the blocks:
+    `forked_ranges` cuts them into one range per CPU and counts each in its
+    own process.
     """
     if len(points) < 3:
         raise ValueError("permutation test needs at least 3 points, got %d" % len(points))
@@ -220,7 +225,7 @@ def perm_test(points, n_perm, seed):
         raise ValueError("n_perm must be >= 1")
     plan, ys = _checked_plan(points)
     observed = _area_of(plan, ys)
-    count = sum(forked_ranges(n_perm, lambda start, stop: [
-        _count_leq(plan, ys, observed, seed, start, stop)]))
+    count = sum(forked_ranges(math.ceil(n_perm / BLOCK), lambda start, stop: [
+        _count_leq(plan, ys, observed, seed, n_perm, start, stop)]))
     return PermTestResult(observed_area=observed, n_perm=n_perm, count_leq=count,
                           p_value=(count + 1) / (n_perm + 1), seed=seed)

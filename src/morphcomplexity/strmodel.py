@@ -273,14 +273,14 @@ class ConditionalParadigmModel:
 
     def _json_fields(self):
         """The fields of `to_json`, its rule tables and char models as
-        iterators that build each item when it is reached."""
+        iterators that build each item when it is reached.  A model with no
+        dev pass is a ValueError, as `from_json` needs one."""
+        if self.dev_weights is None:
+            raise ValueError("the model has no dev pass to write (dev_weights is None); "
+                             "set it from compute_weights first")
+        dev_sha256, W = self.dev_weights
         slots = sorted({s for pair in self.rule_tables for s in pair}.union(self.char_models))
         index = {slot: i for i, slot in enumerate(slots)}
-        if self.dev_weights is None:
-            dev = None
-        else:
-            dev_sha256, W = self.dev_weights
-            dev = dict(W.to_json(), dev_sha256=dev_sha256)
         return {
             "version": FORMAT_VERSION,
             "alphabet": self.alphabet,
@@ -292,7 +292,7 @@ class ConditionalParadigmModel:
                             for (src_slot, tgt_slot), rows in sorted(self.rule_tables.items())),
             "char_models": ([index[slot], m.to_json()]
                             for slot, m in sorted(self.char_models.items())),
-            "dev_weights": dev,
+            "dev_weights": dict(W.to_json(), dev_sha256=dev_sha256),
         }
 
     @classmethod
@@ -345,11 +345,9 @@ class ConditionalParadigmModel:
         table or char model at a time: json.dumps holds its pieces and their
         join at once, two copies of the text it returns.  A model with no dev
         pass is a ValueError before the file is opened, as `load` needs one."""
-        if self.dev_weights is None:
-            raise ValueError("the model has no dev pass to save (dev_weights is None); "
-                             "set it from compute_weights first")
+        fields = self._json_fields()
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(_json_pieces(self._json_fields(), 2))
+            fh.writelines(_json_pieces(fields, 2))
 
     @classmethod
     def load(cls, fh):

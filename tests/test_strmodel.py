@@ -21,7 +21,7 @@ from morphcomplexity.strmodel import (
     CharNGram, ConditionalParadigmModel, ScoreTable, extract_rule, joint_logprob, load_scores,
     stem_length,
 )
-from morphcomplexity.structure import compute_weights
+from morphcomplexity.structure import WeightMatrix, compute_weights
 
 from conftest import pair_list, split_config, target_groups, train, view_alphabet
 
@@ -48,13 +48,18 @@ def pick_lambda(model, dev_paradigms, grid=GRID):
     return model
 
 
+def with_dev(model):
+    """The model, given a matrix over no slot as its dev pass if it went
+    through none, so that `to_json` writes it."""
+    if model.dev_weights is None:
+        model.dev_weights = "", WeightMatrix(slots=[], edge=[], root=[])
+    return model
+
+
 def reloaded(model):
     """The model read back from its JSON text, as `load` reads model.json;
     a model that went through no dev pass gets a matrix over no slot."""
-    obj = model.to_json()
-    if obj["dev_weights"] is None:
-        obj["dev_weights"] = {"dev_sha256": "", "slots": [], "edge": [], "root": []}
-    return ConditionalParadigmModel.from_json(json.loads(json.dumps(obj)))
+    return ConditionalParadigmModel.from_json(json.loads(json.dumps(with_dev(model).to_json())))
 
 
 def cross_entropy(scorer, pairs):
@@ -378,7 +383,7 @@ def test_train_equals_per_mapping_counts(paradigms, pair_count, seed):
             assert model.char_models[slot].counts == char.counts
             assert model.char_models[slot]._totals == char._totals
         assert model.fallback_char.counts == want.fallback_char.counts
-        assert model.to_json() == want.to_json()
+        assert with_dev(model).to_json() == with_dev(want).to_json()
 
 
 def wide_paradigms(n_endings, count=320):
@@ -428,7 +433,7 @@ def test_train_equals_per_mapping_counts_with_wide_codes(monkeypatch, n_endings,
             assert set(made) == {typecode}
         want = train_per_mapping(pair_list(pairs), view_alphabet(pairs), order=2)
         assert model.rule_tables == want.rule_tables
-        assert model.to_json() == want.to_json()
+        assert with_dev(model).to_json() == with_dev(want).to_json()
         # A's and C's endings begin as B's do not, so these rows hold the endings
         a_ends, c_ends = ([row[0] for row in model.rule_tables[key]]
                           for key in (("A", "B"), ("C", "B")))
@@ -510,11 +515,13 @@ def test_model_json_roundtrip(tmp_path):
 
 def test_model_save_without_a_dev_pass_writes_nothing(tmp_path):
     """A model straight from `train` has no dev matrix, which `load` needs:
-    `save` says so and creates no file."""
+    `save` says so and creates no file, and `to_json` says so too."""
     model = train(mk_pairs([("hand", "hände")]))
     with pytest.raises(ValueError, match="no dev pass"):
         model.save(tmp_path / "model.json")
     assert not (tmp_path / "model.json").exists()
+    with pytest.raises(ValueError, match="no dev pass"):
+        model.to_json()
 
 
 COMPACT = {"ensure_ascii": False, "sort_keys": True, "separators": (",", ":")}
@@ -546,7 +553,7 @@ def test_model_json_layout():
     assert char.to_json() == {"": [0, "b", 7], "b": [4, "ai", 2, 1], "ba": [2, ""], "bi": [1, ""]}
     model = ConditionalParadigmModel("abi", 3, 0.1, {("T", "S"): [("a", "", 2), ("i", "x", 1)]},
                                      {"T": char})
-    obj = model.to_json()
+    obj = with_dev(model).to_json()
     assert obj["slots"] == ["S", "T"]
     assert obj["rule_tables"] == [[1, 0, ["a", "", 2, "i", "x", 1]]]
     assert obj["char_models"] == [[1, char.to_json()]]
@@ -826,7 +833,7 @@ def test_logprob_and_dev_pass_equal_per_mapping_loop(caplog, train_paradigms, de
 
 def test_dev_pass_changes_only_lambda_in_model_json():
     model, dev, slots = six_slot_model()
-    saved = json.dumps(model.to_json(), sort_keys=True)
+    saved = json.dumps(with_dev(model).to_json(), sort_keys=True)
     compute_weights(model, dev, slots, GRID)
     model.lam = strmodel.DEFAULT_LAMBDA
     assert json.dumps(model.to_json(), sort_keys=True) == saved
