@@ -404,11 +404,10 @@ def _read_plat(args):
 def cmd_plat(args, cfg):
     plat = _read_plat(args)
     print("plat: %d classes x %d slots" % (len(plat.classes), len(plat.slots)))
-    for i in plat.slots:
-        for j in plat.slots:
-            if i != j:
-                print("H(%s | %s) = %.6f bits" % (i, j, platbaseline.cond_entropy(plat, i, j)))
-    print("average conditional entropy: %.6f bits" % platbaseline.avg_cond_entropy(plat))
+    pairs = platbaseline.cond_entropies(plat)
+    for i, j, h in pairs:
+        print("H(%s | %s) = %.6f bits" % (i, j, h))
+    print("average conditional entropy: %.6f bits" % platbaseline.mean_cond_entropy(pairs))
     return EXIT_OK
 
 

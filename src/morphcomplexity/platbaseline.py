@@ -9,6 +9,8 @@ model is the point of the comparison.
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from .corpus import check_slot_names, data_lines
 
@@ -25,6 +27,8 @@ class Plat:
     def __post_init__(self):
         if not self.slots:
             raise ValueError("a plat needs at least one slot")
+        if not self.classes:
+            raise ValueError("a plat needs at least one class")
         if self.weights is None:
             self.weights = [1.0 / len(self.classes)] * len(self.classes)
         if len(self.weights) != len(self.classes):
@@ -32,9 +36,9 @@ class Plat:
         if not (all(0.0 <= w < math.inf for w in self.weights)
                 and abs(sum(self.weights) - 1.0) <= 1e-9):
             raise ValueError("class weights must be finite, >= 0 and sum to 1")
-        for row in self.exponent:
-            if len(row) != len(self.slots):
-                raise ValueError("every class row must fill every slot")
+        if len(self.exponent) != len(self.classes) or any(
+                len(row) != len(self.slots) for row in self.exponent):
+            raise ValueError("every class row must fill every slot, one row per class")
         check_slot_names(self.slots, "plat header")
 
 
@@ -64,22 +68,29 @@ def parse_plat(stream):
     return Plat(classes=classes, slots=slots, exponent=exponent, weights=weights)
 
 
+def _column(plat, j):
+    """Column j's exponents in order of first occurrence, each mapped to its
+    mass (added in class order) and its (weight, row) pairs in class order."""
+    members = {}
+    for w, row in zip(plat.weights, plat.exponent):
+        members.setdefault(row[j], []).append((w, row))
+    return {e: (reduce(add, [w for w, _ in m], 0.0), m) for e, m in members.items()}
+
+
+def _dist(members, i, mass):
+    dist = {}
+    for w, row in members:
+        dist[row[i]] = dist.get(row[i], 0.0) + w
+    return {e: w / mass for e, w in dist.items()}
+
+
 def cond_dist(plat, slot_i, slot_j, exponent_j):
     """Distribution over slot_i exponents for the classes whose slot_j
     exponent equals exponent_j, weighted by class weights."""
-    si = plat.slots.index(slot_i)
-    sj = plat.slots.index(slot_j)
-    dist = {}
-    total = 0.0
-    for c, row in enumerate(plat.exponent):
-        if row[sj] != exponent_j:
-            continue
-        w = plat.weights[c]
-        dist[row[si]] = dist.get(row[si], 0.0) + w
-        total += w
-    if total == 0.0:
+    mass, members = _column(plat, plat.slots.index(slot_j)).get(exponent_j, (0.0, []))
+    if mass == 0.0:
         raise ValueError("exponent %r does not occur in column %r" % (exponent_j, slot_j))
-    return {e: w / total for e, w in dist.items()}
+    return _dist(members, plat.slots.index(slot_i), mass)
 
 
 def _entropy(dist):
@@ -88,11 +99,13 @@ def _entropy(dist):
 
 def marginal(plat, slot):
     """Class-weight marginal over the exponents of one column."""
-    s = plat.slots.index(slot)
-    dist = {}
-    for c, row in enumerate(plat.exponent):
-        dist[row[s]] = dist.get(row[s], 0.0) + plat.weights[c]
-    return dist
+    return {e: mass for e, (mass, _) in _column(plat, plat.slots.index(slot)).items()}
+
+
+def _cond_entropy(i, column):
+    """H(slot i | the slot of a `_column`), as `cond_entropy` defines it."""
+    return reduce(add, [mass * _entropy(_dist(members, i, mass))
+                        for mass, members in column.values() if mass > 0], 0.0)
 
 
 def cond_entropy(plat, slot_i, slot_j):
@@ -101,24 +114,27 @@ def cond_entropy(plat, slot_i, slot_j):
     mass 0 (only in zero-weight classes) add nothing and are skipped."""
     if slot_i == slot_j:
         raise ValueError("conditional entropy of a slot given itself is excluded")
-    h = 0.0
-    for e_j, p in marginal(plat, slot_j).items():
-        if p > 0:
-            h += p * _entropy(cond_dist(plat, slot_i, slot_j, e_j))
-    return h
+    return _cond_entropy(plat.slots.index(slot_i), _column(plat, plat.slots.index(slot_j)))
+
+
+def cond_entropies(plat):
+    """(slot_i, slot_j, H(slot_i | slot_j)) for all ordered slot pairs
+    i != j, in i-then-j order, from one `_column` per slot."""
+    columns = [_column(plat, j) for j in range(len(plat.slots))]
+    return [(si, sj, _cond_entropy(i, columns[j])) for i, si in enumerate(plat.slots)
+            for j, sj in enumerate(plat.slots) if i != j]
+
+
+def mean_cond_entropy(pairs):
+    """Mean of `cond_entropies`' n^2 - n values, added in their order."""
+    if not pairs:
+        raise ValueError("average conditional entropy needs at least 2 slots")
+    return reduce(add, [h for _, _, h in pairs], 0.0) / len(pairs)
 
 
 def avg_cond_entropy(plat):
-    """Mean of H(i|j) over all ordered slot pairs i != j (n^2 - n terms)."""
-    n = len(plat.slots)
-    if n < 2:
-        raise ValueError("average conditional entropy needs at least 2 slots")
-    total = 0.0
-    for i in plat.slots:
-        for j in plat.slots:
-            if i != j:
-                total += cond_entropy(plat, i, j)
-    return total / (n * n - n)
+    """Mean of H(i|j) over the n^2 - n ordered slot pairs i != j, from `cond_entropies`."""
+    return mean_cond_entropy(cond_entropies(plat))
 
 
 def joint_per_form_entropy(plat):

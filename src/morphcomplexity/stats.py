@@ -6,8 +6,10 @@ import math
 import os
 import random
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 BLOCK = 100   # permutation replicas per generator seed, whatever the CPU count
+MAX_POINTS = 2**20   # keeps `_count_leq`'s float error far below its 1e-9 margin
 
 
 @dataclass
@@ -112,12 +114,17 @@ def _count_leq(plan, ys, observed, seed, n_perm, start, stop):
     and shuffles ys for each in turn with the draws of one
     random.Random(seed * 1000003 + b).shuffle: its loop, with each
     _randbelow(i + 1) inlined as getrandbits((i + 1).bit_length()) redrawn
-    while above i, from one generator reseeded per block.
-    """
+    while above i.  A lower bound on its area rejects a replica before `_area_of`."""
     rng = random.Random()
     # the C seed: Random.seed's wrapper only checks the type and clears gauss_next
     reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
     steps = [(i, (i + 1).bit_length()) for i in range(len(ys) - 1, 0, -1)]
+    # The area sums (y - h) * x over the running max's records (h the height before, x the
+    # widths from that step on), so partial sums bound it below. Float bound and area lie within
+    # 2n * 2**-53 relative (n <= MAX_POINTS) and 2**-1000 absolute of their real sums, so limit
+    # rejects no area <= observed; an observed area whose margin overflows rejects nothing.
+    walk = [(i, x) for (i, _), x in zip(plan, list(accumulate(w for _, w in plan[::-1]))[::-1])]
+    limit = observed * (1 + 1e-9) + 2**-1000
     count = 0
     for b in range(start, stop):
         reseed(seed * 1000003 + b)
@@ -128,8 +135,15 @@ def _count_leq(plan, ys, observed, seed, n_perm, start, stop):
                 while j > i:
                     j = getrandbits(k)
                 yy[i], yy[j] = yy[j], yy[i]
-            if _area_of(plan, yy, observed) <= observed:
-                count += 1
+            bound = height = 0.0
+            for i, x in walk:
+                if yy[i] > height:
+                    bound += (yy[i] - height) * x
+                    if bound > limit:
+                        break
+                    height = yy[i]
+            else:
+                count += _area_of(plan, yy, observed) <= observed
     return count
 
 
@@ -217,10 +231,11 @@ def perm_test(points, n_perm, seed):
     its replicas in turn from one RNG seeded by (seed, b), so the result does
     not depend on evaluation order, nor on how many CPUs count the blocks:
     `forked_ranges` cuts them into one range per CPU and counts each in its
-    own process.
-    """
-    if len(points) < 3:
-        raise ValueError("permutation test needs at least 3 points, got %d" % len(points))
+    own process.  A replica is rejected early only when a lower bound proves
+    its area larger than the observed one, so no count differs from full sums."""
+    if not 3 <= len(points) <= MAX_POINTS:
+        raise ValueError("permutation test needs 3 to %d points, got %d"
+                         % (MAX_POINTS, len(points)))
     if n_perm < 1:
         raise ValueError("n_perm must be >= 1")
     plan, ys = _checked_plan(points)

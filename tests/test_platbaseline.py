@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from morphcomplexity.cli import main
 from morphcomplexity.platbaseline import (
-    EMPTY_MARKS, Plat, avg_cond_entropy, cond_dist, cond_entropy,
-    joint_per_form_entropy, marginal, parse_plat,
+    EMPTY_MARKS, Plat, avg_cond_entropy, cond_dist, cond_entropies, cond_entropy,
+    joint_per_form_entropy, marginal, mean_cond_entropy, parse_plat,
 )
 
 
@@ -235,3 +236,185 @@ def test_weights_change_entropies():
     assert cond_entropy(uniform, "A", "B") == pytest.approx(1.0)
     assert cond_entropy(skewed, "A", "B") == pytest.approx(
         -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1)))
+
+
+# ----------------------------------------------------------- exact oracle
+
+def oracle_cond_dist(plat, slot_i, slot_j, exponent_j):
+    """The reference cond_dist: one scan of every class per call, with no
+    grouping by column."""
+    si = plat.slots.index(slot_i)
+    sj = plat.slots.index(slot_j)
+    dist = {}
+    total = 0.0
+    for c, row in enumerate(plat.exponent):
+        if row[sj] != exponent_j:
+            continue
+        w = plat.weights[c]
+        dist[row[si]] = dist.get(row[si], 0.0) + w
+        total += w
+    if total == 0.0:
+        raise ValueError("exponent %r does not occur in column %r" % (exponent_j, slot_j))
+    return {e: w / total for e, w in dist.items()}
+
+
+def oracle_entropy(dist):
+    return -sum(p * math.log2(p) for p in dist.values() if p > 0)
+
+
+def oracle_marginal(plat, slot):
+    s = plat.slots.index(slot)
+    dist = {}
+    for c, row in enumerate(plat.exponent):
+        dist[row[s]] = dist.get(row[s], 0.0) + plat.weights[c]
+    return dist
+
+
+def oracle_cond_entropy(plat, slot_i, slot_j):
+    h = 0.0
+    for e_j, p in oracle_marginal(plat, slot_j).items():
+        if p > 0:
+            h += p * oracle_entropy(oracle_cond_dist(plat, slot_i, slot_j, e_j))
+    return h
+
+
+def oracle_avg_cond_entropy(plat):
+    n = len(plat.slots)
+    total = 0.0
+    for i in plat.slots:
+        for j in plat.slots:
+            if i != j:
+                total += oracle_cond_entropy(plat, i, j)
+    return total / (n * n - n)
+
+
+def oracle_plat(rng):
+    """1-16 classes over 2-10 slots; exponents from a small pool, "" among
+    them; weights uniform, drawn, or drawn with zeros (one class at least
+    keeps a positive weight)."""
+    n_classes, n_slots = rng.randint(1, 16), rng.randint(2, 10)
+    pool = ["", "a", "o", "es", "i"][:rng.randint(1, 5)]
+    weights = None
+    if rng.random() < 0.7:
+        raw = [0.0 if rng.random() < 0.3 else rng.random() for _ in range(n_classes)]
+        raw[rng.randrange(n_classes)] = rng.random() + 0.01
+        weights = [w / sum(raw) for w in raw]
+    return Plat(classes=["c%d" % c for c in range(n_classes)],
+                slots=["s%d" % s for s in range(n_slots)],
+                exponent=[[rng.choice(pool) for _ in range(n_slots)]
+                          for _ in range(n_classes)],
+                weights=weights)
+
+
+def test_entropies_equal_the_class_scan_oracle_bit_for_bit():
+    """Grouping each column once adds the same floats in the same order as
+    one class scan per exponent: every distribution, marginal, H(i | j) and
+    average is the oracle's, compared with ==, in dict order too."""
+    rng = random.Random(43)
+    for _ in range(500):
+        plat = oracle_plat(rng)
+        pairs = cond_entropies(plat)
+        assert [(i, j) for i, j, _ in pairs] == [
+            (i, j) for i in plat.slots for j in plat.slots if i != j]
+        for i, j, h in pairs:
+            assert h == cond_entropy(plat, i, j) == oracle_cond_entropy(plat, i, j)
+        assert avg_cond_entropy(plat) == mean_cond_entropy(pairs) == \
+            oracle_avg_cond_entropy(plat)
+        for j in plat.slots:
+            assert list(marginal(plat, j).items()) == list(oracle_marginal(plat, j).items())
+            for e_j, p in oracle_marginal(plat, j).items():
+                if p > 0:
+                    assert list(cond_dist(plat, plat.slots[0], j, e_j).items()) == list(
+                        oracle_cond_dist(plat, plat.slots[0], j, e_j).items())
+                else:
+                    with pytest.raises(ValueError, match="does not occur in column"):
+                        cond_dist(plat, plat.slots[0], j, e_j)
+
+
+# `plat` on the bundled Greek plat, as written by the class-scan implementation
+# that the oracle functions above copy
+GREEK_PLAT_STDOUT = """\
+plat: 8 classes x 8 slots
+H(NOM;SG | GEN;SG) = 0.594361 bits
+H(NOM;SG | ACC;SG) = 0.451205 bits
+H(NOM;SG | VOC;SG) = 0.451205 bits
+H(NOM;SG | NOM;PL) = 0.594361 bits
+H(NOM;SG | GEN;PL) = 1.750000 bits
+H(NOM;SG | ACC;PL) = 0.594361 bits
+H(NOM;SG | VOC;PL) = 0.594361 bits
+H(GEN;SG | NOM;SG) = 1.000000 bits
+H(GEN;SG | ACC;SG) = 1.201205 bits
+H(GEN;SG | VOC;SG) = 1.201205 bits
+H(GEN;SG | NOM;PL) = 0.844361 bits
+H(GEN;SG | GEN;PL) = 2.155639 bits
+H(GEN;SG | ACC;PL) = 0.594361 bits
+H(GEN;SG | VOC;PL) = 0.844361 bits
+H(ACC;SG | NOM;SG) = 0.250000 bits
+H(ACC;SG | GEN;SG) = 0.594361 bits
+H(ACC;SG | VOC;SG) = 0.000000 bits
+H(ACC;SG | NOM;PL) = 0.594361 bits
+H(ACC;SG | GEN;PL) = 1.548795 bits
+H(ACC;SG | ACC;PL) = 0.344361 bits
+H(ACC;SG | VOC;PL) = 0.594361 bits
+H(VOC;SG | NOM;SG) = 0.250000 bits
+H(VOC;SG | GEN;SG) = 0.594361 bits
+H(VOC;SG | ACC;SG) = 0.000000 bits
+H(VOC;SG | NOM;PL) = 0.594361 bits
+H(VOC;SG | GEN;PL) = 1.548795 bits
+H(VOC;SG | ACC;PL) = 0.344361 bits
+H(VOC;SG | VOC;PL) = 0.594361 bits
+H(NOM;PL | NOM;SG) = 0.750000 bits
+H(NOM;PL | GEN;SG) = 0.594361 bits
+H(NOM;PL | ACC;SG) = 0.951205 bits
+H(NOM;PL | VOC;SG) = 0.951205 bits
+H(NOM;PL | GEN;PL) = 1.905639 bits
+H(NOM;PL | ACC;PL) = 0.000000 bits
+H(NOM;PL | VOC;PL) = 0.000000 bits
+H(GEN;PL | NOM;SG) = 0.000000 bits
+H(GEN;PL | GEN;SG) = 0.000000 bits
+H(GEN;PL | ACC;SG) = 0.000000 bits
+H(GEN;PL | VOC;SG) = 0.000000 bits
+H(GEN;PL | NOM;PL) = 0.000000 bits
+H(GEN;PL | ACC;PL) = 0.000000 bits
+H(GEN;PL | VOC;PL) = 0.000000 bits
+H(ACC;PL | NOM;SG) = 1.000000 bits
+H(ACC;PL | GEN;SG) = 0.594361 bits
+H(ACC;PL | ACC;SG) = 0.951205 bits
+H(ACC;PL | VOC;SG) = 0.951205 bits
+H(ACC;PL | NOM;PL) = 0.250000 bits
+H(ACC;PL | GEN;PL) = 2.155639 bits
+H(ACC;PL | VOC;PL) = 0.250000 bits
+H(VOC;PL | NOM;SG) = 0.750000 bits
+H(VOC;PL | GEN;SG) = 0.594361 bits
+H(VOC;PL | ACC;SG) = 0.951205 bits
+H(VOC;PL | VOC;SG) = 0.951205 bits
+H(VOC;PL | NOM;PL) = 0.000000 bits
+H(VOC;PL | GEN;PL) = 1.905639 bits
+H(VOC;PL | ACC;PL) = 0.000000 bits
+average conditional entropy: 0.663941 bits
+"""
+
+
+def test_plat_stdout_on_the_greek_plat_is_pinned(capsys):
+    assert main(["plat"]) == 0
+    assert capsys.readouterr().out == GREEK_PLAT_STDOUT
+
+
+def test_plat_without_classes():
+    """A plat of slots and no class row is refused as a plat of no slot is,
+    with no default weight to divide by zero."""
+    with pytest.raises(ValueError, match="a plat needs at least one class"):
+        Plat(classes=[], slots=["a", "b"], exponent=[])
+    with pytest.raises(ValueError, match="a plat needs at least one class"):
+        Plat(classes=[], slots=["a", "b"], exponent=[], weights=[])
+
+
+@pytest.mark.parametrize("classes, exponent", [
+    (["a", "b"], [["x", "y"]]),
+    (["a"], [["x", "y"], ["z", "w"]]),
+])
+def test_plat_needs_one_row_per_class(classes, exponent):
+    """Each class weighs exactly one row: a plat with fewer or more rows than
+    classes is refused, not read with rows dropped or weights missing."""
+    with pytest.raises(ValueError, match="one row per class"):
+        Plat(classes=classes, slots=["s", "t"], exponent=exponent)

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from morphcomplexity import cli
 from morphcomplexity.stats import (
-    BLOCK, ParetoCurve, PermTestResult, _area_of, _area_plan, forked_ranges, pareto_area,
-    pareto_curve, perm_test,
+    BLOCK, MAX_POINTS, ParetoCurve, PermTestResult, _area_of, _area_plan, forked_ranges,
+    pareto_area, pareto_curve, perm_test,
 )
 
 from test_cli import children_and_fds
@@ -378,6 +378,50 @@ def test_area_early_stop_is_exact(points, seed, bound):
     random.Random(seed).shuffle(other)
     for b in (bound, _area_of(plan, other)):
         assert (_area_of(plan, ys, b) <= b) == (_area_of(plan, ys) <= b)
+
+
+# x: a few tied values, subnormals among them, or any float up to 1e300; y: 0.0,
+# the least subnormal or any float up to 1e300, so that x * y underflows and overflows
+extreme_scatters = st.lists(
+    st.tuples(st.one_of(st.sampled_from([5e-324, 1e-310, 1.0, 2.5]),
+                        st.floats(5e-324, 1e300)),
+              st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1e300))),
+    min_size=3, max_size=40)
+
+
+@given(points=extreme_scatters, n_perm=st.integers(1, 250), seed=st.integers(0, 10**6))
+def test_early_rejection_keeps_every_count_at_float_extremes(points, n_perm, seed):
+    """The lower bound that rejects a replica before its area is summed never
+    rejects one whose summed area is <= the observed one, even where the
+    products underflow to subnormals or 0 or overflow to inf."""
+    assert perm_test(points, n_perm=n_perm, seed=seed) == serial_perm_test(points, n_perm, seed)
+
+
+@pytest.mark.parametrize("points", [
+    # two y values over tied x: every replica with a 1.1 at x = 0.7 has the
+    # observed area, 0.7699999999999999, whose bound sums to 0.77
+    [(x, y) for x in (0.7, 0.2, 0.1) for y in (1.1, 1.1, 1.1, 0.5)],
+    [(x, y) for x in (0.9, 0.9, 0.6, 0.2, 0.2) for y in (1.1, 1e-3)],
+    # each width times 5e-324 rounds to 0.0, so every area is 0.0, while
+    # 5e-324 times the largest x does not
+    [(x, y) for x in (1.0, 0.6, 0.2) for y in (5e-324, 0.0)],
+    # all-zero y: every replica has the observed area 0.0
+    [(x, 0.0) for x in (3.0, 1.0, 1.0, 0.5)],
+])
+def test_early_rejection_keeps_exact_ties(points):
+    """Scatters where most replicas tie the observed area exactly: each tie
+    is counted, as the reference's full sums count it."""
+    for seed in (0, 1, 2):
+        res = perm_test(points, n_perm=250, seed=seed)
+        assert res == serial_perm_test(points, 250, seed)
+        assert res.count_leq > 125
+
+
+def test_perm_test_caps_the_point_count():
+    """Beyond MAX_POINTS points the float error of the early rejection is
+    no longer far below its margin, so perm_test refuses them."""
+    with pytest.raises(ValueError, match="needs 3 to %d points" % MAX_POINTS):
+        perm_test([(1.0, 1.0)] * (MAX_POINTS + 1), n_perm=1, seed=0)
 
 
 @pytest.mark.parametrize("parent_fails", [False, True])
